@@ -56,34 +56,43 @@ fn main() {
 
     // ---- Governance overhead: estimates + admission + reporting on a
     // budget that never constrains, against the plain supervised run.
-    // Each sample times a small batch of runs so that single-run jitter
-    // (the whole study is tens of milliseconds) does not dominate.
-    const RUNS_PER_SAMPLE: u32 = 3;
-    let best_of = |f: &dyn Fn()| {
-        (0..5)
-            .map(|_| {
-                let t0 = Instant::now();
-                for _ in 0..RUNS_PER_SAMPLE {
-                    f();
-                }
-                t0.elapsed().as_secs_f64() / RUNS_PER_SAMPLE as f64
-            })
-            .fold(f64::INFINITY, f64::min)
+    // Each sample times a batch of runs so that single-run jitter (the
+    // whole study is about ten milliseconds) does not dominate. Samples
+    // come in (plain, governed) pairs taken back to back, so drift in the
+    // host's load hits both sides of a pair alike; the overhead is the
+    // median of the pairs' ratios.
+    const RUNS_PER_SAMPLE: u32 = 6;
+    const PAIRS: usize = 15;
+    let sample = |f: &dyn Fn()| {
+        let t0 = Instant::now();
+        for _ in 0..RUNS_PER_SAMPLE {
+            f();
+        }
+        t0.elapsed().as_secs_f64() / RUNS_PER_SAMPLE as f64
     };
-    let plain_wall = best_of(&|| {
+    let plain = || {
         let _ = Study::run_supervised(&ds, &StudyConfig::default(), &names)
             .expect("plain supervised run");
-    });
+    };
     let governed_cfg = StudyConfig {
         govern: GovernPolicy::with_budget_mb(UNCONSTRAINED_MB),
         ..StudyConfig::default()
     };
-    let governed_wall = best_of(&|| {
+    let governed = || {
         let study =
             Study::run_governed(&ds, &governed_cfg, &names).expect("unconstrained governed run");
         assert_eq!(study.governance.constrained(), 0, "budget must not bind");
-    });
-    let overhead = governed_wall / plain_wall - 1.0;
+    };
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let pairs: Vec<(f64, f64)> = (0..PAIRS)
+        .map(|_| (sample(&plain), sample(&governed)))
+        .collect();
+    let plain_wall = median(pairs.iter().map(|p| p.0).collect());
+    let governed_wall = median(pairs.iter().map(|p| p.1).collect());
+    let overhead = median(pairs.iter().map(|(p, g)| g / p).collect()) - 1.0;
     eprintln!(
         "clean run: plain {plain_wall:.3}s, governed {governed_wall:.3}s \
          (governance overhead {:+.1}%)",

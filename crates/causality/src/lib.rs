@@ -57,6 +57,7 @@ pub use contrast::{
 pub use drilldown::{locate_pattern, PatternSite};
 pub use pipeline::{
     AnalysisProbe, CausalityAnalysis, CausalityConfig, CausalityError, CausalityReport,
+    ClassAggregators,
 };
 pub use regress::{find_regressions, Regression, RegressionConfig};
 pub use segments::{enumerate_meta_patterns, MetaPatternTable};

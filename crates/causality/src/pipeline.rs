@@ -174,10 +174,10 @@ impl CausalityReport {
     }
 }
 
-/// A hook run at the top of [`CausalityAnalysis::analyze`] with the
-/// scenario under analysis — the seam execution-fault injection uses to
-/// provoke panics *inside* the analyzer, so supervisor tests exercise a
-/// failure that genuinely originates in this crate.
+/// A hook [`CausalityAnalysis::probe`] runs with the scenario under
+/// analysis (`analyze` probes first thing) — the seam execution-fault
+/// injection uses to provoke panics *inside* the analyzer, so supervisor
+/// tests exercise a failure that genuinely originates in this crate.
 pub type AnalysisProbe = std::sync::Arc<dyn Fn(&ScenarioName) + Send + Sync>;
 
 /// The causality analysis driver.
@@ -250,7 +250,10 @@ impl CausalityAnalysis {
     }
 
     /// Runs the full pipeline for one scenario: classify → aggregate →
-    /// mine → rank.
+    /// mine → rank. This is [`CausalityAnalysis::prepare`], feeding the
+    /// classes' Wait Graphs stream by stream, then
+    /// [`CausalityAnalysis::finish`] — the steps a study runs with graphs
+    /// it already built for impact analysis.
     ///
     /// # Errors
     ///
@@ -262,9 +265,35 @@ impl CausalityAnalysis {
         dataset: &Dataset,
         scenario: &ScenarioName,
     ) -> Result<CausalityReport, CausalityError> {
+        self.probe(scenario);
+        let classes = self.prepare(dataset, scenario).map(|mut classes| {
+            self.feed(dataset, &mut classes);
+            classes
+        });
+        self.finish(classes)
+    }
+
+    /// Invokes the [`AnalysisProbe`], if one is attached. `analyze` calls
+    /// it first thing; a caller driving [`CausalityAnalysis::finish`]
+    /// itself calls it before finishing.
+    pub fn probe(&self, scenario: &ScenarioName) {
         if let Some(probe) = &self.probe {
             probe(scenario);
         }
+    }
+
+    /// Splits `scenario`'s instances into contrast classes and opens an
+    /// empty AWG aggregator per class, ready to be fed Wait Graphs in
+    /// stream order (instance order within a stream).
+    ///
+    /// # Errors
+    ///
+    /// As [`CausalityAnalysis::analyze`]; nothing needs feeding then.
+    pub fn prepare<'a>(
+        &self,
+        dataset: &'a Dataset,
+        scenario: &ScenarioName,
+    ) -> Result<ClassAggregators<'a>, CausalityError> {
         let split = {
             let _span = self.telemetry.span(stage::CLASSES);
             split_classes(dataset, scenario).ok_or(CausalityError::UnknownScenario(*scenario))?
@@ -277,32 +306,44 @@ impl CausalityAnalysis {
             self.telemetry
                 .count("classes.margin", split.margin.len() as u64);
         }
-        if split.fast.is_empty() {
-            return Err(CausalityError::EmptyClass {
-                class: "fast",
-                scenario: *scenario,
-            });
-        }
-        if split.slow.is_empty() {
-            return Err(CausalityError::EmptyClass {
-                class: "slow",
-                scenario: *scenario,
-            });
-        }
+        let classes = ClassAggregators {
+            scenario: *scenario,
+            thresholds: split.thresholds,
+            counts: [split.fast.len(), split.slow.len(), split.margin.len()],
+            fast: Aggregator::new(&dataset.stacks, &self.config.components),
+            slow: Aggregator::new(&dataset.stacks, &self.config.components),
+        };
+        classes.check_nonempty()?;
+        Ok(classes)
+    }
 
-        let mut fast_agg = Aggregator::new(&dataset.stacks, &self.config.components);
-        let mut slow_agg = Aggregator::new(&dataset.stacks, &self.config.components);
-        {
-            let _span = self.telemetry.span(stage::WAITGRAPH);
-            self.aggregate_instances(dataset, &split.fast, &mut fast_agg);
-            self.aggregate_instances(dataset, &split.slow, &mut slow_agg);
-        }
+    /// Finishes fed aggregators and mines them: seals both AWGs (with
+    /// the non-optimizable reduction unless disabled), mines and ranks
+    /// the contrast patterns, and reports them with the class counts.
+    ///
+    /// # Errors
+    ///
+    /// The error `prepare` returned, or [`CausalityError::EmptyClass`]
+    /// if [`ClassAggregators::forget`] emptied a class.
+    pub fn finish(
+        &self,
+        classes: Result<ClassAggregators<'_>, CausalityError>,
+    ) -> Result<CausalityReport, CausalityError> {
+        let classes = classes?;
+        classes.check_nonempty()?;
+        let ClassAggregators {
+            scenario,
+            thresholds,
+            counts: [fast_instances, slow_instances, margin_instances],
+            fast,
+            slow,
+        } = classes;
         let (fast_awg, slow_awg) = {
             let _span = self.telemetry.span(stage::AGGREGATE);
             if self.config.reduce {
-                (fast_agg.finish(), slow_agg.finish())
+                (fast.finish(), slow.finish())
             } else {
-                (fast_agg.finish_unreduced(), slow_agg.finish_unreduced())
+                (fast.finish_unreduced(), slow.finish_unreduced())
             }
         };
         if self.telemetry.enabled() {
@@ -315,18 +356,18 @@ impl CausalityAnalysis {
         let (patterns, stats) = mine_contrasts_pooled(
             &fast_awg,
             &slow_awg,
-            split.thresholds,
+            thresholds,
             self.config.segment_bound,
             &self.telemetry,
             &self.pool,
         );
 
         Ok(CausalityReport {
-            scenario: *scenario,
-            thresholds: split.thresholds,
-            fast_instances: split.fast.len(),
-            slow_instances: split.slow.len(),
-            margin_instances: split.margin.len(),
+            scenario,
+            thresholds,
+            fast_instances,
+            slow_instances,
+            margin_instances,
             patterns,
             stats,
             slow_scope_time: slow_awg.total_root_time(),
@@ -334,35 +375,87 @@ impl CausalityAnalysis {
         })
     }
 
-    /// Builds and aggregates the Wait Graphs of `instances`, grouping by
-    /// stream so each stream's index is built once.
+    /// Builds the Wait Graphs of the classified instances and feeds
+    /// them, indexing each stream once.
     ///
     /// Graph construction fans out over the analysis pool; aggregation
     /// stays sequential in instance order (the AWG trie is insertion-
     /// order-sensitive for node ids), so the aggregate is byte-identical
     /// to a fully sequential run.
-    fn aggregate_instances(
-        &self,
-        dataset: &Dataset,
-        instances: &[&ScenarioInstance],
-        agg: &mut Aggregator<'_>,
-    ) {
+    fn feed(&self, dataset: &Dataset, classes: &mut ClassAggregators<'_>) {
+        let _span = self.telemetry.span(stage::WAITGRAPH);
         let mut by_trace: BTreeMap<u32, Vec<&ScenarioInstance>> = BTreeMap::new();
-        for &i in instances {
-            by_trace.entry(i.trace.0).or_default().push(i);
+        for i in dataset.instances_of(&classes.scenario) {
+            if classes.class_of(i).is_some() {
+                by_trace.entry(i.trace.0).or_default().push(i);
+            }
         }
         for (trace, group) in by_trace {
             let Some(stream) = dataset.streams.get(trace as usize) else {
                 continue;
             };
             let index = StreamIndex::new_traced(stream, &self.telemetry);
-            let graphs = self.pool.map(&group, |_, &instance| {
-                WaitGraph::build_traced(stream, &index, instance, &self.telemetry)
-            });
+            let graphs = WaitGraph::build_all(stream, &index, &group, &self.pool, &self.telemetry);
             for (graph, instance) in graphs.iter().zip(&group) {
-                agg.add_graph_tagged(graph, (instance.trace, instance.tid));
+                classes.add(instance, graph);
             }
         }
+    }
+}
+
+/// One scenario's contrast classes, each with an AWG [`Aggregator`]
+/// waiting to be fed its instances' Wait Graphs — the state between
+/// [`CausalityAnalysis::prepare`] and [`CausalityAnalysis::finish`].
+#[derive(Debug)]
+pub struct ClassAggregators<'a> {
+    scenario: ScenarioName,
+    thresholds: Thresholds,
+    /// Fast, slow and margin instance counts.
+    counts: [usize; 3],
+    fast: Aggregator<'a>,
+    slow: Aggregator<'a>,
+}
+
+impl ClassAggregators<'_> {
+    /// The instance's contrast class: `Some(true)` fast, `Some(false)`
+    /// slow, `None` margin (which feeds no aggregator).
+    pub fn class_of(&self, instance: &ScenarioInstance) -> Option<bool> {
+        self.thresholds.classify(instance.duration())
+    }
+
+    /// Adds `instance`'s Wait Graph to its class's aggregate, tagged with
+    /// the instance; a margin instance's graph is ignored. The instance
+    /// must belong to this scenario.
+    pub fn add(&mut self, instance: &ScenarioInstance, graph: &WaitGraph) {
+        let tag = (instance.trace, instance.tid);
+        match self.class_of(instance) {
+            Some(true) => self.fast.add_graph_tagged(graph, tag),
+            Some(false) => self.slow.add_graph_tagged(graph, tag),
+            None => {}
+        }
+    }
+
+    /// Removes a lost instance (say, one on a quarantined stream) from
+    /// its class count; its graph must not have been added.
+    pub fn forget(&mut self, instance: &ScenarioInstance) {
+        let slot = match self.class_of(instance) {
+            Some(true) => 0,
+            Some(false) => 1,
+            None => 2,
+        };
+        self.counts[slot] = self.counts[slot].saturating_sub(1);
+    }
+
+    fn check_nonempty(&self) -> Result<(), CausalityError> {
+        for (class, count) in [("fast", self.counts[0]), ("slow", self.counts[1])] {
+            if count == 0 {
+                return Err(CausalityError::EmptyClass {
+                    class,
+                    scenario: self.scenario,
+                });
+            }
+        }
+        Ok(())
     }
 }
 

@@ -436,10 +436,14 @@ fn check_baseline(
 }
 
 /// A per-run scratch directory under the system temp dir; any previous
-/// leftover is removed first.
+/// leftover is removed first. A process-wide sequence number keeps two
+/// campaigns that sample the same config in one process (concurrent
+/// tests, say) out of each other's directories.
 fn scratch_dir(cfg: &ChaosConfig, purpose: &str) -> PathBuf {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let run = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!(
-        "tl-chaos-{}-{:016x}-{purpose}",
+        "tl-chaos-{}-{run}-{:016x}-{purpose}",
         std::process::id(),
         cfg.seed
     ));

@@ -30,8 +30,10 @@
 
 mod analyzer;
 mod breakdown;
+mod record;
 mod report;
 
-pub use analyzer::ImpactAnalyzer;
+pub use analyzer::{instances_by_stream, ImpactAnalyzer};
 pub use breakdown::{breakdown, Breakdown};
+pub use record::{fold, InstanceRecord};
 pub use report::ImpactReport;

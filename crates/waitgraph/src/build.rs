@@ -70,16 +70,20 @@ impl WaitGraph {
     /// `result[i]` is the graph of `instances[i]` regardless of job
     /// count, and with a sequential pool this is exactly a `build_traced`
     /// loop. Telemetry counters are merged in completion order — counter
-    /// sums are order-independent.
-    pub fn build_all(
+    /// sums are order-independent. `instances` may hold the instances
+    /// themselves or references to them.
+    pub fn build_all<I>(
         stream: &TraceStream,
         index: &StreamIndex,
-        instances: &[ScenarioInstance],
+        instances: &[I],
         pool: &tracelens_pool::Pool,
         telemetry: &tracelens_obs::Telemetry,
-    ) -> Vec<WaitGraph> {
+    ) -> Vec<WaitGraph>
+    where
+        I: std::borrow::Borrow<ScenarioInstance> + Sync,
+    {
         pool.map(instances, |_, instance| {
-            WaitGraph::build_traced(stream, index, instance, telemetry)
+            WaitGraph::build_traced(stream, index, instance.borrow(), telemetry)
         })
     }
 }

@@ -118,7 +118,7 @@ fn checkpoint_resume_is_byte_identical_to_an_uninterrupted_run() {
     // checkpointed.
     let faulted_cfg = StudyConfig {
         jobs: 2,
-        exec_faults: Some(ExecFaultPlan::new(91).with_panic_rate(0.5)),
+        exec_faults: Some(ExecFaultPlan::new(91).with_panic_rate(0.2)),
         checkpoint: Some(dir.clone()),
         ..StudyConfig::default()
     };
@@ -145,6 +145,101 @@ fn checkpoint_resume_is_byte_identical_to_an_uninterrupted_run() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn quarantined_streams_drop_out_of_every_report_and_every_checkpoint() {
+    let ds = dataset(68, 16);
+    let names = names_of(&ds);
+    let clean = Study::run(&ds, &StudyConfig::default(), &names);
+    // A plan that poisons some streams but no scenario unit, so every
+    // difference from the clean run is the lost streams' doing.
+    let poisons = |plan: &ExecFaultPlan, stage: &str, unit: String| {
+        plan.fault_for(stage, &unit) == Some(ExecFault::Panic)
+    };
+    let plan = (0..500u64)
+        .map(|seed| ExecFaultPlan::new(seed).with_panic_rate(0.15))
+        .find(|plan| {
+            let streams = ds
+                .streams
+                .iter()
+                .filter(|s| poisons(plan, "impact", format!("stream:{}", s.id().0)))
+                .count();
+            let scenarios = names.iter().any(|n| {
+                poisons(plan, "scenario", format!("scenario:{n}"))
+                    || poisons(plan, "causality", format!("scenario:{n}"))
+            });
+            (1..=3).contains(&streams) && !scenarios
+        })
+        .expect("some seed poisons only streams");
+    let lost: Vec<&ScenarioInstance> = ds
+        .instances
+        .iter()
+        .filter(|i| poisons(&plan, "impact", format!("stream:{}", i.trace.0)))
+        .collect();
+    assert!(!lost.is_empty(), "the poisoned streams carry instances");
+
+    let dir = scratch_dir("stream-quarantine");
+    let faulted_cfg = StudyConfig {
+        jobs: 2,
+        exec_faults: Some(plan),
+        checkpoint: Some(dir.clone()),
+        ..StudyConfig::default()
+    };
+    let faulted = Study::run_supervised(&ds, &faulted_cfg, &names).expect("faulted run");
+    assert!(faulted
+        .execution
+        .failures
+        .iter()
+        .all(|f| f.stage == "impact"));
+    assert_eq!(faulted.execution.lost_instances(), lost.len());
+    assert_eq!(
+        faulted.impact.instances,
+        clean.impact.instances - lost.len()
+    );
+    assert!(!dir.join("impact.tlc").exists(), "partial impact stored");
+
+    let mut checked = 0;
+    for (idx, name) in names.iter().enumerate() {
+        let th = ds.scenario(name).expect("defined").thresholds;
+        let gone = |class: Option<bool>| {
+            lost.iter()
+                .filter(|i| i.scenario == *name && th.classify(i.duration()) == class)
+                .count()
+        };
+        let (fast, slow, margin) = (gone(Some(true)), gone(Some(false)), gone(None));
+        let (a, b) = (&clean.scenarios[name], &faulted.scenarios[name]);
+        assert_eq!(
+            b.impact.instances,
+            a.impact.instances - fast - slow - margin
+        );
+        assert_eq!(b.slow_impact.instances, a.slow_impact.instances - slow);
+        if let (Ok(a), Ok(b)) = (&a.causality, &b.causality) {
+            assert_eq!(b.fast_instances, a.fast_instances - fast, "{name}");
+            assert_eq!(b.slow_instances, a.slow_instances - slow, "{name}");
+            assert_eq!(b.margin_instances, a.margin_instances - margin, "{name}");
+            checked += usize::from(fast + slow + margin > 0);
+        }
+        // A scenario that lost instances is partial: never checkpointed.
+        let affected = fast + slow + margin > 0;
+        assert_eq!(
+            dir.join(format!("unit-{idx}.tlc")).exists(),
+            !affected,
+            "{name}: affected {affected}"
+        );
+    }
+    assert!(checked > 0, "a mined scenario lost instances");
+
+    let resume_cfg = StudyConfig {
+        jobs: 1,
+        checkpoint: Some(dir.clone()),
+        ..StudyConfig::default()
+    };
+    let resumed = Study::run_supervised(&ds, &resume_cfg, &names).expect("resumed run");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(resumed.execution.is_clean());
+    assert!(resumed.execution.restored > 0, "unaffected units restore");
+    assert_eq!(render(&clean, &ds), render(&resumed, &ds));
 }
 
 #[test]

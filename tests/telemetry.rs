@@ -62,7 +62,7 @@ fn study_counters_reflect_the_work_done() {
     assert!(get("sim.instances") >= 100);
     assert!(get("sim.events") > get("sim.instances"));
 
-    // Every classified instance went through a Wait Graph.
+    // The analyses ran over Wait Graphs and accounted their nodes.
     assert!(get("waitgraph.graphs") > 0);
     assert!(get("waitgraph.nodes") >= get("waitgraph.graphs"));
     assert!(get("impact.instances") > 0);
@@ -95,6 +95,43 @@ fn study_counters_reflect_the_work_done() {
         .get("waitgraph.build_ns")
         .expect("build-time histogram recorded");
     assert_eq!(hist.n(), get("waitgraph.graphs"));
+}
+
+#[test]
+fn study_indexes_each_stream_and_builds_each_wait_graph_once() {
+    let ds = DatasetBuilder::new(11)
+        .traces(40)
+        .mix(ScenarioMix::Selected)
+        .instances_per_trace(2, 4)
+        .start_window_ms(350)
+        .build();
+    let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
+    let (telemetry, sink) = CollectingSink::telemetry();
+    let study = Study::run_traced(&ds, &StudyConfig::default(), &names, &telemetry);
+    let counters = sink.report().metrics.counters;
+    let get = |name: &str| counters.get(name).copied().unwrap_or(0);
+
+    let streams_with_instances = ds
+        .streams
+        .iter()
+        .filter(|s| ds.instances.iter().any(|i| i.trace == s.id()))
+        .count() as u64;
+    let analyzed = study.impact.instances as u64;
+    assert_eq!(
+        analyzed,
+        ds.instances.len() as u64,
+        "every instance analyzed"
+    );
+    // One pass: each stream indexed once, each instance's graph built
+    // once and accounted once, however many reports and AWGs use it.
+    assert_eq!(get("waitgraph.indices"), streams_with_instances);
+    assert_eq!(get("waitgraph.graphs"), analyzed);
+    assert_eq!(get("impact.instances"), analyzed);
+    // Every report folds records, never re-walking a graph.
+    assert_eq!(
+        get("impact.nodes_visited"),
+        study.impact.nodes_visited as u64
+    );
 }
 
 #[test]

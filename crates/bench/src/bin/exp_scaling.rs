@@ -81,8 +81,8 @@ fn main() {
         // Ingest cost is measured separately from the analysis pipeline
         // so BENCH_pipeline.json keeps the two apart.
         let t0 = Instant::now();
-        let (ingested, _) = tracelens::store::ingest_bytes(&text, &Pool::new(jobs), &telemetry)
-            .expect("corpus reparses");
+        let (ingested, _) =
+            tracelens::store::ingest_reader(&text[..], &telemetry).expect("corpus reparses");
         let ingest_wall_s = t0.elapsed().as_secs_f64();
         let ingest_peak_rss_kb = peak_rss_kb();
         assert_eq!(

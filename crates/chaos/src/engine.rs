@@ -3,7 +3,7 @@
 //!
 //! One [`run_config`] call is one end-to-end exercise of a
 //! [`ChaosConfig`]: simulate a corpus, push it through every armed
-//! fault plane (flaky sharded ingest, torn caches, data corruption,
+//! fault plane (flaky streamed ingest, torn caches, data corruption,
 //! exec/mem faults under supervision and governance, torn checkpoints),
 //! and record what happened as [`RunArtifacts`]. [`run_campaign`] fans
 //! a sampled batch of configs over a worker pool — each study inside a
@@ -20,7 +20,6 @@ use std::path::{Path, PathBuf};
 use tracelens::store::{self, CacheFallback, IngestSource};
 use tracelens::{render_markdown, ReportOptions, Study, StudyConfig};
 use tracelens_faults::{FaultInjector, FlakyReader};
-use tracelens_model::textio::RetryPolicy;
 use tracelens_model::{Dataset, ScenarioName};
 use tracelens_obs::{stage, Telemetry};
 use tracelens_pool::{Pool, SupervisePolicy};
@@ -74,7 +73,7 @@ pub struct RunArtifacts {
     /// Typed errors absorbed as *allowed* degraded outcomes (exhausted
     /// retries, everything quarantined) — reported, never violations.
     pub degraded: Vec<String>,
-    /// Flaky sharded ingest round-tripped byte-identically.
+    /// Flaky streamed ingest round-tripped byte-identically.
     pub ingest: Option<Result<(), String>>,
     /// Torn `.tlb` cache: detected, quarantined, never laundered.
     pub cache: Option<Result<(), String>>,
@@ -142,14 +141,8 @@ fn execute(cfg: &ChaosConfig) -> RunArtifacts {
     ds.write_text(&mut text).expect("in-memory write");
 
     if cfg.read_faults_active() {
-        let plan = cfg.read_plan();
-        let pool = Pool::new(2);
-        match store::ingest_reader_sharded(
-            || Ok(FlakyReader::new(&text[..], plan)),
-            RetryPolicy::default(),
-            &pool,
-            &noop,
-        ) {
+        let flaky = FlakyReader::new(&text[..], cfg.read_plan());
+        match store::ingest_reader(flaky, &noop) {
             Ok((flaky, _report)) => {
                 let mut round = Vec::new();
                 flaky.write_text(&mut round).expect("in-memory write");
@@ -157,7 +150,7 @@ fn execute(cfg: &ChaosConfig) -> RunArtifacts {
                     Ok(())
                 } else {
                     Err(format!(
-                        "flaky sharded ingest silently altered the data set \
+                        "flaky streamed ingest silently altered the data set \
                          (read-fault rate {})",
                         cfg.read_fault_rate
                     ))
@@ -286,12 +279,11 @@ fn check_torn_cache(cfg: &ChaosConfig, text: &[u8]) -> Result<(), String> {
 
 fn check_torn_cache_in(cfg: &ChaosConfig, text: &[u8], dir: &Path) -> Result<(), String> {
     let noop = Telemetry::noop();
-    let pool = Pool::new(1);
     let corpus = dir.join("corpus.tlt");
     fs::write(&corpus, text).expect("write corpus");
 
     let (_warm, warm_report) =
-        store::ingest_path(&corpus, true, &pool, &noop).expect("clean first ingest");
+        store::ingest_path(&corpus, true, &noop).expect("clean first ingest");
     if !warm_report.cache_written {
         return Err("first ingest did not write a cache".to_owned());
     }
@@ -309,7 +301,7 @@ fn check_torn_cache_in(cfg: &ChaosConfig, text: &[u8], dir: &Path) -> Result<(),
     let torn_bytes = fs::read(&cache).expect("read torn cache");
 
     let (recovered, report) =
-        store::ingest_path(&corpus, true, &pool, &noop).expect("ingest over torn cache");
+        store::ingest_path(&corpus, true, &noop).expect("ingest over torn cache");
     if report.cache_fallback != Some(CacheFallback::Corrupt) {
         return Err(format!(
             "torn cache was not detected as corrupt (fallback {:?})",
@@ -331,8 +323,7 @@ fn check_torn_cache_in(cfg: &ChaosConfig, text: &[u8], dir: &Path) -> Result<(),
         return Err("torn cache laundered corruption into the data set".to_owned());
     }
 
-    let (reloaded, report) =
-        store::ingest_path(&corpus, true, &pool, &noop).expect("ingest after repack");
+    let (reloaded, report) = store::ingest_path(&corpus, true, &noop).expect("ingest after repack");
     if report.source != IngestSource::BinaryCache || report.cache_fallback.is_some() {
         return Err(format!(
             "repacked cache did not serve the third load (source {}, fallback {:?})",

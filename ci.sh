@@ -34,10 +34,10 @@ TRACELENS_BENCH_OUT="$(mktemp)" \
     cargo run -q --release -p tracelens-bench --bin exp_scaling -- 120 2014 \
     > /dev/null
 
-echo "== trace store (cache identity + parallel ingest + pack determinism) =="
-# A cached study run must be byte-identical to the uncached one, the
-# sharded-parallel parse must match serial at more than one job count,
-# and `pack` must emit the same image regardless of the pool size.
+echo "== trace store (cache identity + job-count identity + pack determinism) =="
+# A cached study run must be byte-identical to the uncached one, a
+# report must not depend on the job count, and `pack` must emit the
+# same image at any job setting.
 TS_DIR="$(mktemp -d)"
 TL=target/release/tracelens
 "$TL" simulate -o "$TS_DIR/ds.tlt" --traces 40 --seed 9 > /dev/null
@@ -57,8 +57,8 @@ rm -rf "$TS_DIR"
 
 echo "== exp_ingest smoke (binary load must beat the text parse) =="
 # Small corpus; the binary also asserts in-process that the `.tlb` load
-# is faster than the serial text parse and that interning stays off the
-# top of the ingest profile.
+# is faster than the text parse and that interning stays off the top of
+# the ingest profile.
 ING_JSON="$(mktemp)"
 TRACELENS_BENCH_OUT="$ING_JSON" \
     cargo run -q --release -p tracelens-bench --bin exp_ingest -- 120 2014 \

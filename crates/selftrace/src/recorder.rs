@@ -198,21 +198,30 @@ impl SelfTraceSink {
     /// ingest lock (per-thread timestamps stay monotone and lock-wait
     /// intervals never overlap the event they delayed). Lock contention
     /// is accounted, and surfaced as an `obs.lock` wait event when it
-    /// exceeds [`LOCK_WAIT_EVENT_NS`].
+    /// exceeds [`LOCK_WAIT_EVENT_NS`]. Only a lock held by another
+    /// thread counts as contention: an uncontended acquisition records
+    /// no wait, however long the thread was descheduled around it.
     fn push(&self, vtid: u32, make: impl FnOnce(u64) -> RawEvent) {
-        let attempt = self.now_ns();
-        let mut log = self.log.lock().expect("self-trace log lock");
+        let (mut log, attempt) = match self.log.try_lock() {
+            Ok(log) => (log, None),
+            Err(_) => {
+                let attempt = self.now_ns();
+                (self.log.lock().expect("self-trace log lock"), Some(attempt))
+            }
+        };
         let acquired = self.now_ns();
-        let waited = acquired.saturating_sub(attempt);
-        if waited > 0 {
-            self.lock_wait_ns.fetch_add(waited, Ordering::Relaxed);
-        }
-        if waited >= LOCK_WAIT_EVENT_NS {
-            log.push(RawEvent::LockWait {
-                vtid,
-                t: attempt,
-                cost: waited,
-            });
+        if let Some(attempt) = attempt {
+            let waited = acquired.saturating_sub(attempt);
+            if waited > 0 {
+                self.lock_wait_ns.fetch_add(waited, Ordering::Relaxed);
+            }
+            if waited >= LOCK_WAIT_EVENT_NS {
+                log.push(RawEvent::LockWait {
+                    vtid,
+                    t: attempt,
+                    cost: waited,
+                });
+            }
         }
         log.push(make(acquired));
     }

@@ -169,6 +169,81 @@ fn validate_reports_violations_and_sanitize_recovers() {
 }
 
 #[test]
+fn report_sanitize_quarantines_covers_and_refuses_empty_survivors() {
+    use tracelens::model::{ScenarioInstance, ThreadId, TimeNs, TraceId};
+    use tracelens::prelude::*;
+
+    let dir = std::env::temp_dir().join(format!("tracelens-cli-report-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let write = |name: &str, ds: &Dataset| {
+        let path = dir.join(name);
+        let f = std::fs::File::create(&path).expect("create");
+        ds.write_text(std::io::BufWriter::new(f)).expect("write");
+        path.to_str().expect("utf-8 path").to_owned()
+    };
+    let dangling = |ds: &Dataset, k: u32| ScenarioInstance {
+        trace: TraceId(ds.streams.len() as u32 + 2 + k),
+        scenario: ds.scenarios[0].name,
+        tid: ThreadId(1),
+        t0: TimeNs(0),
+        t1: TimeNs(1),
+    };
+    let ds = DatasetBuilder::new(3)
+        .traces(12)
+        .mix(ScenarioMix::Selected)
+        .build();
+
+    // Clean input: `--sanitize` is invisible in the report.
+    let clean = write("clean.tlt", &ds);
+    let plain = tracelens(&["report", &clean, "--jobs", "1"]);
+    assert!(plain.status.success(), "plain report failed: {plain:?}");
+    let sanitized = tracelens(&["report", &clean, "--jobs", "1", "--sanitize"]);
+    assert!(
+        sanitized.status.success(),
+        "sanitized report failed: {sanitized:?}"
+    );
+    assert_eq!(
+        plain.stdout, sanitized.stdout,
+        "--sanitize on clean input must not change the report"
+    );
+    let err = String::from_utf8_lossy(&sanitized.stderr);
+    assert!(err.contains("sanitize: input is clean"), "{err}");
+
+    // Dangling instances: quarantined, reported on stderr, and the
+    // report carries a Coverage section.
+    let mut bad = ds.clone();
+    for k in 0..5 {
+        bad.instances.push(dangling(&ds, k));
+    }
+    let corrupt = write("dangling.tlt", &bad);
+    let out = tracelens(&["report", &corrupt, "--jobs", "1", "--sanitize"]);
+    assert!(out.status.success(), "--sanitize report failed: {out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("sanitize: "), "{err}");
+    assert!(err.contains("5 instances quarantined"), "{err}");
+    let md = String::from_utf8_lossy(&out.stdout);
+    assert!(md.contains("## Coverage"), "{md}");
+
+    // The two corruption modes together are rejected.
+    let out = tracelens(&["report", &corrupt, "--strict", "--sanitize"]);
+    assert!(
+        !out.status.success(),
+        "--strict --sanitize must be rejected"
+    );
+
+    // Every instance dangles: a typed refusal, not an all-zero report.
+    let mut hollow = ds.clone();
+    let n = hollow.instances.len() as u32;
+    hollow.instances = (0..n).map(|k| dangling(&ds, k)).collect();
+    let hollow = write("hollow.tlt", &hollow);
+    let out = tracelens(&["report", &hollow, "--sanitize"]);
+    assert!(!out.status.success(), "an empty survivor set must fail");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("no analyzable instances"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn errors_are_reported_with_nonzero_exit() {
     let out = tracelens(&["frobnicate"]);
     assert!(!out.status.success());

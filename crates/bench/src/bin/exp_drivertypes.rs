@@ -8,14 +8,14 @@
 //! picking a component set for causality analysis.
 
 use tracelens::prelude::*;
-use tracelens_bench::{full_dataset_traced, pct, row, rule, BenchArgs};
+use tracelens_bench::{full_dataset, pct, row, rule, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
     let (traces, seed) = (args.traces, args.seed);
     let (telemetry, sink) = args.telemetry_handle();
     eprintln!("generating {traces} traces (seed {seed})...");
-    let ds = full_dataset_traced(traces, seed, &telemetry);
+    let ds = full_dataset(traces, seed, &telemetry);
 
     println!("== E6: impact by driver type (components scoped per row) ==");
     let widths = [26, 10, 10, 10, 10];

@@ -38,14 +38,14 @@ fn main() {
     let seed = args.seed;
     let (telemetry, sink) = args.telemetry_handle();
     eprintln!("generating {traces} traces (seed {seed})...");
-    let ds = tracelens_bench::selected_dataset_traced(traces, seed, &telemetry);
+    let ds = tracelens_bench::selected_dataset(traces, seed, &telemetry);
     let names = selected_names();
     let pressure = MemFaultPlan::new(seed ^ 0x90BE)
         .with_rate(0.5)
         .with_factor(64);
 
     eprintln!("running ungoverned baseline study...");
-    let baseline = Study::run_supervised_traced(&ds, &StudyConfig::default(), &names, &telemetry)
+    let baseline = Study::run(&ds, &StudyConfig::default(), &names, &telemetry)
         .expect("baseline run completes");
     let baseline_ia = baseline.impact.ia_wait();
     eprintln!(
@@ -71,7 +71,7 @@ fn main() {
         t0.elapsed().as_secs_f64() / RUNS_PER_SAMPLE as f64
     };
     let plain = || {
-        let _ = Study::run_supervised(&ds, &StudyConfig::default(), &names)
+        let _ = Study::run(&ds, &StudyConfig::default(), &names, &Telemetry::noop())
             .expect("plain supervised run");
     };
     let governed_cfg = StudyConfig {
@@ -79,8 +79,8 @@ fn main() {
         ..StudyConfig::default()
     };
     let governed = || {
-        let study =
-            Study::run_governed(&ds, &governed_cfg, &names).expect("unconstrained governed run");
+        let study = Study::run(&ds, &governed_cfg, &names, &Telemetry::noop())
+            .expect("unconstrained governed run");
         assert_eq!(study.governance.constrained(), 0, "budget must not bind");
     };
     let median = |mut v: Vec<f64>| {
@@ -146,8 +146,8 @@ fn main() {
                 mem_faults: Some(pressure),
                 ..StudyConfig::default()
             };
-            let study = Study::run_governed_traced(&ds, &cfg, &names, &telemetry)
-                .expect("governed run always completes");
+            let study =
+                Study::run(&ds, &cfg, &names, &telemetry).expect("governed run always completes");
             let gov = &study.governance;
             assert_eq!(
                 gov.admitted + gov.queued + gov.degraded + gov.shed,

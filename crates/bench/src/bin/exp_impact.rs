@@ -4,14 +4,14 @@
 //! `IA_opt ≈ 26 %`, `D_wait / D_waitdist ≈ 3.5`.
 
 use tracelens::prelude::*;
-use tracelens_bench::{full_dataset_traced, pct, BenchArgs};
+use tracelens_bench::{full_dataset, pct, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
     let (traces, seed) = (args.traces, args.seed);
     let (telemetry, sink) = args.telemetry_handle();
     eprintln!("generating {traces} traces (seed {seed})...");
-    let ds = full_dataset_traced(traces, seed, &telemetry);
+    let ds = full_dataset(traces, seed, &telemetry);
     eprintln!(
         "dataset: {} traces, {} instances, {} events",
         ds.streams.len(),

@@ -58,7 +58,7 @@ fn main() {
     let args = BenchArgs::parse();
     let (traces, seed) = (args.traces, args.seed);
     eprintln!("generating {traces} traces (seed {seed})...");
-    let ds = selected_dataset(traces, seed);
+    let ds = selected_dataset(traces, seed, &Telemetry::noop());
     let mut text = Vec::new();
     ds.write_text(&mut text).expect("serialize corpus");
     let events = ds.total_events();

@@ -17,14 +17,11 @@
 //! an [`ExecFaultPlan`] panics a deterministic ε-fraction of supervised
 //! work units. Every run must still complete (fail-operational), and
 //! the sweep reports unit completion rate, quarantined units, lost
-//! instances, and the IA_wait drift of the surviving work. The ε = 0
-//! row measures supervision overhead against the unsupervised pipeline
-//! (PR 3 baseline). Results land in `BENCH_robustness.json` (override
-//! with `TRACELENS_BENCH_OUT`).
+//! instances, and the IA_wait drift of the surviving work. Results land
+//! in `BENCH_robustness.json` (override with `TRACELENS_BENCH_OUT`).
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::time::Instant;
 use tracelens::prelude::*;
 use tracelens_bench::{pct, row, rule, selected_names, BenchArgs};
 
@@ -64,13 +61,13 @@ fn main() {
     let seed = args.seed;
     let (telemetry, sink) = args.telemetry_handle();
     eprintln!("generating {traces} clean traces (seed {seed})...");
-    let clean = tracelens_bench::selected_dataset_traced(traces, seed, &telemetry);
+    let clean = tracelens_bench::selected_dataset(traces, seed, &telemetry);
     let clean_bytes = dataset_bytes(&clean);
     let names = selected_names();
-    let config = StudyConfig::default();
 
     eprintln!("running clean baseline study...");
-    let baseline = Study::run_traced(&clean, &config, &names, &telemetry);
+    let baseline =
+        Study::run(&clean, &StudyConfig::default(), &names, &telemetry).expect("clean study runs");
     let baseline_ia = baseline.impact.ia_wait();
     let baseline_top = top_patterns(&baseline, &clean.stacks);
     eprintln!(
@@ -112,10 +109,16 @@ fn main() {
     );
     rule(&widths);
 
+    let sanitize = StudyConfig {
+        sanitize: true,
+        ..StudyConfig::default()
+    };
     for eps in RATES {
         let injector = FaultInjector::new(seed).with_all(eps);
         let (corrupt, log) = injector.inject(&clean);
-        let (study, report) = Study::run_sanitized_traced(&corrupt, &config, &names, &telemetry);
+        let study = Study::run(&corrupt, &sanitize, &names, &telemetry)
+            .expect("some instances survive sanitization");
+        let report = study.sanitize.as_ref().expect("sanitized");
 
         if eps == 0.0 {
             assert_eq!(log.total(), 0, "zero rate injects nothing");
@@ -156,30 +159,6 @@ fn main() {
     println!();
     println!("== R2: execution-fault sweep — panic a fraction ε of work units ==\n");
 
-    // Supervision overhead on a clean run, best-of-3 each, against the
-    // unsupervised (PR 3) pipeline.
-    let best_of = |f: &dyn Fn()| {
-        (0..3)
-            .map(|_| {
-                let t0 = Instant::now();
-                f();
-                t0.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let plain_wall = best_of(&|| {
-        let _ = Study::run(&clean, &config, &names);
-    });
-    let supervised_wall = best_of(&|| {
-        let _ = Study::run_supervised(&clean, &config, &names).expect("clean supervised run");
-    });
-    let overhead = supervised_wall / plain_wall - 1.0;
-    eprintln!(
-        "clean run: plain {plain_wall:.3}s, supervised {supervised_wall:.3}s \
-         (overhead {:+.1}%)",
-        overhead * 100.0
-    );
-
     let widths = [7, 7, 12, 11, 10, 9, 9];
     row(
         &[
@@ -209,7 +188,7 @@ fn main() {
             exec_faults: Some(ExecFaultPlan::new(seed ^ 0xE4EC).with_panic_rate(eps)),
             ..StudyConfig::default()
         };
-        let study = Study::run_supervised_traced(&clean, &cfg, &names, &telemetry)
+        let study = Study::run(&clean, &cfg, &names, &telemetry)
             .expect("supervised study completes under execution faults");
         let exec = &study.execution;
         if eps == 0.0 {
@@ -249,9 +228,6 @@ fn main() {
     let _ = writeln!(json, "  \"seed\": {seed},");
     let _ = writeln!(json, "  \"instances\": {},", clean.instances.len());
     let _ = writeln!(json, "  \"baseline_ia_wait\": {baseline_ia:.6},");
-    let _ = writeln!(json, "  \"plain_wall_s\": {plain_wall:.6},");
-    let _ = writeln!(json, "  \"supervised_wall_s\": {supervised_wall:.6},");
-    let _ = writeln!(json, "  \"supervision_overhead\": {overhead:.4},");
     let _ = writeln!(json, "  \"runs\": [");
     for (i, s) in exec_samples.iter().enumerate() {
         let comma = if i + 1 < exec_samples.len() { "," } else { "" };

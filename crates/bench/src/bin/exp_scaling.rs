@@ -68,7 +68,7 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     eprintln!("generating {traces} traces (seed {seed}); {cores} cores available...");
-    let ds = selected_dataset(traces, seed);
+    let ds = selected_dataset(traces, seed, &Telemetry::noop());
     let names = selected_names();
     let mut text = Vec::new();
     ds.write_text(&mut text).expect("serialize corpus");
@@ -96,7 +96,7 @@ fn main() {
             ..StudyConfig::default()
         };
         let t0 = Instant::now();
-        let study = Study::run_traced(&ds, &config, &names, &telemetry);
+        let study = Study::run(&ds, &config, &names, &telemetry).expect("study runs");
         let wall_s = t0.elapsed().as_secs_f64();
         let md = tracelens::render_markdown(&study, &ds, &tracelens::ReportOptions::default());
         let report_identical = match &baseline_md {

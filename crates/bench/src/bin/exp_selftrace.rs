@@ -2,8 +2,8 @@
 //!
 //! `BENCH_pipeline.json` shows the study pipeline barely speeding up
 //! from 1 to 8 jobs. This experiment answers *why* with the pipeline's
-//! own instruments: every job count runs through
-//! `Study::run_self_traced`, the recordings are lowered into the
+//! own instruments: every job count runs `Study::run` with a
+//! `SelfTraceSink` attached, the recordings are lowered into the
 //! paper's event shape, and the per-session wait accounting attributes
 //! the lost wall time to pool queue waits, recorder-lock contention,
 //! join-barrier idling, or the busy-time inflation that is the
@@ -57,7 +57,7 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     eprintln!("generating {traces} traces (seed {seed}); {cores} cores available...");
-    let ds = selected_dataset(traces, seed);
+    let ds = selected_dataset(traces, seed, &Telemetry::noop());
     let names = selected_names();
 
     let mut baseline_md: Option<String> = None;
@@ -69,7 +69,8 @@ fn main() {
             ..StudyConfig::default()
         };
         let t0 = Instant::now();
-        let (study, recording) = Study::run_self_traced(&ds, &config, &names);
+        let sink = SelfTraceSink::new();
+        let study = Study::run(&ds, &config, &names, &sink.telemetry()).expect("study runs");
         let wall_s = t0.elapsed().as_secs_f64();
         let md = tracelens::render_markdown(&study, &ds, &tracelens::ReportOptions::default());
         let report_identical = match &baseline_md {
@@ -85,7 +86,7 @@ fn main() {
             "jobs={jobs}: report diverged from the sequential run"
         );
 
-        let session = SelfTraceSession::new(format!("jobs={jobs}"), recording);
+        let session = SelfTraceSession::new(format!("jobs={jobs}"), sink.recording());
         let lowered = lower(std::slice::from_ref(&session));
         let stats = &lowered.stats[0];
         let named = |name: &str| stats.wait_ns_by_name.get(name).copied().unwrap_or(0) as f64 / 1e9;

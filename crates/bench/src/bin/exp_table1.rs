@@ -6,14 +6,14 @@
 //! BrowserTabCreate 2491 → 597 fast / 1601 slow.
 
 use tracelens::causality::split_classes;
-use tracelens_bench::{row, rule, selected_dataset_traced, selected_names, BenchArgs};
+use tracelens_bench::{row, rule, selected_dataset, selected_names, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
     let (traces, seed) = (args.traces, args.seed);
     let (telemetry, sink) = args.telemetry_handle();
     eprintln!("generating {traces} traces (seed {seed})...");
-    let ds = selected_dataset_traced(traces, seed, &telemetry);
+    let ds = selected_dataset(traces, seed, &telemetry);
 
     let widths = [22, 12, 12, 12, 12];
     println!("== E2: Table 1 — Selected Scenarios ==");

@@ -6,15 +6,16 @@
 //! because most of its driver cost is direct hardware service.
 
 use tracelens::prelude::*;
-use tracelens_bench::{pct, row, rule, selected_dataset_traced, selected_names, BenchArgs};
+use tracelens_bench::{pct, row, rule, selected_dataset, selected_names, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
     let (traces, seed) = (args.traces, args.seed);
     let (telemetry, sink) = args.telemetry_handle();
     eprintln!("generating {traces} traces (seed {seed})...");
-    let ds = selected_dataset_traced(traces, seed, &telemetry);
-    let study = Study::run_traced(&ds, &StudyConfig::default(), &selected_names(), &telemetry);
+    let ds = selected_dataset(traces, seed, &telemetry);
+    let study = Study::run(&ds, &StudyConfig::default(), &selected_names(), &telemetry)
+        .expect("study runs");
 
     let widths = [22, 12, 10, 10];
     println!("== E3: Table 2 — Impactful-Time and Total-Time Coverages ==");

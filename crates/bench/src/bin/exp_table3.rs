@@ -6,14 +6,14 @@
 //! top 30 % cover 95.9 %.
 
 use tracelens::prelude::*;
-use tracelens_bench::{pct, row, rule, selected_dataset_traced, selected_names, BenchArgs};
+use tracelens_bench::{pct, row, rule, selected_dataset, selected_names, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
     let (traces, seed) = (args.traces, args.seed);
     let (telemetry, sink) = args.telemetry_handle();
     eprintln!("generating {traces} traces (seed {seed})...");
-    let ds = selected_dataset_traced(traces, seed, &telemetry);
+    let ds = selected_dataset(traces, seed, &telemetry);
     let analysis = CausalityAnalysis::default().with_telemetry(telemetry.clone());
 
     let widths = [22, 10, 8, 8, 8];

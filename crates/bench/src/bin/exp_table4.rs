@@ -7,14 +7,14 @@
 //! composition.
 
 use tracelens::prelude::*;
-use tracelens_bench::{row, rule, selected_dataset_traced, selected_names, BenchArgs};
+use tracelens_bench::{row, rule, selected_dataset, selected_names, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
     let (traces, seed) = (args.traces, args.seed);
     let (telemetry, sink) = args.telemetry_handle();
     eprintln!("generating {traces} traces (seed {seed})...");
-    let ds = selected_dataset_traced(traces, seed, &telemetry);
+    let ds = selected_dataset(traces, seed, &telemetry);
     let analysis = CausalityAnalysis::default().with_telemetry(telemetry.clone());
 
     let types = DriverType::ALL;

@@ -8,7 +8,7 @@
 //! spread across victims.
 
 use tracelens::prelude::*;
-use tracelens_bench::{full_dataset_traced, pct, row, rule, BenchArgs};
+use tracelens_bench::{full_dataset, pct, row, rule, BenchArgs};
 
 fn process_label(pid: u32) -> &'static str {
     match pid {
@@ -27,7 +27,7 @@ fn main() {
     let (traces, seed) = (args.traces, args.seed);
     let (telemetry, sink) = args.telemetry_handle();
     eprintln!("generating {traces} traces (seed {seed})...");
-    let ds = full_dataset_traced(traces, seed, &telemetry);
+    let ds = full_dataset(traces, seed, &telemetry);
 
     let by = ImpactAnalyzer::new(ComponentFilter::suffix(".sys"))
         .with_telemetry(telemetry.clone())

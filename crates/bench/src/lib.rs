@@ -136,14 +136,9 @@ pub fn cli_args() -> (usize, u64) {
 /// Uses a wider start window and fewer instances per trace than the
 /// full-population mix: the eight selected scenarios are driver-heavy,
 /// and packing them too densely entangles nearly every instance into a
-/// chain, starving the fast contrast classes.
-pub fn selected_dataset(traces: usize, seed: u64) -> Dataset {
-    selected_dataset_traced(traces, seed, &Telemetry::noop())
-}
-
-/// [`selected_dataset`] with a telemetry handle (reports the `sim`
-/// stage).
-pub fn selected_dataset_traced(traces: usize, seed: u64, telemetry: &Telemetry) -> Dataset {
+/// chain, starving the fast contrast classes. Generation reports the
+/// `sim` stage through `telemetry`.
+pub fn selected_dataset(traces: usize, seed: u64, telemetry: &Telemetry) -> Dataset {
     DatasetBuilder::new(seed)
         .traces(traces)
         .mix(ScenarioMix::Selected)
@@ -153,13 +148,9 @@ pub fn selected_dataset_traced(traces: usize, seed: u64, telemetry: &Telemetry) 
         .build()
 }
 
-/// Builds the full-population data set used by the §5.1 impact study.
-pub fn full_dataset(traces: usize, seed: u64) -> Dataset {
-    full_dataset_traced(traces, seed, &Telemetry::noop())
-}
-
-/// [`full_dataset`] with a telemetry handle (reports the `sim` stage).
-pub fn full_dataset_traced(traces: usize, seed: u64, telemetry: &Telemetry) -> Dataset {
+/// Builds the full-population data set used by the §5.1 impact study,
+/// reporting the `sim` stage through `telemetry`.
+pub fn full_dataset(traces: usize, seed: u64, telemetry: &Telemetry) -> Dataset {
     DatasetBuilder::new(seed)
         .traces(traces)
         .mix(ScenarioMix::Full)
@@ -214,9 +205,9 @@ mod tests {
 
     #[test]
     fn datasets_build_small() {
-        let ds = selected_dataset(2, 1);
+        let ds = selected_dataset(2, 1, &Telemetry::noop());
         assert_eq!(ds.streams.len(), 2);
-        let full = full_dataset(2, 1);
+        let full = full_dataset(2, 1, &Telemetry::noop());
         assert_eq!(full.scenarios.len(), 13);
     }
 

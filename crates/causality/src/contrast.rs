@@ -6,7 +6,6 @@ use crate::segments::{enumerate_meta_patterns, MetaPatternTable};
 use crate::tuple::SignatureSetTuple;
 use std::collections::HashMap;
 use tracelens_model::{Thresholds, TimeNs};
-use tracelens_pool::Pool;
 
 /// A discovered contrast pattern: a full-path Signature Set Tuple from
 /// the slow class containing at least one contrast meta-pattern, with
@@ -95,27 +94,11 @@ pub fn mine_contrasts_traced(
     k: usize,
     telemetry: &tracelens_obs::Telemetry,
 ) -> (Vec<ContrastPattern>, MiningStats) {
-    mine_contrasts_pooled(fast, slow, thresholds, k, telemetry, &Pool::sequential())
-}
-
-/// [`mine_contrasts_traced`] with a thread pool: the fast- and slow-class
-/// meta-pattern enumerations are independent, so they run as a parallel
-/// pair on `pool`. Each class's table is produced whole on one worker and
-/// the contrast selection is sorted, so the result is identical to the
-/// sequential path.
-pub fn mine_contrasts_pooled(
-    fast: &AggregatedWaitGraph,
-    slow: &AggregatedWaitGraph,
-    thresholds: Thresholds,
-    k: usize,
-    telemetry: &tracelens_obs::Telemetry,
-    pool: &Pool,
-) -> (Vec<ContrastPattern>, MiningStats) {
     let (fast_metas, slow_metas) = {
         let _span = telemetry.span(tracelens_obs::stage::SEGMENTS);
-        pool.join(
-            || enumerate_meta_patterns(fast, k),
-            || enumerate_meta_patterns(slow, k),
+        (
+            enumerate_meta_patterns(fast, k),
+            enumerate_meta_patterns(slow, k),
         )
     };
     let _span = telemetry.span(tracelens_obs::stage::CONTRAST);

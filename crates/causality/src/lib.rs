@@ -51,9 +51,7 @@ mod tuple;
 pub use aggregate::Aggregator;
 pub use awg::{AggregatedWaitGraph, AwgId, AwgKey, AwgNode, InstanceTag, MAX_EXAMPLES};
 pub use classes::{split_classes, ClassSplit};
-pub use contrast::{
-    mine_contrasts, mine_contrasts_pooled, mine_contrasts_traced, ContrastPattern, MiningStats,
-};
+pub use contrast::{mine_contrasts, mine_contrasts_traced, ContrastPattern, MiningStats};
 pub use drilldown::{locate_pattern, PatternSite};
 pub use pipeline::{
     AnalysisProbe, CausalityAnalysis, CausalityConfig, CausalityError, CausalityReport,

@@ -2,7 +2,7 @@
 
 use crate::aggregate::Aggregator;
 use crate::classes::split_classes;
-use crate::contrast::{mine_contrasts_pooled, ContrastPattern, MiningStats};
+use crate::contrast::{mine_contrasts_traced, ContrastPattern, MiningStats};
 use crate::DEFAULT_SEGMENT_BOUND;
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -12,7 +12,6 @@ use tracelens_model::{
     Thresholds, TimeNs,
 };
 use tracelens_obs::{stage, Telemetry};
-use tracelens_pool::Pool;
 use tracelens_waitgraph::{StreamIndex, WaitGraph};
 
 /// Configuration of a causality analysis run.
@@ -185,7 +184,6 @@ pub type AnalysisProbe = std::sync::Arc<dyn Fn(&ScenarioName) + Send + Sync>;
 pub struct CausalityAnalysis {
     config: CausalityConfig,
     telemetry: Telemetry,
-    pool: Pool,
     probe: Option<AnalysisProbe>,
 }
 
@@ -194,14 +192,13 @@ impl std::fmt::Debug for CausalityAnalysis {
         f.debug_struct("CausalityAnalysis")
             .field("config", &self.config)
             .field("telemetry", &self.telemetry)
-            .field("pool", &self.pool)
             .field("probe", &self.probe.as_ref().map(|_| "<fn>"))
             .finish()
     }
 }
 
 impl Default for CausalityAnalysis {
-    /// Default configuration, no telemetry, sequential execution.
+    /// Default configuration, no telemetry.
     fn default() -> Self {
         CausalityAnalysis::new(CausalityConfig::default())
     }
@@ -213,7 +210,6 @@ impl CausalityAnalysis {
         CausalityAnalysis {
             config,
             telemetry: Telemetry::noop(),
-            pool: Pool::sequential(),
             probe: None,
         }
     }
@@ -223,15 +219,6 @@ impl CausalityAnalysis {
     /// stage spans and mining counters through it.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Attaches a thread pool; per-instance Wait-Graph construction and
-    /// the fast/slow meta-pattern enumerations then fan out over its
-    /// workers. Aggregation order is unchanged (graphs are consumed in
-    /// instance order), so reports are identical to the sequential path.
-    pub fn with_pool(mut self, pool: Pool) -> Self {
-        self.pool = pool;
         self
     }
 
@@ -353,13 +340,12 @@ impl CausalityAnalysis {
                 .count("aggregate.slow_nodes", slow_awg.node_count() as u64);
         }
 
-        let (patterns, stats) = mine_contrasts_pooled(
+        let (patterns, stats) = mine_contrasts_traced(
             &fast_awg,
             &slow_awg,
             thresholds,
             self.config.segment_bound,
             &self.telemetry,
-            &self.pool,
         );
 
         Ok(CausalityReport {
@@ -376,12 +362,8 @@ impl CausalityAnalysis {
     }
 
     /// Builds the Wait Graphs of the classified instances and feeds
-    /// them, indexing each stream once.
-    ///
-    /// Graph construction fans out over the analysis pool; aggregation
-    /// stays sequential in instance order (the AWG trie is insertion-
-    /// order-sensitive for node ids), so the aggregate is byte-identical
-    /// to a fully sequential run.
+    /// them in instance order (the AWG trie is insertion-order-sensitive
+    /// for node ids), indexing each stream once.
     fn feed(&self, dataset: &Dataset, classes: &mut ClassAggregators<'_>) {
         let _span = self.telemetry.span(stage::WAITGRAPH);
         let mut by_trace: BTreeMap<u32, Vec<&ScenarioInstance>> = BTreeMap::new();
@@ -395,9 +377,9 @@ impl CausalityAnalysis {
                 continue;
             };
             let index = StreamIndex::new_traced(stream, &self.telemetry);
-            let graphs = WaitGraph::build_all(stream, &index, &group, &self.pool, &self.telemetry);
-            for (graph, instance) in graphs.iter().zip(&group) {
-                classes.add(instance, graph);
+            for instance in group {
+                let graph = WaitGraph::build_traced(stream, &index, instance, &self.telemetry);
+                classes.add(instance, &graph);
             }
         }
     }

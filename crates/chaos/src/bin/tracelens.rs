@@ -6,7 +6,7 @@
 //! tracelens info      FILE
 //! tracelens pack      FILE [-o OUT.tlb]
 //! tracelens validate  FILE [--sanitize]
-//! tracelens impact    FILE [--components GLOB] [--scenario NAME] [--jobs N]
+//! tracelens impact    FILE [--components GLOB] [--scenario NAME]
 //! tracelens blame     FILE [--scenario NAME] [--components GLOB]
 //! tracelens causality FILE --scenario NAME [--top N] [--k K] [--no-reduce]
 //! tracelens scenarios FILE
@@ -34,8 +34,8 @@
 //! input; see [`tracelens::store`]). The default keeps the historical
 //! behavior: warn and proceed.
 //!
-//! Analysis commands (`impact`, `causality`, `report`) accept
-//! `--jobs N`: worker threads for the analysis pool. `1` is fully
+//! `report`, `self-report` and `chaos` accept `--jobs N`: worker
+//! threads for the study's (or campaign's) pool. `1` is fully
 //! sequential; `0` (the default) picks `TRACELENS_JOBS` or the
 //! machine's available parallelism. Results are byte-identical at
 //! every setting.
@@ -98,7 +98,7 @@ fn print_usage() {
          \x20 tracelens info      FILE\n\
          \x20 tracelens pack      FILE [-o OUT.tlb]   (write binary columnar cache)\n\
          \x20 tracelens validate  FILE [--sanitize]   (list violations; nonzero exit if any)\n\
-         \x20 tracelens impact    FILE [--components GLOB] [--scenario NAME] [--jobs N]\n\
+         \x20 tracelens impact    FILE [--components GLOB] [--scenario NAME]\n\
          \x20 tracelens blame     FILE [--scenario NAME] [--components GLOB]\n\
          \x20 tracelens causality FILE --scenario NAME [--top N] [--k K] [--no-reduce]\n\
          \x20 tracelens scenarios FILE\n\
@@ -122,8 +122,8 @@ fn print_usage() {
          input: packed on first read, reused while the text fingerprint\n\
          matches, with transparent fallback to the text parse on any\n\
          missing/stale/corrupt cache).\n\
-         Analysis commands (impact, causality, report) accept --jobs N\n\
-         (0 = TRACELENS_JOBS or all cores; results identical at any N).\n\
+         report, self-report and chaos accept --jobs N (0 = TRACELENS_JOBS\n\
+         or all cores; results identical at any N).\n\
          `report` runs supervised: panicking or over-deadline work units\n\
          are quarantined and listed in the report instead of aborting the\n\
          study. --checkpoint DIR persists per-unit results for resume;\n\
@@ -205,9 +205,7 @@ impl Opts {
 /// Reads a data set through the trace store: the text streams through
 /// the parser with transient I/O errors retried with bounded backoff,
 /// and `--cache` loads/maintains a `.tlb` binary cache next to the file.
-/// Returns the data set and the store's ingest accounting; callers
-/// running sanitization surface the transport counters through
-/// `SanitizeReport`.
+/// Returns the data set and the store's ingest accounting.
 fn read_dataset(path: &str, opts: &Opts) -> Result<(Dataset, IngestReport), String> {
     let telemetry = Telemetry::noop();
     if path == "-" {
@@ -242,21 +240,8 @@ fn load(path: &str, opts: &Opts) -> Result<Dataset, String> {
     let (ds, ingest) = read_dataset(path, opts)?;
     report_ingest(path, &ingest);
     if opts.has("sanitize") {
-        let (clean, mut report) = ds.sanitize();
-        report.io_retries = ingest.io_retries;
-        report.cache_fallbacks = ingest.cache_fallback.is_some() as usize;
-        if report.is_clean() {
-            eprintln!("sanitize: input is clean");
-        } else {
-            eprintln!(
-                "sanitize: {} repairs, {} traces / {} instances quarantined \
-                 (instance coverage {:.1}%)",
-                report.repaired(),
-                report.quarantined_traces,
-                report.quarantined_instances,
-                report.instance_coverage() * 100.0
-            );
-        }
+        let (clean, report) = ds.sanitize();
+        report_sanitize(&report);
         return Ok(clean);
     }
     if let Err(e) = ds.validate() {
@@ -266,6 +251,22 @@ fn load(path: &str, opts: &Opts) -> Result<Dataset, String> {
         eprintln!("warning: {e}");
     }
     Ok(ds)
+}
+
+/// Summarizes what sanitization repaired and quarantined on stderr.
+fn report_sanitize(report: &SanitizeReport) {
+    if report.is_clean() {
+        eprintln!("sanitize: input is clean");
+    } else {
+        eprintln!(
+            "sanitize: {} repairs, {} traces / {} instances quarantined \
+             (instance coverage {:.1}%)",
+            report.repaired(),
+            report.quarantined_traces,
+            report.quarantined_instances,
+            report.instance_coverage() * 100.0
+        );
+    }
 }
 
 /// Narrates the ingest path on stderr: absorbed I/O retries, cache
@@ -443,12 +444,11 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_impact(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["components", "scenario", "jobs"])?;
+    let opts = Opts::parse(args, &["components", "scenario"])?;
     let path = opts.positional.first().ok_or("impact requires FILE")?;
-    let jobs: usize = opts.parsed("jobs", 0)?;
     let ds = load(path, &opts)?;
     let filter = ComponentFilter::glob(opts.value("components").unwrap_or("*.sys"));
-    let analyzer = ImpactAnalyzer::new(filter.clone()).with_pool(Pool::new(jobs));
+    let analyzer = ImpactAnalyzer::new(filter.clone());
     let report = match opts.value("scenario") {
         Some(name) => {
             let name = ScenarioName::new(name);
@@ -501,9 +501,8 @@ fn cmd_blame(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_causality(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["scenario", "top", "k", "components", "jobs"])?;
+    let opts = Opts::parse(args, &["scenario", "top", "k", "components"])?;
     let path = opts.positional.first().ok_or("causality requires FILE")?;
-    let jobs: usize = opts.parsed("jobs", 0)?;
     let scenario = ScenarioName::new(
         opts.value("scenario")
             .ok_or("causality requires --scenario NAME")?,
@@ -520,7 +519,6 @@ fn cmd_causality(args: &[String]) -> Result<(), String> {
         reduce: !opts.has("no-reduce"),
     };
     let report = CausalityAnalysis::new(config)
-        .with_pool(Pool::new(jobs))
         .analyze(&ds, &scenario)
         .map_err(|e| e.to_string())?;
     println!(
@@ -688,6 +686,13 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         .map(MemFaultPlan::parse)
         .transpose()
         .map_err(|e| e.to_string())?;
+    // With --sanitize the study itself runs the sanitize pass so the
+    // report carries the Coverage section and an empty survivor set
+    // surfaces as a typed error instead of an all-zero report.
+    let sanitize = opts.has("sanitize");
+    if sanitize && opts.has("strict") {
+        return Err("--strict and --sanitize are mutually exclusive".to_owned());
+    }
     let config = StudyConfig {
         jobs,
         supervise: SupervisePolicy::from_knobs(deadline_ms, max_retries),
@@ -695,41 +700,21 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         checkpoint: opts.value("checkpoint").map(std::path::PathBuf::from),
         govern,
         mem_faults,
+        sanitize,
         ..StudyConfig::default()
     };
-    // With --sanitize the study itself runs the sanitize pass so the
-    // report carries the Coverage section and an empty survivor set
-    // surfaces as a typed error instead of an all-zero report.
-    let (ds, study) = if opts.has("sanitize") {
-        if opts.has("strict") {
-            return Err("--strict and --sanitize are mutually exclusive".to_owned());
-        }
+    let ds = if sanitize {
         let (ds, ingest) = read_dataset(path, &opts)?;
         report_ingest(path, &ingest);
-        let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
-        let (study, mut report) =
-            Study::run_sanitized_supervised(&ds, &config, &names).map_err(|e| e.to_string())?;
-        report.io_retries = ingest.io_retries;
-        report.cache_fallbacks = ingest.cache_fallback.is_some() as usize;
-        if report.is_clean() {
-            eprintln!("sanitize: input is clean");
-        } else {
-            eprintln!(
-                "sanitize: {} repairs, {} traces / {} instances quarantined \
-                 (instance coverage {:.1}%)",
-                report.repaired(),
-                report.quarantined_traces,
-                report.quarantined_instances,
-                report.instance_coverage() * 100.0
-            );
-        }
-        (ds, study)
+        ds
     } else {
-        let ds = load(path, &opts)?;
-        let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
-        let study = Study::run_governed(&ds, &config, &names).map_err(|e| e.to_string())?;
-        (ds, study)
+        load(path, &opts)?
     };
+    let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
+    let study = Study::run(&ds, &config, &names, &Telemetry::noop()).map_err(|e| e.to_string())?;
+    if let Some(report) = &study.sanitize {
+        report_sanitize(report);
+    }
     if study.governance.is_governed() {
         eprintln!("{}", study.governance);
     }
@@ -782,8 +767,12 @@ fn cmd_self_report(args: &[String]) -> Result<(), String> {
         ..StudyConfig::default()
     };
 
-    let (_study, recording) = Study::run_self_traced(&ds, &config, &names);
-    let sessions = vec![SelfTraceSession::new(format!("jobs={jobs}"), recording)];
+    let sink = SelfTraceSink::new();
+    Study::run(&ds, &config, &names, &sink.telemetry()).map_err(|e| e.to_string())?;
+    let sessions = vec![SelfTraceSession::new(
+        format!("jobs={jobs}"),
+        sink.recording(),
+    )];
     let observation = SelfObservation::analyze(&sessions);
     let md = observation.to_markdown();
     match opts.value("o") {
@@ -815,9 +804,9 @@ fn cmd_self_report(args: &[String]) -> Result<(), String> {
             (0..RUNS)
                 .map(|_| {
                     let start = std::time::Instant::now();
-                    let study = Study::run_traced(&ds, &config, &names, telemetry);
+                    let study = Study::run(&ds, &config, &names, telemetry);
                     let elapsed = start.elapsed().as_nanos() as u64;
-                    assert!(!study.scenarios.is_empty());
+                    assert!(study.is_ok_and(|s| !s.scenarios.is_empty()));
                     elapsed
                 })
                 .min()

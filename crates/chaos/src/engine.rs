@@ -188,10 +188,11 @@ fn execute(cfg: &ChaosConfig) -> RunArtifacts {
         checkpoint: ckpt_dir.clone(),
         govern: cfg.govern_policy(),
         mem_faults: cfg.mem_plan(),
+        sanitize: cfg.corruption_active(),
         ..StudyConfig::default()
     };
 
-    let study = match run_study(&study_input, &config, &names, cfg.corruption_active()) {
+    let study = match run_study(&study_input, &config, &names) {
         Ok(study) => study,
         Err(e) => {
             // A typed study error (e.g. every instance quarantined) is
@@ -232,21 +233,13 @@ fn execute(cfg: &ChaosConfig) -> RunArtifacts {
     art
 }
 
-/// Runs the study through the entry point the config calls for:
-/// sanitizing first when the corpus is corrupt.
+/// Runs the study, a typed refusal rendered as its message.
 fn run_study(
     input: &Dataset,
     config: &StudyConfig,
     names: &[ScenarioName],
-    sanitize: bool,
 ) -> Result<Study, String> {
-    if sanitize {
-        Study::run_sanitized_supervised(input, config, names)
-            .map(|(study, _report)| study)
-            .map_err(|e| e.to_string())
-    } else {
-        Study::run_supervised(input, config, names).map_err(|e| e.to_string())
-    }
+    Study::run(input, config, names, &Telemetry::noop()).map_err(|e| e.to_string())
 }
 
 fn snapshot(study: &Study) -> CoverageNumbers {
@@ -368,7 +361,7 @@ fn check_torn_resume(
             .expect("open unit for tearing");
         handle.set_len(cut).expect("tear unit");
     }
-    let resumed = run_study(input, config, names, cfg.corruption_active())
+    let resumed = run_study(input, config, names)
         .map_err(|e| format!("resume over a torn checkpoint refused: {e}"))?;
     let markdown = render_markdown(&resumed, input, &ReportOptions::default());
     if markdown != fresh_markdown {
@@ -397,7 +390,7 @@ fn check_baseline(
             checkpoint: None,
             ..config.clone()
         };
-        let study = run_study(input, &unlimited, names, cfg.corruption_active())
+        let study = run_study(input, &unlimited, names)
             .map_err(|e| format!("unlimited-budget run refused: {e}"))?;
         supervised_markdown = render_markdown(&study, input, &ReportOptions::default());
         supervised_markdown.as_str()
@@ -409,15 +402,12 @@ fn check_baseline(
         jobs: 1,
         components: config.components.clone(),
         causality: config.causality.clone(),
+        sanitize: config.sanitize,
         ..StudyConfig::default()
     };
-    let plain_markdown = if cfg.corruption_active() {
-        let (study, _report) = Study::run_sanitized(input, &plain_config, names);
-        render_markdown(&study, input, &ReportOptions::default())
-    } else {
-        let study = Study::run(input, &plain_config, names);
-        render_markdown(&study, input, &ReportOptions::default())
-    };
+    let plain =
+        run_study(input, &plain_config, names).map_err(|e| format!("plain run refused: {e}"))?;
+    let plain_markdown = render_markdown(&plain, input, &ReportOptions::default());
     if supervised != plain_markdown {
         return Err(
             "supervised/governed-unlimited report differs from the plain report".to_owned(),

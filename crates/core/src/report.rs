@@ -228,7 +228,12 @@ mod tests {
     use super::*;
     use crate::study::StudyConfig;
     use tracelens_model::ScenarioName;
+    use tracelens_obs::Telemetry;
     use tracelens_sim::{DatasetBuilder, ScenarioMix};
+
+    fn run(ds: &Dataset, cfg: &StudyConfig, names: &[ScenarioName]) -> Study {
+        Study::run(ds, cfg, names, &Telemetry::noop()).expect("study runs")
+    }
 
     #[test]
     fn report_renders_all_sections() {
@@ -236,7 +241,7 @@ mod tests {
             .traces(40)
             .mix(ScenarioMix::Only(vec!["BrowserTabCreate".into()]))
             .build();
-        let study = Study::run(
+        let study = run(
             &ds,
             &StudyConfig::default(),
             &[ScenarioName::new("BrowserTabCreate")],
@@ -273,7 +278,7 @@ mod tests {
         use tracelens_model::{ScenarioInstance, ThreadId, TimeNs, TraceId};
         let mut ds = DatasetBuilder::new(9).traces(10).build();
         let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
-        let full = Study::run(&ds, &StudyConfig::default(), &names);
+        let full = run(&ds, &StudyConfig::default(), &names);
         let md = render_markdown(&full, &ds, &ReportOptions::default());
         assert!(!md.contains("## Coverage"));
 
@@ -284,7 +289,11 @@ mod tests {
             t0: TimeNs(0),
             t1: TimeNs(1),
         });
-        let (partial, _) = Study::run_sanitized(&ds, &StudyConfig::default(), &names);
+        let sanitize = StudyConfig {
+            sanitize: true,
+            ..StudyConfig::default()
+        };
+        let partial = run(&ds, &sanitize, &names);
         let md = render_markdown(&partial, &ds, &ReportOptions::default());
         assert!(md.contains("## Coverage"));
         assert!(md.contains("survived quarantine"));
@@ -293,7 +302,7 @@ mod tests {
     #[test]
     fn empty_study_still_renders() {
         let ds = tracelens_model::Dataset::new();
-        let study = Study::run(&ds, &StudyConfig::default(), &[]);
+        let study = run(&ds, &StudyConfig::default(), &[]);
         let md = render_markdown(&study, &ds, &ReportOptions::default());
         assert!(md.contains("0 traces"));
     }

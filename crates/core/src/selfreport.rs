@@ -216,6 +216,7 @@ mod tests {
     use super::*;
     use crate::{Study, StudyConfig};
     use tracelens_model::ScenarioName;
+    use tracelens_selftrace::SelfTraceSink;
     use tracelens_sim::{DatasetBuilder, ScenarioMix};
 
     fn observed_run(jobs: usize) -> SelfObservation {
@@ -228,8 +229,12 @@ mod tests {
             jobs,
             ..StudyConfig::default()
         };
-        let (_study, recording) = Study::run_self_traced(&ds, &config, &names);
-        SelfObservation::analyze(&[SelfTraceSession::new(format!("jobs={jobs}"), recording)])
+        let sink = SelfTraceSink::new();
+        Study::run(&ds, &config, &names, &sink.telemetry()).expect("study runs");
+        SelfObservation::analyze(&[SelfTraceSession::new(
+            format!("jobs={jobs}"),
+            sink.recording(),
+        )])
     }
 
     #[test]

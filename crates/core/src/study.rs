@@ -110,22 +110,21 @@ pub struct StudyConfig {
     /// machine's available parallelism. Results are byte-identical at
     /// every setting.
     pub jobs: usize,
-    /// Supervision policy for [`Study::run_supervised`]: per-unit soft
-    /// deadline and panic-retry bound. Ignored by the unsupervised
-    /// entry points.
+    /// Supervision policy: per-unit soft deadline and panic-retry
+    /// bound.
     pub supervise: SupervisePolicy,
     /// Deterministic execution-fault injection (testing/CI only): arms
     /// panics and stalls inside supervised work units. `None` — the
     /// default — injects nothing.
     pub exec_faults: Option<ExecFaultPlan>,
-    /// Checkpoint directory for [`Study::run_supervised`]: completed
-    /// units are stored there and restored on re-runs over the same
-    /// inputs. `None` disables checkpointing.
+    /// Checkpoint directory: completed units are stored there and
+    /// restored on re-runs over the same inputs. `None` disables
+    /// checkpointing.
     pub checkpoint: Option<PathBuf>,
-    /// Memory-governance policy for the supervised entry points: an
-    /// explicit live-bytes budget per-scenario units are admitted
-    /// against, and what happens to units that cannot fit. The default
-    /// (unlimited) makes governance a no-op — byte-identical results.
+    /// Memory-governance policy: an explicit live-bytes budget
+    /// per-scenario units are admitted against, and what happens to
+    /// units that cannot fit. The default (unlimited) makes governance a
+    /// no-op — byte-identical results.
     pub govern: GovernPolicy,
     /// Deterministic resource-pressure injection (testing/CI only):
     /// inflates unit cost *estimates* so the admission controller sees
@@ -133,6 +132,12 @@ pub struct StudyConfig {
     /// actual work is untouched. `None` — the default — injects
     /// nothing.
     pub mem_faults: Option<MemFaultPlan>,
+    /// Sanitize the input first: repair what is repairable, quarantine
+    /// what is not, and analyze the clean survivor. The sanitize report
+    /// lands in [`Study::sanitize`], and [`Study::coverage`] says how
+    /// much of the input survived. `false` (the default) analyzes the
+    /// input as given.
+    pub sanitize: bool,
 }
 
 impl Default for StudyConfig {
@@ -146,11 +151,12 @@ impl Default for StudyConfig {
             checkpoint: None,
             govern: GovernPolicy::unlimited(),
             mem_faults: None,
+            sanitize: false,
         }
     }
 }
 
-/// Failures of the supervised study entry points.
+/// Failures of [`Study::run`].
 ///
 /// Note the asymmetry with [`tracelens_pool::UnitFailure`]: a failed
 /// *unit* degrades the study (it completes with an execution report);
@@ -219,7 +225,7 @@ pub struct ScenarioStudy {
 /// How much of the input data set the study's numbers actually cover.
 ///
 /// A study over pristine input covers everything. A study over
-/// sanitized input ([`Study::run_sanitized`]) covers only what survived
+/// sanitized input ([`StudyConfig::sanitize`]) covers only what survived
 /// quarantine, and every reported metric must be read against these
 /// fractions — 80% coverage means the impact and causality numbers
 /// describe 80% of the recorded instances, not the machine population.
@@ -242,7 +248,7 @@ pub struct Coverage {
     pub repaired: usize,
     /// Work units quarantined by *supervised execution* (panics, missed
     /// deadlines, over-budget sheds) — the execution-layer counterpart
-    /// of the sanitize counts above. Always `0` for unsupervised runs.
+    /// of the sanitize counts above.
     pub failed_units: usize,
     /// Work units the memory governor ran on a bounded input slice:
     /// their numbers cover only part of their scenario's data. Always
@@ -256,7 +262,7 @@ pub struct Coverage {
 
 impl Coverage {
     /// Full coverage over `dataset`: nothing quarantined, nothing
-    /// repaired. What [`Study::run`] reports.
+    /// repaired.
     pub fn full(dataset: &Dataset) -> Coverage {
         Coverage {
             total_traces: dataset.streams.len(),
@@ -312,104 +318,85 @@ pub struct Study {
     pub impact: ImpactReport,
     /// Per-scenario results, keyed by scenario name.
     pub scenarios: BTreeMap<ScenarioName, ScenarioStudy>,
-    /// How much of the input these results cover (full unless the study
-    /// ran through [`Study::run_sanitized`] on corrupt input).
+    /// How much of the input these results cover (full unless
+    /// sanitization quarantined part of the input).
     pub coverage: Coverage,
     /// What supervised execution completed and what it quarantined.
-    /// Clean for the unsupervised entry points.
     pub execution: ExecutionReport,
     /// What the memory governor decided per unit. Ungoverned (and
     /// empty) unless the study ran under a finite
     /// [`StudyConfig::govern`] budget.
     pub governance: GovernReport,
+    /// What sanitization repaired and quarantined; `None` unless
+    /// [`StudyConfig::sanitize`] was set.
+    pub sanitize: Option<SanitizeReport>,
 }
 
 impl Study {
-    /// Runs the study over `dataset` for the scenarios in `names`
-    /// (typically the eight selected evaluation scenarios).
-    pub fn run(dataset: &Dataset, config: &StudyConfig, names: &[ScenarioName]) -> Study {
-        Study::run_traced(dataset, config, names, &Telemetry::noop())
-    }
-
-    /// [`Study::run`] with telemetry: the whole run is wrapped in a
-    /// `study` span and every pipeline stage (impact, classification,
-    /// Wait-Graph construction, aggregation, segment enumeration,
-    /// contrast mining) reports spans and counters through `telemetry`.
-    /// With a disabled handle this is exactly `run`.
+    /// Runs the paper's evaluation over `dataset` for the scenarios in
+    /// `names` (typically the eight selected evaluation scenarios),
+    /// honouring every [`StudyConfig`] field.
     ///
-    /// This is [`Study::run_supervised_traced`] under the default
-    /// supervision policy, with the configuration's fault plans,
-    /// checkpoint and memory budget left out.
-    pub fn run_traced(
-        dataset: &Dataset,
-        config: &StudyConfig,
-        names: &[ScenarioName],
-        telemetry: &Telemetry,
-    ) -> Study {
-        let plain = StudyConfig {
-            supervise: SupervisePolicy::default(),
-            exec_faults: None,
-            checkpoint: None,
-            govern: GovernPolicy::unlimited(),
-            mem_faults: None,
-            ..config.clone()
-        };
-        Study::run_supervised_traced(dataset, &plain, names, telemetry)
-            .expect("a study without a checkpoint does no I/O that could fail")
-    }
-
-    /// [`Study::run`] while recording the pipeline's *own* execution as
-    /// an ETW-shaped self-trace: spans become synthetic callstacks, pool
-    /// joins and recorder lock contention become wait/unwait pairs, and
-    /// the returned recording lowers (via `tracelens_selftrace::lower`)
-    /// into a data set the impact/wait-graph analyses can consume — the
-    /// pipeline analyzing itself.
-    pub fn run_self_traced(
-        dataset: &Dataset,
-        config: &StudyConfig,
-        names: &[ScenarioName],
-    ) -> (Study, tracelens_selftrace::SelfTraceRecording) {
-        let sink = tracelens_selftrace::SelfTraceSink::new();
-        let study = Study::run_traced(dataset, config, names, &sink.telemetry());
-        (study, sink.recording())
-    }
-
-    /// [`Study::run`] under fail-operational supervision: every work
-    /// unit (per-stream accounting, per-scenario analysis) runs isolated
-    /// per [`StudyConfig::supervise`], so a panicking or stalling unit is
-    /// quarantined — recorded in [`Study::execution`] — instead of
-    /// aborting the study. With [`StudyConfig::checkpoint`] set,
-    /// completed units are persisted and re-runs over the same inputs
-    /// resume instead of recomputing.
+    /// With [`StudyConfig::sanitize`] set, the input is sanitized first
+    /// (a `sanitize` span plus `sanitize.*` counters) and the study runs
+    /// on the clean survivor. The study then makes one pass over the
+    /// streams (see `stream_pass`): each instance's Wait Graph is built
+    /// once, accounted once into an impact record, and fed once to its
+    /// scenario's fast or slow AWG. Global impact is the fold of all
+    /// records; each scenario unit folds its own records and finishes
+    /// and mines its fed aggregators.
+    ///
+    /// Every work unit (per-stream accounting, per-scenario analysis)
+    /// runs supervised per [`StudyConfig::supervise`], and scenario units
+    /// are admitted against [`StudyConfig::govern`]'s budget: a
+    /// panicking, stalling or shed unit is quarantined and recorded in
+    /// [`Study::execution`] and [`Study::governance`] instead of aborting
+    /// the study. With [`StudyConfig::checkpoint`] set, completed units
+    /// are persisted and re-runs over the same inputs resume. The run is
+    /// wrapped in a `study` span and every stage reports spans and
+    /// counters through `telemetry`; `Telemetry::noop()` collects
+    /// nothing.
     ///
     /// # Errors
     ///
+    /// [`StudyError::NoAnalyzableInstances`] when sanitization
+    /// quarantines every instance of a non-empty input;
     /// [`StudyError::Checkpoint`] if the checkpoint directory cannot be
     /// used. Unit failures are *not* errors.
-    pub fn run_supervised(
-        dataset: &Dataset,
-        config: &StudyConfig,
-        names: &[ScenarioName],
-    ) -> Result<Study, StudyError> {
-        Study::run_supervised_traced(dataset, config, names, &Telemetry::noop())
-    }
-
-    /// [`Study::run_supervised`] with telemetry (see
-    /// [`Study::run_traced`]); supervision additionally reports
-    /// `supervisor.*` counters under a `supervise` span per batch.
-    ///
-    /// The study makes one pass over the streams (see `stream_pass`):
-    /// each instance's Wait Graph is built once, accounted once into an
-    /// impact record, and fed once to its scenario's fast or slow AWG.
-    /// Global impact is the fold of all records; each scenario unit
-    /// folds its own records and finishes and mines its fed
-    /// aggregators.
-    pub fn run_supervised_traced(
+    pub fn run(
         dataset: &Dataset,
         config: &StudyConfig,
         names: &[ScenarioName],
         telemetry: &Telemetry,
     ) -> Result<Study, StudyError> {
+        let sanitized = config.sanitize.then(|| {
+            let (clean, report) = {
+                let _span = telemetry.span(stage::SANITIZE);
+                dataset.sanitize()
+            };
+            if telemetry.enabled() {
+                telemetry.count("sanitize.repaired", report.repaired() as u64);
+                telemetry.count(
+                    "sanitize.quarantined_traces",
+                    report.quarantined_traces as u64,
+                );
+                telemetry.count(
+                    "sanitize.quarantined_instances",
+                    report.quarantined_instances as u64,
+                );
+            }
+            (clean, report)
+        });
+        let dataset = match &sanitized {
+            Some((clean, report)) if clean.instances.is_empty() && report.input_instances > 0 => {
+                return Err(StudyError::NoAnalyzableInstances {
+                    input_instances: report.input_instances,
+                    quarantined_instances: report.quarantined_instances,
+                });
+            }
+            Some((clean, _)) => clean,
+            None => dataset,
+        };
         let _span = telemetry.span(stage::STUDY);
         let pool = Pool::new(config.jobs).with_telemetry(telemetry.clone());
         let policy = &config.supervise;
@@ -608,157 +595,23 @@ impl Study {
             scenarios.insert(*name, unit);
         }
         execution.absorb(scenario_exec);
-        let mut coverage = Coverage::full(dataset);
-        coverage.failed_units = execution.quarantined();
-        coverage.degraded_units = governance.degraded;
-        coverage.shed_units = governance.shed;
+        let coverage = Coverage {
+            failed_units: execution.quarantined(),
+            degraded_units: governance.degraded,
+            shed_units: governance.shed,
+            ..match &sanitized {
+                Some((_, report)) => Coverage::from_sanitize(report),
+                None => Coverage::full(dataset),
+            }
+        };
         Ok(Study {
             impact,
             scenarios,
             coverage,
             execution,
             governance,
+            sanitize: sanitized.map(|(_, report)| report),
         })
-    }
-
-    /// [`Study::run_supervised`] under explicit memory governance: every
-    /// per-scenario unit is admitted against [`StudyConfig::govern`]'s
-    /// live-bytes budget — queued behind backpressure, run degraded on a
-    /// bounded input slice, or shed as a typed quarantine — and the
-    /// governor's per-unit decisions land in [`Study::governance`],
-    /// [`Study::coverage`], and the rendered report. With an unlimited
-    /// budget this is exactly [`Study::run_supervised`], byte for byte.
-    ///
-    /// # Errors
-    ///
-    /// [`StudyError::Checkpoint`] as in [`Study::run_supervised`];
-    /// over-budget units are *not* errors — the study always completes
-    /// with every unit accounted for.
-    pub fn run_governed(
-        dataset: &Dataset,
-        config: &StudyConfig,
-        names: &[ScenarioName],
-    ) -> Result<Study, StudyError> {
-        Study::run_governed_traced(dataset, config, names, &Telemetry::noop())
-    }
-
-    /// [`Study::run_governed`] with telemetry: governance additionally
-    /// reports `govern.*` counters and a `govern.estimated_live_bytes`
-    /// gauge (the admission ledger's view of live heap).
-    pub fn run_governed_traced(
-        dataset: &Dataset,
-        config: &StudyConfig,
-        names: &[ScenarioName],
-        telemetry: &Telemetry,
-    ) -> Result<Study, StudyError> {
-        // Supervision is governance-aware; the entry points differ only
-        // in intent (this one documents the governed contract).
-        Study::run_supervised_traced(dataset, config, names, telemetry)
-    }
-
-    /// [`Study::run_supervised`] with corruption tolerance: sanitize
-    /// first, then run the supervised study over the survivor.
-    ///
-    /// # Errors
-    ///
-    /// [`StudyError::NoAnalyzableInstances`] when sanitization
-    /// quarantines every scenario instance of a non-empty input —
-    /// previously this fell through to an all-zero study that read as
-    /// "analyzed and found nothing". [`StudyError::Checkpoint`] as in
-    /// [`Study::run_supervised`].
-    pub fn run_sanitized_supervised(
-        dataset: &Dataset,
-        config: &StudyConfig,
-        names: &[ScenarioName],
-    ) -> Result<(Study, SanitizeReport), StudyError> {
-        Study::run_sanitized_supervised_traced(dataset, config, names, &Telemetry::noop())
-    }
-
-    /// [`Study::run_sanitized_supervised`] with telemetry.
-    pub fn run_sanitized_supervised_traced(
-        dataset: &Dataset,
-        config: &StudyConfig,
-        names: &[ScenarioName],
-        telemetry: &Telemetry,
-    ) -> Result<(Study, SanitizeReport), StudyError> {
-        let (clean, report) = {
-            let _span = telemetry.span(stage::SANITIZE);
-            dataset.sanitize()
-        };
-        if telemetry.enabled() {
-            telemetry.count("sanitize.repaired", report.repaired() as u64);
-            telemetry.count(
-                "sanitize.quarantined_traces",
-                report.quarantined_traces as u64,
-            );
-            telemetry.count(
-                "sanitize.quarantined_instances",
-                report.quarantined_instances as u64,
-            );
-        }
-        if clean.instances.is_empty() && report.input_instances > 0 {
-            return Err(StudyError::NoAnalyzableInstances {
-                input_instances: report.input_instances,
-                quarantined_instances: report.quarantined_instances,
-            });
-        }
-        let mut study = Study::run_supervised_traced(&clean, config, names, telemetry)?;
-        let failed_units = study.execution.quarantined();
-        study.coverage = Coverage::from_sanitize(&report);
-        study.coverage.failed_units = failed_units;
-        study.coverage.degraded_units = study.governance.degraded;
-        study.coverage.shed_units = study.governance.shed;
-        Ok((study, report))
-    }
-
-    /// Runs the study over all scenarios present in the data set.
-    pub fn run_all(dataset: &Dataset, config: &StudyConfig) -> Study {
-        let names: Vec<ScenarioName> = dataset.scenarios.iter().map(|s| s.name).collect();
-        Study::run(dataset, config, &names)
-    }
-
-    /// [`Study::run`] with corruption tolerance: sanitizes `dataset`
-    /// first (repairing what is repairable, quarantining what is not),
-    /// runs the study over the clean survivor, and reports what fraction
-    /// of the input the results cover via [`Study::coverage`].
-    ///
-    /// On pristine input this is `run` plus a no-op sanitize pass.
-    pub fn run_sanitized(
-        dataset: &Dataset,
-        config: &StudyConfig,
-        names: &[ScenarioName],
-    ) -> (Study, SanitizeReport) {
-        Study::run_sanitized_traced(dataset, config, names, &Telemetry::noop())
-    }
-
-    /// [`Study::run_sanitized`] with telemetry: the sanitize pass is
-    /// wrapped in a `sanitize` span and reports `sanitize.repaired`,
-    /// `sanitize.quarantined_traces` and `sanitize.quarantined_instances`
-    /// counters before the usual study stages run.
-    pub fn run_sanitized_traced(
-        dataset: &Dataset,
-        config: &StudyConfig,
-        names: &[ScenarioName],
-        telemetry: &Telemetry,
-    ) -> (Study, SanitizeReport) {
-        let (clean, report) = {
-            let _span = telemetry.span(stage::SANITIZE);
-            dataset.sanitize()
-        };
-        if telemetry.enabled() {
-            telemetry.count("sanitize.repaired", report.repaired() as u64);
-            telemetry.count(
-                "sanitize.quarantined_traces",
-                report.quarantined_traces as u64,
-            );
-            telemetry.count(
-                "sanitize.quarantined_instances",
-                report.quarantined_instances as u64,
-            );
-        }
-        let mut study = Study::run_traced(&clean, config, names, telemetry);
-        study.coverage = Coverage::from_sanitize(&report);
-        (study, report)
     }
 }
 
@@ -952,6 +805,10 @@ mod tests {
     use super::*;
     use tracelens_sim::{DatasetBuilder, ScenarioMix};
 
+    fn run(ds: &Dataset, cfg: &StudyConfig, names: &[ScenarioName]) -> Study {
+        Study::run(ds, cfg, names, &Telemetry::noop()).expect("study runs")
+    }
+
     #[test]
     fn study_runs_selected_scenarios() {
         let ds = DatasetBuilder::new(5)
@@ -962,7 +819,7 @@ mod tests {
             .iter()
             .map(|&s| ScenarioName::new(s))
             .collect();
-        let study = Study::run(&ds, &StudyConfig::default(), &names);
+        let study = run(&ds, &StudyConfig::default(), &names);
         assert_eq!(study.scenarios.len(), 8);
         assert!(study.impact.instances > 0);
         let total: usize = study.scenarios.values().map(|s| s.impact.instances).sum();
@@ -984,7 +841,8 @@ mod tests {
     #[test]
     fn run_all_covers_dataset_scenarios() {
         let ds = DatasetBuilder::new(6).traces(15).build();
-        let study = Study::run_all(&ds, &StudyConfig::default());
+        let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
+        let study = run(&ds, &StudyConfig::default(), &names);
         assert_eq!(study.scenarios.len(), ds.scenarios.len());
         assert!(study.coverage.is_full());
         assert_eq!(study.coverage.fraction(), 1.0);
@@ -994,37 +852,21 @@ mod tests {
     fn run_sanitized_on_clean_input_has_full_coverage() {
         let ds = DatasetBuilder::new(7).traces(20).build();
         let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
-        let (study, report) = Study::run_sanitized(&ds, &StudyConfig::default(), &names);
-        assert!(report.is_clean());
-        assert!(study.coverage.is_full());
-        let plain = Study::run(&ds, &StudyConfig::default(), &names);
-        assert_eq!(study.impact.instances, plain.impact.instances);
-        assert_eq!(study.impact.d_scn, plain.impact.d_scn);
-    }
-
-    #[test]
-    fn supervised_clean_run_matches_unsupervised() {
-        let ds = DatasetBuilder::new(11)
-            .traces(16)
-            .mix(ScenarioMix::Selected)
-            .build();
-        let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
         let cfg = StudyConfig {
-            jobs: 2,
+            sanitize: true,
             ..StudyConfig::default()
         };
-        let plain = Study::run(&ds, &cfg, &names);
-        let supervised = Study::run_supervised(&ds, &cfg, &names).unwrap();
-        assert!(supervised.execution.is_clean());
-        assert_eq!(supervised.impact, plain.impact);
-        assert_eq!(supervised.coverage, plain.coverage);
-        assert_eq!(supervised.scenarios.len(), plain.scenarios.len());
-        for (name, a) in &plain.scenarios {
-            let b = &supervised.scenarios[name];
-            assert_eq!(a.impact, b.impact);
-            assert_eq!(a.slow_impact, b.slow_impact);
-            assert_eq!(a.causality, b.causality);
-        }
+        let study = run(&ds, &cfg, &names);
+        assert!(study.sanitize.as_ref().is_some_and(|r| r.is_clean()));
+        assert!(study.coverage.is_full());
+        let plain = run(&ds, &StudyConfig::default(), &names);
+        assert!(plain.sanitize.is_none());
+        let opts = crate::ReportOptions::default();
+        assert_eq!(
+            crate::render_markdown(&study, &ds, &opts),
+            crate::render_markdown(&plain, &ds, &opts),
+            "sanitizing clean input must not change the report"
+        );
     }
 
     #[test]
@@ -1043,7 +885,7 @@ mod tests {
             },
             ..StudyConfig::default()
         };
-        let study = Study::run_supervised(&ds, &cfg, &names).unwrap();
+        let study = run(&ds, &cfg, &names);
         assert!(
             study.execution.quarantined() > 0,
             "a 40% panic rate over {} scenarios + streams must hit something",
@@ -1073,7 +915,7 @@ mod tests {
             jobs: 4,
             ..cfg.clone()
         };
-        let again = Study::run_supervised(&ds, &cfg4, &names).unwrap();
+        let again = run(&ds, &cfg4, &names);
         assert_eq!(again.execution, study.execution);
         assert_eq!(again.impact, study.impact);
     }
@@ -1106,7 +948,7 @@ mod tests {
             .expect("some seed poisons exactly stream 1");
         let lost = ds.instances.iter().filter(|i| i.trace.0 == 1).count();
         assert!(lost > 0);
-        let full = Study::run(&ds, &StudyConfig::default(), &names);
+        let full = run(&ds, &StudyConfig::default(), &names);
         for jobs in [1, 4] {
             let cfg = StudyConfig {
                 jobs,
@@ -1117,7 +959,7 @@ mod tests {
                 },
                 ..StudyConfig::default()
             };
-            let study = Study::run_supervised(&ds, &cfg, &names).unwrap();
+            let study = run(&ds, &cfg, &names);
             let exec = &study.execution;
             assert_eq!(exec.quarantined(), 1, "jobs={jobs}");
             assert_eq!(exec.failures[0].unit, "stream:1");
@@ -1146,7 +988,7 @@ mod tests {
             checkpoint: Some(dir.clone()),
             ..StudyConfig::default()
         };
-        let first = Study::run_supervised(&ds, &faulted, &names).unwrap();
+        let first = run(&ds, &faulted, &names);
         assert!(first.execution.quarantined() > 0, "seed must hit something");
         assert_eq!(first.execution.restored, 0);
         // Second pass: same inputs, faults off — restores completed
@@ -1157,14 +999,14 @@ mod tests {
             checkpoint: Some(dir.clone()),
             ..StudyConfig::default()
         };
-        let resumed = Study::run_supervised(&ds, &resumed_cfg, &names).unwrap();
+        let resumed = run(&ds, &resumed_cfg, &names);
         assert!(resumed.execution.restored > 0, "nothing was restored");
         assert!(resumed.execution.failures.is_empty());
         let clean_cfg = StudyConfig {
             jobs: 2,
             ..StudyConfig::default()
         };
-        let clean = Study::run(&ds, &clean_cfg, &names);
+        let clean = run(&ds, &clean_cfg, &names);
         let opts = crate::ReportOptions::default();
         assert_eq!(
             crate::render_markdown(&resumed, &ds, &opts),
@@ -1193,7 +1035,11 @@ mod tests {
             });
         }
         let names = vec![scenario];
-        let err = Study::run_sanitized_supervised(&ds, &StudyConfig::default(), &names)
+        let cfg = StudyConfig {
+            sanitize: true,
+            ..StudyConfig::default()
+        };
+        let err = Study::run(&ds, &cfg, &names, &Telemetry::noop())
             .expect_err("all instances quarantined must be a typed error");
         match err {
             StudyError::NoAnalyzableInstances {
@@ -1208,7 +1054,7 @@ mod tests {
         // An empty input (no instances at all) is not an error: there
         // was nothing to lose.
         let empty = tracelens_model::Dataset::new();
-        assert!(Study::run_sanitized_supervised(&empty, &StudyConfig::default(), &[]).is_ok());
+        assert!(Study::run(&empty, &cfg, &[], &Telemetry::noop()).is_ok());
     }
 
     #[test]
@@ -1225,8 +1071,12 @@ mod tests {
             t1: TimeNs(1),
         });
         let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
-        let (study, report) = Study::run_sanitized(&ds, &StudyConfig::default(), &names);
-        assert_eq!(report.quarantined_instances, 1);
+        let cfg = StudyConfig {
+            sanitize: true,
+            ..StudyConfig::default()
+        };
+        let study = run(&ds, &cfg, &names);
+        assert_eq!(study.sanitize.expect("sanitized").quarantined_instances, 1);
         assert!(!study.coverage.is_full());
         assert!(study.coverage.fraction() < 1.0);
         assert_eq!(

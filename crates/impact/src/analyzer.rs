@@ -8,7 +8,6 @@ use tracelens_model::{
     TraceId, TraceStream,
 };
 use tracelens_obs::stage;
-use tracelens_pool::Pool;
 use tracelens_waitgraph::{NodeKind, StreamIndex, WaitGraph};
 
 /// Impact analysis for one component selection (paper §3.2).
@@ -38,7 +37,6 @@ use tracelens_waitgraph::{NodeKind, StreamIndex, WaitGraph};
 pub struct ImpactAnalyzer {
     filter: ComponentFilter,
     telemetry: tracelens_obs::Telemetry,
-    pool: Pool,
 }
 
 impl ImpactAnalyzer {
@@ -47,7 +45,6 @@ impl ImpactAnalyzer {
         ImpactAnalyzer {
             filter,
             telemetry: tracelens_obs::Telemetry::noop(),
-            pool: Pool::sequential(),
         }
     }
 
@@ -55,15 +52,6 @@ impl ImpactAnalyzer {
     /// and `impact` stage spans plus graph/node counters through it.
     pub fn with_telemetry(mut self, telemetry: tracelens_obs::Telemetry) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Attaches a thread pool; per-stream accounting then fans out over
-    /// its workers. Results are identical to the sequential default —
-    /// records come back in stream order, and distinct-wait unions are
-    /// per trace, so no thread schedule can reorder the output.
-    pub fn with_pool(mut self, pool: Pool) -> Self {
-        self.pool = pool;
         self
     }
 
@@ -87,20 +75,21 @@ impl ImpactAnalyzer {
     }
 
     /// Accounts the instances satisfying `keep`, one record per instance
-    /// in stream order (instance order within a stream). Each stream with
-    /// work is one (possibly parallel) [`account_stream`] task.
+    /// in stream order (instance order within a stream), one
+    /// [`account_stream`] call per stream with work.
     ///
     /// [`account_stream`]: ImpactAnalyzer::account_stream
     fn records<'a, F>(&self, dataset: &'a Dataset, keep: F) -> Vec<InstanceRecord<'a>>
     where
         F: Fn(&ScenarioInstance) -> bool,
     {
-        let tasks = instances_by_stream(dataset, keep);
         let view = dataset.stacks.filter_view(&self.filter);
-        let per_stream = self.pool.map(&tasks, |_, (stream, instances)| {
-            self.account_stream(stream, instances, &view, |_, _| {})
-        });
-        per_stream.into_iter().flatten().collect()
+        instances_by_stream(dataset, keep)
+            .into_iter()
+            .flat_map(|(stream, instances)| {
+                self.account_stream(stream, &instances, &view, |_, _| {})
+            })
+            .collect()
     }
 
     /// One stream's share of the work: index the stream once, build each
@@ -117,16 +106,13 @@ impl ImpactAnalyzer {
         view: &FilterView,
         mut sink: impl FnMut(&'a ScenarioInstance, WaitGraph),
     ) -> Vec<InstanceRecord<'a>> {
-        let graphs = {
+        let graphs: Vec<WaitGraph> = {
             let _span = self.telemetry.span(stage::WAITGRAPH);
             let index = StreamIndex::new_traced(stream, &self.telemetry);
-            WaitGraph::build_all(
-                stream,
-                &index,
-                instances,
-                &Pool::sequential(),
-                &self.telemetry,
-            )
+            instances
+                .iter()
+                .map(|instance| WaitGraph::build_traced(stream, &index, instance, &self.telemetry))
+                .collect()
         };
         let _span = self.telemetry.span(stage::IMPACT);
         let mut records = Vec::with_capacity(instances.len());
@@ -444,31 +430,6 @@ mod tests {
         assert_eq!(p2.instances, 1);
         assert_eq!(p1.d_wait, TimeNs(30));
         assert_eq!(p2.d_wait, TimeNs(70));
-    }
-
-    #[test]
-    fn parallel_analysis_matches_sequential() {
-        // Two streams so the per-stream fan-out actually has >1 task.
-        let mut ds = fixture();
-        let drv = ds.stacks.intern_symbols(&["app!M", "net.sys!Recv"]);
-        let mut b = TraceStreamBuilder::new(1);
-        b.push_wait(ThreadId(4), TimeNs(0), TimeNs::ZERO, drv);
-        b.push_unwait(ThreadId(5), ThreadId(4), TimeNs(25), drv);
-        ds.streams.push(b.finish().unwrap());
-        ds.instances.push(ScenarioInstance {
-            trace: TraceId(1),
-            scenario: ScenarioName::new("B"),
-            tid: ThreadId(4),
-            t0: TimeNs(0),
-            t1: TimeNs(30),
-        });
-        let sequential = ImpactAnalyzer::new(ComponentFilter::suffix(".sys")).analyze(&ds);
-        for jobs in [2, 4, 8] {
-            let parallel = ImpactAnalyzer::new(ComponentFilter::suffix(".sys"))
-                .with_pool(Pool::new(jobs))
-                .analyze(&ds);
-            assert_eq!(parallel, sequential, "jobs={jobs}");
-        }
     }
 
     #[test]

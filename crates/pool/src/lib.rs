@@ -103,9 +103,8 @@ impl Pool {
     }
 
     /// A single-worker pool: [`Pool::map`] runs inline on the calling
-    /// thread. This is the exact sequential pipeline, used both as the
-    /// `--jobs 1` path and as the inner pool of stages that already fan
-    /// out at a coarser granularity.
+    /// thread. This is the exact sequential pipeline, the `--jobs 1`
+    /// path.
     pub fn sequential() -> Pool {
         Pool {
             jobs: 1,
@@ -258,41 +257,6 @@ impl Pool {
             .map(|r| r.expect("every index was claimed exactly once"))
             .collect()
     }
-
-    /// Runs two independent closures, in parallel when the pool is.
-    /// Returns `(a(), b())`.
-    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA + Send,
-        B: FnOnce() -> RB + Send,
-        RA: Send,
-        RB: Send,
-    {
-        if self.jobs <= 1 {
-            return (a(), b());
-        }
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        let mut rb: Option<RB> = None;
-        let ra = std::thread::scope(|s| {
-            let hb = s.spawn(|| catch_unwind(AssertUnwindSafe(b)));
-            let ra = catch_unwind(AssertUnwindSafe(a));
-            match hb.join().expect("pool worker thread never aborts") {
-                Ok(v) => rb = Some(v),
-                Err(p) => panic = Some(p),
-            }
-            ra
-        });
-        // `a`'s panic wins (it is what a sequential run would hit first).
-        match ra {
-            Ok(ra) => {
-                if let Some(p) = panic {
-                    resume_unwind(p);
-                }
-                (ra, rb.expect("b completed without panicking"))
-            }
-            Err(p) => resume_unwind(p),
-        }
-    }
 }
 
 /// The auto worker count: [`JOBS_ENV`] if parseable and positive,
@@ -374,16 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both_results() {
-        for jobs in [1, 4] {
-            let pool = Pool::new(jobs);
-            let (a, b) = pool.join(|| 2 + 2, || "ok".to_owned());
-            assert_eq!(a, 4);
-            assert_eq!(b, "ok");
-        }
-    }
-
-    #[test]
     fn map_propagates_worker_panics() {
         let items: Vec<u32> = (0..32).collect();
         let result = std::panic::catch_unwind(|| {
@@ -395,14 +349,6 @@ mod tests {
             })
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn join_propagates_panics_from_either_side() {
-        let r = std::panic::catch_unwind(|| Pool::new(2).join(|| panic!("left"), || 1));
-        assert!(r.is_err());
-        let r = std::panic::catch_unwind(|| Pool::new(2).join(|| 1, || panic!("right")));
-        assert!(r.is_err());
     }
 
     #[test]

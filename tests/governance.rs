@@ -22,6 +22,10 @@ fn names_of(ds: &Dataset) -> Vec<ScenarioName> {
     ds.scenarios.iter().map(|s| s.name).collect()
 }
 
+fn run(ds: &Dataset, config: &StudyConfig, names: &[ScenarioName]) -> Result<Study, StudyError> {
+    Study::run(ds, config, names, &Telemetry::noop())
+}
+
 /// An overload scenario: estimates inflated so a finite budget must
 /// queue, degrade, or shed — without the corpus being huge.
 fn pressured(jobs: usize, budget_mb: u64, action: OverBudgetAction) -> StudyConfig {
@@ -37,7 +41,7 @@ fn pressured(jobs: usize, budget_mb: u64, action: OverBudgetAction) -> StudyConf
 fn unlimited_budget_is_byte_identical_to_ungoverned() {
     let ds = dataset(71, 24);
     let names = names_of(&ds);
-    let plain = Study::run(&ds, &StudyConfig::default(), &names);
+    let plain = run(&ds, &StudyConfig::default(), &names).expect("plain run completes");
     // Both spellings of "no budget": the default policy and an explicit
     // zero via the CLI's `--memory-budget-mb 0`.
     for govern in [GovernPolicy::unlimited(), GovernPolicy::with_budget_mb(0)] {
@@ -45,7 +49,7 @@ fn unlimited_budget_is_byte_identical_to_ungoverned() {
             govern,
             ..StudyConfig::default()
         };
-        let governed = Study::run_governed(&ds, &cfg, &names).expect("governed run completes");
+        let governed = run(&ds, &cfg, &names).expect("governed run completes");
         assert!(!governed.governance.is_governed());
         assert_eq!(governed.governance.admitted, governed.governance.units);
         assert_eq!(
@@ -61,7 +65,7 @@ fn overload_accounts_for_every_unit_and_sheds_as_typed_failures() {
     let ds = dataset(72, 40);
     let names = names_of(&ds);
     let cfg = pressured(1, 1, OverBudgetAction::Shed);
-    let study = Study::run_governed(&ds, &cfg, &names).expect("overloaded run still completes");
+    let study = run(&ds, &cfg, &names).expect("overloaded run still completes");
     let gov = &study.governance;
     assert!(gov.is_governed());
     assert_eq!(gov.units, names.len());
@@ -98,7 +102,7 @@ fn degrade_mode_runs_every_unit_on_a_bounded_slice() {
     let ds = dataset(73, 40);
     let names = names_of(&ds);
     let cfg = pressured(1, 1, OverBudgetAction::Degrade);
-    let study = Study::run_governed(&ds, &cfg, &names).expect("degraded run completes");
+    let study = run(&ds, &cfg, &names).expect("degraded run completes");
     let gov = &study.governance;
     assert!(gov.shed == 0, "degrade policy must never shed");
     assert!(
@@ -128,15 +132,14 @@ fn governed_decisions_and_markdown_are_identical_at_every_job_count() {
     let ds = dataset(74, 32);
     let names = names_of(&ds);
     for action in [OverBudgetAction::Shed, OverBudgetAction::Degrade] {
-        let base = Study::run_governed(&ds, &pressured(1, 1, action), &names)
-            .expect("governed run completes");
+        let base = run(&ds, &pressured(1, 1, action), &names).expect("governed run completes");
         let base_md = render(&base, &ds);
         assert!(
             base.governance.constrained() > 0,
             "pressure must constrain something for the test to mean anything"
         );
         for jobs in [2, 8] {
-            let par = Study::run_governed(&ds, &pressured(jobs, 1, action), &names)
+            let par = run(&ds, &pressured(jobs, 1, action), &names)
                 .expect("governed parallel run completes");
             assert_eq!(
                 base.governance, par.governance,
@@ -151,8 +154,8 @@ fn governed_decisions_and_markdown_are_identical_at_every_job_count() {
 fn governed_markdown_reports_the_budget_and_every_non_admitted_unit() {
     let ds = dataset(75, 32);
     let names = names_of(&ds);
-    let study = Study::run_governed(&ds, &pressured(2, 1, OverBudgetAction::Shed), &names)
-        .expect("governed run completes");
+    let study =
+        run(&ds, &pressured(2, 1, OverBudgetAction::Shed), &names).expect("governed run completes");
     let md = render(&study, &ds);
     assert!(md.contains("## Execution"));
     assert!(md.contains("Resource governance:"));
@@ -175,7 +178,7 @@ fn budget_sweep_never_loses_a_unit() {
     let names = names_of(&ds);
     for budget_mb in [1u64, 2, 4, 16, 64, 1024] {
         let cfg = pressured(2, budget_mb, OverBudgetAction::Shed);
-        let study = Study::run_governed(&ds, &cfg, &names).expect("sweep run completes");
+        let study = run(&ds, &cfg, &names).expect("sweep run completes");
         let gov = &study.governance;
         assert_eq!(
             gov.admitted + gov.queued + gov.degraded + gov.shed,

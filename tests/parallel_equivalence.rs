@@ -6,12 +6,13 @@
 
 use tracelens::prelude::*;
 
-fn study_at(ds: &Dataset, names: &[ScenarioName], jobs: usize) -> Study {
+fn study_at(ds: &Dataset, names: &[ScenarioName], jobs: usize, sanitize: bool) -> Study {
     let config = StudyConfig {
         jobs,
+        sanitize,
         ..StudyConfig::default()
     };
-    Study::run(ds, &config, names)
+    Study::run(ds, &config, names, &Telemetry::noop()).expect("study runs")
 }
 
 fn render(study: &Study, ds: &Dataset) -> String {
@@ -46,10 +47,10 @@ fn clean_dataset_is_identical_at_every_job_count() {
         .mix(ScenarioMix::Selected)
         .build();
     let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
-    let seq = study_at(&ds, &names, 1);
+    let seq = study_at(&ds, &names, 1, false);
     let seq_md = render(&seq, &ds);
     for jobs in [2, 4, 8] {
-        let par = study_at(&ds, &names, jobs);
+        let par = study_at(&ds, &names, jobs, false);
         assert_studies_equal(&seq, &par, &format!("jobs={jobs}"));
         assert_eq!(
             seq_md,
@@ -68,20 +69,12 @@ fn sanitized_fault_injected_dataset_is_identical_at_every_job_count() {
     let (corrupt, log) = FaultInjector::new(7).with_all(0.04).inject(&ds);
     assert!(log.total() > 0, "injection must corrupt something");
     let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
-    let seq_cfg = StudyConfig {
-        jobs: 1,
-        ..StudyConfig::default()
-    };
-    let (seq, seq_report) = Study::run_sanitized(&corrupt, &seq_cfg, &names);
+    let seq = study_at(&corrupt, &names, 1, true);
     let seq_md = render(&seq, &corrupt);
     for jobs in [2, 4] {
-        let cfg = StudyConfig {
-            jobs,
-            ..StudyConfig::default()
-        };
-        let (par, par_report) = Study::run_sanitized(&corrupt, &cfg, &names);
+        let par = study_at(&corrupt, &names, jobs, true);
         assert_eq!(
-            seq_report, par_report,
+            seq.sanitize, par.sanitize,
             "jobs={jobs}: sanitize report (coverage) must not depend on jobs"
         );
         assert_studies_equal(&seq, &par, &format!("sanitized jobs={jobs}"));
@@ -102,8 +95,8 @@ fn jobs_zero_honors_tracelens_jobs_env() {
         .mix(ScenarioMix::Selected)
         .build();
     let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
-    let seq = study_at(&ds, &names, 1);
-    let auto = study_at(&ds, &names, 0);
+    let seq = study_at(&ds, &names, 1, false);
+    let auto = study_at(&ds, &names, 0, false);
     assert_studies_equal(&seq, &auto, "jobs=0 (auto)");
 }
 
@@ -131,11 +124,9 @@ mod prop {
             let (ds, _) = FaultInjector::new(seed ^ 0xA5).with_all(eps).inject(&clean);
             let names: Vec<ScenarioName> =
                 ds.scenarios.iter().map(|s| s.name).collect();
-            let seq_cfg = StudyConfig { jobs: 1, ..StudyConfig::default() };
-            let par_cfg = StudyConfig { jobs, ..StudyConfig::default() };
-            let (seq, seq_rep) = Study::run_sanitized(&ds, &seq_cfg, &names);
-            let (par, par_rep) = Study::run_sanitized(&ds, &par_cfg, &names);
-            prop_assert_eq!(seq_rep, par_rep);
+            let seq = study_at(&ds, &names, 1, true);
+            let par = study_at(&ds, &names, jobs, true);
+            prop_assert_eq!(&seq.sanitize, &par.sanitize);
             prop_assert_eq!(&seq.impact, &par.impact);
             prop_assert_eq!(&seq.coverage, &par.coverage);
             prop_assert_eq!(

@@ -19,7 +19,8 @@ fn study_covers_all_selected_scenarios() {
         .iter()
         .map(|&s| ScenarioName::new(s))
         .collect();
-    let study = Study::run(&ds, &StudyConfig::default(), &names);
+    let study =
+        Study::run(&ds, &StudyConfig::default(), &names, &Telemetry::noop()).expect("study runs");
 
     // Instance partitioning is exact.
     let total: usize = study.scenarios.values().map(|s| s.impact.instances).sum();

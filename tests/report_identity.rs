@@ -23,6 +23,10 @@ fn names_of(ds: &Dataset) -> Vec<ScenarioName> {
     ds.scenarios.iter().map(|s| s.name).collect()
 }
 
+fn run(ds: &Dataset, config: &StudyConfig, names: &[ScenarioName]) -> Result<Study, StudyError> {
+    Study::run(ds, config, names, &Telemetry::noop())
+}
+
 fn selected(seed: u64, traces: usize) -> Dataset {
     DatasetBuilder::new(seed)
         .traces(traces)
@@ -48,7 +52,7 @@ fn clean_selected_mix_report_is_pinned() {
             jobs,
             ..StudyConfig::default()
         };
-        (Study::run(&ds, &cfg, &names_of(&ds)), ds)
+        (run(&ds, &cfg, &names_of(&ds)).expect("study runs"), ds)
     });
     assert_eq!(got, "61932613e04e978d");
 }
@@ -66,7 +70,7 @@ fn dense_corpus_report_is_pinned() {
             jobs,
             ..StudyConfig::default()
         };
-        (Study::run(&ds, &cfg, &names_of(&ds)), ds)
+        (run(&ds, &cfg, &names_of(&ds)).expect("study runs"), ds)
     });
     assert_eq!(got, "6d977665704fc722");
 }
@@ -78,10 +82,10 @@ fn sanitized_fault_injected_report_is_pinned() {
         let (corrupt, _) = FaultInjector::new(21).with_all(0.03).inject(&clean);
         let cfg = StudyConfig {
             jobs,
+            sanitize: true,
             ..StudyConfig::default()
         };
-        let (study, _) = Study::run_sanitized_supervised(&corrupt, &cfg, &names_of(&clean))
-            .expect("sanitized run completes");
+        let study = run(&corrupt, &cfg, &names_of(&clean)).expect("sanitized run completes");
         (study, corrupt)
     });
     assert_eq!(got, "99af0e6d4bf62ca7");
@@ -97,7 +101,7 @@ fn degraded_governed_report_is_pinned() {
             mem_faults: Some(MemFaultPlan::new(3).with_rate(0.5).with_factor(64)),
             ..StudyConfig::default()
         };
-        let study = Study::run_governed(&ds, &cfg, &names_of(&ds)).expect("governed run");
+        let study = run(&ds, &cfg, &names_of(&ds)).expect("governed run");
         assert!(
             study.governance.degraded > 0,
             "the budget must degrade a unit"
@@ -119,7 +123,7 @@ fn checkpoint_resumed_report_is_pinned() {
         checkpoint: Some(dir.clone()),
         ..StudyConfig::default()
     };
-    let first = Study::run_supervised(&ds, &faulted, &names).expect("faulted run completes");
+    let first = run(&ds, &faulted, &names).expect("faulted run completes");
     assert!(
         first.execution.quarantined() > 0,
         "the plan must hit a unit"
@@ -129,7 +133,7 @@ fn checkpoint_resumed_report_is_pinned() {
         checkpoint: Some(dir.clone()),
         ..StudyConfig::default()
     };
-    let resumed = Study::run_supervised(&ds, &resume, &names).expect("resumed run completes");
+    let resumed = run(&ds, &resume, &names).expect("resumed run completes");
     let _ = std::fs::remove_dir_all(&dir);
     assert!(
         resumed.execution.restored > 0,

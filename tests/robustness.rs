@@ -20,6 +20,15 @@ fn scenario_names(ds: &Dataset) -> Vec<ScenarioName> {
     ds.scenarios.iter().map(|s| s.name).collect()
 }
 
+/// A study over the sanitized survivor of `ds`.
+fn sanitized_study(ds: &Dataset, names: &[ScenarioName], telemetry: &Telemetry) -> Study {
+    let config = StudyConfig {
+        sanitize: true,
+        ..StudyConfig::default()
+    };
+    Study::run(ds, &config, names, telemetry).expect("some instances survive")
+}
+
 fn bytes(ds: &Dataset) -> Vec<u8> {
     let mut buf = Vec::new();
     ds.write_text(&mut buf).expect("serialize");
@@ -50,7 +59,6 @@ fn zero_rate_injection_and_sanitize_are_byte_identical() {
 fn every_fault_kind_survives_the_full_pipeline() {
     let ds = dataset();
     let names = scenario_names(&ds);
-    let config = StudyConfig::default();
     for kind in ALL_FAULT_KINDS {
         let (corrupt, log) = FaultInjector::new(SEED).with(kind, EPS).inject(&ds);
         assert!(
@@ -58,7 +66,8 @@ fn every_fault_kind_survives_the_full_pipeline() {
             "{} at ε={EPS} must inject something",
             kind.label()
         );
-        let (study, report) = Study::run_sanitized(&corrupt, &config, &names);
+        let study = sanitized_study(&corrupt, &names, &Telemetry::noop());
+        let report = study.sanitize.as_ref().expect("sanitized");
         assert!(
             study.impact.ia_wait().is_finite(),
             "{}: IA_wait finite",
@@ -89,7 +98,8 @@ fn dangling_instance_refs_quarantine_exactly_the_injected_instances() {
     let injected = log.injected(FaultKind::DanglingInstanceRefs);
     assert!(injected > 0);
     let names = scenario_names(&ds);
-    let (study, report) = Study::run_sanitized(&corrupt, &StudyConfig::default(), &names);
+    let study = sanitized_study(&corrupt, &names, &Telemetry::noop());
+    let report = study.sanitize.as_ref().expect("sanitized");
     assert_eq!(
         report.quarantined_instances, injected,
         "each dangled reference quarantines exactly one instance"
@@ -172,8 +182,8 @@ fn sanitize_telemetry_counters_match_the_report() {
     let (corrupt, _) = FaultInjector::new(SEED).with_all(EPS).inject(&ds);
     let (telemetry, sink) = CollectingSink::telemetry();
     let names = scenario_names(&ds);
-    let (_, report) =
-        Study::run_sanitized_traced(&corrupt, &StudyConfig::default(), &names, &telemetry);
+    let study = sanitized_study(&corrupt, &names, &telemetry);
+    let report = study.sanitize.expect("sanitized");
     let counters = sink.report().metrics.counters;
     let get = |n: &str| counters.get(n).copied().unwrap_or(0);
     assert_eq!(get("sanitize.repaired"), report.repaired() as u64);

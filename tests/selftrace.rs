@@ -18,7 +18,9 @@ fn traced_session(jobs: usize) -> SelfTraceSession {
         jobs,
         ..StudyConfig::default()
     };
-    let (study, recording) = Study::run_self_traced(&ds, &config, &names);
+    let sink = SelfTraceSink::new();
+    let study = Study::run(&ds, &config, &names, &sink.telemetry()).expect("study runs");
+    let recording = sink.recording();
     assert!(!study.scenarios.is_empty(), "study produced no results");
     assert!(!recording.is_empty(), "self-trace recorded no events");
     SelfTraceSession::new(format!("jobs={jobs}"), recording)

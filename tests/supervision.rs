@@ -21,6 +21,16 @@ fn names_of(ds: &Dataset) -> Vec<ScenarioName> {
     ds.scenarios.iter().map(|s| s.name).collect()
 }
 
+fn run(ds: &Dataset, config: &StudyConfig, names: &[ScenarioName]) -> Result<Study, StudyError> {
+    Study::run(ds, config, names, &Telemetry::noop())
+}
+
+/// The markdown of a fault-free, checkpoint-free study.
+fn clean_render(ds: &Dataset, names: &[ScenarioName]) -> String {
+    let clean = run(ds, &StudyConfig::default(), names).expect("clean run succeeds");
+    render(&clean, ds)
+}
+
 /// A scratch checkpoint directory, wiped before use so stale state from
 /// a previous (possibly crashed) test run cannot leak in.
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -33,11 +43,15 @@ fn scratch_dir(tag: &str) -> PathBuf {
 fn clean_supervised_run_is_byte_identical_to_unsupervised() {
     let ds = dataset(61, 24);
     let names = names_of(&ds);
-    let plain = Study::run(&ds, &StudyConfig::default(), &names);
-    let sup = Study::run_supervised(&ds, &StudyConfig::default(), &names)
-        .expect("clean supervised run succeeds");
+    // A generous deadline and extra retries change nothing on a run
+    // where no unit fails.
+    let explicit = StudyConfig {
+        supervise: SupervisePolicy::from_knobs(60_000, 3),
+        ..StudyConfig::default()
+    };
+    let sup = run(&ds, &explicit, &names).expect("clean supervised run succeeds");
     assert!(sup.execution.is_clean());
-    assert_eq!(render(&plain, &ds), render(&sup, &ds));
+    assert_eq!(clean_render(&ds, &names), render(&sup, &ds));
 }
 
 #[test]
@@ -49,7 +63,7 @@ fn faulted_study_completes_and_lists_every_quarantined_unit() {
         exec_faults: Some(ExecFaultPlan::new(19).with_panic_rate(0.35)),
         ..StudyConfig::default()
     };
-    let study = Study::run_supervised(&ds, &config, &names).expect("faulted run still completes");
+    let study = run(&ds, &config, &names).expect("faulted run still completes");
     let exec = &study.execution;
     assert!(exec.quarantined() > 0, "fault plan must hit something");
     let md = render(&study, &ds);
@@ -63,7 +77,7 @@ fn faulted_study_completes_and_lists_every_quarantined_unit() {
     // Determinism: the same fault plan at other job counts produces the
     // same failures and byte-identical markdown.
     for jobs in [2, 8] {
-        let par = Study::run_supervised(
+        let par = run(
             &ds,
             &StudyConfig {
                 jobs,
@@ -91,7 +105,7 @@ fn slow_units_are_quarantined_by_the_soft_deadline() {
         ),
         ..StudyConfig::default()
     };
-    let study = Study::run_supervised(&ds, &config, &names).expect("slow run completes");
+    let study = run(&ds, &config, &names).expect("slow run completes");
     let exec = &study.execution;
     assert!(exec.quarantined() > 0, "slow faults must trip the deadline");
     for f in &exec.failures {
@@ -110,8 +124,7 @@ fn slow_units_are_quarantined_by_the_soft_deadline() {
 fn checkpoint_resume_is_byte_identical_to_an_uninterrupted_run() {
     let ds = dataset(64, 18);
     let names = names_of(&ds);
-    let clean = Study::run(&ds, &StudyConfig::default(), &names);
-    let clean_md = render(&clean, &ds);
+    let clean_md = clean_render(&ds, &names);
     let dir = scratch_dir("resume");
 
     // First attempt: faults quarantine part of the study; survivors are
@@ -122,7 +135,7 @@ fn checkpoint_resume_is_byte_identical_to_an_uninterrupted_run() {
         checkpoint: Some(dir.clone()),
         ..StudyConfig::default()
     };
-    let faulted = Study::run_supervised(&ds, &faulted_cfg, &names).expect("faulted run completes");
+    let faulted = run(&ds, &faulted_cfg, &names).expect("faulted run completes");
     assert!(faulted.execution.quarantined() > 0);
 
     // Resume with the faults gone: only the missing units re-run, and
@@ -134,8 +147,7 @@ fn checkpoint_resume_is_byte_identical_to_an_uninterrupted_run() {
             checkpoint: Some(dir.clone()),
             ..StudyConfig::default()
         };
-        let resumed =
-            Study::run_supervised(&ds, &resume_cfg, &names).expect("resumed run completes");
+        let resumed = run(&ds, &resume_cfg, &names).expect("resumed run completes");
         assert!(resumed.execution.restored > 0, "resume must reuse units");
         assert!(resumed.execution.is_clean());
         assert_eq!(
@@ -151,7 +163,7 @@ fn checkpoint_resume_is_byte_identical_to_an_uninterrupted_run() {
 fn quarantined_streams_drop_out_of_every_report_and_every_checkpoint() {
     let ds = dataset(68, 16);
     let names = names_of(&ds);
-    let clean = Study::run(&ds, &StudyConfig::default(), &names);
+    let clean = run(&ds, &StudyConfig::default(), &names).expect("clean run");
     // A plan that poisons some streams but no scenario unit, so every
     // difference from the clean run is the lost streams' doing.
     let poisons = |plan: &ExecFaultPlan, stage: &str, unit: String| {
@@ -186,7 +198,7 @@ fn quarantined_streams_drop_out_of_every_report_and_every_checkpoint() {
         checkpoint: Some(dir.clone()),
         ..StudyConfig::default()
     };
-    let faulted = Study::run_supervised(&ds, &faulted_cfg, &names).expect("faulted run");
+    let faulted = run(&ds, &faulted_cfg, &names).expect("faulted run");
     assert!(faulted
         .execution
         .failures
@@ -235,7 +247,7 @@ fn quarantined_streams_drop_out_of_every_report_and_every_checkpoint() {
         checkpoint: Some(dir.clone()),
         ..StudyConfig::default()
     };
-    let resumed = Study::run_supervised(&ds, &resume_cfg, &names).expect("resumed run");
+    let resumed = run(&ds, &resume_cfg, &names).expect("resumed run");
     let _ = std::fs::remove_dir_all(&dir);
     assert!(resumed.execution.is_clean());
     assert!(resumed.execution.restored > 0, "unaffected units restore");
@@ -246,13 +258,13 @@ fn quarantined_streams_drop_out_of_every_report_and_every_checkpoint() {
 fn torn_checkpoint_units_are_recomputed_not_trusted() {
     let ds = dataset(65, 12);
     let names = names_of(&ds);
-    let clean_md = render(&Study::run(&ds, &StudyConfig::default(), &names), &ds);
+    let clean_md = clean_render(&ds, &names);
     let dir = scratch_dir("torn");
     let cfg = StudyConfig {
         checkpoint: Some(dir.clone()),
         ..StudyConfig::default()
     };
-    Study::run_supervised(&ds, &cfg, &names).expect("checkpointed run completes");
+    run(&ds, &cfg, &names).expect("checkpointed run completes");
 
     // Simulate a torn write: truncate one unit file mid-record.
     let victim = std::fs::read_dir(&dir)
@@ -268,7 +280,7 @@ fn torn_checkpoint_units_are_recomputed_not_trusted() {
     let text = std::fs::read_to_string(&victim).unwrap();
     std::fs::write(&victim, &text[..text.len() / 2]).unwrap();
 
-    let resumed = Study::run_supervised(&ds, &cfg, &names).expect("resume tolerates torn unit");
+    let resumed = run(&ds, &cfg, &names).expect("resume tolerates torn unit");
     assert!(resumed.execution.is_clean());
     assert_eq!(
         clean_md,
@@ -287,11 +299,11 @@ fn checkpoint_from_a_different_dataset_is_discarded() {
         checkpoint: Some(dir.clone()),
         ..StudyConfig::default()
     };
-    Study::run_supervised(&ds_a, &cfg, &names_of(&ds_a)).expect("first run");
+    run(&ds_a, &cfg, &names_of(&ds_a)).expect("first run");
     // Same directory, different data set: nothing may be restored.
     let names_b = names_of(&ds_b);
-    let clean_md = render(&Study::run(&ds_b, &StudyConfig::default(), &names_b), &ds_b);
-    let second = Study::run_supervised(&ds_b, &cfg, &names_b).expect("second run");
+    let clean_md = clean_render(&ds_b, &names_b);
+    let second = run(&ds_b, &cfg, &names_b).expect("second run");
     assert_eq!(second.execution.restored, 0, "stale checkpoint reused");
     assert_eq!(clean_md, render(&second, &ds_b));
     let _ = std::fs::remove_dir_all(&dir);
@@ -327,7 +339,7 @@ mod prop {
                     exec_faults: Some(plan),
                     ..StudyConfig::default()
                 };
-                let study = Study::run_supervised(&ds, &cfg, &names)
+                let study = run(&ds, &cfg, &names)
                     .expect("supervised run never aborts");
                 render(&study, &ds)
             };
@@ -338,7 +350,7 @@ mod prop {
 
             // Faulted + checkpoint, then fault-free resume: identical to
             // a study that was never interrupted.
-            let clean_md = render(&Study::run(&ds, &StudyConfig::default(), &names), &ds);
+            let clean_md = clean_render(&ds, &names);
             let dir = scratch_dir(&format!("prop-{seed}-{traces}-{jobs}-{panic_pct}"));
             let ckpt_cfg = StudyConfig {
                 jobs,
@@ -346,13 +358,13 @@ mod prop {
                 checkpoint: Some(dir.clone()),
                 ..StudyConfig::default()
             };
-            Study::run_supervised(&ds, &ckpt_cfg, &names).expect("faulted checkpointed run");
+            run(&ds, &ckpt_cfg, &names).expect("faulted checkpointed run");
             let resume_cfg = StudyConfig {
                 jobs: 1,
                 checkpoint: Some(dir.clone()),
                 ..StudyConfig::default()
             };
-            let resumed = Study::run_supervised(&ds, &resume_cfg, &names)
+            let resumed = run(&ds, &resume_cfg, &names)
                 .expect("resumed run");
             let _ = std::fs::remove_dir_all(&dir);
             prop_assert!(resumed.execution.is_clean());
@@ -372,13 +384,13 @@ mod prop {
         ) {
             let ds = dataset(seed, traces);
             let names = names_of(&ds);
-            let clean_md = render(&Study::run(&ds, &StudyConfig::default(), &names), &ds);
+            let clean_md = clean_render(&ds, &names);
             let dir = scratch_dir(&format!("torn-prop-{seed}-{traces}-{cut_per_mille}"));
             let cfg = StudyConfig {
                 checkpoint: Some(dir.clone()),
                 ..StudyConfig::default()
             };
-            Study::run_supervised(&ds, &cfg, &names).expect("checkpointed run completes");
+            run(&ds, &cfg, &names).expect("checkpointed run completes");
 
             // Tear every unit file at the sampled relative offset (the
             // per-unit absolute offset varies with file length, widening
@@ -400,7 +412,7 @@ mod prop {
             }
             prop_assert!(torn > 0, "run must have checkpointed at least one unit");
 
-            let resumed = Study::run_supervised(&ds, &cfg, &names)
+            let resumed = run(&ds, &cfg, &names)
                 .expect("resume tolerates torn units");
             let _ = std::fs::remove_dir_all(&dir);
             prop_assert!(resumed.execution.is_clean());
@@ -428,12 +440,12 @@ mod prop {
             let names = names_of(&clean);
 
             // The reference: a fresh sanitized run that never faulted.
-            let fresh_md = match Study::run_sanitized_supervised(
-                &corrupt,
-                &StudyConfig::default(),
-                &names,
-            ) {
-                Ok((study, _)) => render(&study, &corrupt),
+            let sanitized = StudyConfig {
+                sanitize: true,
+                ..StudyConfig::default()
+            };
+            let fresh_md = match run(&corrupt, &sanitized, &names) {
+                Ok(study) => render(&study, &corrupt),
                 // Everything quarantined: a legal degraded outcome with
                 // nothing left to checkpoint or resume.
                 Err(_) => return Ok(()),
@@ -449,18 +461,16 @@ mod prop {
                     jobs,
                     exec_faults: Some(plan),
                     checkpoint: Some(dir.clone()),
-                    ..StudyConfig::default()
+                    ..sanitized.clone()
                 };
-                Study::run_sanitized_supervised(&corrupt, &faulted_cfg, &names)
+                run(&corrupt, &faulted_cfg, &names)
                     .expect("faulted sanitized checkpointed run");
                 let resume_cfg = StudyConfig {
                     jobs,
                     checkpoint: Some(dir.clone()),
-                    ..StudyConfig::default()
+                    ..sanitized.clone()
                 };
-                let (resumed, _) =
-                    Study::run_sanitized_supervised(&corrupt, &resume_cfg, &names)
-                        .expect("sanitized resume");
+                let resumed = run(&corrupt, &resume_cfg, &names).expect("sanitized resume");
                 let _ = std::fs::remove_dir_all(&dir);
                 prop_assert!(resumed.execution.is_clean());
                 prop_assert_eq!(

@@ -108,9 +108,13 @@ fn mid_wait_truncation_orphans_waits_and_analyses_survive() {
     // truncation is semantic corruption, not structural, so nothing is
     // quarantined and coverage stays full.
     let names: Vec<ScenarioName> = cut.scenarios.iter().map(|s| s.name).collect();
-    let (study, report) = Study::run_sanitized(&cut, &StudyConfig::default(), &names);
+    let config = StudyConfig {
+        sanitize: true,
+        ..StudyConfig::default()
+    };
+    let study = Study::run(&cut, &config, &names, &Telemetry::noop()).expect("study runs");
     assert!(study.impact.ia_wait().is_finite());
-    assert_eq!(report.quarantined_traces, 0);
+    assert_eq!(study.sanitize.as_ref().unwrap().quarantined_traces, 0);
     assert!(study.coverage.is_full());
     // And the sanitizer's output passes full validation.
     let (clean, _) = cut.sanitize();

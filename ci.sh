@@ -15,6 +15,11 @@ cargo fmt --check
 echo "== cargo clippy (workspace) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (workspace, warnings are errors) =="
+# Broken or private intra-doc links fail here, so doc comments cannot
+# keep naming items that were renamed or deleted.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo build --release =="
 cargo build --release
 

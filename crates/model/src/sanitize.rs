@@ -180,7 +180,9 @@ impl Dataset {
     ///
     /// The output is guaranteed to pass [`Dataset::validate`]; a valid
     /// input comes back unchanged (and serializes byte-identically).
-    /// See the [module docs](self) for the repair / quarantine rules.
+    /// Repair drops, strips, clamps or renumbers what has one unambiguous
+    /// fix; quarantine removes instances with a missing trace or an
+    /// undefined scenario, and streams with a duplicate trace id.
     pub fn sanitize(&self) -> (Dataset, SanitizeReport) {
         let mut report = SanitizeReport {
             input_traces: self.streams.len(),

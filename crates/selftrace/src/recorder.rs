@@ -84,8 +84,8 @@ pub enum RawEvent {
         /// Nanoseconds since session start.
         t: u64,
     },
-    /// The recorder blocked on its own ingest lock for at least
-    /// [`LOCK_WAIT_EVENT_NS`] — self-observation overhead surfaced as a
+    /// The recorder blocked on its own ingest lock for at least a
+    /// microsecond — self-observation overhead surfaced as a
     /// completed wait interval `[t, t + cost]`.
     LockWait {
         /// Virtual thread that contended.

@@ -37,7 +37,7 @@ pub fn vec<S: Strategy, R: SizeRange>(element: S, size: R) -> VecStrategy<S, R> 
     VecStrategy { element, size }
 }
 
-/// Result of [`vec`].
+/// Result of [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S, R> {
     element: S,

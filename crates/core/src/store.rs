@@ -18,7 +18,7 @@
 //! `ingest.cache_hits` / `ingest.cache_fallbacks`), and the returned
 //! [`IngestReport`] carries the heap estimate the governance layer
 //! admits against plus the transport counters (`io_retries`, cache
-//! fallback) that `--sanitize` surfaces through `SanitizeReport`.
+//! fallback) that `validate --sanitize` prints through `SanitizeReport`.
 
 use std::fmt;
 use std::fs::File;

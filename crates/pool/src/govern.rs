@@ -466,7 +466,7 @@ mod tests {
     #[test]
     fn governed_map_with_unlimited_budget_matches_supervised() {
         let _gate = batch_gate();
-        let pool = Pool::sequential();
+        let pool = Pool::new(1);
         let items: Vec<u64> = (0..10).collect();
         let policy = SupervisePolicy::default();
         let (plain, plain_report) = pool.supervised_map(
@@ -535,7 +535,7 @@ mod tests {
     #[test]
     fn governed_map_passes_degradation_to_the_unit() {
         let _gate = batch_gate();
-        let pool = Pool::sequential();
+        let pool = Pool::new(1);
         let items: Vec<u64> = vec![400];
         let govern = GovernPolicy {
             budget_bytes: Some(100),

@@ -102,16 +102,6 @@ impl Pool {
         Pool::new(0)
     }
 
-    /// A single-worker pool: [`Pool::map`] runs inline on the calling
-    /// thread. This is the exact sequential pipeline, the `--jobs 1`
-    /// path.
-    pub fn sequential() -> Pool {
-        Pool {
-            jobs: 1,
-            telemetry: Telemetry::noop(),
-        }
-    }
-
     /// Attaches a telemetry handle; every subsequent [`Pool::map`] batch
     /// then reports pool counters and per-worker busy-time histograms
     /// through it.
@@ -304,7 +294,7 @@ mod tests {
             }
             (x, acc)
         };
-        let seq = Pool::sequential().map(&items, work);
+        let seq = Pool::new(1).map(&items, work);
         let par = Pool::new(8).map(&items, work);
         assert_eq!(seq, par);
     }
@@ -332,8 +322,8 @@ mod tests {
     fn zero_jobs_means_auto() {
         assert!(Pool::new(0).jobs() >= 1);
         assert!(Pool::auto().jobs() >= 1);
-        assert_eq!(Pool::sequential().jobs(), 1);
-        assert!(!Pool::sequential().is_parallel());
+        assert_eq!(Pool::new(1).jobs(), 1);
+        assert!(!Pool::new(1).is_parallel());
         assert!(Pool::new(2).is_parallel());
     }
 
@@ -443,7 +433,7 @@ mod tests {
         let t = Telemetry::with_sink(
             std::sync::Arc::clone(&sink) as std::sync::Arc<dyn tracelens_obs::TelemetrySink>
         );
-        let pool = Pool::sequential().with_telemetry(t);
+        let pool = Pool::new(1).with_telemetry(t);
         let _ = pool.map(&[1u8, 2, 3], |_, &x| x);
         assert!(sink.events.lock().unwrap().is_empty());
     }

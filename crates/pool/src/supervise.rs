@@ -640,7 +640,7 @@ mod tests {
         };
         // Unit 4 panics on its first attempt only.
         let (results, report) =
-            Pool::sequential().supervised_map(&items, "test", &policy, no_meta, |_, &x| {
+            Pool::new(1).supervised_map(&items, "test", &policy, no_meta, |_, &x| {
                 if x == 4 && failures.fetch_add(1, Ordering::Relaxed) == 0 {
                     panic!("transient");
                 }
@@ -693,7 +693,7 @@ mod tests {
             max_retries: 0,
             ..SupervisePolicy::default()
         };
-        let (_, report) = Pool::sequential().supervised_map(
+        let (_, report) = Pool::new(1).supervised_map(
             &items,
             "scenario",
             &policy,

@@ -38,7 +38,8 @@
 //! threads for the study's (or campaign's) pool. `1` is fully
 //! sequential; `0` (the default) picks `TRACELENS_JOBS` or the
 //! machine's available parallelism. Results are byte-identical at
-//! every setting.
+//! every setting. `impact` and `causality` run on one thread and
+//! refuse `--jobs`.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -200,6 +201,16 @@ impl Opts {
                 .map_err(|_| format!("invalid value for --{name}: {v:?}")),
         }
     }
+}
+
+/// Refuses `--jobs` on a single-threaded command. `Opts` takes an
+/// unknown flag as a switch, so `--jobs N` would otherwise be ignored
+/// and its `N` read as a positional argument.
+fn reject_jobs(command: &str, opts: &Opts) -> Result<(), String> {
+    if opts.has("jobs") {
+        return Err(format!("{command} is single-threaded and takes no --jobs"));
+    }
+    Ok(())
 }
 
 /// Reads a data set through the trace store: the text streams through
@@ -445,6 +456,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 
 fn cmd_impact(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(args, &["components", "scenario"])?;
+    reject_jobs("impact", &opts)?;
     let path = opts.positional.first().ok_or("impact requires FILE")?;
     let ds = load(path, &opts)?;
     let filter = ComponentFilter::glob(opts.value("components").unwrap_or("*.sys"));
@@ -502,6 +514,7 @@ fn cmd_blame(args: &[String]) -> Result<(), String> {
 
 fn cmd_causality(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(args, &["scenario", "top", "k", "components"])?;
+    reject_jobs("causality", &opts)?;
     let path = opts.positional.first().ok_or("causality requires FILE")?;
     let scenario = ScenarioName::new(
         opts.value("scenario")

@@ -258,6 +258,32 @@ fn errors_are_reported_with_nonzero_exit() {
 }
 
 #[test]
+fn single_threaded_commands_reject_jobs() {
+    let dir = std::env::temp_dir().join(format!("tracelens-cli-jobs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = dir.join("w.tlt");
+    let path = file.to_str().expect("utf-8 path");
+    let out = tracelens(&["simulate", "-o", path, "--traces", "10", "--seed", "3"]);
+    assert!(out.status.success(), "simulate failed: {out:?}");
+
+    let scenario = "BrowserTabCreate";
+    let cases: [&[&str]; 4] = [
+        &["impact", "--jobs", "2", path],
+        &["impact", path, "--jobs", "2"],
+        &["causality", "--jobs", "2", path, "--scenario", scenario],
+        &["causality", path, "--scenario", scenario, "--jobs", "2"],
+    ];
+    for args in cases {
+        let out = tracelens(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let want = format!("{} is single-threaded and takes no --jobs", args[0]);
+        assert!(err.contains(&want), "{args:?}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn help_prints_usage() {
     let out = tracelens(&["help"]);
     assert!(out.status.success());

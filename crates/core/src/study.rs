@@ -1017,6 +1017,39 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_fingerprint_is_pinned() {
+        // The corpus of `tracelens simulate --traces 40 --seed 9`, whose
+        // `report --checkpoint DIR` writes this fingerprint to meta.tlc.
+        let ds = DatasetBuilder::new(9).traces(40).build();
+        let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
+        let fingerprint = |cfg: &StudyConfig| crate::checkpoint::fingerprint(&ds, cfg, &names);
+        let pinned = fingerprint(&StudyConfig::default());
+        // Existing checkpoints resume only while this value holds.
+        assert_eq!(format!("{pinned:016x}"), "5d122db8b68781f2");
+        // Execution knobs change how units run, not what they compute.
+        for cfg in [
+            StudyConfig {
+                jobs: 3,
+                ..StudyConfig::default()
+            },
+            StudyConfig {
+                supervise: SupervisePolicy::from_knobs(50, 4),
+                ..StudyConfig::default()
+            },
+            StudyConfig {
+                exec_faults: Some(ExecFaultPlan::new(5).with_panic_rate(0.4)),
+                ..StudyConfig::default()
+            },
+            StudyConfig {
+                sanitize: true,
+                ..StudyConfig::default()
+            },
+        ] {
+            assert_eq!(fingerprint(&cfg), pinned, "{cfg:?}");
+        }
+    }
+
+    #[test]
     fn sanitized_supervised_returns_typed_error_when_nothing_survives() {
         use tracelens_model::{ScenarioInstance, ThreadId, TimeNs, TraceId};
         // A dataset whose every instance dangles: sanitize quarantines

@@ -246,19 +246,6 @@ impl AggregatedWaitGraph {
     }
 }
 
-impl tracelens_model::HeapSize for AwgNode {
-    fn heap_size(&self) -> usize {
-        self.children.capacity() * std::mem::size_of::<AwgId>()
-            + self.examples.capacity() * std::mem::size_of::<InstanceTag>()
-    }
-}
-
-impl tracelens_model::HeapSize for AggregatedWaitGraph {
-    fn heap_size(&self) -> usize {
-        self.nodes.heap_size() + self.roots.capacity() * std::mem::size_of::<AwgId>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,8 +14,6 @@
 //! tracelens report    FILE [-o REPORT.md] [--top N] [--jobs N]
 //!                     [--checkpoint DIR] [--unit-deadline-ms MS]
 //!                     [--max-retries N] [--exec-faults SPEC]
-//!                     [--memory-budget-mb N] [--degrade|--shed]
-//!                     [--mem-faults SPEC]
 //! tracelens self-report [FILE] [--traces N] [--seed S] [--jobs N]
 //!                     [-o REPORT.md] [--trace-out TRACE.json] [--overhead-gate PCT]
 //! tracelens regress   BASELINE CANDIDATE --scenario NAME [--top N]
@@ -27,12 +25,13 @@
 //! `FILE` is a data set in the `.tlt` text format
 //! (see [`tracelens::model::textio`]); `-` means stdin/stdout.
 //!
-//! Every command reading `FILE` accepts `--sanitize` (repair/quarantine
-//! corrupt input before analysis, reporting coverage on stderr),
-//! `--strict` (treat any validation violation as a hard error), and
-//! `--cache` (maintain a `.tlb` binary columnar cache next to the
-//! input; see [`tracelens::store`]). The default keeps the historical
-//! behavior: warn and proceed.
+//! Every command reading `FILE` except `pack` accepts `--sanitize`
+//! (repair/quarantine corrupt input before analysis, reporting coverage
+//! on stderr), `--strict` (treat any validation violation as a hard
+//! error), and `--cache` (maintain a `.tlb` binary columnar cache next
+//! to the input; see [`tracelens::store`]). The default keeps the
+//! historical behavior: warn and proceed. A flag a command does not
+//! declare is an error.
 //!
 //! `report`, `self-report` and `chaos` accept `--jobs N`: worker
 //! threads for the study's (or campaign's) pool. `1` is fully
@@ -107,8 +106,6 @@ fn print_usage() {
          \x20 tracelens report    FILE [-o REPORT.md] [--top N] [--jobs N]\n\
          \x20                     [--checkpoint DIR] [--unit-deadline-ms MS]\n\
          \x20                     [--max-retries N] [--exec-faults SPEC]\n\
-         \x20                     [--memory-budget-mb N] [--degrade|--shed]\n\
-         \x20                     [--mem-faults SPEC]\n\
          \x20 tracelens self-report [FILE] [--traces N] [--seed S] [--jobs N]\n\
          \x20                     [-o REPORT.md] [--trace-out TRACE.json] [--overhead-gate PCT]\n\
          \x20 tracelens regress   BASELINE CANDIDATE --scenario NAME [--top N]\n\
@@ -117,12 +114,13 @@ fn print_usage() {
          \x20                     [--jobs N] [--repro-out FILE] [--replay FILE]\n\
          \n\
          FILE is a .tlt data set; `-` reads stdin / writes stdout.\n\
-         Commands reading FILE also accept --sanitize (repair/quarantine\n\
-         corrupt input, report coverage), --strict (violations are fatal),\n\
-         and --cache (keep a FILE.tlb binary columnar cache next to the\n\
-         input: packed on first read, reused while the text fingerprint\n\
-         matches, with transparent fallback to the text parse on any\n\
-         missing/stale/corrupt cache).\n\
+         Commands reading FILE (except pack) also accept --sanitize\n\
+         (repair/quarantine corrupt input, report coverage), --strict\n\
+         (violations are fatal), and --cache (keep a FILE.tlb binary\n\
+         columnar cache next to the input: packed on first read, reused\n\
+         while the text fingerprint matches, with transparent fallback to\n\
+         the text parse on any missing/stale/corrupt cache).\n\
+         A flag a command does not declare is an error.\n\
          report, self-report and chaos accept --jobs N (0 = TRACELENS_JOBS\n\
          or all cores; results identical at any N).\n\
          `report` runs supervised: panicking or over-deadline work units\n\
@@ -131,16 +129,11 @@ fn print_usage() {
          --unit-deadline-ms sets a soft per-unit deadline (0 = none);\n\
          --max-retries bounds re-runs of panicked units; --exec-faults\n\
          `seed=S,panic=P,slow=Q[,slow-ms=MS]` injects faults for testing.\n\
-         `report` also runs memory-governed: --memory-budget-mb N admits\n\
-         per-scenario units against an N-MiB live-bytes budget (0 = off);\n\
-         over-budget units are shed (--shed, the default) or run on a\n\
-         bounded input slice (--degrade), and every decision lands in the\n\
-         report. --mem-faults `seed=S,rate=R,factor=F` inflates cost\n\
-         estimates to stage overload for testing. File ingestion retries\n\
-         transient i/o errors with bounded exponential backoff.\n\
+         File ingestion retries transient i/o errors with bounded\n\
+         exponential backoff.\n\
          `chaos` runs a deterministic fault-injection campaign: --runs\n\
          composite fault configurations sampled from --seed over --planes\n\
-         (any of corruption,read,exec,mem,checkpoint,cache — default all)\n\
+         (any of corruption,read,exec,checkpoint,cache — default all)\n\
          each run through the full pipeline and checked against the\n\
          cross-cutting invariant oracles. Violations are minimized to a\n\
          replayable repro written to --repro-out (default\n\
@@ -155,8 +148,15 @@ struct Opts {
     flags: Vec<(String, Option<String>)>,
 }
 
+/// The switches of every command that loads `FILE` through `load` or
+/// `read_dataset`.
+const FILE_SWITCHES: &[&str] = &["sanitize", "strict", "cache"];
+
 impl Opts {
-    fn parse(args: &[String], value_flags: &[&str]) -> Result<Opts, String> {
+    /// Parses `args` against a command's declared `value_flags` (which
+    /// take a value) and `switches` (which do not); any other `--name`
+    /// is an error.
+    fn parse(args: &[String], value_flags: &[&str], switches: &[&str]) -> Result<Opts, String> {
         let mut opts = Opts {
             positional: Vec::new(),
             flags: Vec::new(),
@@ -169,8 +169,10 @@ impl Opts {
                         .next()
                         .ok_or_else(|| format!("--{name} requires a value"))?;
                     opts.flags.push((name.to_owned(), Some(v.clone())));
-                } else {
+                } else if switches.contains(&name) {
                     opts.flags.push((name.to_owned(), None));
+                } else {
+                    return Err(format!("unknown flag --{name}"));
                 }
             } else if a == "-o" {
                 let v = it.next().ok_or("-o requires a value")?;
@@ -203,11 +205,10 @@ impl Opts {
     }
 }
 
-/// Refuses `--jobs` on a single-threaded command. `Opts` takes an
-/// unknown flag as a switch, so `--jobs N` would otherwise be ignored
-/// and its `N` read as a positional argument.
-fn reject_jobs(command: &str, opts: &Opts) -> Result<(), String> {
-    if opts.has("jobs") {
+/// Refuses `--jobs` on a single-threaded command, with a message that
+/// says why rather than the parser's `unknown flag`.
+fn reject_jobs(command: &str, args: &[String]) -> Result<(), String> {
+    if args.iter().any(|a| a == "--jobs") {
         return Err(format!("{command} is single-threaded and takes no --jobs"));
     }
     Ok(())
@@ -311,7 +312,7 @@ fn report_ingest(path: &str, ingest: &IngestReport) {
 /// nonzero if any are found. With `--sanitize`, additionally shows what
 /// sanitization would repair and quarantine.
 fn cmd_validate(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &[])?;
+    let opts = Opts::parse(args, &[], FILE_SWITCHES)?;
     let path = opts.positional.first().ok_or("validate requires FILE")?;
     let (ds, ingest) = read_dataset(path, &opts)?;
     report_ingest(path, &ingest);
@@ -347,7 +348,7 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
 /// warming caches ahead of a batch run, or shipping a corpus in its
 /// fast-loading form).
 fn cmd_pack(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["jobs"])?;
+    let opts = Opts::parse(args, &["jobs"], &[])?;
     let path = opts.positional.first().ok_or("pack requires FILE")?;
     if path == "-" {
         return Err("pack requires a file path (stdin has no cache location)".to_owned());
@@ -378,7 +379,7 @@ fn cmd_pack(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["traces", "seed", "mix"])?;
+    let opts = Opts::parse(args, &["traces", "seed", "mix"], &[])?;
     let traces: usize = opts.parsed("traces", 100)?;
     let seed: u64 = opts.parsed("seed", 2014)?;
     let mix = match opts.value("mix").unwrap_or("full") {
@@ -407,7 +408,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 /// Runs a machine script (the `.tsim` DSL) and writes the resulting
 /// data set, or prints a summary when no output file is given.
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &[])?;
+    let opts = Opts::parse(args, &[], &[])?;
     let path = opts.positional.first().ok_or("run requires SCRIPT.tsim")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let ds = tracelens::sim::script::run_script(&text).map_err(|e| e.to_string())?;
@@ -440,7 +441,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &[])?;
+    let opts = Opts::parse(args, &[], FILE_SWITCHES)?;
     let path = opts.positional.first().ok_or("info requires FILE")?;
     let ds = load(path, &opts)?;
     println!("traces      : {}", ds.streams.len());
@@ -455,8 +456,8 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_impact(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["components", "scenario"])?;
-    reject_jobs("impact", &opts)?;
+    reject_jobs("impact", args)?;
+    let opts = Opts::parse(args, &["components", "scenario"], FILE_SWITCHES)?;
     let path = opts.positional.first().ok_or("impact requires FILE")?;
     let ds = load(path, &opts)?;
     let filter = ComponentFilter::glob(opts.value("components").unwrap_or("*.sys"));
@@ -475,7 +476,7 @@ fn cmd_impact(args: &[String]) -> Result<(), String> {
 
 /// Per-module time attribution: where the selected instances' time goes.
 fn cmd_blame(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["components", "scenario"])?;
+    let opts = Opts::parse(args, &["components", "scenario"], FILE_SWITCHES)?;
     let path = opts.positional.first().ok_or("blame requires FILE")?;
     let ds = load(path, &opts)?;
     let filter = ComponentFilter::glob(opts.value("components").unwrap_or("*.sys"));
@@ -513,8 +514,12 @@ fn cmd_blame(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_causality(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["scenario", "top", "k", "components"])?;
-    reject_jobs("causality", &opts)?;
+    reject_jobs("causality", args)?;
+    let opts = Opts::parse(
+        args,
+        &["scenario", "top", "k", "components"],
+        &["sanitize", "strict", "cache", "no-reduce"],
+    )?;
     let path = opts.positional.first().ok_or("causality requires FILE")?;
     let scenario = ScenarioName::new(
         opts.value("scenario")
@@ -576,7 +581,7 @@ fn cmd_causality(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_scenarios(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &[])?;
+    let opts = Opts::parse(args, &[], FILE_SWITCHES)?;
     let path = opts.positional.first().ok_or("scenarios requires FILE")?;
     let ds = load(path, &opts)?;
     println!(
@@ -604,7 +609,7 @@ fn cmd_scenarios(args: &[String]) -> Result<(), String> {
 /// Drill down from a ranked pattern to the concrete incidents: the
 /// §2.3 workflow of "investigating a specific trace stream".
 fn cmd_locate(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["scenario", "rank", "top"])?;
+    let opts = Opts::parse(args, &["scenario", "rank", "top"], FILE_SWITCHES)?;
     let path = opts.positional.first().ok_or("locate requires FILE")?;
     let scenario = ScenarioName::new(
         opts.value("scenario")
@@ -672,9 +677,8 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             "unit-deadline-ms",
             "max-retries",
             "exec-faults",
-            "memory-budget-mb",
-            "mem-faults",
         ],
+        FILE_SWITCHES,
     )?;
     let path = opts.positional.first().ok_or("report requires FILE")?;
     let top: usize = opts.parsed("top", 3)?;
@@ -684,19 +688,6 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     let exec_faults = opts
         .value("exec-faults")
         .map(ExecFaultPlan::parse)
-        .transpose()
-        .map_err(|e| e.to_string())?;
-    if opts.has("degrade") && opts.has("shed") {
-        return Err("--degrade and --shed are mutually exclusive".to_owned());
-    }
-    let budget_mb: u64 = opts.parsed("memory-budget-mb", 0)?;
-    let mut govern = GovernPolicy::with_budget_mb(budget_mb);
-    if opts.has("degrade") {
-        govern = govern.on_over_budget(OverBudgetAction::Degrade);
-    }
-    let mem_faults = opts
-        .value("mem-faults")
-        .map(MemFaultPlan::parse)
         .transpose()
         .map_err(|e| e.to_string())?;
     // With --sanitize the study itself runs the sanitize pass so the
@@ -711,8 +702,6 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         supervise: SupervisePolicy::from_knobs(deadline_ms, max_retries),
         exec_faults,
         checkpoint: opts.value("checkpoint").map(std::path::PathBuf::from),
-        govern,
-        mem_faults,
         sanitize,
         ..StudyConfig::default()
     };
@@ -727,9 +716,6 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     let study = Study::run(&ds, &config, &names, &Telemetry::noop()).map_err(|e| e.to_string())?;
     if let Some(report) = &study.sanitize {
         report_sanitize(report);
-    }
-    if study.governance.is_governed() {
-        eprintln!("{}", study.governance);
     }
     if !study.execution.is_clean() {
         eprintln!("{}", study.execution);
@@ -761,6 +747,7 @@ fn cmd_self_report(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
         &["traces", "seed", "jobs", "trace-out", "overhead-gate"],
+        FILE_SWITCHES,
     )?;
     let jobs: usize = opts.parsed("jobs", 0)?;
     let ds = match opts.positional.first() {
@@ -851,7 +838,7 @@ fn cmd_self_report(args: &[String]) -> Result<(), String> {
 /// Compares two data sets (e.g. two builds) and reports behaviors that
 /// appeared or became drastically more expensive.
 fn cmd_regress(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["scenario", "top"])?;
+    let opts = Opts::parse(args, &["scenario", "top"], FILE_SWITCHES)?;
     let [base_path, cand_path] = opts.positional.as_slice() else {
         return Err("regress requires BASELINE and CANDIDATE files".to_owned());
     };
@@ -897,7 +884,7 @@ avg {} over {} occurrences — {growth}",
 }
 
 fn cmd_baselines(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["top"])?;
+    let opts = Opts::parse(args, &["top"], FILE_SWITCHES)?;
     let path = opts.positional.first().ok_or("baselines requires FILE")?;
     let top: usize = opts.parsed("top", 10)?;
     let ds = load(path, &opts)?;
@@ -929,6 +916,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
             "repro-out",
             "replay",
         ],
+        &["inject-known-bug"],
     )?;
 
     if let Some(path) = opts.value("replay") {
@@ -994,6 +982,7 @@ mod tests {
         let o = Opts::parse(
             &strings(&["file.tlt", "--scenario", "X", "--no-reduce", "-o", "out"]),
             &["scenario"],
+            &["no-reduce"],
         )
         .unwrap();
         assert_eq!(o.positional, ["file.tlt"]);
@@ -1004,16 +993,16 @@ mod tests {
 
     #[test]
     fn opts_missing_value_is_an_error() {
-        assert!(Opts::parse(&strings(&["--scenario"]), &["scenario"]).is_err());
-        assert!(Opts::parse(&strings(&["-o"]), &[]).is_err());
+        assert!(Opts::parse(&strings(&["--scenario"]), &["scenario"], &[]).is_err());
+        assert!(Opts::parse(&strings(&["-o"]), &[], &[]).is_err());
     }
 
     #[test]
     fn opts_parsed_defaults_and_errors() {
-        let o = Opts::parse(&strings(&["--top", "7"]), &["top"]).unwrap();
+        let o = Opts::parse(&strings(&["--top", "7"]), &["top"], &[]).unwrap();
         assert_eq!(o.parsed::<usize>("top", 3).unwrap(), 7);
         assert_eq!(o.parsed::<usize>("k", 5).unwrap(), 5);
-        let bad = Opts::parse(&strings(&["--top", "x"]), &["top"]).unwrap();
+        let bad = Opts::parse(&strings(&["--top", "x"]), &["top"], &[]).unwrap();
         assert!(bad.parsed::<usize>("top", 3).is_err());
     }
 

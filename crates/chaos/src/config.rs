@@ -2,15 +2,13 @@
 //! sampler.
 //!
 //! A [`ChaosConfig`] composes every fault plane the workspace ships —
-//! data corruption, transient read faults, execution faults, resource
-//! pressure, torn checkpoints, torn caches — into one run of the full
-//! pipeline. [`sample_campaign`] derives the whole campaign's configs
+//! data corruption, transient read faults, execution faults, torn
+//! checkpoints, torn caches — into one run of the full pipeline. [`sample_campaign`] derives the whole campaign's configs
 //! up front from `(campaign seed, run index)`, so results are
 //! independent of how many workers execute the runs.
 
 use std::fmt;
-use tracelens_faults::{ExecFaultPlan, MemFaultPlan, ReadFaultPlan};
-use tracelens_pool::{GovernPolicy, OverBudgetAction};
+use tracelens_faults::{ExecFaultPlan, ReadFaultPlan};
 
 /// One of the workspace's independently armable fault planes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,9 +22,6 @@ pub enum FaultPlane {
     /// Execution faults inside supervised analyzer units
     /// (`ExecFaultPlan`: panics and stalls).
     Exec,
-    /// Resource pressure: inflated cost estimates against a finite
-    /// memory budget (`MemFaultPlan` + governance).
-    Mem,
     /// A checkpoint unit file torn (truncated) between runs.
     TornCheckpoint,
     /// A `.tlb` binary cache torn (truncated) between loads.
@@ -35,11 +30,10 @@ pub enum FaultPlane {
 
 impl FaultPlane {
     /// All planes, in canonical order.
-    pub const ALL: [FaultPlane; 6] = [
+    pub const ALL: [FaultPlane; 5] = [
         FaultPlane::Corruption,
         FaultPlane::ReadFaults,
         FaultPlane::Exec,
-        FaultPlane::Mem,
         FaultPlane::TornCheckpoint,
         FaultPlane::TornCache,
     ];
@@ -50,7 +44,6 @@ impl FaultPlane {
             FaultPlane::Corruption => "corruption",
             FaultPlane::ReadFaults => "read",
             FaultPlane::Exec => "exec",
-            FaultPlane::Mem => "mem",
             FaultPlane::TornCheckpoint => "checkpoint",
             FaultPlane::TornCache => "cache",
         }
@@ -115,15 +108,6 @@ pub struct ChaosConfig {
     pub exec_slow_rate: f64,
     /// How long a stalled unit sleeps, in milliseconds.
     pub exec_slow_ms: u64,
-    /// Mem plane: fraction of units whose cost estimate is inflated
-    /// (0 = off).
-    pub mem_rate: f64,
-    /// Mem plane: inflation factor (≤ 1 = off).
-    pub mem_factor: u64,
-    /// Mem plane: the finite budget governance admits against, in MiB.
-    pub mem_budget_mb: u64,
-    /// Mem plane: degrade over-budget units instead of shedding them.
-    pub mem_degrade: bool,
     /// Torn-checkpoint plane: truncation offset of one checkpoint unit
     /// file, in ‰ of its length (0 = off).
     pub torn_checkpoint_per_mille: u32,
@@ -144,10 +128,6 @@ impl Default for ChaosConfig {
             exec_panic_rate: 0.0,
             exec_slow_rate: 0.0,
             exec_slow_ms: 2,
-            mem_rate: 0.0,
-            mem_factor: 1,
-            mem_budget_mb: 0,
-            mem_degrade: false,
             torn_checkpoint_per_mille: 0,
             torn_cache_per_mille: 0,
         }
@@ -168,11 +148,6 @@ impl ChaosConfig {
     /// Whether the exec plane is armed.
     pub fn exec_active(&self) -> bool {
         self.exec_panic_rate > 0.0 || self.exec_slow_rate > 0.0
-    }
-
-    /// Whether the mem plane is armed.
-    pub fn mem_active(&self) -> bool {
-        self.mem_rate > 0.0 && self.mem_factor > 1 && self.mem_budget_mb > 0
     }
 
     /// Whether the torn-checkpoint plane is armed.
@@ -199,7 +174,6 @@ impl ChaosConfig {
             FaultPlane::Corruption => self.corruption_active(),
             FaultPlane::ReadFaults => self.read_faults_active(),
             FaultPlane::Exec => self.exec_active(),
-            FaultPlane::Mem => self.mem_active(),
             FaultPlane::TornCheckpoint => self.torn_checkpoint_active(),
             FaultPlane::TornCache => self.torn_cache_active(),
         }
@@ -215,12 +189,6 @@ impl ChaosConfig {
             FaultPlane::Exec => {
                 c.exec_panic_rate = 0.0;
                 c.exec_slow_rate = 0.0;
-            }
-            FaultPlane::Mem => {
-                c.mem_rate = 0.0;
-                c.mem_factor = 1;
-                c.mem_budget_mb = 0;
-                c.mem_degrade = false;
             }
             FaultPlane::TornCheckpoint => c.torn_checkpoint_per_mille = 0,
             FaultPlane::TornCache => c.torn_cache_per_mille = 0,
@@ -238,33 +206,10 @@ impl ChaosConfig {
         })
     }
 
-    /// The mem-fault plan this config arms, if any.
-    pub fn mem_plan(&self) -> Option<MemFaultPlan> {
-        self.mem_active().then(|| {
-            MemFaultPlan::new(self.seed)
-                .with_rate(self.mem_rate)
-                .with_factor(self.mem_factor)
-        })
-    }
-
     /// The read-fault plan this config arms (disarmed when the plane
     /// is off).
     pub fn read_plan(&self) -> ReadFaultPlan {
         ReadFaultPlan::new(self.seed).with_rate(self.read_fault_rate)
-    }
-
-    /// The governance policy this config runs under: a finite budget
-    /// when the mem plane is armed, unlimited otherwise.
-    pub fn govern_policy(&self) -> GovernPolicy {
-        if !self.mem_active() {
-            return GovernPolicy::unlimited();
-        }
-        let policy = GovernPolicy::with_budget_mb(self.mem_budget_mb);
-        if self.mem_degrade {
-            policy.on_over_budget(OverBudgetAction::Degrade)
-        } else {
-            policy.on_over_budget(OverBudgetAction::Shed)
-        }
     }
 
     /// Compact plane tag for campaign output, e.g. `[corruption+exec]`
@@ -332,7 +277,7 @@ pub fn sample_campaign(
                     // Burn the plane's draws so arming one plane never
                     // shifts another plane's knobs.
                     match plane {
-                        FaultPlane::Exec | FaultPlane::Mem => {
+                        FaultPlane::Exec => {
                             rng.unit();
                             rng.unit();
                             rng.unit();
@@ -354,12 +299,6 @@ pub fn sample_campaign(
                             rng.unit();
                             0.0
                         };
-                    }
-                    FaultPlane::Mem => {
-                        cfg.mem_rate = 0.20 + rng.unit() * 0.60;
-                        cfg.mem_factor = 64;
-                        cfg.mem_budget_mb = 2 + (rng.unit() * 6.0) as u64;
-                        cfg.mem_degrade = rng.chance(0.5);
                     }
                     FaultPlane::TornCheckpoint => {
                         cfg.torn_checkpoint_per_mille = 50 + (rng.unit() * 900.0) as u32
@@ -394,9 +333,6 @@ mod tests {
             assert!(cfg.corruption_eps <= 0.05);
             assert!(cfg.read_fault_rate <= 0.25);
             assert!(cfg.exec_panic_rate <= 0.5);
-            if cfg.mem_active() {
-                assert!(cfg.mem_budget_mb >= 2);
-            }
             assert!(cfg.torn_checkpoint_per_mille < 1000);
             assert!(cfg.torn_cache_per_mille < 1000);
         }
@@ -431,7 +367,7 @@ mod tests {
             FaultPlane::parse_list("corruption, exec").unwrap(),
             vec![FaultPlane::Corruption, FaultPlane::Exec]
         );
-        assert_eq!(FaultPlane::parse_list("all").unwrap().len(), 6);
+        assert_eq!(FaultPlane::parse_list("all").unwrap().len(), 5);
         assert!(FaultPlane::parse_list("bogus").is_err());
         assert!(FaultPlane::parse_list("").is_err());
     }

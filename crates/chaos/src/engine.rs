@@ -4,7 +4,7 @@
 //! One [`run_config`] call is one end-to-end exercise of a
 //! [`ChaosConfig`]: simulate a corpus, push it through every armed
 //! fault plane (flaky streamed ingest, torn caches, data corruption,
-//! exec/mem faults under supervision and governance, torn checkpoints),
+//! exec faults under supervision, torn checkpoints),
 //! and record what happened as [`RunArtifacts`]. [`run_campaign`] fans
 //! a sampled batch of configs over a worker pool — each study inside a
 //! worker runs at `jobs: 1`, so campaign output is byte-identical at
@@ -43,16 +43,8 @@ pub struct CoverageNumbers {
     pub quarantined_instances: usize,
     /// Units coverage reports as failed.
     pub failed_units: usize,
-    /// Units coverage reports as degraded.
-    pub degraded_units: usize,
-    /// Units coverage reports as shed.
-    pub shed_units: usize,
     /// Units the execution report quarantined.
     pub exec_quarantined: usize,
-    /// Units the governor degraded.
-    pub gov_degraded: usize,
-    /// Units the governor shed.
-    pub gov_shed: usize,
 }
 
 /// Everything one chaos run leaves behind for the oracles.
@@ -79,7 +71,7 @@ pub struct RunArtifacts {
     pub cache: Option<Result<(), String>>,
     /// Torn checkpoint: resumed report equals the fresh report.
     pub resume: Option<Result<(), String>>,
-    /// Supervised/governed-unlimited run equals the plain run.
+    /// Supervised run equals the plain run.
     pub baseline: Option<Result<(), String>>,
 }
 
@@ -186,8 +178,6 @@ fn execute(cfg: &ChaosConfig) -> RunArtifacts {
         supervise: SupervisePolicy::from_knobs(0, 1),
         exec_faults: cfg.exec_plan(),
         checkpoint: ckpt_dir.clone(),
-        govern: cfg.govern_policy(),
-        mem_faults: cfg.mem_plan(),
         sanitize: cfg.corruption_active(),
         ..StudyConfig::default()
     };
@@ -220,13 +210,7 @@ fn execute(cfg: &ChaosConfig) -> RunArtifacts {
     }
 
     if !cfg.exec_active() {
-        art.baseline = Some(check_baseline(
-            cfg,
-            &study_input,
-            &config,
-            &names,
-            &markdown,
-        ));
+        art.baseline = Some(check_baseline(&study_input, &config, &names, &markdown));
     }
 
     art.markdown = Some(markdown);
@@ -252,11 +236,7 @@ fn snapshot(study: &Study) -> CoverageNumbers {
         analyzed_instances: c.analyzed_instances,
         quarantined_instances: c.quarantined_instances,
         failed_units: c.failed_units,
-        degraded_units: c.degraded_units,
-        shed_units: c.shed_units,
         exec_quarantined: study.execution.quarantined(),
-        gov_degraded: study.governance.degraded,
-        gov_shed: study.governance.shed,
     }
 }
 
@@ -371,33 +351,13 @@ fn check_torn_resume(
 }
 
 /// Baseline oracle (exec plane inactive): supervision with no exec
-/// faults — and governance with an unlimited budget — must be
-/// invisible in the report.
+/// faults must be invisible in the report.
 fn check_baseline(
-    cfg: &ChaosConfig,
     input: &Dataset,
     config: &StudyConfig,
     names: &[ScenarioName],
     primary_markdown: &str,
 ) -> Result<(), String> {
-    let supervised_markdown;
-    let supervised = if cfg.mem_active() {
-        // The primary run had a finite budget, which legitimately
-        // changes the report; the invariant is that the same mem-fault
-        // plan under an *unlimited* budget is a no-op.
-        let unlimited = StudyConfig {
-            govern: tracelens_pool::GovernPolicy::unlimited(),
-            checkpoint: None,
-            ..config.clone()
-        };
-        let study = run_study(input, &unlimited, names)
-            .map_err(|e| format!("unlimited-budget run refused: {e}"))?;
-        supervised_markdown = render_markdown(&study, input, &ReportOptions::default());
-        supervised_markdown.as_str()
-    } else {
-        primary_markdown
-    };
-
     let plain_config = StudyConfig {
         jobs: 1,
         components: config.components.clone(),
@@ -408,10 +368,8 @@ fn check_baseline(
     let plain =
         run_study(input, &plain_config, names).map_err(|e| format!("plain run refused: {e}"))?;
     let plain_markdown = render_markdown(&plain, input, &ReportOptions::default());
-    if supervised != plain_markdown {
-        return Err(
-            "supervised/governed-unlimited report differs from the plain report".to_owned(),
-        );
+    if primary_markdown != plain_markdown {
+        return Err("supervised report differs from the plain report".to_owned());
     }
     Ok(())
 }

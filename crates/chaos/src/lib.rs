@@ -3,17 +3,17 @@
 //! The workspace hardens each fault plane in isolation: the faults
 //! crate corrupts data, the store retries flaky transports and falls
 //! back from torn caches, supervision quarantines panicking units,
-//! governance sheds over-budget work, checkpoints survive crashes.
-//! This crate asks the question none of those answer alone: **do the
-//! guarantees still hold when the planes fire together?**
+//! checkpoints survive crashes. This crate asks the question none of
+//! those answer alone: **do the guarantees still hold when the planes
+//! fire together?**
 //!
 //! A campaign samples composite fault configurations — every plane
 //! independently armed with seeded knobs ([`sample_campaign`]) — and
 //! pushes each through the *full* pipeline: simulate, ingest through
 //! injected read faults and torn caches, corrupt, sanitize, run the
-//! supervised/governed study, tear and resume checkpoints. After every
-//! run a registry of cross-cutting invariant [`oracles`] checks what
-//! fault tolerance is never allowed to trade away:
+//! supervised study, tear and resume checkpoints. After every run a
+//! registry of cross-cutting invariant [`oracles`] checks what fault
+//! tolerance is never allowed to trade away:
 //!
 //! * no panic escapes the pipeline's own handling;
 //! * coverage accounting is conserved — every trace, instance and unit
@@ -21,8 +21,7 @@
 //! * transient read faults and torn caches never launder a different
 //!   data set into the analysis;
 //! * a resumed study reports byte-identically to a fresh one;
-//! * supervision and unlimited-budget governance are invisible in the
-//!   report when no fault fires;
+//! * supervision is invisible in the report when no fault fires;
 //! * rendered reports stay structurally well-formed.
 //!
 //! Everything is deterministic in the campaign seed: configs are

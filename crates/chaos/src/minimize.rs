@@ -129,8 +129,5 @@ fn rate_shrinks(cfg: &ChaosConfig) -> Vec<ChaosConfig> {
         // Exec stays armed through the panic rate; drop the slow leg.
         push(&|c| c.exec_slow_rate = 0.0);
     }
-    if cfg.mem_rate > 0.1 {
-        push(&|c| c.mem_rate = (c.mem_rate / 2.0).max(0.1));
-    }
     out
 }

@@ -57,33 +57,11 @@ pub const ORACLES: &[Oracle] = &[
                     c.analyzed_instances, c.quarantined_instances, c.total_instances
                 ));
             }
-            // Shed units are quarantined through supervision, so they
-            // are already inside the execution failure count.
             if c.failed_units != c.exec_quarantined {
                 return Err(format!(
                     "failed-unit accounting leaks: coverage says {} but execution \
                      quarantined {}",
                     c.failed_units, c.exec_quarantined
-                ));
-            }
-            if c.gov_shed > c.exec_quarantined {
-                return Err(format!(
-                    "shed units escaped quarantine: governance shed {} but execution \
-                     quarantined only {}",
-                    c.gov_shed, c.exec_quarantined
-                ));
-            }
-            if c.degraded_units != c.gov_degraded {
-                return Err(format!(
-                    "degraded-unit accounting leaks: coverage says {} but governance \
-                     degraded {}",
-                    c.degraded_units, c.gov_degraded
-                ));
-            }
-            if c.shed_units != c.gov_shed {
-                return Err(format!(
-                    "shed-unit accounting leaks: coverage says {} but governance shed {}",
-                    c.shed_units, c.gov_shed
                 ));
             }
             Ok(())
@@ -105,7 +83,7 @@ pub const ORACLES: &[Oracle] = &[
         check: |a| a.resume.clone().expect("applies checked"),
     },
     Oracle {
-        name: "governed_unlimited_identical",
+        name: "supervised_plain_identical",
         applies: |a| a.baseline.is_some(),
         check: |a| a.baseline.clone().expect("applies checked"),
     },
@@ -171,11 +149,7 @@ mod tests {
                 analyzed_instances: 30,
                 quarantined_instances: 10,
                 failed_units: 3,
-                degraded_units: 1,
-                shed_units: 2,
                 exec_quarantined: 3,
-                gov_degraded: 1,
-                gov_shed: 2,
             }),
             degraded: Vec::new(),
             ingest: Some(Ok(())),

@@ -33,10 +33,6 @@ pub fn render_repro(repro: &MinimizedRepro) -> String {
     let _ = writeln!(out, "exec_panic_rate = {}", c.exec_panic_rate);
     let _ = writeln!(out, "exec_slow_rate = {}", c.exec_slow_rate);
     let _ = writeln!(out, "exec_slow_ms = {}", c.exec_slow_ms);
-    let _ = writeln!(out, "mem_rate = {}", c.mem_rate);
-    let _ = writeln!(out, "mem_factor = {}", c.mem_factor);
-    let _ = writeln!(out, "mem_budget_mb = {}", c.mem_budget_mb);
-    let _ = writeln!(out, "mem_degrade = {}", c.mem_degrade);
     let _ = writeln!(
         out,
         "torn_checkpoint_per_mille = {}",
@@ -74,10 +70,6 @@ pub fn parse_repro(text: &str) -> Result<ChaosConfig, String> {
             "exec_panic_rate" => cfg.exec_panic_rate = value.parse().map_err(|e| err(&e))?,
             "exec_slow_rate" => cfg.exec_slow_rate = value.parse().map_err(|e| err(&e))?,
             "exec_slow_ms" => cfg.exec_slow_ms = value.parse().map_err(|e| err(&e))?,
-            "mem_rate" => cfg.mem_rate = value.parse().map_err(|e| err(&e))?,
-            "mem_factor" => cfg.mem_factor = value.parse().map_err(|e| err(&e))?,
-            "mem_budget_mb" => cfg.mem_budget_mb = value.parse().map_err(|e| err(&e))?,
-            "mem_degrade" => cfg.mem_degrade = value.parse().map_err(|e| err(&e))?,
             "torn_checkpoint_per_mille" => {
                 cfg.torn_checkpoint_per_mille = value.parse().map_err(|e| err(&e))?
             }

@@ -172,20 +172,6 @@ pub fn fingerprint(dataset: &Dataset, config: &StudyConfig, names: &[ScenarioNam
         config.causality.segment_bound,
         config.causality.reduce
     );
-    // Governance changes what a unit computes (degraded slices, sheds),
-    // so results under different budgets must never restore each other.
-    // The ungoverned, un-faulted default contributes nothing, keeping
-    // pre-governance checkpoints valid.
-    if config.govern.is_governed() {
-        let _ = write!(
-            trailer,
-            "|govern {:?} {:?}",
-            config.govern.budget_bytes, config.govern.action
-        );
-    }
-    if let Some(mem) = config.mem_faults.filter(|p| p.is_armed()) {
-        let _ = write!(trailer, "|memfaults {mem}");
-    }
     trailer.push_str("|names");
     for name in names {
         let _ = write!(trailer, " {name}");

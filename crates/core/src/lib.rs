@@ -48,8 +48,7 @@ pub use report::{render_markdown, ReportOptions};
 pub use selfreport::SelfObservation;
 pub use store::{CacheFallback, IngestReport, IngestSource};
 pub use study::{
-    estimated_unit_bytes, Coverage, ScenarioStudy, Study, StudyConfig, StudyError, CAUSALITY_STAGE,
-    DEGRADED_SEGMENT_BOUND, GRAPH_BYTES_PER_EVENT, INDEX_BYTES_PER_EVENT, SCENARIO_STAGE,
+    Coverage, ScenarioStudy, Study, StudyConfig, StudyError, CAUSALITY_STAGE, SCENARIO_STAGE,
 };
 
 pub use tracelens_baselines as baselines;
@@ -71,22 +70,18 @@ pub mod prelude {
         ContrastPattern, PatternSite, SignatureSetTuple, Triage,
     };
     pub use tracelens_faults::{
-        ExecFault, ExecFaultPlan, FaultInjector, FaultKind, FaultLog, FlakyReader, MemFaultPlan,
-        ReadFaultPlan, ALL_FAULT_KINDS,
+        ExecFault, ExecFaultPlan, FaultInjector, FaultKind, FaultLog, FlakyReader, ReadFaultPlan,
+        ALL_FAULT_KINDS,
     };
     pub use tracelens_impact::{ImpactAnalyzer, ImpactReport};
     pub use tracelens_model::textio::{RetryPolicy, RetryingReader};
-    pub use tracelens_model::HeapSize;
     pub use tracelens_model::{
         ComponentFilter, Dataset, DatasetSummary, DriverType, DurationStats, SanitizeReport,
         Scenario, ScenarioInstance, ScenarioName, StackTable, Thresholds, TimeNs, TraceStream,
         TraceStreamBuilder,
     };
     pub use tracelens_obs::{stage, CollectingSink, RunReport, Telemetry};
-    pub use tracelens_pool::{
-        Admission, Degradation, ExecutionReport, FailureReason, GovernPolicy, GovernReport,
-        OverBudgetAction, Pool, SupervisePolicy, UnitDecision, UnitFailure,
-    };
+    pub use tracelens_pool::{ExecutionReport, FailureReason, Pool, SupervisePolicy, UnitFailure};
     pub use tracelens_selftrace::{chrome_trace_json, SelfTraceSession, SelfTraceSink};
     pub use tracelens_sim::{DatasetBuilder, Machine, ProgramBuilder, ScenarioMix};
     pub use tracelens_waitgraph::{StreamIndex, WaitGraph};

@@ -57,55 +57,13 @@ pub fn render_markdown(study: &Study, dataset: &Dataset, opts: &ReportOptions) -
         );
     }
 
-    // Rendered only when something was quarantined or a finite memory
-    // budget was in force: a clean supervised run (and any unsupervised
-    // or unlimited-budget run) produces byte-identical output, so
-    // supervision — like the pool — stays an execution detail. Counts
+    // Rendered only when something was quarantined, so supervision —
+    // like the pool — stays an execution detail of a clean run. Counts
     // that vary across checkpoint resume (retries, restored units) are
-    // deliberately absent; the failure list and the governor's
-    // decisions are deterministic.
+    // deliberately absent; the failure list is deterministic.
     let exec = &study.execution;
-    let gov = &study.governance;
-    if !exec.failures.is_empty() || gov.is_governed() {
-        let _ = writeln!(out, "## Execution\n");
-    }
-    if gov.is_governed() {
-        let _ = writeln!(
-            out,
-            "Resource governance: **{} KiB budget** over {} unit{} — \
-             {} admitted, {} queued, {} degraded, {} shed \
-             (peak estimate {} KiB).\n",
-            gov.budget_bytes.unwrap_or(0) >> 10,
-            gov.units,
-            if gov.units == 1 { "" } else { "s" },
-            gov.admitted,
-            gov.queued,
-            gov.degraded,
-            gov.shed,
-            gov.peak_estimated_bytes >> 10,
-        );
-        if gov.constrained() > 0 {
-            let _ = writeln!(out, "| unit | estimated KiB | decision |");
-            let _ = writeln!(out, "|---|---|---|");
-            for d in &gov.decisions {
-                let decision = match &d.admission {
-                    tracelens_pool::Admission::Admitted => continue,
-                    tracelens_pool::Admission::Queued => "queued (backpressure)".to_string(),
-                    tracelens_pool::Admission::Degraded(deg) => deg.to_string(),
-                    tracelens_pool::Admission::Shed => "shed".to_string(),
-                };
-                let _ = writeln!(
-                    out,
-                    "| {} | {} | {} |",
-                    d.unit,
-                    d.estimated_bytes >> 10,
-                    decision
-                );
-            }
-            out.push('\n');
-        }
-    }
     if !exec.failures.is_empty() {
+        let _ = writeln!(out, "## Execution\n");
         let _ = writeln!(
             out,
             "Supervised execution **quarantined {} work unit{}** \

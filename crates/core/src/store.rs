@@ -16,8 +16,7 @@
 //! Every ingest is instrumented under the `ingest` telemetry stage
 //! (span `ingest`, counters `ingest.bytes` / `ingest.events` /
 //! `ingest.cache_hits` / `ingest.cache_fallbacks`), and the returned
-//! [`IngestReport`] carries the heap estimate the governance layer
-//! admits against plus the transport counters (`io_retries`, cache
+//! [`IngestReport`] carries the transport counters (`io_retries`, cache
 //! fallback) that `validate --sanitize` prints through `SanitizeReport`.
 
 use std::fmt;
@@ -26,7 +25,7 @@ use std::io::{self, BufReader, Read, Seek};
 use std::path::{Path, PathBuf};
 use tracelens_model::binio::{self, Fingerprinter, HEADER_LEN};
 use tracelens_model::textio::{ReadError, RetryPolicy, RetryingReader};
-use tracelens_model::{Dataset, HeapSize};
+use tracelens_model::Dataset;
 use tracelens_obs::{stage, Telemetry};
 
 /// Bytes per read from a text source: large enough that refills cost
@@ -96,9 +95,6 @@ pub struct IngestReport {
     /// `<name>.tlb.quarantined` for post-mortem instead of being
     /// silently repacked over.
     pub cache_quarantined: bool,
-    /// [`HeapSize`] estimate of the resulting data set — the number the
-    /// governance admission controller budgets against.
-    pub dataset_heap_bytes: usize,
 }
 
 impl IngestReport {
@@ -111,7 +107,6 @@ impl IngestReport {
             cache_fallback: None,
             cache_written: false,
             cache_quarantined: false,
-            dataset_heap_bytes: ds.heap_size(),
         }
     }
 }
@@ -438,6 +433,5 @@ mod tests {
         assert_eq!(report.cache_fallback, None);
         assert!(!report.cache_written);
         assert_eq!(report.events, ds.total_events());
-        assert!(report.dataset_heap_bytes > 0);
     }
 }

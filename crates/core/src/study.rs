@@ -7,16 +7,11 @@ use std::sync::{Arc, Mutex};
 use tracelens_causality::{
     CausalityAnalysis, CausalityConfig, CausalityError, CausalityReport, ClassAggregators,
 };
-use tracelens_faults::{ExecFaultPlan, MemFaultPlan};
+use tracelens_faults::ExecFaultPlan;
 use tracelens_impact::{fold, instances_by_stream, ImpactAnalyzer, ImpactReport, InstanceRecord};
-use tracelens_model::{
-    ComponentFilter, Dataset, SanitizeReport, ScenarioInstance, ScenarioName, TimeNs,
-};
+use tracelens_model::{ComponentFilter, Dataset, SanitizeReport, ScenarioInstance, ScenarioName};
 use tracelens_obs::{stage, Telemetry};
-use tracelens_pool::{
-    plan_admission, Admission, Degradation, ExecutionReport, GovernPolicy, GovernReport, Pool,
-    SupervisePolicy, UnitMeta,
-};
+use tracelens_pool::{ExecutionReport, Pool, SupervisePolicy, UnitMeta};
 
 /// Stage label of per-scenario supervised work units.
 pub const SCENARIO_STAGE: &str = "scenario";
@@ -24,79 +19,6 @@ pub const SCENARIO_STAGE: &str = "scenario";
 /// Stage label execution-fault plans are consulted with for faults
 /// armed inside the causality analyzer (via its analysis probe).
 pub const CAUSALITY_STAGE: &str = "causality";
-
-/// Modeled live-heap bytes per stream event for the indexing side of a
-/// scenario unit (thread buckets, unwait adjacency, effective ends —
-/// see `StreamIndex`'s `HeapSize` impl). Deliberately a generous upper
-/// bound: admission must never under-estimate.
-pub const INDEX_BYTES_PER_EVENT: u64 = 32;
-
-/// Modeled live-heap bytes per in-scope stream event for the wait
-/// graphs and aggregated wait graphs a scenario instance can build
-/// (node, children, example tags). Again an upper bound — real graphs
-/// only materialize nodes for the instance's window.
-pub const GRAPH_BYTES_PER_EVENT: u64 = 96;
-
-/// Segment bound degraded units analyze with (vs.
-/// [`tracelens_causality::DEFAULT_SEGMENT_BOUND`]): shorter segments
-/// bound the pattern-enumeration frontier, the causality stage's
-/// dominant allocation.
-pub const DEGRADED_SEGMENT_BOUND: usize = 2;
-
-/// Modeled live-heap cost of one per-scenario analysis unit, in bytes.
-///
-/// The estimate is *cheap* (no allocator hooks — it only walks instance
-/// and stream lengths), *monotone* in the unit's input, and an upper
-/// bound of what the unit's indexes and graphs actually retain (the
-/// `HeapSize` measurements in the governance tests pin this down). It
-/// charges every touched stream once for indexing and every instance
-/// for the graphs built over its stream.
-pub fn estimated_unit_bytes(dataset: &Dataset, name: &ScenarioName) -> u64 {
-    let mut touched: BTreeSet<u32> = BTreeSet::new();
-    let mut graph_events: u64 = 0;
-    for i in &dataset.instances {
-        if i.scenario == *name {
-            touched.insert(i.trace.0);
-            graph_events = graph_events.saturating_add(
-                dataset
-                    .streams
-                    .get(i.trace.0 as usize)
-                    .map_or(0, |s| s.len() as u64),
-            );
-        }
-    }
-    let index_events: u64 = touched
-        .iter()
-        .map(|&t| {
-            dataset
-                .streams
-                .get(t as usize)
-                .map_or(0, |s| s.len() as u64)
-        })
-        .sum();
-    index_events
-        .saturating_mul(INDEX_BYTES_PER_EVENT)
-        .saturating_add(graph_events.saturating_mul(GRAPH_BYTES_PER_EVENT))
-}
-
-/// The budget-bounded slice of `dataset` a degraded unit analyzes: the
-/// global time range truncated at `retain_per_mille` thousandths of its
-/// span. Integer arithmetic over the recorded range keeps the cut — and
-/// therefore the degraded results — deterministic at every job count.
-fn degraded_view(dataset: &Dataset, degradation: &Degradation) -> Dataset {
-    let events = dataset.streams.iter().flat_map(|s| s.events());
-    let (mut lo, mut hi) = (u64::MAX, 0u64);
-    for e in events {
-        lo = lo.min(e.t.0);
-        hi = hi.max(e.t.0);
-    }
-    if lo > hi {
-        (lo, hi) = (0, 0);
-    }
-    let span = hi - lo;
-    let keep = span.saturating_mul(degradation.retain_per_mille as u64) / 1000;
-    dataset.truncated(TimeNs(lo + keep))
-}
 
 /// Configuration of a [`Study`].
 #[derive(Debug, Clone)]
@@ -121,17 +43,6 @@ pub struct StudyConfig {
     /// restored on re-runs over the same inputs. `None` disables
     /// checkpointing.
     pub checkpoint: Option<PathBuf>,
-    /// Memory-governance policy: an explicit live-bytes budget
-    /// per-scenario units are admitted against, and what happens to
-    /// units that cannot fit. The default (unlimited) makes governance a
-    /// no-op — byte-identical results.
-    pub govern: GovernPolicy,
-    /// Deterministic resource-pressure injection (testing/CI only):
-    /// inflates unit cost *estimates* so the admission controller sees
-    /// overload without the corpus having to provide it. The units'
-    /// actual work is untouched. `None` — the default — injects
-    /// nothing.
-    pub mem_faults: Option<MemFaultPlan>,
     /// Sanitize the input first: repair what is repairable, quarantine
     /// what is not, and analyze the clean survivor. The sanitize report
     /// lands in [`Study::sanitize`], and [`Study::coverage`] says how
@@ -149,8 +60,6 @@ impl Default for StudyConfig {
             supervise: SupervisePolicy::default(),
             exec_faults: None,
             checkpoint: None,
-            govern: GovernPolicy::unlimited(),
-            mem_faults: None,
             sanitize: false,
         }
     }
@@ -247,17 +156,9 @@ pub struct Coverage {
     /// Individual repairs sanitization applied to surviving data.
     pub repaired: usize,
     /// Work units quarantined by *supervised execution* (panics, missed
-    /// deadlines, over-budget sheds) — the execution-layer counterpart
-    /// of the sanitize counts above.
+    /// deadlines) — the execution-layer counterpart of the sanitize
+    /// counts above.
     pub failed_units: usize,
-    /// Work units the memory governor ran on a bounded input slice:
-    /// their numbers cover only part of their scenario's data. Always
-    /// `0` without a finite budget.
-    pub degraded_units: usize,
-    /// Work units the memory governor refused to run at all (also
-    /// counted in `failed_units` via their quarantine record). Always
-    /// `0` without a finite budget.
-    pub shed_units: usize,
 }
 
 impl Coverage {
@@ -273,8 +174,6 @@ impl Coverage {
             quarantined_instances: 0,
             repaired: 0,
             failed_units: 0,
-            degraded_units: 0,
-            shed_units: 0,
         }
     }
 
@@ -289,8 +188,6 @@ impl Coverage {
             quarantined_instances: report.quarantined_instances,
             repaired: report.repaired(),
             failed_units: 0,
-            degraded_units: 0,
-            shed_units: 0,
         }
     }
 
@@ -323,10 +220,6 @@ pub struct Study {
     pub coverage: Coverage,
     /// What supervised execution completed and what it quarantined.
     pub execution: ExecutionReport,
-    /// What the memory governor decided per unit. Ungoverned (and
-    /// empty) unless the study ran under a finite
-    /// [`StudyConfig::govern`] budget.
-    pub governance: GovernReport,
     /// What sanitization repaired and quarantined; `None` unless
     /// [`StudyConfig::sanitize`] was set.
     pub sanitize: Option<SanitizeReport>,
@@ -347,15 +240,13 @@ impl Study {
     /// and mines its fed aggregators.
     ///
     /// Every work unit (per-stream accounting, per-scenario analysis)
-    /// runs supervised per [`StudyConfig::supervise`], and scenario units
-    /// are admitted against [`StudyConfig::govern`]'s budget: a
-    /// panicking, stalling or shed unit is quarantined and recorded in
-    /// [`Study::execution`] and [`Study::governance`] instead of aborting
-    /// the study. With [`StudyConfig::checkpoint`] set, completed units
-    /// are persisted and re-runs over the same inputs resume. The run is
-    /// wrapped in a `study` span and every stage reports spans and
-    /// counters through `telemetry`; `Telemetry::noop()` collects
-    /// nothing.
+    /// runs supervised per [`StudyConfig::supervise`]: a panicking or
+    /// stalling unit is quarantined and recorded in [`Study::execution`]
+    /// instead of aborting the study. With [`StudyConfig::checkpoint`]
+    /// set, completed units are persisted and re-runs over the same
+    /// inputs resume. The run is wrapped in a `study` span and every
+    /// stage reports spans and counters through `telemetry`;
+    /// `Telemetry::noop()` collects nothing.
     ///
     /// # Errors
     ///
@@ -435,58 +326,23 @@ impl Study {
             telemetry.count("study.scenarios", names.len() as u64);
         }
 
-        // Admission runs on estimates computed up front, in input order,
-        // optionally inflated by the resource-pressure fault plan — so
-        // the governor's verdicts are independent of scheduling. It is
-        // planned before the pass, because only the units that will run
-        // whole use the pass's graphs.
-        let mem = config.mem_faults.filter(|p| p.is_armed());
-        let estimates: Vec<u64> = names
-            .iter()
-            .map(|n| {
-                let est = estimated_unit_bytes(dataset, n);
-                match mem {
-                    Some(p) => p.inflated(SCENARIO_STAGE, &format!("scenario:{n}"), est),
-                    None => est,
-                }
-            })
-            .collect();
-        let labeled: Vec<(String, u64)> = names
-            .iter()
-            .zip(&estimates)
-            .map(|(n, &est)| (format!("scenario:{n}"), est))
-            .collect();
-        let admission = plan_admission(&labeled, &config.govern);
-        let runs_whole = |i: usize| {
-            matches!(
-                admission.decisions[i].admission,
-                Admission::Admitted | Admission::Queued
-            )
-        };
-
         let analyzer =
             ImpactAnalyzer::new(config.components.clone()).with_telemetry(telemetry.clone());
-        let causality = causality_analysis(config.causality.clone(), telemetry, faults);
-        // Degraded units analyze a budget-bounded slice of the data set
-        // with a tighter segment bound; both analyses share the same
-        // probe so fault plans hit degraded and whole units alike.
-        let degraded_causality = causality_analysis(
-            CausalityConfig {
-                segment_bound: config.causality.segment_bound.min(DEGRADED_SEGMENT_BOUND),
-                ..config.causality.clone()
-            },
-            telemetry,
-            faults,
-        );
-        // Whole units the checkpoint cannot restore are the ones the
-        // pass feeds; the others get no aggregators.
+        let causality =
+            CausalityAnalysis::new(config.causality.clone()).with_telemetry(telemetry.clone());
+        // The probe arms `faults` at the causality stage.
+        let causality = match faults {
+            Some(p) => causality.with_probe(Arc::new(move |name: &ScenarioName| {
+                p.arm(CAUSALITY_STAGE, &format!("scenario:{name}"));
+            })),
+            None => causality,
+        };
+        // Units the checkpoint cannot restore are the ones the pass
+        // feeds; the others get no aggregators.
         let mut classes: Vec<Option<Result<ClassAggregators<'_>, CausalityError>>> = names
             .iter()
             .enumerate()
-            .map(|(i, name)| {
-                (runs_whole(i) && !restored.contains_key(&i))
-                    .then(|| causality.prepare(dataset, name))
-            })
+            .map(|(i, name)| (!restored.contains_key(&i)).then(|| causality.prepare(dataset, name)))
             .collect();
         let pass = if saved_impact.is_none() || classes.iter().any(Option::is_some) {
             stream_pass(
@@ -538,53 +394,46 @@ impl Study {
         // A unit takes its fed classes once; a retry after a panic in
         // finishing or mining finds them gone and fails again.
         let classes: Vec<Mutex<Option<_>>> = classes.into_iter().map(Mutex::new).collect();
-        let (results, mut scenario_exec, governance) = pool.governed_supervised_map(
+        let (results, mut scenario_exec) = pool.supervised_map(
             names,
             SCENARIO_STAGE,
             policy,
-            &config.govern,
-            |i, _| estimates[i],
             |_, name| {
                 UnitMeta::labeled(format!("scenario:{name}"))
                     .for_scenario(name.as_str())
                     .carrying(per_scenario.get(name).copied().unwrap_or(0))
             },
-            |i, name, degradation| {
+            |i, name| {
                 if let Some(saved) = restored.get(&i) {
                     return saved.clone();
                 }
                 if let Some(p) = faults {
                     p.arm(SCENARIO_STAGE, &format!("scenario:{name}"));
                 }
-                match degradation {
-                    None => scenario_study(
-                        dataset,
-                        name,
-                        &pass.records,
-                        &causality,
-                        || {
-                            classes[i]
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .take()
-                                .expect("a whole unit's classes are finished at most once")
-                        },
-                        telemetry,
-                    ),
-                    Some(d) => {
-                        degraded_unit(dataset, d, name, &analyzer, &degraded_causality, telemetry)
-                    }
-                }
+                scenario_study(
+                    dataset,
+                    name,
+                    &pass.records,
+                    &causality,
+                    || {
+                        classes[i]
+                            .lock()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .take()
+                            .expect("a unit's classes are finished at most once")
+                    },
+                    telemetry,
+                )
             },
         );
         scenario_exec.restored = restored.len();
         let mut scenarios: BTreeMap<ScenarioName, ScenarioStudy> = BTreeMap::new();
         for (idx, (name, result)) in names.iter().zip(results).enumerate() {
             let Some(unit) = result else { continue };
-            // A whole unit that lost instances with a quarantined stream
-            // is partial, like the global impact report: recompute it on
+            // A unit that lost instances with a quarantined stream is
+            // partial, like the global impact report: recompute it on
             // resume, never restore it.
-            let partial = runs_whole(idx) && pass.lost.contains(name);
+            let partial = pass.lost.contains(name);
             if let Some(c) = &checkpoint {
                 if !restored.contains_key(&idx) && !partial {
                     let _span = telemetry.span(stage::CHECKPOINT);
@@ -597,8 +446,6 @@ impl Study {
         execution.absorb(scenario_exec);
         let coverage = Coverage {
             failed_units: execution.quarantined(),
-            degraded_units: governance.degraded,
-            shed_units: governance.shed,
             ..match &sanitized {
                 Some((_, report)) => Coverage::from_sanitize(report),
                 None => Coverage::full(dataset),
@@ -609,7 +456,6 @@ impl Study {
             scenarios,
             coverage,
             execution,
-            governance,
             sanitize: sanitized.map(|(_, report)| report),
         })
     }
@@ -753,50 +599,6 @@ fn scenario_study<'a>(
         impact,
         slow_impact,
         causality: causality.finish(classes()),
-    }
-}
-
-/// A degraded unit: the same pass, unsupervised and for one scenario,
-/// over the budget-bounded slice of the data set.
-fn degraded_unit(
-    dataset: &Dataset,
-    degradation: &Degradation,
-    name: &ScenarioName,
-    analyzer: &ImpactAnalyzer,
-    causality: &CausalityAnalysis,
-    telemetry: &Telemetry,
-) -> ScenarioStudy {
-    // The transient slice lives only while this unit runs — its size is
-    // what the degradation bought.
-    let view = degraded_view(dataset, degradation);
-    let filter = view.stacks.filter_view(analyzer.filter());
-    let mut classes = causality.prepare(&view, name);
-    let mut records = Vec::new();
-    for (stream, instances) in instances_by_stream(&view, |i| i.scenario == *name) {
-        records.extend(
-            analyzer.account_stream(stream, &instances, &filter, |instance, graph| {
-                if let Ok(c) = &mut classes {
-                    c.add(instance, &graph);
-                }
-            }),
-        );
-    }
-    scenario_study(&view, name, &records, causality, || classes, telemetry)
-}
-
-/// A causality analysis reporting through `telemetry` whose probe arms
-/// `faults` at the causality stage.
-fn causality_analysis(
-    config: CausalityConfig,
-    telemetry: &Telemetry,
-    faults: Option<ExecFaultPlan>,
-) -> CausalityAnalysis {
-    let analysis = CausalityAnalysis::new(config).with_telemetry(telemetry.clone());
-    match faults {
-        Some(p) => analysis.with_probe(Arc::new(move |name: &ScenarioName| {
-            p.arm(CAUSALITY_STAGE, &format!("scenario:{name}"));
-        })),
-        None => analysis,
     }
 }
 

@@ -29,12 +29,10 @@
 #![warn(missing_docs)]
 
 mod exec;
-mod pressure;
 mod readfault;
 mod spec;
 
 pub use exec::{ExecFault, ExecFaultParseError, ExecFaultPlan};
-pub use pressure::MemFaultPlan;
 pub use readfault::{FlakyReader, ReadFaultPlan};
 pub use spec::{parse_field, parse_rate, FaultSpec, FaultSpecError};
 

@@ -1,13 +1,12 @@
 //! Shared parsing for CLI-shaped fault-plan specs.
 //!
-//! Every fault plane that is configurable from the command line
-//! (`--exec-faults`, `--mem-faults`) speaks the same little language:
-//! comma-separated `key=value` pairs. [`FaultSpec`] is the one parser
-//! for that language — it tokenizes the pairs, rejects malformed input
-//! (bare keys, empty segments from trailing commas, keys outside the
-//! plane's vocabulary), and leaves typed interpretation of the values
-//! to the individual plan parsers via [`parse_field`] and
-//! [`parse_rate`].
+//! A fault plane configurable from the command line (`--exec-faults`)
+//! speaks a little language: comma-separated `key=value` pairs.
+//! [`FaultSpec`] is the one parser for that language — it tokenizes the
+//! pairs, rejects malformed input (bare keys, empty segments from
+//! trailing commas, keys outside the plane's vocabulary), and leaves
+//! typed interpretation of the values to the plan parser via
+//! [`parse_field`] and [`parse_rate`].
 //!
 //! ```
 //! use tracelens_faults::FaultSpec;

@@ -108,13 +108,6 @@ impl Interner {
     }
 }
 
-impl crate::heapsize::HeapSize for Interner {
-    fn heap_size(&self) -> usize {
-        // The index map duplicates every string as its key.
-        self.strings.heap_size() + self.index.heap_size()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

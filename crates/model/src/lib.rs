@@ -40,7 +40,6 @@ pub mod binio;
 mod component;
 mod dataset;
 mod event;
-mod heapsize;
 mod ids;
 mod intern;
 mod sanitize;
@@ -58,7 +57,6 @@ pub use binio::{fingerprint_bytes, header_fingerprint, BinReadError, BIN_FORMAT_
 pub use component::{ComponentFilter, DriverType};
 pub use dataset::Dataset;
 pub use event::{Event, EventKind};
-pub use heapsize::HeapSize;
 pub use ids::{EventId, ProcessId, ThreadId, TraceId};
 pub use intern::{InternError, Interner, Symbol};
 pub use sanitize::{SanitizeReport, DUPLICATE_TRACE_ID};

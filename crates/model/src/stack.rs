@@ -177,14 +177,6 @@ impl StackTable {
     }
 }
 
-impl crate::heapsize::HeapSize for StackTable {
-    fn heap_size(&self) -> usize {
-        // The index holds only hashes and ids; every frame vector is
-        // stored exactly once, in `stacks`.
-        self.symbols.heap_size() + self.stacks.heap_size() + self.index.heap_size()
-    }
-}
-
 /// Precomputed filter-match cache over the stacks of one [`StackTable`].
 ///
 /// Answers the two questions the analysis hot paths ask about every wait

@@ -121,12 +121,6 @@ impl TraceStream {
     }
 }
 
-impl crate::heapsize::HeapSize for TraceStream {
-    fn heap_size(&self) -> usize {
-        self.events.capacity() * std::mem::size_of::<Event>()
-    }
-}
-
 /// Validation failures produced by [`TraceStreamBuilder::finish`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamError {

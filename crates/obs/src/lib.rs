@@ -102,10 +102,6 @@ pub mod stage {
     /// Checkpoint save/restore of completed study units. Not part of
     /// [`PIPELINE`]: it only runs when `--checkpoint` is given.
     pub const CHECKPOINT: &str = "checkpoint";
-    /// Resource governance: memory-budget admission, degradation and
-    /// shedding decisions. Not part of [`PIPELINE`]: governance wraps
-    /// the other stages like supervision does.
-    pub const GOVERN: &str = "govern";
     /// Trace-store ingestion: streamed text parse or binary-cache load,
     /// plus cache writes. Not part of [`PIPELINE`]: it only runs when
     /// loading external data sets.

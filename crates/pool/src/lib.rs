@@ -40,13 +40,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod govern;
 mod supervise;
 
-pub use govern::{
-    plan_admission, Admission, Degradation, GovernPolicy, GovernReport, OverBudgetAction,
-    UnitDecision,
-};
 pub use supervise::{ExecutionReport, FailureReason, SupervisePolicy, UnitFailure, UnitMeta};
 
 use std::num::NonZeroUsize;

@@ -94,16 +94,6 @@ pub enum FailureReason {
         /// The configured per-attempt budget.
         deadline: Duration,
     },
-    /// The unit was shed by the admission controller before running:
-    /// its estimated memory cost alone exceeds the batch budget and the
-    /// governance policy does not allow degrading it (see
-    /// [`crate::GovernPolicy`]).
-    OverBudget {
-        /// Estimated live bytes the unit would have held.
-        estimated_bytes: u64,
-        /// The configured batch budget.
-        budget_bytes: u64,
-    },
 }
 
 impl fmt::Display for FailureReason {
@@ -113,15 +103,6 @@ impl fmt::Display for FailureReason {
             FailureReason::DeadlineExceeded { deadline } => {
                 write!(f, "exceeded soft deadline ({}ms)", deadline.as_millis())
             }
-            FailureReason::OverBudget {
-                estimated_bytes,
-                budget_bytes,
-            } => write!(
-                f,
-                "over budget: estimated {} KiB exceeds the {} KiB budget",
-                estimated_bytes >> 10,
-                budget_bytes >> 10
-            ),
         }
     }
 }
@@ -522,27 +503,21 @@ impl Drop for PanicIsolation {
     }
 }
 
-/// The panic hook is process-global and the test harness runs tests
-/// concurrently: tests that run supervised batches (here and in the
-/// `govern` module) take this in read mode; the hook-restoration test
-/// takes it in write mode so it observes the hook with no other batch
-/// in flight.
-#[cfg(test)]
-pub(crate) mod test_gate {
-    use std::sync::RwLock;
-
-    pub(crate) static HOOK_GATE: RwLock<()> = RwLock::new(());
-
-    pub(crate) fn batch_gate() -> std::sync::RwLockReadGuard<'static, ()> {
-        HOOK_GATE.read().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::test_gate::{batch_gate, HOOK_GATE};
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::RwLock;
+
+    /// The panic hook is process-global and the test harness runs tests
+    /// concurrently: tests that run supervised batches take this in read
+    /// mode; the hook-restoration test takes it in write mode so it
+    /// observes the hook with no other batch in flight.
+    static HOOK_GATE: RwLock<()> = RwLock::new(());
+
+    fn batch_gate() -> std::sync::RwLockReadGuard<'static, ()> {
+        HOOK_GATE.read().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn no_meta<T>(i: usize, _: &T) -> UnitMeta {
         UnitMeta::labeled(format!("unit:{i}"))

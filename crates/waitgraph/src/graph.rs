@@ -160,18 +160,6 @@ impl WaitGraph {
     }
 }
 
-impl tracelens_model::HeapSize for Node {
-    fn heap_size(&self) -> usize {
-        self.children.capacity() * std::mem::size_of::<NodeId>()
-    }
-}
-
-impl tracelens_model::HeapSize for WaitGraph {
-    fn heap_size(&self) -> usize {
-        self.nodes.heap_size() + self.roots.capacity() * std::mem::size_of::<NodeId>()
-    }
-}
-
 /// Depth-first pre-order traversal over a [`WaitGraph`].
 #[derive(Debug)]
 pub struct Dfs<'a> {

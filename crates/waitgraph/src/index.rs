@@ -4,7 +4,7 @@
 //! index is built once per stream and reused across instance graphs.
 
 use std::collections::{HashMap, HashSet};
-use tracelens_model::{EventId, EventKind, HeapSize, ThreadId, TimeNs, TraceStream};
+use tracelens_model::{EventId, EventKind, ThreadId, TimeNs, TraceStream};
 
 /// Precomputed lookup structures over one [`TraceStream`]:
 ///
@@ -168,12 +168,6 @@ impl StreamIndex {
     /// Events of `tid` in time order (empty for unknown threads).
     pub fn thread_events(&self, tid: ThreadId) -> &[EventId] {
         self.by_thread.get(&tid).map(Vec::as_slice).unwrap_or(&[])
-    }
-}
-
-impl HeapSize for StreamIndex {
-    fn heap_size(&self) -> usize {
-        self.by_thread.heap_size() + self.unwaits_for.heap_size() + self.effective_end.heap_size()
     }
 }
 

@@ -284,6 +284,45 @@ fn single_threaded_commands_reject_jobs() {
 }
 
 #[test]
+fn every_command_rejects_undeclared_flags() {
+    let commands = [
+        "simulate",
+        "run",
+        "info",
+        "pack",
+        "validate",
+        "impact",
+        "blame",
+        "causality",
+        "scenarios",
+        "locate",
+        "report",
+        "self-report",
+        "regress",
+        "baselines",
+        "chaos",
+    ];
+    let flags = [
+        "--memory-budget-mb",
+        "--shed",
+        "--degrade",
+        "--mem-faults",
+        "--bogus",
+    ];
+    for command in commands {
+        for flag in flags {
+            let out = tracelens(&[command, flag]);
+            assert!(!out.status.success(), "{command} {flag} must fail");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                err.contains(&format!("unknown flag {flag}")),
+                "{command} {flag}: {err}"
+            );
+        }
+    }
+}
+
+#[test]
 fn help_prints_usage() {
     let out = tracelens(&["help"]);
     assert!(out.status.success());

@@ -2,7 +2,7 @@
 
 use crate::awg::{AggregatedWaitGraph, AwgId, AwgKey, AwgNode, InstanceTag, MAX_EXAMPLES};
 use tracelens_model::{ComponentFilter, FilterView, StackTable, Symbol, TimeNs};
-use tracelens_waitgraph::{NodeId, NodeKind, WaitGraph};
+use tracelens_waitgraph::{GraphView, NodeId, NodeKind, WaitGraph};
 
 /// Builds an [`AggregatedWaitGraph`] from many Wait Graphs of the same
 /// scenario class (paper Algorithm 1).
@@ -45,17 +45,27 @@ impl<'a> Aggregator<'a> {
         }
     }
 
-    /// Adds one Wait Graph (one scenario instance) to the aggregate,
+    /// [`Aggregator::add_view_tagged`] of a whole [`WaitGraph`].
+    pub fn add_graph_tagged(&mut self, graph: &WaitGraph, tag: InstanceTag) {
+        self.add_view_tagged(graph.view(), tag);
+    }
+
+    /// [`Aggregator::add_view`] of a whole [`WaitGraph`].
+    pub fn add_graph(&mut self, graph: &WaitGraph) {
+        self.add_view(graph.view());
+    }
+
+    /// Adds one scenario instance's Wait Graph to the aggregate,
     /// recording `tag` as an example on every aggregated node it touches
     /// (up to [`MAX_EXAMPLES`] per node).
-    pub fn add_graph_tagged(&mut self, graph: &WaitGraph, tag: InstanceTag) {
+    pub fn add_view_tagged(&mut self, graph: GraphView<'_>, tag: InstanceTag) {
         self.current_tag = Some(tag);
-        self.add_graph(graph);
+        self.add_view(graph);
         self.current_tag = None;
     }
 
-    /// Adds one Wait Graph (one scenario instance) to the aggregate.
-    pub fn add_graph(&mut self, graph: &WaitGraph) {
+    /// Adds one scenario instance's Wait Graph to the aggregate.
+    pub fn add_view(&mut self, graph: GraphView<'_>) {
         self.awg.source_graphs += 1;
         let mut relevant_roots = Vec::new();
         for &r in graph.roots() {
@@ -93,7 +103,7 @@ impl<'a> Aggregator<'a> {
 
     /// Descends through component-irrelevant roots, collecting the first
     /// relevant node on each path (Algorithm 1, lines 3–8).
-    fn collect_relevant_roots(&self, graph: &WaitGraph, id: NodeId, out: &mut Vec<NodeId>) {
+    fn collect_relevant_roots(&self, graph: GraphView<'_>, id: NodeId, out: &mut Vec<NodeId>) {
         let node = graph.node(id);
         if self.view.contains_component(node.stack) {
             out.push(id);
@@ -112,7 +122,7 @@ impl<'a> Aggregator<'a> {
             .or_else(|| self.stacks.frames(stack).last().copied())
     }
 
-    fn key_of(&self, graph: &WaitGraph, id: NodeId) -> Option<AwgKey> {
+    fn key_of(&self, graph: GraphView<'_>, id: NodeId) -> Option<AwgKey> {
         let node = graph.node(id);
         match node.kind {
             NodeKind::Running => Some(AwgKey::Running {
@@ -138,7 +148,7 @@ impl<'a> Aggregator<'a> {
     /// the same signature function" of the paper's Figure 2. Without
     /// this, every 1 ms CPU sample would count as one occurrence,
     /// flooding `v.N` and flattening the ranking's average costs.
-    fn insert_children(&mut self, parent: Option<AwgId>, graph: &WaitGraph, ids: &[NodeId]) {
+    fn insert_children(&mut self, parent: Option<AwgId>, graph: GraphView<'_>, ids: &[NodeId]) {
         let mut i = 0;
         while i < ids.len() {
             let id = ids[i];
@@ -168,8 +178,7 @@ impl<'a> Aggregator<'a> {
             } else {
                 let awg_id = self.find_or_create(parent, key);
                 self.record(awg_id, node.duration);
-                let children = node.children.clone();
-                self.insert_children(Some(awg_id), graph, &children);
+                self.insert_children(Some(awg_id), graph, &node.children);
                 i += 1;
             }
         }

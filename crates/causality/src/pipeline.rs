@@ -12,7 +12,7 @@ use tracelens_model::{
     Thresholds, TimeNs,
 };
 use tracelens_obs::{stage, Telemetry};
-use tracelens_waitgraph::{StreamIndex, WaitGraph};
+use tracelens_waitgraph::{GraphView, StreamGraph, StreamIndex};
 
 /// Configuration of a causality analysis run.
 #[derive(Debug, Clone)]
@@ -361,9 +361,9 @@ impl CausalityAnalysis {
         })
     }
 
-    /// Builds the Wait Graphs of the classified instances and feeds
-    /// them in instance order (the AWG trie is insertion-order-sensitive
-    /// for node ids), indexing each stream once.
+    /// Builds the Wait Graphs of the classified instances, one
+    /// [`StreamGraph`] per stream, and feeds them in instance order (the
+    /// AWG trie is insertion-order-sensitive for node ids).
     fn feed(&self, dataset: &Dataset, classes: &mut ClassAggregators<'_>) {
         let _span = self.telemetry.span(stage::WAITGRAPH);
         let mut by_trace: BTreeMap<u32, Vec<&ScenarioInstance>> = BTreeMap::new();
@@ -377,9 +377,9 @@ impl CausalityAnalysis {
                 continue;
             };
             let index = StreamIndex::new_traced(stream, &self.telemetry);
-            for instance in group {
-                let graph = WaitGraph::build_traced(stream, &index, instance, &self.telemetry);
-                classes.add(instance, &graph);
+            let graph = StreamGraph::build(stream, &index, &group, &self.telemetry);
+            for (k, instance) in group.into_iter().enumerate() {
+                classes.add(instance, graph.instance(k));
             }
         }
     }
@@ -408,11 +408,11 @@ impl ClassAggregators<'_> {
     /// Adds `instance`'s Wait Graph to its class's aggregate, tagged with
     /// the instance; a margin instance's graph is ignored. The instance
     /// must belong to this scenario.
-    pub fn add(&mut self, instance: &ScenarioInstance, graph: &WaitGraph) {
+    pub fn add(&mut self, instance: &ScenarioInstance, graph: GraphView<'_>) {
         let tag = (instance.trace, instance.tid);
         match self.class_of(instance) {
-            Some(true) => self.fast.add_graph_tagged(graph, tag),
-            Some(false) => self.slow.add_graph_tagged(graph, tag),
+            Some(true) => self.fast.add_view_tagged(graph, tag),
+            Some(false) => self.slow.add_view_tagged(graph, tag),
             None => {}
         }
     }

@@ -8,7 +8,7 @@ use tracelens_model::{
     TraceId, TraceStream,
 };
 use tracelens_obs::stage;
-use tracelens_waitgraph::{NodeKind, StreamIndex, WaitGraph};
+use tracelens_waitgraph::{GraphView, NodeKind, StreamGraph, StreamIndex, WaitGraph};
 
 /// Impact analysis for one component selection (paper §3.2).
 ///
@@ -86,42 +86,35 @@ impl ImpactAnalyzer {
         let view = dataset.stacks.filter_view(&self.filter);
         instances_by_stream(dataset, keep)
             .into_iter()
-            .flat_map(|(stream, instances)| {
-                self.account_stream(stream, &instances, &view, |_, _| {})
-            })
+            .flat_map(|(stream, instances)| self.account_stream(stream, &instances, &view).0)
             .collect()
     }
 
-    /// One stream's share of the work: index the stream once, build each
-    /// instance's Wait Graph once, and account it into an
-    /// [`InstanceRecord`]. Each graph is then handed to `sink` — which
-    /// may keep it (say, for aggregation) or let it drop.
+    /// One stream's share of the work: index the stream once, build its
+    /// instances' Wait Graphs as one [`StreamGraph`], and account each
+    /// instance into an [`InstanceRecord`]. The graph is returned too,
+    /// for a caller that aggregates it (instance `k` is `instances[k]`).
     ///
     /// `view` must be built from the dataset's stack table with this
-    /// analyzer's filter, as for [`ImpactAnalyzer::account_graph`].
+    /// analyzer's filter, as for [`ImpactAnalyzer::account_view`].
     pub fn account_stream<'a>(
         &self,
         stream: &TraceStream,
         instances: &[&'a ScenarioInstance],
         view: &FilterView,
-        mut sink: impl FnMut(&'a ScenarioInstance, WaitGraph),
-    ) -> Vec<InstanceRecord<'a>> {
-        let graphs: Vec<WaitGraph> = {
+    ) -> (Vec<InstanceRecord<'a>>, StreamGraph) {
+        let graph = {
             let _span = self.telemetry.span(stage::WAITGRAPH);
             let index = StreamIndex::new_traced(stream, &self.telemetry);
-            instances
-                .iter()
-                .map(|instance| WaitGraph::build_traced(stream, &index, instance, &self.telemetry))
-                .collect()
+            StreamGraph::build(stream, &index, instances, &self.telemetry)
         };
         let _span = self.telemetry.span(stage::IMPACT);
         let mut records = Vec::with_capacity(instances.len());
         let mut visited = 0usize;
-        for (&instance, graph) in instances.iter().zip(graphs) {
+        for (k, &instance) in instances.iter().enumerate() {
             let mut intervals = Vec::new();
-            let impact = self.account_graph(&graph, view, instance, &mut intervals);
+            let impact = self.account_view(graph.instance(k), view, instance, &mut intervals);
             visited += impact.nodes_visited;
-            sink(instance, graph);
             records.push(InstanceRecord {
                 instance,
                 impact,
@@ -133,7 +126,7 @@ impl ImpactAnalyzer {
                 .count("impact.instances", records.len() as u64);
             self.telemetry.count("impact.nodes_visited", visited as u64);
         }
-        records
+        (records, graph)
     }
 
     /// Analyzes instances grouped per scenario, returning the per-scenario
@@ -185,17 +178,29 @@ impl ImpactAnalyzer {
             .collect()
     }
 
-    /// Accounts a single Wait Graph into a partial report (everything but
-    /// `d_wait_dist`), appending the counted top-level wait intervals to
-    /// `intervals` for later cross-graph union.
+    /// [`ImpactAnalyzer::account_view`] of a whole [`WaitGraph`].
+    pub fn account_graph(
+        &self,
+        graph: &WaitGraph,
+        view: &FilterView,
+        instance: &ScenarioInstance,
+        intervals: &mut Vec<(TimeNs, TimeNs)>,
+    ) -> ImpactReport {
+        self.account_view(graph.view(), view, instance, intervals)
+    }
+
+    /// Accounts one instance's Wait Graph into a partial report
+    /// (everything but `d_wait_dist`), appending the counted top-level
+    /// wait intervals to `intervals` for later cross-graph union. A
+    /// shared node counts once per use, as in the instance's own tree.
     ///
     /// `view` must be built from the dataset's stack table with this
     /// analyzer's filter ([`tracelens_model::StackTable::filter_view`]);
     /// the per-node component test is then an array lookup rather than a
     /// string match.
-    pub fn account_graph(
+    pub fn account_view(
         &self,
-        graph: &WaitGraph,
+        graph: GraphView<'_>,
         view: &FilterView,
         instance: &ScenarioInstance,
         intervals: &mut Vec<(TimeNs, TimeNs)>,

@@ -33,6 +33,6 @@ mod graph;
 mod index;
 mod stats;
 
-pub use graph::{Node, NodeId, NodeKind, WaitGraph};
+pub use graph::{GraphView, Node, NodeId, NodeKind, StreamGraph, WaitGraph};
 pub use index::StreamIndex;
 pub use stats::GraphStats;

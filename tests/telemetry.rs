@@ -135,6 +135,36 @@ fn study_indexes_each_stream_and_builds_each_wait_graph_once() {
 }
 
 #[test]
+fn arena_nodes_count_what_sharing_built() {
+    // Dense traces: several instances wait on the same holders, so their
+    // graphs share wait subtrees and the arena holds fewer nodes than
+    // the instances' trees.
+    let ds = DatasetBuilder::new(11)
+        .traces(20)
+        .mix(ScenarioMix::Selected)
+        .instances_per_trace(8, 12)
+        .start_window_ms(100)
+        .build();
+    let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
+    let (telemetry, sink) = CollectingSink::telemetry();
+    let study = Study::run(&ds, &StudyConfig::default(), &names, &telemetry).expect("study runs");
+    let counters = sink.report().metrics.counters;
+    let get = |name: &str| counters.get(name).copied().unwrap_or(0);
+    assert_eq!(get("waitgraph.nodes"), study.impact.nodes_visited as u64);
+    assert!(get("waitgraph.arena_nodes") > 0);
+    assert!(
+        get("waitgraph.arena_nodes") < get("waitgraph.nodes"),
+        "arena {} vs tree nodes {}",
+        get("waitgraph.arena_nodes"),
+        get("waitgraph.nodes")
+    );
+    // On the paper's sparser corpus the arena never exceeds the trees.
+    let (_, report) = observed_study();
+    let get = |name: &str| report.metrics.counters.get(name).copied().unwrap_or(0);
+    assert!(get("waitgraph.arena_nodes") <= get("waitgraph.nodes"));
+}
+
+#[test]
 fn report_json_parses_and_matches() {
     let (_, report) = observed_study();
     let text = report.to_json();

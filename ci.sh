@@ -26,6 +26,13 @@ cargo build --release
 echo "== cargo test =="
 cargo test -q
 
+echo "== exp_e2e (the end-to-end benchmark: build + unit tests) =="
+# The benchmark is a package outside the workspace that calls the
+# analysis crates' public functions, so the workspace build above does
+# not compile it.
+CARGO_TARGET_DIR=target cargo test -q --release --offline \
+    --manifest-path crates/bench/src/bin/exp_e2e/Cargo.toml
+
 echo "== parallel equivalence (TRACELENS_JOBS=4) =="
 # The equivalence suite again, with the pool's auto job count forced to
 # 4: `jobs: 0` paths must resolve through the env var and still match

@@ -5,9 +5,9 @@
 //! in them, and — via the distinct-wait metric — how much waiting is
 //! multiplied across scenario instances by cost propagation.
 //!
-//! The analyzer consumes a [`tracelens_model::Dataset`], builds a Wait
-//! Graph per scenario instance, and produces an [`ImpactReport`] with the
-//! paper's metrics:
+//! The analyzer consumes a [`tracelens_model::Dataset`], builds each
+//! scenario instance's Wait Graph (one shared arena per stream), and
+//! produces an [`ImpactReport`] with the paper's metrics:
 //!
 //! * `IA_run  = D_run / D_scn` — running-time percentage,
 //! * `IA_wait = D_wait / D_scn` — wait-time percentage,

@@ -165,6 +165,64 @@ fn arena_nodes_count_what_sharing_built() {
 }
 
 #[test]
+fn supervisor_counters_match_the_execution_report() {
+    let ds = DatasetBuilder::new(12)
+        .traces(16)
+        .mix(ScenarioMix::Selected)
+        .build();
+    let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
+    let observe = |config: &StudyConfig| {
+        let (telemetry, sink) = CollectingSink::telemetry();
+        let study = Study::run(&ds, config, &names, &telemetry).expect("study runs");
+        (study, sink.report().metrics.counters)
+    };
+
+    // A clean study supervises one unit per stream with instances and
+    // one per scenario, and completes every one of them.
+    let streams = ds
+        .streams
+        .iter()
+        .filter(|s| ds.instances.iter().any(|i| i.trace == s.id()))
+        .count() as u64;
+    let (clean, counters) = observe(&StudyConfig::default());
+    assert!(clean.execution.is_clean());
+    assert_eq!(
+        counters["supervisor.units"],
+        streams + names.len() as u64,
+        "one unit per stream and per scenario"
+    );
+    assert_eq!(
+        counters["supervisor.completed"],
+        counters["supervisor.units"]
+    );
+    assert_eq!(counters["supervisor.quarantined"], 0);
+
+    // Under injected panics the counters agree with the study's own
+    // execution report.
+    let faulted = StudyConfig {
+        exec_faults: Some(ExecFaultPlan::new(5).with_panic_rate(0.4)),
+        supervise: SupervisePolicy {
+            max_retries: 1,
+            ..SupervisePolicy::default()
+        },
+        ..StudyConfig::default()
+    };
+    let (study, counters) = observe(&faulted);
+    assert!(
+        study.execution.quarantined() > 0,
+        "the plan must hit a unit"
+    );
+    assert_eq!(
+        counters["supervisor.quarantined"],
+        study.execution.quarantined() as u64
+    );
+    assert_eq!(
+        counters["supervisor.retries"],
+        study.execution.retries as u64
+    );
+}
+
+#[test]
 fn report_json_parses_and_matches() {
     let (_, report) = observed_study();
     let text = report.to_json();

@@ -33,23 +33,12 @@ echo "== exp_e2e (the end-to-end benchmark: build + unit tests) =="
 CARGO_TARGET_DIR=target cargo test -q --release --offline \
     --manifest-path crates/bench/src/bin/exp_e2e/Cargo.toml
 
-echo "== parallel equivalence (TRACELENS_JOBS=4) =="
-# The equivalence suite again, with the pool's auto job count forced to
-# 4: `jobs: 0` paths must resolve through the env var and still match
-# the sequential run byte for byte.
-TRACELENS_JOBS=4 cargo test -q -p tracelens --test parallel_equivalence
+echo "== telemetry overhead gate (attached no-op sink within 2% + 2 ms) =="
+# A timing gate, so it runs alone, in release, on one test thread.
+cargo test -q --release -p tracelens --test telemetry -- --ignored --test-threads 1
 
-echo "== exp_scaling smoke (~30s budget) =="
-# Small corpus so the smoke run stays well under 30 seconds; writes to a
-# scratch path so the checked-in BENCH_pipeline.json is untouched.
-TRACELENS_BENCH_OUT="$(mktemp)" \
-    cargo run -q --release -p tracelens-bench --bin exp_scaling -- 120 2014 \
-    > /dev/null
-
-echo "== trace store (cache identity + job-count identity + pack determinism) =="
-# A cached study run must be byte-identical to the uncached one, a
-# report must not depend on the job count, and `pack` must emit the
-# same image at any job setting.
+echo "== trace store (cache identity) =="
+# A cached study run must be byte-identical to the uncached one.
 TS_DIR="$(mktemp -d)"
 TL=target/release/tracelens
 "$TL" simulate -o "$TS_DIR/ds.tlt" --traces 40 --seed 9 > /dev/null
@@ -59,12 +48,6 @@ test -s "$TS_DIR/ds.tlb"
 "$TL" report "$TS_DIR/ds.tlt" --cache -o "$TS_DIR/warm.md" 2> /dev/null
 cmp "$TS_DIR/uncached.md" "$TS_DIR/cold.md"
 cmp "$TS_DIR/uncached.md" "$TS_DIR/warm.md"
-TRACELENS_JOBS=1 "$TL" report "$TS_DIR/ds.tlt" -o "$TS_DIR/j1.md" 2> /dev/null
-TRACELENS_JOBS=4 "$TL" report "$TS_DIR/ds.tlt" -o "$TS_DIR/j4.md" 2> /dev/null
-cmp "$TS_DIR/j1.md" "$TS_DIR/j4.md"
-TRACELENS_JOBS=1 "$TL" pack "$TS_DIR/ds.tlt" -o "$TS_DIR/p1.tlb" > /dev/null 2>&1
-TRACELENS_JOBS=8 "$TL" pack "$TS_DIR/ds.tlt" -o "$TS_DIR/p8.tlb" > /dev/null 2>&1
-cmp "$TS_DIR/p1.tlb" "$TS_DIR/p8.tlb"
 rm -rf "$TS_DIR"
 
 echo "== exp_ingest smoke (binary load must beat the text parse) =="
@@ -113,40 +96,16 @@ head -c 20 "$unit" > "$unit.torn" && mv "$unit.torn" "$unit"
 cmp "$SUP_DIR/clean.md" "$SUP_DIR/resumed.md"
 rm -rf "$SUP_DIR"
 
-echo "== self-observation (self-report + overhead gate + trace export) =="
-# The pipeline must be able to analyze itself: a self-traced study over
-# a small corpus yields a non-empty impact report of the pipeline
-# (IA_wait present, worker streams visible), attaching a no-op
-# telemetry sink must stay within 2% of the disabled-telemetry run,
-# and the exported Chrome trace must be well-formed JSON.
-SELF_DIR="$(mktemp -d)"
-"$TL" self-report --traces 60 --seed 2014 --jobs 2 \
-    -o "$SELF_DIR/self.md" --trace-out "$SELF_DIR/trace.json" \
-    --overhead-gate 2
-grep -q 'IA_wait' "$SELF_DIR/self.md"
-grep -q 'worker-0' "$SELF_DIR/self.md"
-grep -q 'Dominant wait source' "$SELF_DIR/self.md"
-python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert d['traceEvents'], 'empty trace'" \
-    "$SELF_DIR/trace.json"
-rm -rf "$SELF_DIR"
-
 echo "== chaos campaign (25 composite fault configs, every oracle) =="
 # A seeded campaign over composite fault configurations — all five
 # planes armed in random combinations — must pass every cross-cutting
-# oracle with nothing for the minimizer to do, and campaign stdout
-# must be byte-identical at every worker count.
+# oracle with nothing for the minimizer to do.
 CHAOS_DIR="$(mktemp -d)"
 "$TL" chaos --seed 9 --runs 25 --repro-out "$CHAOS_DIR/repro.toml" \
-    > "$CHAOS_DIR/j0.txt" 2> /dev/null
-grep -q 'violations: 0$' "$CHAOS_DIR/j0.txt"
-grep -q 'minimizer: idle' "$CHAOS_DIR/j0.txt"
+    > "$CHAOS_DIR/campaign.txt" 2> /dev/null
+grep -q 'violations: 0$' "$CHAOS_DIR/campaign.txt"
+grep -q 'minimizer: idle' "$CHAOS_DIR/campaign.txt"
 test ! -e "$CHAOS_DIR/repro.toml"
-"$TL" chaos --seed 9 --runs 25 --jobs 1 --repro-out "$CHAOS_DIR/repro.toml" \
-    > "$CHAOS_DIR/j1.txt" 2> /dev/null
-"$TL" chaos --seed 9 --runs 25 --jobs 8 --repro-out "$CHAOS_DIR/repro.toml" \
-    > "$CHAOS_DIR/j8.txt" 2> /dev/null
-cmp "$CHAOS_DIR/j0.txt" "$CHAOS_DIR/j1.txt"
-cmp "$CHAOS_DIR/j0.txt" "$CHAOS_DIR/j8.txt"
 
 echo "== chaos efficacy (planted bug must be caught and minimized) =="
 # The harness is tested in both directions: with a planted coverage-

@@ -219,7 +219,7 @@ fn main() {
 
     println!();
     println!("every row completed a full study: panicking units are quarantined and");
-    println!("accounted for, never fatal — see tracelens-pool::supervised_map.");
+    println!("accounted for, never fatal — see tracelens::supervise::Supervisor.");
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");

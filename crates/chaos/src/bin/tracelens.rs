@@ -11,15 +11,13 @@
 //! tracelens causality FILE --scenario NAME [--top N] [--k K] [--no-reduce]
 //! tracelens scenarios FILE
 //! tracelens locate    FILE --scenario NAME [--rank R] [--top N]
-//! tracelens report    FILE [-o REPORT.md] [--top N] [--jobs N]
+//! tracelens report    FILE [-o REPORT.md] [--top N]
 //!                     [--checkpoint DIR] [--unit-deadline-ms MS]
 //!                     [--max-retries N] [--exec-faults SPEC]
-//! tracelens self-report [FILE] [--traces N] [--seed S] [--jobs N]
-//!                     [-o REPORT.md] [--trace-out TRACE.json] [--overhead-gate PCT]
 //! tracelens regress   BASELINE CANDIDATE --scenario NAME [--top N]
 //! tracelens baselines FILE [--top N]
 //! tracelens chaos     [--seed S] [--runs N] [--traces N] [--planes LIST]
-//!                     [--jobs N] [--repro-out FILE] [--replay FILE]
+//!                     [--repro-out FILE] [--replay FILE]
 //! ```
 //!
 //! `FILE` is a data set in the `.tlt` text format
@@ -33,12 +31,9 @@
 //! historical behavior: warn and proceed. A flag a command does not
 //! declare is an error.
 //!
-//! `report`, `self-report` and `chaos` accept `--jobs N`: worker
-//! threads for the study's (or campaign's) pool. `1` is fully
-//! sequential; `0` (the default) picks `TRACELENS_JOBS` or the
-//! machine's available parallelism. Results are byte-identical at
-//! every setting. `impact` and `causality` run on one thread and
-//! refuse `--jobs`.
+//! Every command runs on one thread. `report` and `pack` still accept
+//! `--jobs 1`, which the end-to-end benchmark passes, and refuse any
+//! other value; `impact`, `causality` and `chaos` refuse `--jobs`.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -76,7 +71,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "scenarios" => cmd_scenarios(rest),
         "locate" => cmd_locate(rest),
         "report" => cmd_report(rest),
-        "self-report" => cmd_self_report(rest),
         "regress" => cmd_regress(rest),
         "baselines" => cmd_baselines(rest),
         "chaos" => cmd_chaos(rest),
@@ -103,15 +97,13 @@ fn print_usage() {
          \x20 tracelens causality FILE --scenario NAME [--top N] [--k K] [--no-reduce]\n\
          \x20 tracelens scenarios FILE\n\
          \x20 tracelens locate    FILE --scenario NAME [--rank R] [--top N]\n\
-         \x20 tracelens report    FILE [-o REPORT.md] [--top N] [--jobs N]\n\
+         \x20 tracelens report    FILE [-o REPORT.md] [--top N]\n\
          \x20                     [--checkpoint DIR] [--unit-deadline-ms MS]\n\
          \x20                     [--max-retries N] [--exec-faults SPEC]\n\
-         \x20 tracelens self-report [FILE] [--traces N] [--seed S] [--jobs N]\n\
-         \x20                     [-o REPORT.md] [--trace-out TRACE.json] [--overhead-gate PCT]\n\
          \x20 tracelens regress   BASELINE CANDIDATE --scenario NAME [--top N]\n\
          \x20 tracelens baselines FILE [--top N]\n\
          \x20 tracelens chaos     [--seed S] [--runs N] [--traces N] [--planes LIST]\n\
-         \x20                     [--jobs N] [--repro-out FILE] [--replay FILE]\n\
+         \x20                     [--repro-out FILE] [--replay FILE]\n\
          \n\
          FILE is a .tlt data set; `-` reads stdin / writes stdout.\n\
          Commands reading FILE (except pack) also accept --sanitize\n\
@@ -121,8 +113,6 @@ fn print_usage() {
          while the text fingerprint matches, with transparent fallback to\n\
          the text parse on any missing/stale/corrupt cache).\n\
          A flag a command does not declare is an error.\n\
-         report, self-report and chaos accept --jobs N (0 = TRACELENS_JOBS\n\
-         or all cores; results identical at any N).\n\
          `report` runs supervised: panicking or over-deadline work units\n\
          are quarantined and listed in the report instead of aborting the\n\
          study. --checkpoint DIR persists per-unit results for resume;\n\
@@ -137,8 +127,7 @@ fn print_usage() {
          each run through the full pipeline and checked against the\n\
          cross-cutting invariant oracles. Violations are minimized to a\n\
          replayable repro written to --repro-out (default\n\
-         chaos-repro.toml); --replay FILE re-runs one repro config.\n\
-         Campaign output is byte-identical at every --jobs setting."
+         chaos-repro.toml); --replay FILE re-runs one repro config."
     );
 }
 
@@ -212,6 +201,18 @@ fn reject_jobs(command: &str, args: &[String]) -> Result<(), String> {
         return Err(format!("{command} is single-threaded and takes no --jobs"));
     }
     Ok(())
+}
+
+/// Accepts the `--jobs 1` the end-to-end benchmark passes to `report`
+/// and `pack`; any other value is an error, since both run on one
+/// thread.
+fn accept_one_job(command: &str, opts: &Opts) -> Result<(), String> {
+    match opts.parsed("jobs", 1usize)? {
+        1 => Ok(()),
+        n => Err(format!(
+            "{command} runs on one thread; --jobs accepts only 1, not {n}"
+        )),
+    }
 }
 
 /// Reads a data set through the trace store: the text streams through
@@ -353,9 +354,7 @@ fn cmd_pack(args: &[String]) -> Result<(), String> {
     if path == "-" {
         return Err("pack requires a file path (stdin has no cache location)".to_owned());
     }
-    // `--jobs` is still accepted for scripts that pass it; packing
-    // streams the file on one thread.
-    let _jobs: usize = opts.parsed("jobs", 0)?;
+    accept_one_job("pack", &opts)?;
     let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let (ds, ingest, fingerprint) =
         tracelens::store::ingest_fingerprinted(file, &Telemetry::noop())
@@ -682,7 +681,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     )?;
     let path = opts.positional.first().ok_or("report requires FILE")?;
     let top: usize = opts.parsed("top", 3)?;
-    let jobs: usize = opts.parsed("jobs", 0)?;
+    accept_one_job("report", &opts)?;
     let deadline_ms: u64 = opts.parsed("unit-deadline-ms", 0)?;
     let max_retries: usize = opts.parsed("max-retries", 1)?;
     let exec_faults = opts
@@ -698,7 +697,6 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         return Err("--strict and --sanitize are mutually exclusive".to_owned());
     }
     let config = StudyConfig {
-        jobs,
         supervise: SupervisePolicy::from_knobs(deadline_ms, max_retries),
         exec_faults,
         checkpoint: opts.value("checkpoint").map(std::path::PathBuf::from),
@@ -734,103 +732,6 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             eprintln!("wrote {out_path}");
         }
         None => print!("{md}"),
-    }
-    Ok(())
-}
-
-/// Runs the study while self-tracing the pipeline, then turns the
-/// wait-graph/impact machinery on its own recording. With no FILE the
-/// input corpus is simulated (`--traces`/`--seed`), mirroring
-/// `simulate` + `report` in one step so CI can gate on it without a
-/// data set on disk.
-fn cmd_self_report(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(
-        args,
-        &["traces", "seed", "jobs", "trace-out", "overhead-gate"],
-        FILE_SWITCHES,
-    )?;
-    let jobs: usize = opts.parsed("jobs", 0)?;
-    let ds = match opts.positional.first() {
-        Some(path) => load(path, &opts)?,
-        None => {
-            let traces: usize = opts.parsed("traces", 200)?;
-            let seed: u64 = opts.parsed("seed", 2014)?;
-            DatasetBuilder::new(seed)
-                .traces(traces)
-                .mix(ScenarioMix::Selected)
-                .build()
-        }
-    };
-    let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
-    let config = StudyConfig {
-        jobs,
-        ..StudyConfig::default()
-    };
-
-    let sink = SelfTraceSink::new();
-    Study::run(&ds, &config, &names, &sink.telemetry()).map_err(|e| e.to_string())?;
-    let sessions = vec![SelfTraceSession::new(
-        format!("jobs={jobs}"),
-        sink.recording(),
-    )];
-    let observation = SelfObservation::analyze(&sessions);
-    let md = observation.to_markdown();
-    match opts.value("o") {
-        Some(out_path) => {
-            std::fs::write(out_path, md).map_err(|e| format!("cannot write {out_path}: {e}"))?;
-            eprintln!("wrote {out_path}");
-        }
-        None => print!("{md}"),
-    }
-
-    if let Some(out_path) = opts.value("trace-out") {
-        let json = chrome_trace_json(&sessions);
-        std::fs::write(out_path, json).map_err(|e| format!("cannot write {out_path}: {e}"))?;
-        eprintln!("wrote {out_path} (load in ui.perfetto.dev or chrome://tracing)");
-    }
-
-    if opts.value("overhead-gate").is_some() {
-        let gate_pct: f64 = opts.parsed("overhead-gate", 2.0)?;
-        // The gate compares disabled telemetry (`Telemetry::noop`, no
-        // sink) against an *attached but discarding* sink: the price of
-        // the plumbing itself, which must stay within the budget even
-        // though the instrumented build always carries it. Min-of-K
-        // wall times make the comparison robust to scheduler noise, and
-        // a small absolute slack keeps short runs from failing on
-        // timer granularity alone.
-        const RUNS: usize = 5;
-        const ABS_SLACK_NS: u64 = 2_000_000;
-        let time_run = |telemetry: &Telemetry| -> u64 {
-            (0..RUNS)
-                .map(|_| {
-                    let start = std::time::Instant::now();
-                    let study = Study::run(&ds, &config, &names, telemetry);
-                    let elapsed = start.elapsed().as_nanos() as u64;
-                    assert!(study.is_ok_and(|s| !s.scenarios.is_empty()));
-                    elapsed
-                })
-                .min()
-                .unwrap_or(0)
-        };
-        let disabled_ns = time_run(&Telemetry::noop());
-        let attached = Telemetry::with_sink(std::sync::Arc::new(tracelens::obs::NoopSink));
-        let attached_ns = time_run(&attached);
-        let budget_ns = (disabled_ns as f64 * gate_pct / 100.0) as u64 + ABS_SLACK_NS;
-        let overhead_ns = attached_ns.saturating_sub(disabled_ns);
-        eprintln!(
-            "overhead-gate: disabled {:.3} ms, attached {:.3} ms, \
-             overhead {:.3} ms (budget {:.3} ms)",
-            disabled_ns as f64 / 1e6,
-            attached_ns as f64 / 1e6,
-            overhead_ns as f64 / 1e6,
-            budget_ns as f64 / 1e6,
-        );
-        if overhead_ns > budget_ns {
-            return Err(format!(
-                "telemetry overhead {overhead_ns} ns exceeds \
-                 {gate_pct}% gate ({budget_ns} ns)"
-            ));
-        }
     }
     Ok(())
 }
@@ -905,17 +806,10 @@ fn cmd_baselines(args: &[String]) -> Result<(), String> {
 /// exercised end to end.
 fn cmd_chaos(args: &[String]) -> Result<(), String> {
     use tracelens_chaos::{repro, run_campaign, run_config, CampaignOptions, FaultPlane};
+    reject_jobs("chaos", args)?;
     let opts = Opts::parse(
         args,
-        &[
-            "seed",
-            "runs",
-            "traces",
-            "planes",
-            "jobs",
-            "repro-out",
-            "replay",
-        ],
+        &["seed", "runs", "traces", "planes", "repro-out", "replay"],
         &["inject-known-bug"],
     )?;
 
@@ -949,7 +843,6 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
             None => FaultPlane::ALL.to_vec(),
             Some(list) => FaultPlane::parse_list(list)?,
         },
-        jobs: opts.parsed("jobs", 0usize)?,
         inject_known_bug: opts.has("inject-known-bug"),
         ..CampaignOptions::default()
     };

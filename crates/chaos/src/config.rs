@@ -3,9 +3,10 @@
 //!
 //! A [`ChaosConfig`] composes every fault plane the workspace ships —
 //! data corruption, transient read faults, execution faults, torn
-//! checkpoints, torn caches — into one run of the full pipeline. [`sample_campaign`] derives the whole campaign's configs
-//! up front from `(campaign seed, run index)`, so results are
-//! independent of how many workers execute the runs.
+//! checkpoints, torn caches — into one run of the full pipeline.
+//! [`sample_campaign`] derives the whole campaign's configs up front
+//! from `(campaign seed, run index)`, so any run replays from the
+//! campaign seed alone.
 
 use std::fmt;
 use tracelens_faults::{ExecFaultPlan, ReadFaultPlan};

@@ -5,10 +5,9 @@
 //! [`ChaosConfig`]: simulate a corpus, push it through every armed
 //! fault plane (flaky streamed ingest, torn caches, data corruption,
 //! exec faults under supervision, torn checkpoints),
-//! and record what happened as [`RunArtifacts`]. [`run_campaign`] fans
-//! a sampled batch of configs over a worker pool — each study inside a
-//! worker runs at `jobs: 1`, so campaign output is byte-identical at
-//! every `--jobs` setting.
+//! and record what happened as [`RunArtifacts`]. [`run_campaign`] runs
+//! a sampled batch of configs in order, so campaign output depends on
+//! the campaign seed alone.
 
 use crate::config::{sample_campaign, ChaosConfig, FaultPlane};
 use crate::minimize::{minimize, MinimizedRepro};
@@ -18,11 +17,11 @@ use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use tracelens::store::{self, CacheFallback, IngestSource};
+use tracelens::supervise::SupervisePolicy;
 use tracelens::{render_markdown, ReportOptions, Study, StudyConfig};
 use tracelens_faults::{FaultInjector, FlakyReader};
 use tracelens_model::{Dataset, ScenarioName};
 use tracelens_obs::{stage, Telemetry};
-use tracelens_pool::{Pool, SupervisePolicy};
 use tracelens_sim::{DatasetBuilder, ScenarioMix};
 
 /// The coverage and accounting numbers a run's primary study reported,
@@ -174,7 +173,6 @@ fn execute(cfg: &ChaosConfig) -> RunArtifacts {
         .torn_checkpoint_active()
         .then(|| scratch_dir(cfg, "ckpt"));
     let config = StudyConfig {
-        jobs: 1,
         supervise: SupervisePolicy::from_knobs(0, 1),
         exec_faults: cfg.exec_plan(),
         checkpoint: ckpt_dir.clone(),
@@ -359,7 +357,6 @@ fn check_baseline(
     primary_markdown: &str,
 ) -> Result<(), String> {
     let plain_config = StudyConfig {
-        jobs: 1,
         components: config.components.clone(),
         causality: config.causality.clone(),
         sanitize: config.sanitize,
@@ -395,8 +392,7 @@ fn scratch_dir(cfg: &ChaosConfig, purpose: &str) -> PathBuf {
 // Campaign
 // ---------------------------------------------------------------------
 
-/// What a campaign runs: how many configs, over which planes, on how
-/// many workers.
+/// What a campaign runs: how many configs, over which planes.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
     /// Campaign seed: determines every sampled config.
@@ -407,8 +403,6 @@ pub struct CampaignOptions {
     pub traces: usize,
     /// Fault planes the sampler may arm.
     pub planes: Vec<FaultPlane>,
-    /// Campaign worker threads (`0` = auto). Never affects results.
-    pub jobs: usize,
     /// Arm the deliberate accounting bug (see [`run_config`]).
     pub inject_known_bug: bool,
     /// Cap on minimizer candidate evaluations.
@@ -422,7 +416,6 @@ impl Default for CampaignOptions {
             runs: 25,
             traces: 12,
             planes: FaultPlane::ALL.to_vec(),
-            jobs: 0,
             inject_known_bug: false,
             max_minimize_steps: 48,
         }
@@ -465,9 +458,8 @@ impl CampaignReport {
         self.records.iter().map(|r| r.violations.len()).sum()
     }
 
-    /// Renders the campaign outcome. Deliberately free of timings and
-    /// job counts so output is byte-identical at every `--jobs`
-    /// setting — the `ci.sh` gate compares it with `cmp`.
+    /// Renders the campaign outcome. Deliberately free of timings, so
+    /// two runs of the same campaign render byte-identically.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let planes: Vec<&str> = self.options.planes.iter().map(|p| p.name()).collect();
@@ -533,23 +525,26 @@ impl CampaignReport {
 }
 
 /// Runs a full campaign: sample every config upfront from the campaign
-/// seed, fan the runs over a pool (order-preserving, so `--jobs` never
-/// changes results), check every applicable oracle, and minimize the
-/// first violating config into a replayable repro.
+/// seed, run them in order, check every applicable oracle, and minimize
+/// the first violating config into a replayable repro.
 pub fn run_campaign(options: &CampaignOptions, telemetry: &Telemetry) -> CampaignReport {
     let _span = telemetry.span(stage::CHAOS);
     let configs = sample_campaign(options.seed, options.runs, options.traces, &options.planes);
-    let pool = Pool::new(options.jobs);
-    let records: Vec<RunRecord> = pool.map(&configs, |i, cfg| {
-        let artifacts = run_config(cfg, options.inject_known_bug);
-        let checks = ORACLES.iter().filter(|o| (o.applies)(&artifacts)).count();
-        RunRecord {
-            config: cfg.clone(),
-            checks,
-            degraded: artifacts.degraded.clone(),
-            violations: check_all(i, &artifacts),
-        }
-    });
+    let records: Vec<RunRecord> = configs
+        .into_iter()
+        .enumerate()
+        .map(|(i, config)| {
+            let artifacts = run_config(&config, options.inject_known_bug);
+            let checks = ORACLES.iter().filter(|o| (o.applies)(&artifacts)).count();
+            let violations = check_all(i, &artifacts);
+            RunRecord {
+                config,
+                checks,
+                degraded: artifacts.degraded,
+                violations,
+            }
+        })
+        .collect();
     if telemetry.enabled() {
         telemetry.count("chaos.runs", records.len() as u64);
         let checks: usize = records.iter().map(|r| r.checks).sum();

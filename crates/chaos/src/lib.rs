@@ -25,9 +25,9 @@
 //! * rendered reports stay structurally well-formed.
 //!
 //! Everything is deterministic in the campaign seed: configs are
-//! sampled up front, studies inside workers run single-threaded, and
-//! campaign output carries no timings — so `--jobs 8` is byte-identical
-//! to `--jobs 1`, and any violation replays from its seed alone. When
+//! sampled up front, runs execute in order on one thread, and campaign
+//! output carries no timings — so two runs of a campaign print the same
+//! bytes, and any violation replays from its seed alone. When
 //! an oracle fires, [`minimize`] shrinks the configuration (drop
 //! planes, halve rates, shrink the corpus) to a minimal reproducer
 //! that ships as a replayable `chaos-repro.toml` ([`repro`]).

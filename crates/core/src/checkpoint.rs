@@ -24,7 +24,7 @@
 //!    leave a half-written file under its final name.
 //! 3. **Fingerprint mismatch discards the checkpoint.** Results from a
 //!    different dataset, configuration, or scenario list are never
-//!    resumed into a study they do not describe. (Job count, deadlines
+//!    resumed into a study they do not describe. (Deadlines, retries
 //!    and fault plans are deliberately *excluded* from the fingerprint:
 //!    they change how work executes, not what the results mean.)
 

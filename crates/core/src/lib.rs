@@ -39,13 +39,12 @@
 
 pub mod checkpoint;
 pub mod report;
-pub mod selfreport;
 pub mod store;
 mod study;
+pub mod supervise;
 
 pub use checkpoint::Checkpoint;
 pub use report::{render_markdown, ReportOptions};
-pub use selfreport::SelfObservation;
 pub use store::{CacheFallback, IngestReport, IngestSource};
 pub use study::{
     Coverage, ScenarioStudy, Study, StudyConfig, StudyError, CAUSALITY_STAGE, SCENARIO_STAGE,
@@ -57,8 +56,6 @@ pub use tracelens_faults as faults;
 pub use tracelens_impact as impact;
 pub use tracelens_model as model;
 pub use tracelens_obs as obs;
-pub use tracelens_pool as pool;
-pub use tracelens_selftrace as selftrace;
 pub use tracelens_sim as sim;
 pub use tracelens_waitgraph as waitgraph;
 
@@ -81,11 +78,10 @@ pub mod prelude {
         TraceStreamBuilder,
     };
     pub use tracelens_obs::{stage, CollectingSink, RunReport, Telemetry};
-    pub use tracelens_pool::{ExecutionReport, FailureReason, Pool, SupervisePolicy, UnitFailure};
-    pub use tracelens_selftrace::{chrome_trace_json, SelfTraceSession, SelfTraceSink};
     pub use tracelens_sim::{DatasetBuilder, Machine, ProgramBuilder, ScenarioMix};
     pub use tracelens_waitgraph::{StreamIndex, WaitGraph};
 
     pub use crate::store::{CacheFallback, IngestReport, IngestSource};
-    pub use crate::{Coverage, ScenarioStudy, SelfObservation, Study, StudyConfig, StudyError};
+    pub use crate::supervise::{ExecutionReport, FailureReason, SupervisePolicy, UnitFailure};
+    pub use crate::{Coverage, ScenarioStudy, Study, StudyConfig, StudyError};
 }

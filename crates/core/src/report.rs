@@ -57,8 +57,8 @@ pub fn render_markdown(study: &Study, dataset: &Dataset, opts: &ReportOptions) -
         );
     }
 
-    // Rendered only when something was quarantined, so supervision —
-    // like the pool — stays an execution detail of a clean run. Counts
+    // Rendered only when something was quarantined, so supervision
+    // stays an execution detail of a clean run. Counts
     // that vary across checkpoint resume (retries, restored units) are
     // deliberately absent; the failure list is deterministic.
     let exec = &study.execution;
@@ -190,6 +190,7 @@ mod tests {
     use tracelens_sim::{DatasetBuilder, ScenarioMix};
 
     fn run(ds: &Dataset, cfg: &StudyConfig, names: &[ScenarioName]) -> Study {
+        let _gate = crate::supervise::tests::batch_gate();
         Study::run(ds, cfg, names, &Telemetry::noop()).expect("study runs")
     }
 

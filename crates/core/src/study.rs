@@ -3,15 +3,16 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use tracelens_causality::{
     CausalityAnalysis, CausalityConfig, CausalityError, CausalityReport, ClassAggregators,
 };
 use tracelens_faults::ExecFaultPlan;
 use tracelens_impact::{fold, instances_by_stream, ImpactAnalyzer, ImpactReport, InstanceRecord};
-use tracelens_model::{ComponentFilter, Dataset, SanitizeReport, ScenarioInstance, ScenarioName};
+use tracelens_model::{ComponentFilter, Dataset, SanitizeReport, ScenarioName};
 use tracelens_obs::{stage, Telemetry};
-use tracelens_pool::{ExecutionReport, Pool, SupervisePolicy, UnitMeta};
+
+use crate::supervise::{ExecutionReport, SupervisePolicy, Supervisor, UnitMeta};
 
 /// Stage label of per-scenario supervised work units.
 pub const SCENARIO_STAGE: &str = "scenario";
@@ -27,11 +28,6 @@ pub struct StudyConfig {
     pub components: ComponentFilter,
     /// Causality configuration (segment bound, reduction).
     pub causality: CausalityConfig,
-    /// Worker threads for the analysis stages: `1` runs fully
-    /// sequential, `0` (the default) picks `TRACELENS_JOBS` or the
-    /// machine's available parallelism. Results are byte-identical at
-    /// every setting.
-    pub jobs: usize,
     /// Supervision policy: per-unit soft deadline and panic-retry
     /// bound.
     pub supervise: SupervisePolicy,
@@ -56,7 +52,6 @@ impl Default for StudyConfig {
         StudyConfig {
             components: ComponentFilter::suffix(".sys"),
             causality: CausalityConfig::default(),
-            jobs: 0,
             supervise: SupervisePolicy::default(),
             exec_faults: None,
             checkpoint: None,
@@ -67,9 +62,9 @@ impl Default for StudyConfig {
 
 /// Failures of [`Study::run`].
 ///
-/// Note the asymmetry with [`tracelens_pool::UnitFailure`]: a failed
-/// *unit* degrades the study (it completes with an execution report);
-/// a [`StudyError`] means no meaningful study exists at all.
+/// Note the asymmetry with [`UnitFailure`](crate::supervise::UnitFailure):
+/// a failed *unit* degrades the study (it completes with an execution
+/// report); a [`StudyError`] means no meaningful study exists at all.
 #[derive(Debug)]
 pub enum StudyError {
     /// Sanitization quarantined every scenario instance: there is
@@ -289,8 +284,7 @@ impl Study {
             None => dataset,
         };
         let _span = telemetry.span(stage::STUDY);
-        let pool = Pool::new(config.jobs).with_telemetry(telemetry.clone());
-        let policy = &config.supervise;
+        let supervisor = Supervisor::new(config.supervise, telemetry);
         let faults = config.exec_faults.filter(|p| p.is_armed());
         let checkpoint = match &config.checkpoint {
             Some(dir) => {
@@ -313,7 +307,7 @@ impl Study {
         };
         let saved_impact = checkpoint.as_ref().and_then(|c| c.load_impact());
         // Restored scenario units short-circuit inside their supervised
-        // closure so unit indices (and therefore failure accounts) are
+        // unit so unit indices (and therefore failure accounts) are
         // identical with and without a warm checkpoint.
         let restored = match &checkpoint {
             Some(c) => {
@@ -350,8 +344,7 @@ impl Study {
                 names,
                 &mut classes,
                 &analyzer,
-                &pool,
-                policy,
+                &supervisor,
                 faults,
                 telemetry,
             )
@@ -391,45 +384,42 @@ impl Study {
         for i in &dataset.instances {
             *per_scenario.entry(i.scenario).or_insert(0) += 1;
         }
-        // A unit takes its fed classes once; a retry after a panic in
-        // finishing or mining finds them gone and fails again.
-        let classes: Vec<Mutex<Option<_>>> = classes.into_iter().map(Mutex::new).collect();
-        let (results, mut scenario_exec) = pool.supervised_map(
-            names,
-            SCENARIO_STAGE,
-            policy,
-            |_, name| {
-                UnitMeta::labeled(format!("scenario:{name}"))
-                    .for_scenario(name.as_str())
-                    .carrying(per_scenario.get(name).copied().unwrap_or(0))
-            },
-            |i, name| {
-                if let Some(saved) = restored.get(&i) {
-                    return saved.clone();
-                }
-                if let Some(p) = faults {
-                    p.arm(SCENARIO_STAGE, &format!("scenario:{name}"));
-                }
-                scenario_study(
-                    dataset,
-                    name,
-                    &pass.records,
-                    &causality,
-                    || {
-                        classes[i]
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .take()
-                            .expect("a unit's classes are finished at most once")
-                    },
-                    telemetry,
-                )
-            },
-        );
-        scenario_exec.restored = restored.len();
+        let mut scenario_exec = ExecutionReport::default();
         let mut scenarios: BTreeMap<ScenarioName, ScenarioStudy> = BTreeMap::new();
-        for (idx, (name, result)) in names.iter().zip(results).enumerate() {
-            let Some(unit) = result else { continue };
+        for (idx, (name, mut classes)) in names.iter().zip(classes).enumerate() {
+            let unit = supervisor.run(
+                &mut scenario_exec,
+                SCENARIO_STAGE,
+                || {
+                    UnitMeta::labeled(format!("scenario:{name}"))
+                        .for_scenario(name.as_str())
+                        .carrying(per_scenario.get(name).copied().unwrap_or(0))
+                },
+                || {
+                    if let Some(saved) = restored.get(&idx) {
+                        return saved.clone();
+                    }
+                    if let Some(p) = faults {
+                        p.arm(SCENARIO_STAGE, &format!("scenario:{name}"));
+                    }
+                    // The unit takes its fed classes once; a retry after
+                    // a panic in finishing or mining finds them gone and
+                    // fails again.
+                    scenario_study(
+                        dataset,
+                        name,
+                        &pass.records,
+                        &causality,
+                        || {
+                            classes
+                                .take()
+                                .expect("a unit's classes are finished at most once")
+                        },
+                        telemetry,
+                    )
+                },
+            );
+            let Some(unit) = unit else { continue };
             // A unit that lost instances with a quarantined stream is
             // partial, like the global impact report: recompute it on
             // resume, never restore it.
@@ -443,6 +433,7 @@ impl Study {
             }
             scenarios.insert(*name, unit);
         }
+        scenario_exec.restored = restored.len();
         execution.absorb(scenario_exec);
         let coverage = Coverage {
             failed_units: execution.quarantined(),
@@ -477,25 +468,22 @@ struct StreamPass<'a> {
 /// is one supervised unit (`stream:N`, stage `impact`) that indexes the
 /// stream, builds its instances' Wait Graphs as one `StreamGraph`
 /// (sharing the wait subtrees several instances reach) and accounts each
-/// instance into an impact record. The unit returns its records, its
-/// graph and the indices of the instances some entry of `classes`
-/// aggregates; only after the unit succeeded are those instances' graphs
-/// fed to their aggregators, so a retried attempt never inserts twice.
-/// Feeding follows stream order, then instance order — the order the AWG
-/// trie is built in.
+/// instance into an impact record. Only after the unit succeeded are its
+/// instances' graphs fed to the entries of `classes` that aggregate
+/// them, so a retried attempt never inserts twice; then the graph is
+/// dropped, so one stream's graph is alive at a time. Feeding follows
+/// stream order, then instance order — the order the AWG trie is built
+/// in.
 ///
-/// Units run in chunks of at most `jobs` streams, so at most one chunk's
-/// graphs are alive at a time. A quarantined stream's instances are
-/// dropped from every consumer: they leave no record and feed no
-/// aggregator, and their classes forget them.
-#[allow(clippy::too_many_arguments)]
+/// A quarantined stream's instances are dropped from every consumer:
+/// they leave no record and feed no aggregator, and their classes
+/// forget them.
 fn stream_pass<'a>(
     dataset: &'a Dataset,
     names: &[ScenarioName],
     classes: &mut [Option<Result<ClassAggregators<'a>, CausalityError>>],
     analyzer: &ImpactAnalyzer,
-    pool: &Pool,
-    policy: &SupervisePolicy,
+    supervisor: &Supervisor,
     faults: Option<ExecFaultPlan>,
     telemetry: &Telemetry,
 ) -> StreamPass<'a> {
@@ -506,67 +494,45 @@ fn stream_pass<'a>(
             feeds.entry(*name).or_default().push(slot);
         }
     }
-    let tasks = instances_by_stream(dataset, |_| true);
     let view = dataset.stacks.filter_view(analyzer.filter());
-    let chunk = pool.jobs().max(1);
     let mut pass = StreamPass::default();
-    for (n, chunk_tasks) in tasks.chunks(chunk).enumerate() {
-        let fed: &[Option<Result<ClassAggregators<'a>, CausalityError>>] = classes;
-        let aggregated = |instance: &ScenarioInstance| {
-            feeds.get(&instance.scenario).is_some_and(|slots| {
-                slots.iter().any(
-                    |&slot| matches!(&fed[slot], Some(Ok(c)) if c.class_of(instance).is_some()),
-                )
-            })
-        };
-        let (outputs, mut execution) = pool.supervised_map(
-            chunk_tasks,
+    for (stream, instances) in instances_by_stream(dataset, |_| true) {
+        let unit = format!("stream:{}", stream.id().0);
+        let output = supervisor.run(
+            &mut pass.execution,
             stage::IMPACT,
-            policy,
-            |_, (stream, instances)| {
-                UnitMeta::labeled(format!("stream:{}", stream.id().0))
+            || {
+                UnitMeta::labeled(unit.as_str())
                     .for_stream(stream.id().0)
                     .carrying(instances.len())
             },
-            |_, (stream, instances)| {
+            || {
                 if let Some(p) = faults {
-                    p.arm(stage::IMPACT, &format!("stream:{}", stream.id().0));
+                    p.arm(stage::IMPACT, &unit);
                 }
-                let (records, graph) = analyzer.account_stream(stream, instances, &view);
-                let fed: Vec<usize> = (0..instances.len())
-                    .filter(|&k| aggregated(instances[k]))
-                    .collect();
-                (records, graph, fed)
+                analyzer.account_stream(stream, &instances, &view)
             },
         );
-        // Failure indices count from the first stream, as in one batch.
-        for failure in &mut execution.failures {
-            failure.index += n * chunk;
-        }
-        pass.execution.absorb(execution);
         let _span = telemetry.span(stage::AGGREGATE);
-        for (output, (_, instances)) in outputs.into_iter().zip(chunk_tasks) {
-            let Some((records, graph, fed)) = output else {
-                for &instance in instances {
-                    pass.lost.insert(instance.scenario);
-                    for &slot in feeds.get(&instance.scenario).into_iter().flatten() {
-                        if let Some(Ok(c)) = &mut classes[slot] {
-                            c.forget(instance);
-                        }
-                    }
-                }
-                continue;
-            };
-            for k in fed {
-                let instance = instances[k];
-                for &slot in &feeds[&instance.scenario] {
+        let Some((records, graph)) = output else {
+            for &instance in &instances {
+                pass.lost.insert(instance.scenario);
+                for &slot in feeds.get(&instance.scenario).into_iter().flatten() {
                     if let Some(Ok(c)) = &mut classes[slot] {
-                        c.add(instance, graph.instance(k));
+                        c.forget(instance);
                     }
                 }
             }
-            pass.records.extend(records);
+            continue;
+        };
+        for (k, &instance) in instances.iter().enumerate() {
+            for &slot in feeds.get(&instance.scenario).into_iter().flatten() {
+                if let Some(Ok(c)) = &mut classes[slot] {
+                    c.add(instance, graph.instance(k));
+                }
+            }
         }
+        pass.records.extend(records);
     }
     pass
 }
@@ -609,6 +575,7 @@ mod tests {
     use tracelens_sim::{DatasetBuilder, ScenarioMix};
 
     fn run(ds: &Dataset, cfg: &StudyConfig, names: &[ScenarioName]) -> Study {
+        let _gate = crate::supervise::tests::batch_gate();
         Study::run(ds, cfg, names, &Telemetry::noop()).expect("study runs")
     }
 
@@ -680,9 +647,8 @@ mod tests {
             .build();
         let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
         let cfg = StudyConfig {
-            jobs: 1,
             exec_faults: Some(ExecFaultPlan::new(5).with_panic_rate(0.4)),
-            supervise: tracelens_pool::SupervisePolicy {
+            supervise: SupervisePolicy {
                 max_retries: 1,
                 ..Default::default()
             },
@@ -713,12 +679,8 @@ mod tests {
             );
             assert!(f.reason.to_string().contains("injected fault"));
         }
-        // Determinism: an identical run (different job count) agrees.
-        let cfg4 = StudyConfig {
-            jobs: 4,
-            ..cfg.clone()
-        };
-        let again = run(&ds, &cfg4, &names);
+        // Determinism: an identical rerun agrees.
+        let again = run(&ds, &cfg, &names);
         assert_eq!(again.execution, study.execution);
         assert_eq!(again.impact, study.impact);
     }
@@ -752,26 +714,26 @@ mod tests {
         let lost = ds.instances.iter().filter(|i| i.trace.0 == 1).count();
         assert!(lost > 0);
         let full = run(&ds, &StudyConfig::default(), &names);
-        for jobs in [1, 4] {
-            let cfg = StudyConfig {
-                jobs,
-                exec_faults: Some(plan),
-                supervise: SupervisePolicy {
-                    max_retries: 0,
-                    ..SupervisePolicy::default()
-                },
-                ..StudyConfig::default()
-            };
-            let study = run(&ds, &cfg, &names);
-            let exec = &study.execution;
-            assert_eq!(exec.quarantined(), 1, "jobs={jobs}");
-            assert_eq!(exec.failures[0].unit, "stream:1");
-            assert_eq!(exec.failures[0].index, 1, "indices count across chunks");
-            assert_eq!(exec.failures[0].stream, Some(1));
-            assert_eq!(exec.lost_instances(), lost);
-            assert_eq!(study.impact.instances, full.impact.instances - lost);
-            assert!(study.impact.d_scn < full.impact.d_scn);
-        }
+        let cfg = StudyConfig {
+            exec_faults: Some(plan),
+            supervise: SupervisePolicy {
+                max_retries: 0,
+                ..SupervisePolicy::default()
+            },
+            ..StudyConfig::default()
+        };
+        let study = run(&ds, &cfg, &names);
+        let exec = &study.execution;
+        assert_eq!(exec.quarantined(), 1);
+        assert_eq!(exec.failures[0].unit, "stream:1");
+        assert_eq!(
+            exec.failures[0].index, 1,
+            "indices count from the first stream"
+        );
+        assert_eq!(exec.failures[0].stream, Some(1));
+        assert_eq!(exec.lost_instances(), lost);
+        assert_eq!(study.impact.instances, full.impact.instances - lost);
+        assert!(study.impact.d_scn < full.impact.d_scn);
     }
 
     #[test]
@@ -786,7 +748,6 @@ mod tests {
         // First pass: faults quarantine some scenario units; their
         // results are NOT checkpointed.
         let faulted = StudyConfig {
-            jobs: 2,
             exec_faults: Some(ExecFaultPlan::new(77).with_panic_rate(0.5)),
             checkpoint: Some(dir.clone()),
             ..StudyConfig::default()
@@ -798,18 +759,13 @@ mod tests {
         // units, re-runs the quarantined ones, and must be
         // byte-identical to a clean uninterrupted run.
         let resumed_cfg = StudyConfig {
-            jobs: 2,
             checkpoint: Some(dir.clone()),
             ..StudyConfig::default()
         };
         let resumed = run(&ds, &resumed_cfg, &names);
         assert!(resumed.execution.restored > 0, "nothing was restored");
         assert!(resumed.execution.failures.is_empty());
-        let clean_cfg = StudyConfig {
-            jobs: 2,
-            ..StudyConfig::default()
-        };
-        let clean = run(&ds, &clean_cfg, &names);
+        let clean = run(&ds, &StudyConfig::default(), &names);
         let opts = crate::ReportOptions::default();
         assert_eq!(
             crate::render_markdown(&resumed, &ds, &opts),
@@ -831,10 +787,6 @@ mod tests {
         assert_eq!(format!("{pinned:016x}"), "5d122db8b68781f2");
         // Execution knobs change how units run, not what they compute.
         for cfg in [
-            StudyConfig {
-                jobs: 3,
-                ..StudyConfig::default()
-            },
             StudyConfig {
                 supervise: SupervisePolicy::from_knobs(50, 4),
                 ..StudyConfig::default()
@@ -875,6 +827,7 @@ mod tests {
             sanitize: true,
             ..StudyConfig::default()
         };
+        let _gate = crate::supervise::tests::batch_gate();
         let err = Study::run(&ds, &cfg, &names, &Telemetry::noop())
             .expect_err("all instances quarantined must be a typed error");
         match err {

@@ -1,45 +1,43 @@
-//! Fail-operational execution: supervised parallel maps.
+//! Fail-operational execution: supervised work units, run one at a time.
 //!
-//! [`Pool::map`](crate::Pool::map) propagates the first worker panic to
-//! the caller — correct for internal invariant violations, fatal for a
-//! fleet-scale study where a single pathological trace can poison one
-//! analyzer unit out of thousands. [`Pool::supervised_map`] extends the
-//! ingestion layer's repair-vs-quarantine philosophy to execution:
+//! A fleet-scale study must not die because one pathological trace
+//! poisons one analyzer unit out of thousands. A [`Supervisor`] extends
+//! the ingestion layer's repair-vs-quarantine philosophy to execution:
 //!
 //! * every unit runs under `catch_unwind`; a panic quarantines **that
 //!   unit only** and surfaces as a typed [`UnitFailure`] instead of
-//!   aborting the batch;
+//!   aborting the study;
 //! * panicked units are retried up to [`SupervisePolicy::max_retries`]
 //!   times — the retry decision depends only on the unit and its
 //!   attempt count, never on wall clock, so a deterministic workload
-//!   yields a byte-identical outcome at every job count;
+//!   yields a byte-identical outcome on every run;
 //! * an optional **soft deadline** bounds each attempt: a unit that
 //!   finishes over budget has its result discarded and is quarantined
-//!   as [`FailureReason::DeadlineExceeded`]. (Threads cannot be killed
-//!   safely, so the deadline is detected after the fact — "soft" — and
-//!   the recorded reason carries only the configured budget, not the
-//!   measured wall time, keeping reports reproducible.)
+//!   as [`FailureReason::DeadlineExceeded`]. (A running unit cannot be
+//!   stopped safely, so the deadline is detected after the fact —
+//!   "soft" — and the recorded reason carries only the configured
+//!   budget, not the measured wall time, keeping reports reproducible.)
 //!
-//! The batch outcome is an [`ExecutionReport`]: the execution-layer
+//! Each batch's outcome is an [`ExecutionReport`]: the execution-layer
 //! sibling of the ingestion layer's `SanitizeReport`, accounting for
 //! every unit the batch could not complete so partial results are never
 //! mistaken for full ones.
 //!
-//! While a supervised batch is in flight the pool also installs a
-//! scoped [panic hook](std::panic::set_hook) that replaces the default
+//! While a supervisor is alive it also installs a scoped
+//! [panic hook](std::panic::set_hook) that replaces the default
 //! multi-line backtrace dump of each quarantined unit with one
-//! structured stderr line; panics on non-supervised threads are
+//! structured stderr line; panics outside supervised units are
 //! delegated to the previously installed hook, which is restored when
-//! the last supervised batch ends.
+//! the last live supervisor drops.
 
-use crate::Pool;
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe, PanicHookInfo};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+use tracelens_obs::Telemetry;
 
-/// How a supervised batch treats misbehaving units.
+/// How a supervisor treats misbehaving units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisePolicy {
     /// Soft per-attempt deadline. A unit whose attempt takes longer is
@@ -78,8 +76,8 @@ impl SupervisePolicy {
 /// Why a unit was quarantined.
 ///
 /// Deliberately contains no measured wall time: failure reasons are
-/// rendered into reports that must be byte-identical across job counts
-/// and checkpoint-resume boundaries.
+/// rendered into reports that must be byte-identical across runs and
+/// checkpoint-resume boundaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FailureReason {
     /// Every attempt panicked; `payload` is the final panic message
@@ -186,8 +184,8 @@ impl fmt::Display for UnitFailure {
 /// what it had to give up — the execution-layer `SanitizeReport`.
 ///
 /// Contains no wall-clock measurements, so two runs of the same
-/// deterministic workload produce equal reports regardless of job
-/// count, scheduling, or checkpoint resume.
+/// deterministic workload produce equal reports regardless of timing
+/// or checkpoint resume.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecutionReport {
     /// Work units supervised.
@@ -268,137 +266,118 @@ impl fmt::Display for ExecutionReport {
     }
 }
 
-/// Per-unit outcome of a supervised run, before batch aggregation.
-struct UnitOutcome<R> {
-    result: Result<R, FailureReason>,
-    attempts: usize,
+/// Runs work units one at a time with panic isolation, bounded retry
+/// and a soft per-attempt deadline.
+///
+/// Creating a supervisor installs the structured panic hook; dropping
+/// it restores the previous one. Each [`Supervisor::run`] appends one
+/// unit to a batch's [`ExecutionReport`] and reports `supervisor.*`
+/// counters through the telemetry handle.
+pub struct Supervisor {
+    policy: SupervisePolicy,
+    telemetry: Telemetry,
+    _isolation: PanicIsolation,
 }
 
-impl Pool {
-    /// [`Pool::map`](crate::Pool::map) with panic isolation, bounded
-    /// retry, and a soft per-unit deadline.
+impl Supervisor {
+    /// A supervisor applying `policy`, reporting through `telemetry`.
+    pub fn new(policy: SupervisePolicy, telemetry: &Telemetry) -> Supervisor {
+        Supervisor {
+            policy,
+            telemetry: telemetry.clone(),
+            _isolation: PanicIsolation::install(),
+        }
+    }
+
+    /// Runs `f` as the next unit of `batch` (its index is the count of
+    /// units already in `batch`), under a `supervise` span.
     ///
-    /// Applies `f` to every item; the result vector holds `Some` for
-    /// completed units (in input order, exactly as `map`) and `None`
-    /// for quarantined ones, which the returned [`ExecutionReport`]
-    /// accounts for with `meta(index, item)` attribution.
+    /// Returns `Some` with the result of the first attempt that
+    /// completed in time, or `None` after recording a [`UnitFailure`]
+    /// labelled by `meta` and stage `stage`.
     ///
     /// Everything about the outcome is deterministic for deterministic
-    /// `f` — retry decisions depend only on the unit and its attempt
-    /// count — **except** deadline quarantines, which depend on real
-    /// execution time; callers wanting reproducible deadline behavior
-    /// must keep honest units far below the budget (the fault-injection
-    /// tests sleep several multiples of it).
-    pub fn supervised_map<T, R, F, M>(
+    /// `f` — retry decisions depend only on the attempt count —
+    /// **except** deadline quarantines, which depend on real execution
+    /// time; callers wanting reproducible deadline behavior must keep
+    /// honest units far below the budget.
+    pub fn run<R>(
         &self,
-        items: &[T],
+        batch: &mut ExecutionReport,
         stage: &'static str,
-        policy: &SupervisePolicy,
-        meta: M,
-        f: F,
-    ) -> (Vec<Option<R>>, ExecutionReport)
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-        M: Fn(usize, &T) -> UnitMeta,
-    {
-        let _span = self.telemetry().span(tracelens_obs::stage::SUPERVISE);
-        let _hook = PanicIsolation::install();
-        let outcomes = self.map(items, |i, item| run_unit(i, item, policy, &f));
-        let mut report = ExecutionReport {
-            units: items.len(),
-            ..ExecutionReport::default()
-        };
-        let mut results = Vec::with_capacity(items.len());
-        for (index, (outcome, item)) in outcomes.into_iter().zip(items).enumerate() {
-            report.retries += outcome.attempts - 1;
-            match outcome.result {
-                Ok(r) => {
-                    report.completed += 1;
-                    if outcome.attempts > 1 {
-                        report.recovered += 1;
-                    }
-                    results.push(Some(r));
-                }
-                Err(reason) => {
-                    let m = meta(index, item);
-                    report.failures.push(UnitFailure {
-                        index,
-                        stage,
-                        unit: m.unit,
-                        scenario: m.scenario,
-                        stream: m.stream,
-                        instances: m.instances,
-                        reason,
-                        attempts: outcome.attempts,
-                    });
-                    results.push(None);
-                }
-            }
-        }
-        let telemetry = self.telemetry();
-        if telemetry.enabled() {
-            telemetry.count("supervisor.units", report.units as u64);
-            telemetry.count("supervisor.completed", report.completed as u64);
-            telemetry.count("supervisor.retries", report.retries as u64);
-            telemetry.count("supervisor.recovered", report.recovered as u64);
-            telemetry.count("supervisor.quarantined", report.quarantined() as u64);
-            let deadline = report
-                .failures
-                .iter()
-                .filter(|u| matches!(u.reason, FailureReason::DeadlineExceeded { .. }))
-                .count();
-            telemetry.count("supervisor.deadline_exceeded", deadline as u64);
-            telemetry.count(
-                "supervisor.panics",
-                (report.quarantined() - deadline) as u64,
+        meta: impl FnOnce() -> UnitMeta,
+        mut f: impl FnMut() -> R,
+    ) -> Option<R> {
+        let _span = self.telemetry.span(tracelens_obs::stage::SUPERVISE);
+        let (result, attempts) = self.attempt(&mut f);
+        let t = &self.telemetry;
+        if t.enabled() {
+            let deadline = matches!(result, Err(FailureReason::DeadlineExceeded { .. }));
+            t.count("supervisor.units", 1);
+            t.count("supervisor.completed", result.is_ok() as u64);
+            t.count("supervisor.retries", attempts as u64 - 1);
+            t.count(
+                "supervisor.recovered",
+                (result.is_ok() && attempts > 1) as u64,
             );
+            t.count("supervisor.quarantined", result.is_err() as u64);
+            t.count("supervisor.deadline_exceeded", deadline as u64);
+            t.count("supervisor.panics", (result.is_err() && !deadline) as u64);
         }
-        (results, report)
-    }
-}
-
-/// Runs one unit under the policy: catch, time, retry.
-fn run_unit<T, R, F>(index: usize, item: &T, policy: &SupervisePolicy, f: &F) -> UnitOutcome<R>
-where
-    F: Fn(usize, &T) -> R,
-{
-    let mut attempts = 0;
-    loop {
-        attempts += 1;
-        let started = policy.unit_deadline.map(|_| Instant::now());
-        let attempt = {
-            let _unit = SupervisedUnitScope::enter();
-            catch_unwind(AssertUnwindSafe(|| f(index, item)))
-        };
-        match attempt {
-            Ok(result) => {
-                if let (Some(deadline), Some(started)) = (policy.unit_deadline, started) {
-                    if started.elapsed() > deadline {
-                        return UnitOutcome {
-                            result: Err(FailureReason::DeadlineExceeded { deadline }),
-                            attempts,
-                        };
-                    }
-                }
-                return UnitOutcome {
-                    result: Ok(result),
-                    attempts,
-                };
+        let index = batch.units;
+        batch.units += 1;
+        batch.retries += attempts - 1;
+        match result {
+            Ok(r) => {
+                batch.completed += 1;
+                batch.recovered += usize::from(attempts > 1);
+                Some(r)
             }
-            Err(payload) => {
-                if attempts > policy.max_retries {
-                    return UnitOutcome {
-                        result: Err(FailureReason::Panic {
-                            payload: payload_text(payload.as_ref()),
-                        }),
-                        attempts,
-                    };
+            Err(reason) => {
+                let m = meta();
+                batch.failures.push(UnitFailure {
+                    index,
+                    stage,
+                    unit: m.unit,
+                    scenario: m.scenario,
+                    stream: m.stream,
+                    instances: m.instances,
+                    reason,
+                    attempts,
+                });
+                None
+            }
+        }
+    }
+
+    /// Runs one unit under the policy: catch, time, retry. Returns the
+    /// outcome and the attempts made.
+    fn attempt<R>(&self, f: &mut impl FnMut() -> R) -> (Result<R, FailureReason>, usize) {
+        let mut attempts = 0;
+        loop {
+            attempts += 1;
+            let started = self.policy.unit_deadline.map(|_| Instant::now());
+            let attempt = {
+                let _unit = SupervisedUnitScope::enter();
+                catch_unwind(AssertUnwindSafe(&mut *f))
+            };
+            match attempt {
+                Ok(result) => {
+                    if let (Some(deadline), Some(started)) = (self.policy.unit_deadline, started) {
+                        if started.elapsed() > deadline {
+                            return (Err(FailureReason::DeadlineExceeded { deadline }), attempts);
+                        }
+                    }
+                    return (Ok(result), attempts);
+                }
+                Err(payload) if attempts > self.policy.max_retries => {
+                    let payload = payload_text(payload.as_ref());
+                    return (Err(FailureReason::Panic { payload }), attempts);
                 }
                 // Retry: the decision depends only on the attempt count,
-                // so a deterministic unit fails (or recovers) identically
-                // at every job count.
+                // so a deterministic unit fails (or recovers) the same
+                // way on every run.
+                Err(_) => {}
             }
         }
     }
@@ -440,8 +419,8 @@ impl Drop for SupervisedUnitScope {
 
 type PanicHook = Box<dyn Fn(&PanicHookInfo<'_>) + Send + Sync>;
 
-/// Process-wide isolation state: how many supervised batches are in
-/// flight and the hook that was installed before the first of them.
+/// Process-wide isolation state: how many supervisors are alive and the
+/// hook that was installed before the first of them.
 struct IsolationState {
     depth: usize,
     previous: Option<PanicHook>,
@@ -461,7 +440,8 @@ fn isolation_state() -> std::sync::MutexGuard<'static, IsolationState> {
 /// Scoped panic-hook replacement: one structured stderr line per
 /// supervised-unit panic instead of the default multi-line backtrace;
 /// panics elsewhere delegate to the previously installed hook, which is
-/// restored when the last concurrent guard drops.
+/// restored when the last guard drops. Guards are counted process-wide
+/// because studies on other threads (tests, say) may overlap.
 struct PanicIsolation;
 
 impl PanicIsolation {
@@ -477,7 +457,7 @@ impl PanicIsolation {
                         .map(|l| l.to_string())
                         .unwrap_or_else(|| "<unknown>".to_owned());
                     eprintln!(
-                        "tracelens-pool: supervised unit panicked at {location}: {} \
+                        "tracelens: supervised unit panicked at {location}: {} \
                          (unit quarantined; backtrace suppressed)",
                         payload_text(info.payload())
                     );
@@ -504,44 +484,56 @@ impl Drop for PanicIsolation {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::RwLock;
 
     /// The panic hook is process-global and the test harness runs tests
-    /// concurrently: tests that run supervised batches take this in read
-    /// mode; the hook-restoration test takes it in write mode so it
-    /// observes the hook with no other batch in flight.
+    /// concurrently: tests that create supervisors (every study run in
+    /// this crate's tests) take this in read mode; the hook-restoration
+    /// test takes it in write mode so it observes the hook with no other
+    /// supervisor alive.
     static HOOK_GATE: RwLock<()> = RwLock::new(());
 
-    fn batch_gate() -> std::sync::RwLockReadGuard<'static, ()> {
+    pub(crate) fn batch_gate() -> std::sync::RwLockReadGuard<'static, ()> {
         HOOK_GATE.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn no_meta<T>(i: usize, _: &T) -> UnitMeta {
-        UnitMeta::labeled(format!("unit:{i}"))
+    /// Runs `f` over `items` as one batch, labelling unit `i` `unit:i`.
+    fn run_batch<T, R>(
+        items: &[T],
+        policy: SupervisePolicy,
+        mut f: impl FnMut(&T) -> R,
+    ) -> (Vec<Option<R>>, ExecutionReport) {
+        let supervisor = Supervisor::new(policy, &Telemetry::noop());
+        let mut report = ExecutionReport::default();
+        let results = items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| {
+                supervisor.run(
+                    &mut report,
+                    "test",
+                    || UnitMeta::labeled(format!("unit:{i}")),
+                    || f(item),
+                )
+            })
+            .collect();
+        (results, report)
     }
 
     #[test]
     fn clean_batch_completes_everything() {
         let _gate = batch_gate();
-        for jobs in [1, 4] {
-            let items: Vec<u32> = (0..40).collect();
-            let (results, report) = Pool::new(jobs).supervised_map(
-                &items,
-                "test",
-                &SupervisePolicy::default(),
-                no_meta,
-                |_, &x| x * 2,
-            );
-            let values: Vec<u32> = results.into_iter().map(|r| r.unwrap()).collect();
-            let expect: Vec<u32> = items.iter().map(|x| x * 2).collect();
-            assert_eq!(values, expect, "jobs={jobs}");
-            assert!(report.is_clean());
-            assert_eq!(report.completed, 40);
-            assert_eq!(report.completion_rate(), 1.0);
-        }
+        let items: Vec<u32> = (0..40).collect();
+        let (results, report) = run_batch(&items, SupervisePolicy::default(), |&x| x * 2);
+        let values: Vec<u32> = results.into_iter().map(|r| r.unwrap()).collect();
+        let expect: Vec<u32> = items.iter().map(|x| x * 2).collect();
+        assert_eq!(values, expect);
+        assert!(report.is_clean());
+        assert_eq!(report.completed, 40);
+        assert_eq!(report.completion_rate(), 1.0);
     }
 
     #[test]
@@ -552,56 +544,49 @@ mod tests {
             max_retries: 0,
             ..SupervisePolicy::default()
         };
-        for jobs in [1, 2, 8] {
-            let (results, report) =
-                Pool::new(jobs).supervised_map(&items, "test", &policy, no_meta, |_, &x| {
-                    if x % 10 == 3 {
-                        panic!("poisoned unit {x}");
-                    }
-                    x
-                });
-            assert_eq!(results.iter().filter(|r| r.is_none()).count(), 3);
-            assert_eq!(report.quarantined(), 3, "jobs={jobs}");
-            assert_eq!(report.completed, 29);
-            let f = &report.failures[0];
-            assert_eq!(f.index, 3);
-            assert_eq!(f.unit, "unit:3");
-            assert_eq!(f.stage, "test");
-            assert_eq!(
-                f.reason,
-                FailureReason::Panic {
-                    payload: "poisoned unit 3".to_owned()
-                }
-            );
-            assert_eq!(f.attempts, 1);
-        }
+        let (results, report) = run_batch(&items, policy, |&x| {
+            if x % 10 == 3 {
+                panic!("poisoned unit {x}");
+            }
+            x
+        });
+        assert_eq!(results.iter().filter(|r| r.is_none()).count(), 3);
+        assert_eq!(report.quarantined(), 3);
+        assert_eq!(report.completed, 29);
+        let f = &report.failures[0];
+        assert_eq!(f.index, 3);
+        assert_eq!(f.unit, "unit:3");
+        assert_eq!(f.stage, "test");
+        assert_eq!(
+            f.reason,
+            FailureReason::Panic {
+                payload: "poisoned unit 3".to_owned()
+            }
+        );
+        assert_eq!(f.attempts, 1);
     }
 
     #[test]
-    fn outcome_is_identical_at_every_job_count() {
+    fn outcome_is_identical_across_runs() {
         let _gate = batch_gate();
         let items: Vec<u32> = (0..64).collect();
         let policy = SupervisePolicy {
             max_retries: 2,
             ..SupervisePolicy::default()
         };
-        let run = |jobs: usize| {
-            Pool::new(jobs).supervised_map(&items, "test", &policy, no_meta, |_, &x| {
+        let run = || {
+            run_batch(&items, policy, |&x| {
                 if x % 7 == 5 {
                     panic!("always fails: {x}");
                 }
                 x + 1
             })
         };
-        let (seq_results, seq_report) = run(1);
-        for jobs in [2, 8] {
-            let (results, report) = run(jobs);
-            assert_eq!(results, seq_results, "jobs={jobs}");
-            assert_eq!(report, seq_report, "jobs={jobs}");
-        }
+        let (results, report) = run();
+        assert_eq!(run(), (results, report.clone()));
         // Every quarantined unit exhausted 1 + max_retries attempts.
-        assert!(seq_report.failures.iter().all(|f| f.attempts == 3));
-        assert_eq!(seq_report.retries, seq_report.quarantined() * 2);
+        assert!(report.failures.iter().all(|f| f.attempts == 3));
+        assert_eq!(report.retries, report.quarantined() * 2);
     }
 
     #[test]
@@ -614,13 +599,12 @@ mod tests {
             ..SupervisePolicy::default()
         };
         // Unit 4 panics on its first attempt only.
-        let (results, report) =
-            Pool::new(1).supervised_map(&items, "test", &policy, no_meta, |_, &x| {
-                if x == 4 && failures.fetch_add(1, Ordering::Relaxed) == 0 {
-                    panic!("transient");
-                }
-                x
-            });
+        let (results, report) = run_batch(&items, policy, |&x| {
+            if x == 4 && failures.fetch_add(1, Ordering::Relaxed) == 0 {
+                panic!("transient");
+            }
+            x
+        });
         assert!(results.iter().all(|r| r.is_some()));
         assert_eq!(report.quarantined(), 0);
         assert_eq!(report.recovered, 1);
@@ -636,13 +620,12 @@ mod tests {
             unit_deadline: Some(Duration::from_millis(40)),
             max_retries: 3,
         };
-        let (results, report) =
-            Pool::new(3).supervised_map(&items, "test", &policy, no_meta, |_, &x| {
-                if x == 2 {
-                    std::thread::sleep(Duration::from_millis(300));
-                }
-                x
-            });
+        let (results, report) = run_batch(&items, policy, |&x| {
+            if x == 2 {
+                std::thread::sleep(Duration::from_millis(300));
+            }
+            x
+        });
         assert!(results[2].is_none(), "slow unit result is discarded");
         assert_eq!(results.iter().filter(|r| r.is_some()).count(), 5);
         assert_eq!(report.quarantined(), 1);
@@ -663,28 +646,30 @@ mod tests {
     #[test]
     fn meta_attribution_reaches_the_failure() {
         let _gate = batch_gate();
-        let items = ["a", "b"];
         let policy = SupervisePolicy {
             max_retries: 0,
             ..SupervisePolicy::default()
         };
-        let (_, report) = Pool::new(1).supervised_map(
-            &items,
-            "scenario",
-            &policy,
-            |i, s: &&str| {
-                UnitMeta::labeled(format!("scenario:{s}"))
-                    .for_scenario(*s)
-                    .for_stream(i as u32)
-                    .carrying(7)
-            },
-            |_, s: &&str| {
-                if *s == "b" {
-                    panic!("bad scenario");
-                }
-                1
-            },
-        );
+        let supervisor = Supervisor::new(policy, &Telemetry::noop());
+        let mut report = ExecutionReport::default();
+        for (i, s) in ["a", "b"].into_iter().enumerate() {
+            supervisor.run(
+                &mut report,
+                "scenario",
+                || {
+                    UnitMeta::labeled(format!("scenario:{s}"))
+                        .for_scenario(s)
+                        .for_stream(i as u32)
+                        .carrying(7)
+                },
+                || {
+                    if s == "b" {
+                        panic!("bad scenario");
+                    }
+                    1
+                },
+            );
+        }
         assert_eq!(report.failures.len(), 1);
         let f = &report.failures[0];
         assert_eq!(f.unit, "scenario:b");
@@ -707,12 +692,11 @@ mod tests {
                 hits.fetch_add(1, Ordering::Relaxed);
             }));
         }
-        let items = [1u32, 2, 3];
         let policy = SupervisePolicy {
             max_retries: 0,
             ..SupervisePolicy::default()
         };
-        let (_, report) = Pool::new(2).supervised_map(&items, "test", &policy, no_meta, |_, &x| {
+        let (_, report) = run_batch(&[1u32, 2, 3], policy, |&x| {
             if x == 2 {
                 panic!("supervised panic");
             }
@@ -776,13 +760,7 @@ mod tests {
     #[test]
     fn empty_batch_is_clean() {
         let _gate = batch_gate();
-        let (results, report) = Pool::new(4).supervised_map(
-            &[] as &[u8],
-            "test",
-            &SupervisePolicy::default(),
-            no_meta,
-            |_, &x| x,
-        );
+        let (results, report) = run_batch(&[] as &[u8], SupervisePolicy::default(), |&x| x);
         assert!(results.is_empty());
         assert!(report.is_clean());
         assert_eq!(report.units, 0);

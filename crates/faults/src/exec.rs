@@ -4,10 +4,10 @@
 //! corrupts *execution*. An [`ExecFaultPlan`] decides, deterministically
 //! in `(seed, stage, unit)`, whether a given supervised work unit should
 //! panic mid-analysis or stall past its soft deadline — the two failure
-//! modes the fail-operational supervisor in `tracelens-pool` exists to
-//! contain. The plan is pure data: probing it never mutates state, so
-//! the same plan consulted from any thread, at any job count, or across
-//! a checkpoint-resume boundary yields the same verdict for the same
+//! modes the fail-operational supervisor in `tracelens::supervise`
+//! exists to contain. The plan is pure data: probing it never mutates
+//! state, so the same plan consulted on any run, any retry, or across a
+//! checkpoint-resume boundary yields the same verdict for the same
 //! unit.
 //!
 //! ```

@@ -48,21 +48,7 @@ mod telemetry;
 pub use collect::{CollectingSink, RunReport, SpanReport, REPORT_VERSION};
 pub use histogram::{percentile_from_buckets, Histogram, DEFAULT_TIME_BOUNDS_NS};
 pub use registry::{HistogramSnapshot, MetricsSnapshot, Registry};
-pub use telemetry::{
-    NoopSink, SpanContext, SpanGuard, SpanId, Telemetry, TelemetrySink, WaitGuard,
-};
-
-/// Canonical names for the pipeline's *wait points* — places a thread
-/// blocks on another thread's progress. An event recorder turns these
-/// into ETW-shaped wait/unwait pairs; ordinary sinks ignore them.
-pub mod waitpoint {
-    /// The spawning thread blocking until every pool worker finishes
-    /// (one barrier wait per parallel batch; the last worker wakes it).
-    pub const POOL_JOIN: &str = "pool.join";
-    /// A recorder blocking on its own ingest lock (self-observation
-    /// overhead made visible instead of hidden).
-    pub const OBS_LOCK: &str = "obs.lock";
-}
+pub use telemetry::{NoopSink, SpanGuard, SpanId, Telemetry, TelemetrySink};
 
 /// Canonical span names for the analysis pipeline's stages.
 ///
@@ -91,10 +77,6 @@ pub mod stage {
     /// Data-set sanitization (repair + quarantine) before analysis.
     /// Not part of [`PIPELINE`]: it only runs on corrupt input paths.
     pub const SANITIZE: &str = "sanitize";
-    /// Thread-pool execution (`tracelens-pool`): worker fan-out,
-    /// queue-depth and busy-time metrics. Not part of [`PIPELINE`]: the
-    /// pool runs *inside* the other stages.
-    pub const POOL: &str = "pool";
     /// Supervised (fail-operational) execution: panic isolation,
     /// retries, per-unit deadlines and quarantine accounting. Not part
     /// of [`PIPELINE`]: supervision wraps the other stages.
@@ -128,7 +110,6 @@ mod tests {
         names.push(stage::REDUCE);
         names.push(stage::STUDY);
         names.push(stage::SANITIZE);
-        names.push(stage::POOL);
         names.push(stage::SUPERVISE);
         names.push(stage::CHECKPOINT);
         names.push(stage::CHAOS);

@@ -12,11 +12,6 @@ pub struct SpanId(pub u64);
 ///
 /// Implementations must be cheap and non-blocking: sinks are called
 /// from the middle of the analysis pipeline's hot loops.
-///
-/// The wait/wake/thread methods have do-nothing defaults so ordinary
-/// aggregating sinks ignore them; an event recorder (the `selftrace`
-/// crate) overrides them to capture the ETW-shaped wait/unwait edges
-/// the wait-graph meta-analysis is built from.
 pub trait TelemetrySink: Send + Sync {
     /// Called when a span opens; returns the id used at exit.
     fn span_enter(&self, name: &'static str, parent: Option<SpanId>) -> SpanId;
@@ -32,40 +27,6 @@ pub trait TelemetrySink: Send + Sync {
 
     /// Records one histogram observation.
     fn histogram_record(&self, name: &'static str, value: u64);
-
-    /// Binds the calling thread to a stable role identity (e.g.
-    /// `("worker", slot)`), so an event recorder can assign it a
-    /// reproducible virtual thread id.
-    fn thread_bind(&self, _role: &'static str, _slot: u32) {}
-
-    /// A sink-assigned stable token for the calling thread, used as the
-    /// wake target in [`TelemetrySink::wake`]. `None` for sinks that do
-    /// not track threads.
-    fn thread_token(&self) -> Option<u64> {
-        None
-    }
-
-    /// Called when the calling thread starts blocking at the named wait
-    /// point; returns a token handed back to [`TelemetrySink::wait_end`].
-    fn wait_begin(&self, _name: &'static str, _parent: Option<SpanId>) -> u64 {
-        0
-    }
-
-    /// Called when the wait that produced `token` ends.
-    fn wait_end(&self, _token: u64, _elapsed_ns: u64) {}
-
-    /// Called when the calling thread signals (unwaits) the thread whose
-    /// [`TelemetrySink::thread_token`] is `target`.
-    fn wake(&self, _name: &'static str, _target: u64) {}
-
-    /// Whether span context should be re-established on worker threads
-    /// (see [`Telemetry::propagation_context`]). Aggregating sinks keep
-    /// the default `false` so their per-thread span trees are unchanged;
-    /// event recorders return `true` to see worker activity nested under
-    /// the spawning stage.
-    fn wants_thread_context(&self) -> bool {
-        false
-    }
 }
 
 /// A sink that drops everything.
@@ -89,18 +50,7 @@ impl TelemetrySink for NoopSink {
 thread_local! {
     /// Stack of open spans on this thread; the top is the parent of
     /// the next span. Only touched when a sink is attached.
-    static SPAN_STACK: RefCell<Vec<(SpanId, &'static str)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The innermost open span on a thread: enough to re-open it (same
-/// name, explicit parent) on a worker thread via
-/// [`Telemetry::span_with_parent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanContext {
-    /// Id of the open span.
-    pub id: SpanId,
-    /// Its name.
-    pub name: &'static str,
+    static SPAN_STACK: RefCell<Vec<SpanId>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A cheap, cloneable handle the pipeline threads through its layers.
@@ -145,24 +95,12 @@ impl Telemetry {
     /// Opens a named span; it closes (and reports its wall time) when
     /// the returned guard drops.
     pub fn span(&self, name: &'static str) -> SpanGuard {
-        let parent = match &self.sink {
-            Some(_) => SPAN_STACK.with(|s| s.borrow().last().map(|&(id, _)| id)),
-            None => None,
-        };
-        self.span_with_parent(name, parent)
-    }
-
-    /// Opens a named span under an *explicit* parent instead of the
-    /// calling thread's innermost open span — the cross-thread variant
-    /// of [`Telemetry::span`], used to nest worker activity under the
-    /// stage span that spawned it (see
-    /// [`Telemetry::propagation_context`]).
-    pub fn span_with_parent(&self, name: &'static str, parent: Option<SpanId>) -> SpanGuard {
         let Some(sink) = &self.sink else {
             return SpanGuard { open: None };
         };
+        let parent = SPAN_STACK.with(|s| s.borrow().last().copied());
         let id = sink.span_enter(name, parent);
-        SPAN_STACK.with(|s| s.borrow_mut().push((id, name)));
+        SPAN_STACK.with(|s| s.borrow_mut().push(id));
         SpanGuard {
             open: Some(OpenSpan {
                 sink: Arc::clone(sink),
@@ -171,71 +109,6 @@ impl Telemetry {
                 opened_on: std::thread::current().id(),
             }),
         }
-    }
-
-    /// The innermost open span on the calling thread, if any.
-    pub fn current_span(&self) -> Option<SpanContext> {
-        self.sink.as_ref()?;
-        SPAN_STACK.with(|s| {
-            s.borrow()
-                .last()
-                .map(|&(id, name)| SpanContext { id, name })
-        })
-    }
-
-    /// The span context to carry onto worker threads, or `None` when
-    /// the sink does not ask for one ([`TelemetrySink::wants_thread_context`]).
-    ///
-    /// Spawners pass the returned context to workers, which re-open it
-    /// with [`Telemetry::span_with_parent`] so their spans (and the
-    /// synthetic callstacks a recorder derives from them) nest under
-    /// the stage that fanned out, not under a bare thread root.
-    pub fn propagation_context(&self) -> Option<SpanContext> {
-        let sink = self.sink.as_ref()?;
-        if !sink.wants_thread_context() {
-            return None;
-        }
-        self.current_span()
-    }
-
-    /// Marks the calling thread as blocking at the named wait point
-    /// until the returned guard drops. Free on a disabled handle and on
-    /// sinks that keep the default no-op wait hooks.
-    pub fn wait(&self, name: &'static str) -> WaitGuard {
-        let Some(sink) = &self.sink else {
-            return WaitGuard { open: None };
-        };
-        let parent = SPAN_STACK.with(|s| s.borrow().last().map(|&(id, _)| id));
-        let token = sink.wait_begin(name, parent);
-        WaitGuard {
-            open: Some(OpenWait {
-                sink: Arc::clone(sink),
-                token,
-                start: Instant::now(),
-            }),
-        }
-    }
-
-    /// Records that the calling thread signalled (unwaited) the thread
-    /// whose [`Telemetry::thread_token`] is `target`.
-    pub fn wake(&self, name: &'static str, target: u64) {
-        if let Some(sink) = &self.sink {
-            sink.wake(name, target);
-        }
-    }
-
-    /// Binds the calling thread to a stable role/slot identity for
-    /// event recorders (no-op on other sinks).
-    pub fn bind_thread(&self, role: &'static str, slot: u32) {
-        if let Some(sink) = &self.sink {
-            sink.thread_bind(role, slot);
-        }
-    }
-
-    /// The sink-assigned token of the calling thread, used as a wake
-    /// target. `None` on disabled handles and non-recording sinks.
-    pub fn thread_token(&self) -> Option<u64> {
-        self.sink.as_ref().and_then(|sink| sink.thread_token())
     }
 
     /// Adds `delta` to the counter `name`.
@@ -292,38 +165,15 @@ impl Drop for SpanGuard {
                 // Guards normally drop in LIFO order; if user code holds
                 // one across a sibling's lifetime, remove by id instead
                 // of corrupting the stack.
-                if stack.last().map(|&(id, _)| id) == Some(open.id) {
+                if stack.last() == Some(&open.id) {
                     stack.pop();
-                } else if let Some(i) = stack.iter().rposition(|&(id, _)| id == open.id) {
+                } else if let Some(i) = stack.iter().rposition(|&id| id == open.id) {
                     stack.remove(i);
                 }
             });
             let elapsed = open.start.elapsed().as_nanos();
             open.sink
                 .span_exit(open.id, u64::try_from(elapsed).unwrap_or(u64::MAX));
-        }
-    }
-}
-
-struct OpenWait {
-    sink: Arc<dyn TelemetrySink>,
-    token: u64,
-    start: Instant,
-}
-
-/// Ends its wait interval on drop, reporting the measured blocked time
-/// to [`TelemetrySink::wait_end`].
-#[must_use = "a wait ends when its guard drops; bind it to a named variable"]
-pub struct WaitGuard {
-    open: Option<OpenWait>,
-}
-
-impl Drop for WaitGuard {
-    fn drop(&mut self) {
-        if let Some(open) = self.open.take() {
-            let elapsed = open.start.elapsed().as_nanos();
-            open.sink
-                .wait_end(open.token, u64::try_from(elapsed).unwrap_or(u64::MAX));
         }
     }
 }
@@ -373,31 +223,6 @@ mod tests {
                 .lock()
                 .unwrap()
                 .push(format!("hist {name} {value}"));
-        }
-        fn thread_token(&self) -> Option<u64> {
-            Some(7)
-        }
-        fn wait_begin(&self, name: &'static str, parent: Option<SpanId>) -> u64 {
-            self.events
-                .lock()
-                .unwrap()
-                .push(format!("wait {name} parent={:?}", parent.map(|p| p.0)));
-            42
-        }
-        fn wait_end(&self, token: u64, _elapsed_ns: u64) {
-            self.events
-                .lock()
-                .unwrap()
-                .push(format!("unblock token={token}"));
-        }
-        fn wake(&self, name: &'static str, target: u64) {
-            self.events
-                .lock()
-                .unwrap()
-                .push(format!("wake {name} target={target}"));
-        }
-        fn wants_thread_context(&self) -> bool {
-            true
         }
     }
 
@@ -473,69 +298,8 @@ mod tests {
         let t = Telemetry::with_sink(Arc::new(NoopSink));
         let _span = t.span("s");
         t.count("c", 1);
-        // Default hooks are silent and token-free.
-        assert!(t.thread_token().is_none());
-        assert!(t.propagation_context().is_none());
-        let _w = t.wait("w");
-        t.wake("w", 1);
-        t.bind_thread("worker", 0);
-    }
-
-    #[test]
-    fn wait_and_wake_reach_the_sink() {
-        let sink = Arc::new(LogSink::default());
-        let t = Telemetry::with_sink(Arc::clone(&sink) as Arc<dyn TelemetrySink>);
-        let _outer = t.span("outer");
-        {
-            let _w = t.wait("pool.join");
-            t.wake("pool.join", t.thread_token().unwrap());
-        }
-        let events = sink.events.lock().unwrap().clone();
-        assert_eq!(
-            &events[1..],
-            [
-                "wait pool.join parent=Some(0)",
-                "wake pool.join target=7",
-                "unblock token=42",
-            ]
-        );
-    }
-
-    #[test]
-    fn propagation_context_reopens_on_another_thread() {
-        let sink = Arc::new(LogSink::default());
-        let t = Telemetry::with_sink(Arc::clone(&sink) as Arc<dyn TelemetrySink>);
-        let outer = t.span("outer");
-        let cx = t.propagation_context().expect("LogSink wants context");
-        assert_eq!(cx.name, "outer");
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let _worker = t.span_with_parent(cx.name, Some(cx.id));
-                let _inner = t.span("inner");
-            });
-        });
-        drop(outer);
-        let events = sink.events.lock().unwrap().clone();
-        assert_eq!(
-            events,
-            vec![
-                "enter outer id=0 parent=None",
-                "enter outer id=1 parent=Some(0)",
-                "enter inner id=2 parent=Some(1)",
-                "exit id=2",
-                "exit id=1",
-                "exit id=0",
-            ]
-        );
-    }
-
-    #[test]
-    fn noop_wait_touches_nothing() {
-        let t = Telemetry::noop();
-        let _w = t.wait("w");
-        t.wake("w", 0);
-        assert!(t.current_span().is_none());
-        SPAN_STACK.with(|s| assert!(s.borrow().is_empty()));
+        t.gauge("g", 2);
+        t.record("h", 3);
     }
 
     #[cfg(debug_assertions)]

@@ -267,17 +267,56 @@ fn single_threaded_commands_reject_jobs() {
     assert!(out.status.success(), "simulate failed: {out:?}");
 
     let scenario = "BrowserTabCreate";
-    let cases: [&[&str]; 4] = [
+    let cases: [&[&str]; 5] = [
         &["impact", "--jobs", "2", path],
         &["impact", path, "--jobs", "2"],
         &["causality", "--jobs", "2", path, "--scenario", scenario],
         &["causality", path, "--scenario", scenario, "--jobs", "2"],
+        &["chaos", "--runs", "1", "--jobs", "2"],
     ];
     for args in cases {
         let out = tracelens(args);
         assert!(!out.status.success(), "{args:?} must fail");
         let err = String::from_utf8_lossy(&out.stderr);
         let want = format!("{} is single-threaded and takes no --jobs", args[0]);
+        assert!(err.contains(&want), "{args:?}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn report_and_pack_accept_only_one_job() {
+    let dir = std::env::temp_dir().join(format!("tracelens-cli-one-job-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = dir.join("w.tlt");
+    let path = file.to_str().expect("utf-8 path");
+    let out = tracelens(&["simulate", "-o", path, "--traces", "10", "--seed", "3"]);
+    assert!(out.status.success(), "simulate failed: {out:?}");
+
+    // The benchmark's `--jobs 1` is accepted and changes nothing.
+    let plain = tracelens(&["report", path]);
+    assert!(plain.status.success(), "report failed: {plain:?}");
+    let one = tracelens(&["report", path, "--jobs", "1"]);
+    assert!(one.status.success(), "report --jobs 1 failed: {one:?}");
+    assert_eq!(
+        plain.stdout, one.stdout,
+        "--jobs 1 must not change the report"
+    );
+    let packed = dir.join("w.tlb");
+    let packed = packed.to_str().expect("utf-8 path");
+    let out = tracelens(&["pack", path, "-o", packed, "--jobs", "1"]);
+    assert!(out.status.success(), "pack --jobs 1 failed: {out:?}");
+
+    let cases: [(&[&str], &str); 3] = [
+        (&["report", path, "--jobs", "0"], "report"),
+        (&["report", path, "--jobs", "2"], "report"),
+        (&["pack", path, "-o", packed, "--jobs", "2"], "pack"),
+    ];
+    for (args, command) in cases {
+        let out = tracelens(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let want = format!("{command} runs on one thread; --jobs accepts only 1");
         assert!(err.contains(&want), "{args:?}: {err}");
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -297,7 +336,6 @@ fn every_command_rejects_undeclared_flags() {
         "scenarios",
         "locate",
         "report",
-        "self-report",
         "regress",
         "baselines",
         "chaos",

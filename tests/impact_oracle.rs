@@ -225,11 +225,8 @@ fn check(ds: &Dataset, label: &str) {
         assert_eq!(got, *expected, "{label}: trace {}", trace.0);
     }
     let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
-    let config = StudyConfig {
-        jobs: 1,
-        ..StudyConfig::default()
-    };
-    let study = Study::run(ds, &config, &names, &Telemetry::noop()).expect("study runs");
+    let study =
+        Study::run(ds, &StudyConfig::default(), &names, &Telemetry::noop()).expect("study runs");
     assert_eq!(study.impact, total, "{label}: Study::run global impact");
 }
 

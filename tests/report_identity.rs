@@ -1,6 +1,6 @@
 //! Golden report digests: the rendered Markdown of four study shapes is
 //! pinned by FNV-1a digest, so any change to how the study computes its
-//! numbers — scheduling, supervision, checkpoint resume — that alters a
+//! numbers — supervision, checkpoint resume — that alters a
 //! single byte of a report fails here.
 
 use tracelens::prelude::*;
@@ -34,61 +34,35 @@ fn selected(seed: u64, traces: usize) -> Dataset {
         .build()
 }
 
-/// Runs `study` at one and at three jobs, checks both render the same
-/// bytes, and returns the digest.
-fn digest_at_every_job_count(study: impl Fn(usize) -> (Study, Dataset)) -> String {
-    let (one, ds) = study(1);
-    let md = render(&one, &ds);
-    let (three, ds3) = study(3);
-    assert_eq!(md, render(&three, &ds3), "jobs 1 and 3 render differently");
-    digest(&md)
-}
-
 #[test]
 fn clean_selected_mix_report_is_pinned() {
-    let got = digest_at_every_job_count(|jobs| {
-        let ds = selected(9, 40);
-        let cfg = StudyConfig {
-            jobs,
-            ..StudyConfig::default()
-        };
-        (run(&ds, &cfg, &names_of(&ds)).expect("study runs"), ds)
-    });
-    assert_eq!(got, "61932613e04e978d");
+    let ds = selected(9, 40);
+    let study = run(&ds, &StudyConfig::default(), &names_of(&ds)).expect("study runs");
+    assert_eq!(digest(&render(&study, &ds)), "61932613e04e978d");
 }
 
 #[test]
 fn dense_corpus_report_is_pinned() {
-    let got = digest_at_every_job_count(|jobs| {
-        let ds = DatasetBuilder::new(2014)
-            .traces(30)
-            .mix(ScenarioMix::Selected)
-            .instances_per_trace(8, 12)
-            .start_window_ms(100)
-            .build();
-        let cfg = StudyConfig {
-            jobs,
-            ..StudyConfig::default()
-        };
-        (run(&ds, &cfg, &names_of(&ds)).expect("study runs"), ds)
-    });
-    assert_eq!(got, "6d977665704fc722");
+    let ds = DatasetBuilder::new(2014)
+        .traces(30)
+        .mix(ScenarioMix::Selected)
+        .instances_per_trace(8, 12)
+        .start_window_ms(100)
+        .build();
+    let study = run(&ds, &StudyConfig::default(), &names_of(&ds)).expect("study runs");
+    assert_eq!(digest(&render(&study, &ds)), "6d977665704fc722");
 }
 
 #[test]
 fn sanitized_fault_injected_report_is_pinned() {
-    let got = digest_at_every_job_count(|jobs| {
-        let clean = selected(21, 40);
-        let (corrupt, _) = FaultInjector::new(21).with_all(0.03).inject(&clean);
-        let cfg = StudyConfig {
-            jobs,
-            sanitize: true,
-            ..StudyConfig::default()
-        };
-        let study = run(&corrupt, &cfg, &names_of(&clean)).expect("sanitized run completes");
-        (study, corrupt)
-    });
-    assert_eq!(got, "99af0e6d4bf62ca7");
+    let clean = selected(21, 40);
+    let (corrupt, _) = FaultInjector::new(21).with_all(0.03).inject(&clean);
+    let cfg = StudyConfig {
+        sanitize: true,
+        ..StudyConfig::default()
+    };
+    let study = run(&corrupt, &cfg, &names_of(&clean)).expect("sanitized run completes");
+    assert_eq!(digest(&render(&study, &corrupt)), "99af0e6d4bf62ca7");
 }
 
 #[test]
@@ -98,7 +72,6 @@ fn checkpoint_resumed_report_is_pinned() {
     let dir = std::env::temp_dir().join("tracelens-report-identity-resume");
     let _ = std::fs::remove_dir_all(&dir);
     let faulted = StudyConfig {
-        jobs: 2,
         exec_faults: Some(ExecFaultPlan::new(91).with_panic_rate(0.1)),
         checkpoint: Some(dir.clone()),
         ..StudyConfig::default()
@@ -109,7 +82,6 @@ fn checkpoint_resumed_report_is_pinned() {
         "the plan must hit a unit"
     );
     let resume = StudyConfig {
-        jobs: 1,
         checkpoint: Some(dir.clone()),
         ..StudyConfig::default()
     };

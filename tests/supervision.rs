@@ -1,7 +1,7 @@
 //! Fail-operational execution: a supervised study must complete under
 //! injected panics and deadline overruns, account for every quarantined
-//! unit, and stay deterministic — byte-identical markdown at every job
-//! count and across checkpoint/resume boundaries.
+//! unit, and stay deterministic — byte-identical markdown across reruns
+//! and checkpoint/resume boundaries.
 
 use std::path::PathBuf;
 use tracelens::prelude::*;
@@ -59,7 +59,6 @@ fn faulted_study_completes_and_lists_every_quarantined_unit() {
     let ds = dataset(62, 20);
     let names = names_of(&ds);
     let config = StudyConfig {
-        jobs: 1,
         exec_faults: Some(ExecFaultPlan::new(19).with_panic_rate(0.35)),
         ..StudyConfig::default()
     };
@@ -74,21 +73,11 @@ fn faulted_study_completes_and_lists_every_quarantined_unit() {
             "failure {f} missing from report"
         );
     }
-    // Determinism: the same fault plan at other job counts produces the
-    // same failures and byte-identical markdown.
-    for jobs in [2, 8] {
-        let par = run(
-            &ds,
-            &StudyConfig {
-                jobs,
-                ..config.clone()
-            },
-            &names,
-        )
-        .expect("faulted parallel run completes");
-        assert_eq!(exec.failures, par.execution.failures, "jobs={jobs}");
-        assert_eq!(md, render(&par, &ds), "jobs={jobs}: markdown diverged");
-    }
+    // Determinism: a rerun of the same fault plan produces the same
+    // failures and byte-identical markdown.
+    let again = run(&ds, &config, &names).expect("faulted rerun completes");
+    assert_eq!(exec.failures, again.execution.failures);
+    assert_eq!(md, render(&again, &ds), "markdown diverged");
 }
 
 #[test]
@@ -96,7 +85,6 @@ fn slow_units_are_quarantined_by_the_soft_deadline() {
     let ds = dataset(63, 6);
     let names = names_of(&ds);
     let config = StudyConfig {
-        jobs: 4,
         supervise: SupervisePolicy::from_knobs(40, 1),
         exec_faults: Some(
             ExecFaultPlan::new(5)
@@ -130,7 +118,6 @@ fn checkpoint_resume_is_byte_identical_to_an_uninterrupted_run() {
     // First attempt: faults quarantine part of the study; survivors are
     // checkpointed.
     let faulted_cfg = StudyConfig {
-        jobs: 2,
         exec_faults: Some(ExecFaultPlan::new(91).with_panic_rate(0.2)),
         checkpoint: Some(dir.clone()),
         ..StudyConfig::default()
@@ -139,22 +126,17 @@ fn checkpoint_resume_is_byte_identical_to_an_uninterrupted_run() {
     assert!(faulted.execution.quarantined() > 0);
 
     // Resume with the faults gone: only the missing units re-run, and
-    // the result is byte-identical to a never-interrupted study at any
-    // job count.
-    for jobs in [1, 4] {
-        let resume_cfg = StudyConfig {
-            jobs,
-            checkpoint: Some(dir.clone()),
-            ..StudyConfig::default()
-        };
+    // the result is byte-identical to a never-interrupted study. A
+    // rerun of the resume restores every unit and matches too.
+    let resume_cfg = StudyConfig {
+        checkpoint: Some(dir.clone()),
+        ..StudyConfig::default()
+    };
+    for attempt in ["resume", "rerun of the resume"] {
         let resumed = run(&ds, &resume_cfg, &names).expect("resumed run completes");
         assert!(resumed.execution.restored > 0, "resume must reuse units");
         assert!(resumed.execution.is_clean());
-        assert_eq!(
-            clean_md,
-            render(&resumed, &ds),
-            "jobs={jobs}: resume diverged"
-        );
+        assert_eq!(clean_md, render(&resumed, &ds), "{attempt} diverged");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -193,7 +175,6 @@ fn quarantined_streams_drop_out_of_every_report_and_every_checkpoint() {
 
     let dir = scratch_dir("stream-quarantine");
     let faulted_cfg = StudyConfig {
-        jobs: 2,
         exec_faults: Some(plan),
         checkpoint: Some(dir.clone()),
         ..StudyConfig::default()
@@ -243,7 +224,6 @@ fn quarantined_streams_drop_out_of_every_report_and_every_checkpoint() {
     assert!(checked > 0, "a mined scenario lost instances");
 
     let resume_cfg = StudyConfig {
-        jobs: 1,
         checkpoint: Some(dir.clone()),
         ..StudyConfig::default()
     };
@@ -317,13 +297,12 @@ mod prop {
         #![proptest_config(ProptestConfig::with_cases(5))]
 
         /// Random panic injection: the supervised study never aborts,
-        /// its markdown is byte-identical across job counts, and a
+        /// its markdown is byte-identical across reruns, and a
         /// faulted-then-resumed study matches a clean run exactly.
         #[test]
         fn supervision_is_deterministic_under_random_faults(
             seed in 0u64..500,
             traces in 4usize..12,
-            jobs in 2usize..8,
             panic_pct in 10u32..60,
         ) {
             let ds = dataset(seed, traces);
@@ -331,11 +310,9 @@ mod prop {
             let plan = ExecFaultPlan::new(seed ^ 0x5EED)
                 .with_panic_rate(panic_pct as f64 / 100.0);
 
-            // Byte-identical faulted runs at jobs 1/2/8 and the sampled
-            // job count.
-            let faulted = |j: usize| {
+            // Byte-identical faulted runs: a run and its rerun.
+            let faulted = || {
                 let cfg = StudyConfig {
-                    jobs: j,
                     exec_faults: Some(plan),
                     ..StudyConfig::default()
                 };
@@ -343,24 +320,19 @@ mod prop {
                     .expect("supervised run never aborts");
                 render(&study, &ds)
             };
-            let seq_md = faulted(1);
-            for j in [2, 8, jobs] {
-                prop_assert_eq!(&seq_md, &faulted(j), "faulted markdown diverged at jobs={}", j);
-            }
+            prop_assert_eq!(&faulted(), &faulted(), "faulted markdown diverged on a rerun");
 
             // Faulted + checkpoint, then fault-free resume: identical to
             // a study that was never interrupted.
             let clean_md = clean_render(&ds, &names);
-            let dir = scratch_dir(&format!("prop-{seed}-{traces}-{jobs}-{panic_pct}"));
+            let dir = scratch_dir(&format!("prop-{seed}-{traces}-{panic_pct}"));
             let ckpt_cfg = StudyConfig {
-                jobs,
                 exec_faults: Some(plan),
                 checkpoint: Some(dir.clone()),
                 ..StudyConfig::default()
             };
             run(&ds, &ckpt_cfg, &names).expect("faulted checkpointed run");
             let resume_cfg = StudyConfig {
-                jobs: 1,
                 checkpoint: Some(dir.clone()),
                 ..StudyConfig::default()
             };
@@ -426,7 +398,7 @@ mod prop {
         /// Checkpoint × sanitize: a corrupt corpus (quarantined streams
         /// and all) run exec-faulted with a checkpoint, then resumed
         /// faults-off, renders byte-identically to a fresh, never-
-        /// faulted sanitized run — at every job count.
+        /// faulted sanitized run — and so does a rerun of the resume.
         #[test]
         fn sanitized_checkpoint_resume_matches_a_fresh_clean_run(
             seed in 800u64..1100,
@@ -453,33 +425,29 @@ mod prop {
 
             let plan = ExecFaultPlan::new(seed ^ 0x5EED)
                 .with_panic_rate(panic_pct as f64 / 100.0);
-            for jobs in [1usize, 2, 8] {
-                let dir = scratch_dir(
-                    &format!("san-ckpt-{seed}-{traces}-{panic_pct}-{jobs}"),
-                );
-                let faulted_cfg = StudyConfig {
-                    jobs,
-                    exec_faults: Some(plan),
-                    checkpoint: Some(dir.clone()),
-                    ..sanitized.clone()
-                };
-                run(&corrupt, &faulted_cfg, &names)
-                    .expect("faulted sanitized checkpointed run");
-                let resume_cfg = StudyConfig {
-                    jobs,
-                    checkpoint: Some(dir.clone()),
-                    ..sanitized.clone()
-                };
+            let dir = scratch_dir(&format!("san-ckpt-{seed}-{traces}-{panic_pct}"));
+            let faulted_cfg = StudyConfig {
+                exec_faults: Some(plan),
+                checkpoint: Some(dir.clone()),
+                ..sanitized.clone()
+            };
+            run(&corrupt, &faulted_cfg, &names)
+                .expect("faulted sanitized checkpointed run");
+            let resume_cfg = StudyConfig {
+                checkpoint: Some(dir.clone()),
+                ..sanitized.clone()
+            };
+            for attempt in ["resume", "rerun of the resume"] {
                 let resumed = run(&corrupt, &resume_cfg, &names).expect("sanitized resume");
-                let _ = std::fs::remove_dir_all(&dir);
                 prop_assert!(resumed.execution.is_clean());
                 prop_assert_eq!(
                     &fresh_md,
                     &render(&resumed, &corrupt),
-                    "sanitized resume diverged from the fresh clean run at jobs={}",
-                    jobs
+                    "sanitized {} diverged from the fresh clean run",
+                    attempt
                 );
             }
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }

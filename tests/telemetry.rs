@@ -222,6 +222,53 @@ fn supervisor_counters_match_the_execution_report() {
     );
 }
 
+/// The price of the telemetry plumbing itself: a study with an attached
+/// but discarding sink must stay within 2% + 2 ms of the same study with
+/// telemetry disabled, comparing the fastest of five runs each. At 60
+/// traces the 2 ms slack is about a quarter of the study, so the gate
+/// catches only gross regressions.
+#[test]
+#[ignore = "timing gate; ci.sh runs it alone in release"]
+fn attached_noop_sink_stays_within_the_overhead_budget() {
+    const RUNS: usize = 5;
+    const GATE_PCT: f64 = 2.0;
+    const SLACK_NS: u64 = 2_000_000;
+    let ds = DatasetBuilder::new(2014)
+        .traces(60)
+        .mix(ScenarioMix::Selected)
+        .build();
+    let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
+    let fastest_ns = |telemetry: &Telemetry| {
+        (0..RUNS)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                let study = Study::run(&ds, &StudyConfig::default(), &names, telemetry);
+                let elapsed = start.elapsed().as_nanos() as u64;
+                assert!(study.is_ok_and(|s| !s.scenarios.is_empty()));
+                elapsed
+            })
+            .min()
+            .expect("at least one run")
+    };
+    let disabled_ns = fastest_ns(&Telemetry::noop());
+    let attached = Telemetry::with_sink(std::sync::Arc::new(tracelens::obs::NoopSink));
+    let attached_ns = fastest_ns(&attached);
+    let budget_ns = (disabled_ns as f64 * GATE_PCT / 100.0) as u64 + SLACK_NS;
+    let overhead_ns = attached_ns.saturating_sub(disabled_ns);
+    eprintln!(
+        "overhead gate: disabled {:.3} ms, attached {:.3} ms, \
+         overhead {:.3} ms (budget {:.3} ms)",
+        disabled_ns as f64 / 1e6,
+        attached_ns as f64 / 1e6,
+        overhead_ns as f64 / 1e6,
+        budget_ns as f64 / 1e6,
+    );
+    assert!(
+        overhead_ns <= budget_ns,
+        "telemetry overhead {overhead_ns} ns exceeds the {GATE_PCT}% + 2 ms budget ({budget_ns} ns)"
+    );
+}
+
 #[test]
 fn report_json_parses_and_matches() {
     let (_, report) = observed_study();

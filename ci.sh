@@ -68,15 +68,13 @@ assert j['intern_fraction_of_serial'] < 0.5, 'interning dominates ingest'
 " "$ING_JSON"
 rm -f "$ING_JSON"
 
-echo "== fail-operational report (injected panics + slow units) =="
+echo "== fail-operational report (injected panics) =="
 # A report over a faulty analysis run must exit 0 and account for the
 # quarantined work in a non-empty Execution section.
 SUP_DIR="$(mktemp -d)"
 TL=target/release/tracelens
 "$TL" simulate -o "$SUP_DIR/ds.tlt" --traces 40 --seed 9 > /dev/null
-"$TL" report "$SUP_DIR/ds.tlt" \
-    --exec-faults seed=5,panic=0.3,slow=0.1,slow-ms=120 \
-    --unit-deadline-ms 60 \
+"$TL" report "$SUP_DIR/ds.tlt" --exec-faults seed=5,panic=0.3 \
     -o "$SUP_DIR/faulted.md" 2> /dev/null
 grep -q '^## Execution$' "$SUP_DIR/faulted.md"
 grep -q 'quarantined' "$SUP_DIR/faulted.md"
@@ -129,7 +127,7 @@ for line in open(sys.argv[1]):
 active = sum([
     knobs['corruption_eps'] > 0,
     knobs['read_fault_rate'] > 0,
-    knobs['exec_panic_rate'] > 0 or knobs['exec_slow_rate'] > 0,
+    knobs['exec_panic_rate'] > 0,
     knobs['torn_checkpoint_per_mille'] > 0,
     knobs['torn_cache_per_mille'] > 0,
 ])

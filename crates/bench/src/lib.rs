@@ -122,15 +122,6 @@ impl BenchArgs {
     }
 }
 
-/// Parses the common `<traces> <seed>` CLI arguments.
-///
-/// Thin wrapper over [`BenchArgs::parse`] for binaries that do not
-/// emit telemetry.
-pub fn cli_args() -> (usize, u64) {
-    let args = BenchArgs::parse();
-    (args.traces, args.seed)
-}
-
 /// Builds the selected-scenario data set used by Tables 1–4.
 ///
 /// Uses a wider start window and fewer instances per trace than the

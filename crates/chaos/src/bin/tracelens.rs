@@ -12,8 +12,7 @@
 //! tracelens scenarios FILE
 //! tracelens locate    FILE --scenario NAME [--rank R] [--top N]
 //! tracelens report    FILE [-o REPORT.md] [--top N]
-//!                     [--checkpoint DIR] [--unit-deadline-ms MS]
-//!                     [--max-retries N] [--exec-faults SPEC]
+//!                     [--checkpoint DIR] [--exec-faults SPEC]
 //! tracelens regress   BASELINE CANDIDATE --scenario NAME [--top N]
 //! tracelens baselines FILE [--top N]
 //! tracelens chaos     [--seed S] [--runs N] [--traces N] [--planes LIST]
@@ -98,8 +97,7 @@ fn print_usage() {
          \x20 tracelens scenarios FILE\n\
          \x20 tracelens locate    FILE --scenario NAME [--rank R] [--top N]\n\
          \x20 tracelens report    FILE [-o REPORT.md] [--top N]\n\
-         \x20                     [--checkpoint DIR] [--unit-deadline-ms MS]\n\
-         \x20                     [--max-retries N] [--exec-faults SPEC]\n\
+         \x20                     [--checkpoint DIR] [--exec-faults SPEC]\n\
          \x20 tracelens regress   BASELINE CANDIDATE --scenario NAME [--top N]\n\
          \x20 tracelens baselines FILE [--top N]\n\
          \x20 tracelens chaos     [--seed S] [--runs N] [--traces N] [--planes LIST]\n\
@@ -113,12 +111,10 @@ fn print_usage() {
          while the text fingerprint matches, with transparent fallback to\n\
          the text parse on any missing/stale/corrupt cache).\n\
          A flag a command does not declare is an error.\n\
-         `report` runs supervised: panicking or over-deadline work units\n\
-         are quarantined and listed in the report instead of aborting the\n\
-         study. --checkpoint DIR persists per-unit results for resume;\n\
-         --unit-deadline-ms sets a soft per-unit deadline (0 = none);\n\
-         --max-retries bounds re-runs of panicked units; --exec-faults\n\
-         `seed=S,panic=P,slow=Q[,slow-ms=MS]` injects faults for testing.\n\
+         `report` runs supervised: a panicking work unit is quarantined\n\
+         and listed in the report instead of aborting the study.\n\
+         --checkpoint DIR persists per-unit results for resume;\n\
+         --exec-faults `seed=S,panic=P` injects panics for testing.\n\
          File ingestion retries transient i/o errors with bounded\n\
          exponential backoff.\n\
          `chaos` runs a deterministic fault-injection campaign: --runs\n\
@@ -669,21 +665,12 @@ fn cmd_locate(args: &[String]) -> Result<(), String> {
 fn cmd_report(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
-        &[
-            "top",
-            "jobs",
-            "checkpoint",
-            "unit-deadline-ms",
-            "max-retries",
-            "exec-faults",
-        ],
+        &["top", "jobs", "checkpoint", "exec-faults"],
         FILE_SWITCHES,
     )?;
     let path = opts.positional.first().ok_or("report requires FILE")?;
     let top: usize = opts.parsed("top", 3)?;
     accept_one_job("report", &opts)?;
-    let deadline_ms: u64 = opts.parsed("unit-deadline-ms", 0)?;
-    let max_retries: usize = opts.parsed("max-retries", 1)?;
     let exec_faults = opts
         .value("exec-faults")
         .map(ExecFaultPlan::parse)
@@ -697,7 +684,6 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         return Err("--strict and --sanitize are mutually exclusive".to_owned());
     }
     let config = StudyConfig {
-        supervise: SupervisePolicy::from_knobs(deadline_ms, max_retries),
         exec_faults,
         checkpoint: opts.value("checkpoint").map(std::path::PathBuf::from),
         sanitize,

@@ -21,7 +21,7 @@ pub enum FaultPlane {
     /// (`FlakyReader` under the store's `RetryPolicy`).
     ReadFaults,
     /// Execution faults inside supervised analyzer units
-    /// (`ExecFaultPlan`: panics and stalls).
+    /// (`ExecFaultPlan`: panics).
     Exec,
     /// A checkpoint unit file torn (truncated) between runs.
     TornCheckpoint,
@@ -105,10 +105,6 @@ pub struct ChaosConfig {
     pub read_fault_rate: f64,
     /// Exec plane: fraction of supervised units that panic (0 = off).
     pub exec_panic_rate: f64,
-    /// Exec plane: fraction of supervised units that stall.
-    pub exec_slow_rate: f64,
-    /// How long a stalled unit sleeps, in milliseconds.
-    pub exec_slow_ms: u64,
     /// Torn-checkpoint plane: truncation offset of one checkpoint unit
     /// file, in ‰ of its length (0 = off).
     pub torn_checkpoint_per_mille: u32,
@@ -127,8 +123,6 @@ impl Default for ChaosConfig {
             corruption_eps: 0.0,
             read_fault_rate: 0.0,
             exec_panic_rate: 0.0,
-            exec_slow_rate: 0.0,
-            exec_slow_ms: 2,
             torn_checkpoint_per_mille: 0,
             torn_cache_per_mille: 0,
         }
@@ -148,7 +142,7 @@ impl ChaosConfig {
 
     /// Whether the exec plane is armed.
     pub fn exec_active(&self) -> bool {
-        self.exec_panic_rate > 0.0 || self.exec_slow_rate > 0.0
+        self.exec_panic_rate > 0.0
     }
 
     /// Whether the torn-checkpoint plane is armed.
@@ -187,10 +181,7 @@ impl ChaosConfig {
         match plane {
             FaultPlane::Corruption => c.corruption_eps = 0.0,
             FaultPlane::ReadFaults => c.read_fault_rate = 0.0,
-            FaultPlane::Exec => {
-                c.exec_panic_rate = 0.0;
-                c.exec_slow_rate = 0.0;
-            }
+            FaultPlane::Exec => c.exec_panic_rate = 0.0,
             FaultPlane::TornCheckpoint => c.torn_checkpoint_per_mille = 0,
             FaultPlane::TornCache => c.torn_cache_per_mille = 0,
         }
@@ -199,12 +190,8 @@ impl ChaosConfig {
 
     /// The exec-fault plan this config arms, if any.
     pub fn exec_plan(&self) -> Option<ExecFaultPlan> {
-        self.exec_active().then(|| {
-            ExecFaultPlan::new(self.seed)
-                .with_panic_rate(self.exec_panic_rate)
-                .with_slow_rate(self.exec_slow_rate)
-                .with_slow_for(std::time::Duration::from_millis(self.exec_slow_ms))
-        })
+        self.exec_active()
+            .then(|| ExecFaultPlan::new(self.seed).with_panic_rate(self.exec_panic_rate))
     }
 
     /// The read-fault plan this config arms (disarmed when the plane
@@ -274,39 +261,21 @@ pub fn sample_campaign(
                 ..ChaosConfig::default()
             };
             for plane in planes {
-                if !rng.chance(0.5) {
-                    // Burn the plane's draws so arming one plane never
-                    // shifts another plane's knobs.
-                    match plane {
-                        FaultPlane::Exec => {
-                            rng.unit();
-                            rng.unit();
-                            rng.unit();
-                        }
-                        _ => {
-                            rng.unit();
-                        }
-                    }
+                let armed = rng.chance(0.5);
+                // Draw the knob of a disarmed plane too, so arming one
+                // plane never shifts another plane's knob.
+                let u = rng.unit();
+                if !armed {
                     continue;
                 }
                 match plane {
-                    FaultPlane::Corruption => cfg.corruption_eps = 0.01 + rng.unit() * 0.04,
-                    FaultPlane::ReadFaults => cfg.read_fault_rate = 0.05 + rng.unit() * 0.20,
-                    FaultPlane::Exec => {
-                        cfg.exec_panic_rate = 0.10 + rng.unit() * 0.40;
-                        cfg.exec_slow_rate = if rng.chance(0.5) {
-                            0.10 + rng.unit() * 0.20
-                        } else {
-                            rng.unit();
-                            0.0
-                        };
-                    }
+                    FaultPlane::Corruption => cfg.corruption_eps = 0.01 + u * 0.04,
+                    FaultPlane::ReadFaults => cfg.read_fault_rate = 0.05 + u * 0.20,
+                    FaultPlane::Exec => cfg.exec_panic_rate = 0.10 + u * 0.40,
                     FaultPlane::TornCheckpoint => {
-                        cfg.torn_checkpoint_per_mille = 50 + (rng.unit() * 900.0) as u32
+                        cfg.torn_checkpoint_per_mille = 50 + (u * 900.0) as u32
                     }
-                    FaultPlane::TornCache => {
-                        cfg.torn_cache_per_mille = 50 + (rng.unit() * 900.0) as u32
-                    }
+                    FaultPlane::TornCache => cfg.torn_cache_per_mille = 50 + (u * 900.0) as u32,
                 }
             }
             cfg

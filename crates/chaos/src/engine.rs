@@ -17,7 +17,6 @@ use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use tracelens::store::{self, CacheFallback, IngestSource};
-use tracelens::supervise::SupervisePolicy;
 use tracelens::{render_markdown, ReportOptions, Study, StudyConfig};
 use tracelens_faults::{FaultInjector, FlakyReader};
 use tracelens_model::{Dataset, ScenarioName};
@@ -173,7 +172,6 @@ fn execute(cfg: &ChaosConfig) -> RunArtifacts {
         .torn_checkpoint_active()
         .then(|| scratch_dir(cfg, "ckpt"));
     let config = StudyConfig {
-        supervise: SupervisePolicy::from_knobs(0, 1),
         exec_faults: cfg.exec_plan(),
         checkpoint: ckpt_dir.clone(),
         sanitize: cfg.corruption_active(),

@@ -125,9 +125,5 @@ fn rate_shrinks(cfg: &ChaosConfig) -> Vec<ChaosConfig> {
     if cfg.exec_panic_rate > 0.05 {
         push(&|c| c.exec_panic_rate = (c.exec_panic_rate / 2.0).max(0.05));
     }
-    if cfg.exec_slow_rate > 0.0 && cfg.exec_panic_rate > 0.0 {
-        // Exec stays armed through the panic rate; drop the slow leg.
-        push(&|c| c.exec_slow_rate = 0.0);
-    }
     out
 }

@@ -24,9 +24,9 @@
 //!    leave a half-written file under its final name.
 //! 3. **Fingerprint mismatch discards the checkpoint.** Results from a
 //!    different dataset, configuration, or scenario list are never
-//!    resumed into a study they do not describe. (Deadlines, retries
-//!    and fault plans are deliberately *excluded* from the fingerprint:
-//!    they change how work executes, not what the results mean.)
+//!    resumed into a study they do not describe. (Fault plans are
+//!    deliberately *excluded* from the fingerprint: they change how
+//!    work executes, not what the results mean.)
 
 use crate::study::{ScenarioStudy, StudyConfig};
 use std::collections::BTreeMap;

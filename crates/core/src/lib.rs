@@ -67,7 +67,7 @@ pub mod prelude {
         ContrastPattern, PatternSite, SignatureSetTuple, Triage,
     };
     pub use tracelens_faults::{
-        ExecFault, ExecFaultPlan, FaultInjector, FaultKind, FaultLog, FlakyReader, ReadFaultPlan,
+        ExecFaultPlan, FaultInjector, FaultKind, FaultLog, FlakyReader, ReadFaultPlan,
         ALL_FAULT_KINDS,
     };
     pub use tracelens_impact::{ImpactAnalyzer, ImpactReport};
@@ -82,6 +82,6 @@ pub mod prelude {
     pub use tracelens_waitgraph::{StreamIndex, WaitGraph};
 
     pub use crate::store::{CacheFallback, IngestReport, IngestSource};
-    pub use crate::supervise::{ExecutionReport, FailureReason, SupervisePolicy, UnitFailure};
+    pub use crate::supervise::{ExecutionReport, UnitFailure};
     pub use crate::{Coverage, ScenarioStudy, Study, StudyConfig, StudyError};
 }

@@ -58,9 +58,9 @@ pub fn render_markdown(study: &Study, dataset: &Dataset, opts: &ReportOptions) -
     }
 
     // Rendered only when something was quarantined, so supervision
-    // stays an execution detail of a clean run. Counts
-    // that vary across checkpoint resume (retries, restored units) are
-    // deliberately absent; the failure list is deterministic.
+    // stays an execution detail of a clean run. Counts that vary across
+    // checkpoint resume (restored units) are deliberately absent; the
+    // failure list is deterministic.
     let exec = &study.execution;
     if !exec.failures.is_empty() {
         let _ = writeln!(out, "## Execution\n");
@@ -74,17 +74,16 @@ pub fn render_markdown(study: &Study, dataset: &Dataset, opts: &ReportOptions) -
             exec.lost_instances(),
             if exec.lost_instances() == 1 { "" } else { "s" },
         );
-        let _ = writeln!(out, "| unit | stage | scenario | reason | attempts |");
-        let _ = writeln!(out, "|---|---|---|---|---|");
+        let _ = writeln!(out, "| unit | stage | scenario | reason |");
+        let _ = writeln!(out, "|---|---|---|---|");
         for f in &exec.failures {
             let _ = writeln!(
                 out,
-                "| {} | {} | {} | {} | {} |",
+                "| {} | {} | {} | panic: {} |",
                 f.unit,
                 f.stage,
                 f.scenario.as_deref().unwrap_or("–"),
-                f.reason,
-                f.attempts
+                f.panic
             );
         }
         out.push('\n');

@@ -12,7 +12,7 @@ use tracelens_impact::{fold, instances_by_stream, ImpactAnalyzer, ImpactReport, 
 use tracelens_model::{ComponentFilter, Dataset, SanitizeReport, ScenarioName};
 use tracelens_obs::{stage, Telemetry};
 
-use crate::supervise::{ExecutionReport, SupervisePolicy, Supervisor, UnitMeta};
+use crate::supervise::{ExecutionReport, Supervisor, UnitMeta};
 
 /// Stage label of per-scenario supervised work units.
 pub const SCENARIO_STAGE: &str = "scenario";
@@ -28,12 +28,9 @@ pub struct StudyConfig {
     pub components: ComponentFilter,
     /// Causality configuration (segment bound, reduction).
     pub causality: CausalityConfig,
-    /// Supervision policy: per-unit soft deadline and panic-retry
-    /// bound.
-    pub supervise: SupervisePolicy,
     /// Deterministic execution-fault injection (testing/CI only): arms
-    /// panics and stalls inside supervised work units. `None` — the
-    /// default — injects nothing.
+    /// panics inside supervised work units. `None` — the default —
+    /// injects nothing.
     pub exec_faults: Option<ExecFaultPlan>,
     /// Checkpoint directory: completed units are stored there and
     /// restored on re-runs over the same inputs. `None` disables
@@ -52,7 +49,6 @@ impl Default for StudyConfig {
         StudyConfig {
             components: ComponentFilter::suffix(".sys"),
             causality: CausalityConfig::default(),
-            supervise: SupervisePolicy::default(),
             exec_faults: None,
             checkpoint: None,
             sanitize: false,
@@ -150,9 +146,9 @@ pub struct Coverage {
     pub quarantined_instances: usize,
     /// Individual repairs sanitization applied to surviving data.
     pub repaired: usize,
-    /// Work units quarantined by *supervised execution* (panics, missed
-    /// deadlines) — the execution-layer counterpart of the sanitize
-    /// counts above.
+    /// Work units quarantined by *supervised execution* (panicked
+    /// units) — the execution-layer counterpart of the sanitize counts
+    /// above.
     pub failed_units: usize,
 }
 
@@ -235,11 +231,10 @@ impl Study {
     /// folds its own records and finishes and mines its fed aggregators.
     ///
     /// Every work unit (per-stream accounting, per-scenario analysis)
-    /// runs supervised per [`StudyConfig::supervise`]: a panicking or
-    /// stalling unit is quarantined and recorded in [`Study::execution`]
-    /// instead of aborting the study. With [`StudyConfig::checkpoint`]
-    /// set, completed units are persisted and re-runs over the same
-    /// inputs resume. The run is wrapped in a `study` span and every
+    /// runs once, supervised: a panicking unit is quarantined and
+    /// recorded in [`Study::execution`] instead of aborting the study.
+    /// With [`StudyConfig::checkpoint`] set, completed units are
+    /// persisted and re-runs over the same inputs resume. The run is wrapped in a `study` span and every
     /// stage reports spans and counters through `telemetry`;
     /// `Telemetry::noop()` collects nothing.
     ///
@@ -284,7 +279,7 @@ impl Study {
             None => dataset,
         };
         let _span = telemetry.span(stage::STUDY);
-        let supervisor = Supervisor::new(config.supervise, telemetry);
+        let supervisor = Supervisor::new(telemetry);
         let faults = config.exec_faults.filter(|p| p.is_armed());
         let checkpoint = match &config.checkpoint {
             Some(dir) => {
@@ -380,13 +375,10 @@ impl Study {
         };
         execution.absorb(pass.execution);
 
-        let mut per_scenario: BTreeMap<ScenarioName, usize> = BTreeMap::new();
-        for i in &dataset.instances {
-            *per_scenario.entry(i.scenario).or_insert(0) += 1;
-        }
+        let per_scenario = dataset.instance_counts();
         let mut scenario_exec = ExecutionReport::default();
         let mut scenarios: BTreeMap<ScenarioName, ScenarioStudy> = BTreeMap::new();
-        for (idx, (name, mut classes)) in names.iter().zip(classes).enumerate() {
+        for (idx, (name, classes)) in names.iter().zip(classes).enumerate() {
             let unit = supervisor.run(
                 &mut scenario_exec,
                 SCENARIO_STAGE,
@@ -395,28 +387,15 @@ impl Study {
                         .for_scenario(name.as_str())
                         .carrying(per_scenario.get(name).copied().unwrap_or(0))
                 },
-                || {
-                    if let Some(saved) = restored.get(&idx) {
-                        return saved.clone();
+                // Only a restored unit has no classes.
+                || match classes {
+                    None => restored[&idx].clone(),
+                    Some(classes) => {
+                        if let Some(p) = faults {
+                            p.arm(SCENARIO_STAGE, &format!("scenario:{name}"));
+                        }
+                        scenario_study(dataset, name, &pass.records, &causality, classes, telemetry)
                     }
-                    if let Some(p) = faults {
-                        p.arm(SCENARIO_STAGE, &format!("scenario:{name}"));
-                    }
-                    // The unit takes its fed classes once; a retry after
-                    // a panic in finishing or mining finds them gone and
-                    // fails again.
-                    scenario_study(
-                        dataset,
-                        name,
-                        &pass.records,
-                        &causality,
-                        || {
-                            classes
-                                .take()
-                                .expect("a unit's classes are finished at most once")
-                        },
-                        telemetry,
-                    )
                 },
             );
             let Some(unit) = unit else { continue };
@@ -470,10 +449,9 @@ struct StreamPass<'a> {
 /// (sharing the wait subtrees several instances reach) and accounts each
 /// instance into an impact record. Only after the unit succeeded are its
 /// instances' graphs fed to the entries of `classes` that aggregate
-/// them, so a retried attempt never inserts twice; then the graph is
-/// dropped, so one stream's graph is alive at a time. Feeding follows
-/// stream order, then instance order — the order the AWG trie is built
-/// in.
+/// them, so a panicked unit feeds nothing; then the graph is dropped, so
+/// one stream's graph is alive at a time. Feeding follows stream order,
+/// then instance order — the order the AWG trie is built in.
 ///
 /// A quarantined stream's instances are dropped from every consumer:
 /// they leave no record and feed no aggregator, and their classes
@@ -539,14 +517,14 @@ fn stream_pass<'a>(
 
 /// One scenario unit's results: its impact and its slow class's impact
 /// (the paper's Table-2 "Driver Cost" scope), folded from `records`,
-/// and its fed `classes`, finished and mined. The classes are taken
-/// only after the causality probe ran.
-fn scenario_study<'a>(
+/// and its fed `classes`, finished and mined after the causality probe
+/// ran.
+fn scenario_study(
     dataset: &Dataset,
     name: &ScenarioName,
     records: &[InstanceRecord<'_>],
     causality: &CausalityAnalysis,
-    classes: impl FnOnce() -> Result<ClassAggregators<'a>, CausalityError>,
+    classes: Result<ClassAggregators<'_>, CausalityError>,
     telemetry: &Telemetry,
 ) -> ScenarioStudy {
     let (impact, slow_impact) = {
@@ -565,7 +543,7 @@ fn scenario_study<'a>(
     ScenarioStudy {
         impact,
         slow_impact,
-        causality: causality.finish(classes()),
+        causality: causality.finish(classes),
     }
 }
 
@@ -648,10 +626,6 @@ mod tests {
         let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
         let cfg = StudyConfig {
             exec_faults: Some(ExecFaultPlan::new(5).with_panic_rate(0.4)),
-            supervise: SupervisePolicy {
-                max_retries: 1,
-                ..Default::default()
-            },
             ..StudyConfig::default()
         };
         let study = run(&ds, &cfg, &names);
@@ -672,12 +646,7 @@ mod tests {
         // Every failure names a unit, a stage, and a panic reason.
         for f in &study.execution.failures {
             assert!(!f.unit.is_empty());
-            assert!(
-                f.attempts == 2,
-                "max_retries 1 → 2 attempts, got {}",
-                f.attempts
-            );
-            assert!(f.reason.to_string().contains("injected fault"));
+            assert!(f.panic.starts_with("injected fault"), "{f}");
         }
         // Determinism: an identical rerun agrees.
         let again = run(&ds, &cfg, &names);
@@ -693,9 +662,7 @@ mod tests {
             .build();
         let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
         // A plan that poisons stream 1 and no other unit.
-        let poisoned = |plan: &ExecFaultPlan, stage: &str, unit: &str| {
-            plan.fault_for(stage, unit) == Some(tracelens_faults::ExecFault::Panic)
-        };
+        let poisoned = |plan: &ExecFaultPlan, stage: &str, unit: &str| plan.panics(stage, unit);
         let plan = (0..1000u64)
             .map(|seed| ExecFaultPlan::new(seed).with_panic_rate(0.1))
             .find(|plan| {
@@ -716,10 +683,6 @@ mod tests {
         let full = run(&ds, &StudyConfig::default(), &names);
         let cfg = StudyConfig {
             exec_faults: Some(plan),
-            supervise: SupervisePolicy {
-                max_retries: 0,
-                ..SupervisePolicy::default()
-            },
             ..StudyConfig::default()
         };
         let study = run(&ds, &cfg, &names);
@@ -787,10 +750,6 @@ mod tests {
         assert_eq!(format!("{pinned:016x}"), "5d122db8b68781f2");
         // Execution knobs change how units run, not what they compute.
         for cfg in [
-            StudyConfig {
-                supervise: SupervisePolicy::from_knobs(50, 4),
-                ..StudyConfig::default()
-            },
             StudyConfig {
                 exec_faults: Some(ExecFaultPlan::new(5).with_panic_rate(0.4)),
                 ..StudyConfig::default()

@@ -3,20 +3,11 @@
 //! A fleet-scale study must not die because one pathological trace
 //! poisons one analyzer unit out of thousands. A [`Supervisor`] extends
 //! the ingestion layer's repair-vs-quarantine philosophy to execution:
-//!
-//! * every unit runs under `catch_unwind`; a panic quarantines **that
-//!   unit only** and surfaces as a typed [`UnitFailure`] instead of
-//!   aborting the study;
-//! * panicked units are retried up to [`SupervisePolicy::max_retries`]
-//!   times — the retry decision depends only on the unit and its
-//!   attempt count, never on wall clock, so a deterministic workload
-//!   yields a byte-identical outcome on every run;
-//! * an optional **soft deadline** bounds each attempt: a unit that
-//!   finishes over budget has its result discarded and is quarantined
-//!   as [`FailureReason::DeadlineExceeded`]. (A running unit cannot be
-//!   stopped safely, so the deadline is detected after the fact —
-//!   "soft" — and the recorded reason carries only the configured
-//!   budget, not the measured wall time, keeping reports reproducible.)
+//! every unit runs once under `catch_unwind`, and a panic quarantines
+//! **that unit only** and surfaces as a typed [`UnitFailure`] instead of
+//! aborting the study. A unit is a pure function of the in-memory data
+//! set, so rerunning a panicked unit would only repeat its panic; a
+//! deterministic workload yields a byte-identical outcome on every run.
 //!
 //! Each batch's outcome is an [`ExecutionReport`]: the execution-layer
 //! sibling of the ingestion layer's `SanitizeReport`, accounting for
@@ -34,76 +25,7 @@ use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe, PanicHookInfo};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 use tracelens_obs::Telemetry;
-
-/// How a supervisor treats misbehaving units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupervisePolicy {
-    /// Soft per-attempt deadline. A unit whose attempt takes longer is
-    /// quarantined (its computed result is discarded so slow and fast
-    /// runs of the same workload stay distinguishable). `None` — the
-    /// default — disables deadline accounting entirely, including its
-    /// per-unit clock reads.
-    pub unit_deadline: Option<Duration>,
-    /// How many times a *panicked* unit is re-run before it is
-    /// quarantined. Deadline-exceeded units are never retried: their
-    /// result already exists and a retry would only double the stall.
-    pub max_retries: usize,
-}
-
-impl Default for SupervisePolicy {
-    /// No deadline, one retry.
-    fn default() -> Self {
-        SupervisePolicy {
-            unit_deadline: None,
-            max_retries: 1,
-        }
-    }
-}
-
-impl SupervisePolicy {
-    /// Convenience constructor from CLI-shaped knobs: a deadline in
-    /// milliseconds (`0` = none) and a retry bound.
-    pub fn from_knobs(unit_deadline_ms: u64, max_retries: usize) -> SupervisePolicy {
-        SupervisePolicy {
-            unit_deadline: (unit_deadline_ms > 0).then(|| Duration::from_millis(unit_deadline_ms)),
-            max_retries,
-        }
-    }
-}
-
-/// Why a unit was quarantined.
-///
-/// Deliberately contains no measured wall time: failure reasons are
-/// rendered into reports that must be byte-identical across runs and
-/// checkpoint-resume boundaries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FailureReason {
-    /// Every attempt panicked; `payload` is the final panic message
-    /// (`&str`/`String` payloads verbatim, a placeholder otherwise).
-    Panic {
-        /// The panic payload rendered as text.
-        payload: String,
-    },
-    /// The attempt completed but took longer than the configured soft
-    /// deadline.
-    DeadlineExceeded {
-        /// The configured per-attempt budget.
-        deadline: Duration,
-    },
-}
-
-impl fmt::Display for FailureReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FailureReason::Panic { payload } => write!(f, "panic: {payload}"),
-            FailureReason::DeadlineExceeded { deadline } => {
-                write!(f, "exceeded soft deadline ({}ms)", deadline.as_millis())
-            }
-        }
-    }
-}
 
 /// Caller-supplied description of one work unit, used to label its
 /// [`UnitFailure`] if it is quarantined.
@@ -149,7 +71,8 @@ impl UnitMeta {
     }
 }
 
-/// One quarantined unit: what failed, where, and why.
+/// One quarantined unit: what failed, where, and the panic that failed
+/// it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnitFailure {
     /// Position of the unit in its batch.
@@ -164,19 +87,14 @@ pub struct UnitFailure {
     pub stream: Option<u32>,
     /// Scenario instances lost with this unit.
     pub instances: usize,
-    /// Why the unit was quarantined.
-    pub reason: FailureReason,
-    /// Attempts made (1 + retries actually performed).
-    pub attempts: usize,
+    /// The panic payload rendered as text (`&str`/`String` payloads
+    /// verbatim, a placeholder otherwise).
+    pub panic: String,
 }
 
 impl fmt::Display for UnitFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} [{}] {} (attempts: {})",
-            self.unit, self.stage, self.reason, self.attempts
-        )
+        write!(f, "{} [{}] panic: {}", self.unit, self.stage, self.panic)
     }
 }
 
@@ -190,8 +108,7 @@ impl fmt::Display for UnitFailure {
 pub struct ExecutionReport {
     /// Work units supervised.
     pub units: usize,
-    /// Units that produced a result, including [`restored`] ones and
-    /// units that recovered on retry.
+    /// Units that produced a result, including [`restored`] ones.
     ///
     /// [`restored`]: ExecutionReport::restored
     pub completed: usize,
@@ -200,10 +117,6 @@ pub struct ExecutionReport {
     ///
     /// [`completed`]: ExecutionReport::completed
     pub restored: usize,
-    /// Units that panicked at least once but completed on a retry.
-    pub recovered: usize,
-    /// Retry attempts performed across all units.
-    pub retries: usize,
     /// The quarantined units, in batch order.
     pub failures: Vec<UnitFailure>,
 }
@@ -214,9 +127,9 @@ impl ExecutionReport {
         self.failures.len()
     }
 
-    /// `true` when every unit completed on its first attempt.
+    /// `true` when every unit completed.
     pub fn is_clean(&self) -> bool {
-        self.failures.is_empty() && self.retries == 0
+        self.failures.is_empty()
     }
 
     /// Fraction of units that produced a result, in `[0, 1]` (`1.0`
@@ -240,8 +153,6 @@ impl ExecutionReport {
         self.units += other.units;
         self.completed += other.completed;
         self.restored += other.restored;
-        self.recovered += other.recovered;
-        self.retries += other.retries;
         self.failures.extend(other.failures);
     }
 }
@@ -250,13 +161,10 @@ impl fmt::Display for ExecutionReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "supervised: {}/{} units completed ({} restored, {} recovered, \
-             {} retries), {} quarantined",
+            "supervised: {}/{} units completed ({} restored), {} quarantined",
             self.completed,
             self.units,
             self.restored,
-            self.recovered,
-            self.retries,
             self.quarantined()
         )?;
         for failure in &self.failures {
@@ -266,74 +174,58 @@ impl fmt::Display for ExecutionReport {
     }
 }
 
-/// Runs work units one at a time with panic isolation, bounded retry
-/// and a soft per-attempt deadline.
+/// Runs work units one at a time, each once, with panic isolation.
 ///
 /// Creating a supervisor installs the structured panic hook; dropping
 /// it restores the previous one. Each [`Supervisor::run`] appends one
 /// unit to a batch's [`ExecutionReport`] and reports `supervisor.*`
 /// counters through the telemetry handle.
 pub struct Supervisor {
-    policy: SupervisePolicy,
     telemetry: Telemetry,
     _isolation: PanicIsolation,
 }
 
 impl Supervisor {
-    /// A supervisor applying `policy`, reporting through `telemetry`.
-    pub fn new(policy: SupervisePolicy, telemetry: &Telemetry) -> Supervisor {
+    /// A supervisor reporting through `telemetry`.
+    pub fn new(telemetry: &Telemetry) -> Supervisor {
         Supervisor {
-            policy,
             telemetry: telemetry.clone(),
             _isolation: PanicIsolation::install(),
         }
     }
 
-    /// Runs `f` as the next unit of `batch` (its index is the count of
-    /// units already in `batch`), under a `supervise` span.
+    /// Runs `f` once as the next unit of `batch` (its index is the count
+    /// of units already in `batch`), under a `supervise` span.
     ///
-    /// Returns `Some` with the result of the first attempt that
-    /// completed in time, or `None` after recording a [`UnitFailure`]
-    /// labelled by `meta` and stage `stage`.
-    ///
-    /// Everything about the outcome is deterministic for deterministic
-    /// `f` — retry decisions depend only on the attempt count —
-    /// **except** deadline quarantines, which depend on real execution
-    /// time; callers wanting reproducible deadline behavior must keep
-    /// honest units far below the budget.
+    /// Returns `Some` with the result, or `None` after recording a
+    /// [`UnitFailure`] labelled by `meta` and stage `stage` if `f`
+    /// panicked.
     pub fn run<R>(
         &self,
         batch: &mut ExecutionReport,
         stage: &'static str,
         meta: impl FnOnce() -> UnitMeta,
-        mut f: impl FnMut() -> R,
+        f: impl FnOnce() -> R,
     ) -> Option<R> {
         let _span = self.telemetry.span(tracelens_obs::stage::SUPERVISE);
-        let (result, attempts) = self.attempt(&mut f);
+        let result = {
+            let _unit = SupervisedUnitScope::enter();
+            catch_unwind(AssertUnwindSafe(f))
+        };
         let t = &self.telemetry;
         if t.enabled() {
-            let deadline = matches!(result, Err(FailureReason::DeadlineExceeded { .. }));
             t.count("supervisor.units", 1);
             t.count("supervisor.completed", result.is_ok() as u64);
-            t.count("supervisor.retries", attempts as u64 - 1);
-            t.count(
-                "supervisor.recovered",
-                (result.is_ok() && attempts > 1) as u64,
-            );
             t.count("supervisor.quarantined", result.is_err() as u64);
-            t.count("supervisor.deadline_exceeded", deadline as u64);
-            t.count("supervisor.panics", (result.is_err() && !deadline) as u64);
         }
         let index = batch.units;
         batch.units += 1;
-        batch.retries += attempts - 1;
         match result {
             Ok(r) => {
                 batch.completed += 1;
-                batch.recovered += usize::from(attempts > 1);
                 Some(r)
             }
-            Err(reason) => {
+            Err(payload) => {
                 let m = meta();
                 batch.failures.push(UnitFailure {
                     index,
@@ -342,42 +234,9 @@ impl Supervisor {
                     scenario: m.scenario,
                     stream: m.stream,
                     instances: m.instances,
-                    reason,
-                    attempts,
+                    panic: payload_text(payload.as_ref()),
                 });
                 None
-            }
-        }
-    }
-
-    /// Runs one unit under the policy: catch, time, retry. Returns the
-    /// outcome and the attempts made.
-    fn attempt<R>(&self, f: &mut impl FnMut() -> R) -> (Result<R, FailureReason>, usize) {
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            let started = self.policy.unit_deadline.map(|_| Instant::now());
-            let attempt = {
-                let _unit = SupervisedUnitScope::enter();
-                catch_unwind(AssertUnwindSafe(&mut *f))
-            };
-            match attempt {
-                Ok(result) => {
-                    if let (Some(deadline), Some(started)) = (self.policy.unit_deadline, started) {
-                        if started.elapsed() > deadline {
-                            return (Err(FailureReason::DeadlineExceeded { deadline }), attempts);
-                        }
-                    }
-                    return (Ok(result), attempts);
-                }
-                Err(payload) if attempts > self.policy.max_retries => {
-                    let payload = payload_text(payload.as_ref());
-                    return (Err(FailureReason::Panic { payload }), attempts);
-                }
-                // Retry: the decision depends only on the attempt count,
-                // so a deterministic unit fails (or recovers) the same
-                // way on every run.
-                Err(_) => {}
             }
         }
     }
@@ -395,7 +254,7 @@ fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 thread_local! {
-    /// Whether the current thread is inside a supervised unit attempt —
+    /// Whether the current thread is inside a supervised unit —
     /// the panic hook consults this to decide between the structured
     /// one-liner and delegation to the previous hook.
     static IN_SUPERVISED_UNIT: Cell<bool> = const { Cell::new(false) };
@@ -420,7 +279,8 @@ impl Drop for SupervisedUnitScope {
 type PanicHook = Box<dyn Fn(&PanicHookInfo<'_>) + Send + Sync>;
 
 /// Process-wide isolation state: how many supervisors are alive and the
-/// hook that was installed before the first of them.
+/// hook that was installed before the structured one. `previous` is
+/// `Some` exactly while the structured hook is installed.
 struct IsolationState {
     depth: usize,
     previous: Option<PanicHook>,
@@ -448,7 +308,9 @@ impl PanicIsolation {
     fn install() -> PanicIsolation {
         let mut state = isolation_state();
         state.depth += 1;
-        if state.depth == 1 {
+        // A guard dropped while unwinding leaves the structured hook in
+        // place (see `drop`); reuse it rather than wrap it.
+        if state.previous.is_none() {
             state.previous = Some(std::panic::take_hook());
             std::panic::set_hook(Box::new(|info| {
                 if IN_SUPERVISED_UNIT.with(|c| c.get()) {
@@ -474,7 +336,11 @@ impl Drop for PanicIsolation {
     fn drop(&mut self) {
         let mut state = isolation_state();
         state.depth -= 1;
-        if state.depth == 0 {
+        // `set_hook` panics on a panicking thread, and a panic in a drop
+        // during unwinding aborts the process. While unwinding, leave the
+        // structured hook (which forwards non-unit panics to `previous`)
+        // installed; the next drop that is not unwinding restores it.
+        if state.depth == 0 && !std::thread::panicking() {
             if let Some(previous) = state.previous.take() {
                 drop(state); // set_hook must not run under the lock
                 std::panic::set_hook(previous);
@@ -487,12 +353,12 @@ impl Drop for PanicIsolation {
 pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::RwLock;
+    use std::sync::{Arc, RwLock};
 
     /// The panic hook is process-global and the test harness runs tests
     /// concurrently: tests that create supervisors (every study run in
-    /// this crate's tests) take this in read mode; the hook-restoration
-    /// test takes it in write mode so it observes the hook with no other
+    /// this crate's tests) take this in read mode; the hook tests take
+    /// it in write mode so they observe the hook with no other
     /// supervisor alive.
     static HOOK_GATE: RwLock<()> = RwLock::new(());
 
@@ -500,13 +366,27 @@ pub(crate) mod tests {
         HOOK_GATE.read().unwrap_or_else(|e| e.into_inner())
     }
 
+    fn hook_gate() -> std::sync::RwLockWriteGuard<'static, ()> {
+        HOOK_GATE.write().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Replaces the current panic hook with one counting its calls.
+    fn install_sentinel_hook() -> Arc<AtomicUsize> {
+        let hits = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&hits);
+        let _ = std::panic::take_hook(); // drop whatever the harness had
+        std::panic::set_hook(Box::new(move |_| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }));
+        hits
+    }
+
     /// Runs `f` over `items` as one batch, labelling unit `i` `unit:i`.
     fn run_batch<T, R>(
         items: &[T],
-        policy: SupervisePolicy,
         mut f: impl FnMut(&T) -> R,
     ) -> (Vec<Option<R>>, ExecutionReport) {
-        let supervisor = Supervisor::new(policy, &Telemetry::noop());
+        let supervisor = Supervisor::new(&Telemetry::noop());
         let mut report = ExecutionReport::default();
         let results = items
             .iter()
@@ -527,7 +407,7 @@ pub(crate) mod tests {
     fn clean_batch_completes_everything() {
         let _gate = batch_gate();
         let items: Vec<u32> = (0..40).collect();
-        let (results, report) = run_batch(&items, SupervisePolicy::default(), |&x| x * 2);
+        let (results, report) = run_batch(&items, |&x| x * 2);
         let values: Vec<u32> = results.into_iter().map(|r| r.unwrap()).collect();
         let expect: Vec<u32> = items.iter().map(|x| x * 2).collect();
         assert_eq!(values, expect);
@@ -540,11 +420,7 @@ pub(crate) mod tests {
     fn panicking_units_are_quarantined_not_fatal() {
         let _gate = batch_gate();
         let items: Vec<u32> = (0..32).collect();
-        let policy = SupervisePolicy {
-            max_retries: 0,
-            ..SupervisePolicy::default()
-        };
-        let (results, report) = run_batch(&items, policy, |&x| {
+        let (results, report) = run_batch(&items, |&x| {
             if x % 10 == 3 {
                 panic!("poisoned unit {x}");
             }
@@ -557,25 +433,16 @@ pub(crate) mod tests {
         assert_eq!(f.index, 3);
         assert_eq!(f.unit, "unit:3");
         assert_eq!(f.stage, "test");
-        assert_eq!(
-            f.reason,
-            FailureReason::Panic {
-                payload: "poisoned unit 3".to_owned()
-            }
-        );
-        assert_eq!(f.attempts, 1);
+        assert_eq!(f.panic, "poisoned unit 3");
+        assert_eq!(f.to_string(), "unit:3 [test] panic: poisoned unit 3");
     }
 
     #[test]
     fn outcome_is_identical_across_runs() {
         let _gate = batch_gate();
         let items: Vec<u32> = (0..64).collect();
-        let policy = SupervisePolicy {
-            max_retries: 2,
-            ..SupervisePolicy::default()
-        };
         let run = || {
-            run_batch(&items, policy, |&x| {
+            run_batch(&items, |&x| {
                 if x % 7 == 5 {
                     panic!("always fails: {x}");
                 }
@@ -583,74 +450,36 @@ pub(crate) mod tests {
             })
         };
         let (results, report) = run();
-        assert_eq!(run(), (results, report.clone()));
-        // Every quarantined unit exhausted 1 + max_retries attempts.
-        assert!(report.failures.iter().all(|f| f.attempts == 3));
-        assert_eq!(report.retries, report.quarantined() * 2);
+        assert_eq!(report.quarantined(), 9);
+        assert_eq!(run(), (results, report));
     }
 
     #[test]
-    fn flaky_units_recover_on_retry() {
+    fn a_unit_that_consumed_its_input_reports_its_own_panic() {
         let _gate = batch_gate();
-        let items: Vec<u32> = (0..8).collect();
-        let failures = AtomicUsize::new(0);
-        let policy = SupervisePolicy {
-            max_retries: 1,
-            ..SupervisePolicy::default()
-        };
-        // Unit 4 panics on its first attempt only.
-        let (results, report) = run_batch(&items, policy, |&x| {
-            if x == 4 && failures.fetch_add(1, Ordering::Relaxed) == 0 {
-                panic!("transient");
-            }
-            x
-        });
-        assert!(results.iter().all(|r| r.is_some()));
-        assert_eq!(report.quarantined(), 0);
-        assert_eq!(report.recovered, 1);
-        assert_eq!(report.retries, 1);
-        assert!(!report.is_clean(), "a retry happened");
-    }
-
-    #[test]
-    fn slow_units_exceed_the_soft_deadline() {
-        let _gate = batch_gate();
-        let items: Vec<u32> = (0..6).collect();
-        let policy = SupervisePolicy {
-            unit_deadline: Some(Duration::from_millis(40)),
-            max_retries: 3,
-        };
-        let (results, report) = run_batch(&items, policy, |&x| {
-            if x == 2 {
-                std::thread::sleep(Duration::from_millis(300));
-            }
-            x
-        });
-        assert!(results[2].is_none(), "slow unit result is discarded");
-        assert_eq!(results.iter().filter(|r| r.is_some()).count(), 5);
+        let supervisor = Supervisor::new(&Telemetry::noop());
+        let mut report = ExecutionReport::default();
+        // A one-shot input, like the fed aggregators a scenario unit
+        // finishes: a second run of the unit would find it gone.
+        let mut input = Some(vec![1u32, 2, 3]);
+        let out = supervisor.run(
+            &mut report,
+            "test",
+            || UnitMeta::labeled("unit:0"),
+            || {
+                let owned = input.take().expect("input consumed by an earlier attempt");
+                panic!("bad input of {} items", owned.len())
+            },
+        );
+        assert_eq!(out, None::<()>);
         assert_eq!(report.quarantined(), 1);
-        let f = &report.failures[0];
-        assert_eq!(
-            f.reason,
-            FailureReason::DeadlineExceeded {
-                deadline: Duration::from_millis(40)
-            }
-        );
-        assert_eq!(f.attempts, 1, "deadline quarantine never retries");
-        assert_eq!(
-            f.to_string(),
-            "unit:2 [test] exceeded soft deadline (40ms) (attempts: 1)"
-        );
+        assert_eq!(report.failures[0].panic, "bad input of 3 items");
     }
 
     #[test]
     fn meta_attribution_reaches_the_failure() {
         let _gate = batch_gate();
-        let policy = SupervisePolicy {
-            max_retries: 0,
-            ..SupervisePolicy::default()
-        };
-        let supervisor = Supervisor::new(policy, &Telemetry::noop());
+        let supervisor = Supervisor::new(&Telemetry::noop());
         let mut report = ExecutionReport::default();
         for (i, s) in ["a", "b"].into_iter().enumerate() {
             supervisor.run(
@@ -681,22 +510,11 @@ pub(crate) mod tests {
 
     #[test]
     fn panic_hook_is_restored_after_the_batch() {
-        let _gate = HOOK_GATE.write().unwrap_or_else(|e| e.into_inner());
+        let _gate = hook_gate();
         // Install a sentinel hook, run a supervised batch with panics,
         // then panic outside supervision: the sentinel must fire.
-        let hits = std::sync::Arc::new(AtomicUsize::new(0));
-        {
-            let hits = std::sync::Arc::clone(&hits);
-            let _ = std::panic::take_hook(); // drop whatever the harness had
-            std::panic::set_hook(Box::new(move |_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            }));
-        }
-        let policy = SupervisePolicy {
-            max_retries: 0,
-            ..SupervisePolicy::default()
-        };
-        let (_, report) = run_batch(&[1u32, 2, 3], policy, |&x| {
+        let hits = install_sentinel_hook();
+        let (_, report) = run_batch(&[1u32, 2, 3], |&x| {
             if x == 2 {
                 panic!("supervised panic");
             }
@@ -719,13 +537,37 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_panic_unwinding_through_a_live_supervisor_unwinds() {
+        let _gate = hook_gate();
+        let hits = install_sentinel_hook();
+        // A panic outside any unit (as in the study's folds or
+        // checkpoint writes) drops the supervisor while unwinding; it
+        // must reach the caller, not abort the process.
+        let unwound = std::panic::catch_unwind(|| {
+            let _supervisor = Supervisor::new(&Telemetry::noop());
+            panic!("outside any unit");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(hits.load(Ordering::Relaxed), 1, "the sentinel saw it");
+        // The next clean drop restores the sentinel itself: it now sees
+        // even a panic flagged as inside a unit, which the structured
+        // hook would have kept from it.
+        drop(Supervisor::new(&Telemetry::noop()));
+        let flagged = std::panic::catch_unwind(|| {
+            let _unit = SupervisedUnitScope::enter();
+            panic!("flagged");
+        });
+        assert!(flagged.is_err());
+        assert_eq!(hits.load(Ordering::Relaxed), 2, "the sentinel is back");
+        let _ = std::panic::take_hook();
+    }
+
+    #[test]
     fn execution_report_absorb_and_display() {
         let mut a = ExecutionReport {
             units: 3,
             completed: 2,
             restored: 1,
-            recovered: 0,
-            retries: 1,
             failures: vec![UnitFailure {
                 index: 2,
                 stage: "impact",
@@ -733,10 +575,7 @@ pub(crate) mod tests {
                 scenario: None,
                 stream: Some(9),
                 instances: 4,
-                reason: FailureReason::Panic {
-                    payload: "boom".to_owned(),
-                },
-                attempts: 2,
+                panic: "boom".to_owned(),
             }],
         };
         let b = ExecutionReport {
@@ -760,7 +599,7 @@ pub(crate) mod tests {
     #[test]
     fn empty_batch_is_clean() {
         let _gate = batch_gate();
-        let (results, report) = run_batch(&[] as &[u8], SupervisePolicy::default(), |&x| x);
+        let (results, report) = run_batch(&[] as &[u8], |&x| x);
         assert!(results.is_empty());
         assert!(report.is_clean());
         assert_eq!(report.units, 0);

@@ -30,11 +30,9 @@
 
 mod exec;
 mod readfault;
-mod spec;
 
-pub use exec::{ExecFault, ExecFaultParseError, ExecFaultPlan};
+pub use exec::{ExecFaultParseError, ExecFaultPlan};
 pub use readfault::{FlakyReader, ReadFaultPlan};
-pub use spec::{parse_field, parse_rate, FaultSpec, FaultSpecError};
 
 use std::collections::BTreeMap;
 use tracelens_model::{

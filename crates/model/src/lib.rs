@@ -44,7 +44,6 @@ mod ids;
 mod intern;
 mod sanitize;
 mod scenario;
-pub mod segment;
 mod signature;
 mod stack;
 mod stream;
@@ -58,7 +57,7 @@ pub use component::{ComponentFilter, DriverType};
 pub use dataset::Dataset;
 pub use event::{Event, EventKind};
 pub use ids::{EventId, ProcessId, ThreadId, TraceId};
-pub use intern::{InternError, Interner, Symbol};
+pub use intern::{Interner, Symbol};
 pub use sanitize::{SanitizeReport, DUPLICATE_TRACE_ID};
 pub use scenario::{Scenario, ScenarioInstance, ScenarioName, Thresholds};
 pub use signature::{ParseSignatureError, Signature};

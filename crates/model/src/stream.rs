@@ -58,24 +58,6 @@ impl TraceStream {
             .unwrap_or(TimeNs::ZERO)
     }
 
-    /// Iterates `(EventId, &Event)` pairs whose start time lies in
-    /// `[from, to)`.
-    ///
-    /// Uses binary search on the sorted timestamps, so the cost is
-    /// `O(log n + k)` for `k` results.
-    pub fn events_starting_in(
-        &self,
-        from: TimeNs,
-        to: TimeNs,
-    ) -> impl Iterator<Item = (EventId, &Event)> {
-        let lo = self.events.partition_point(|e| e.t < from);
-        self.events[lo..]
-            .iter()
-            .take_while(move |e| e.t < to)
-            .enumerate()
-            .map(move |(i, e)| (EventId((lo + i) as u32), e))
-    }
-
     /// Iterates `(EventId, &Event)` for a single thread.
     pub fn events_of_thread(&self, tid: ThreadId) -> impl Iterator<Item = (EventId, &Event)> {
         self.events
@@ -107,17 +89,6 @@ impl TraceStream {
     /// [`crate::Dataset::validate`] first.
     pub fn from_unchecked_parts(id: TraceId, events: Vec<Event>) -> TraceStream {
         TraceStream { id, events }
-    }
-
-    /// Finds the earliest unwait event at or after `from` whose `wtid`
-    /// equals `woken` — the pairing rule used by Wait-Graph construction.
-    pub fn find_unwait_for(&self, woken: ThreadId, from: TimeNs) -> Option<(EventId, &Event)> {
-        let lo = self.events.partition_point(|e| e.t < from);
-        self.events[lo..]
-            .iter()
-            .enumerate()
-            .find(|(_, e)| e.kind == EventKind::Unwait && e.wtid == Some(woken))
-            .map(|(i, e)| (EventId((lo + i) as u32), e))
     }
 }
 
@@ -398,35 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn range_query_half_open() {
-        let mut b = TraceStreamBuilder::new(0);
-        for t in [10u64, 20, 30, 40] {
-            b.push_running(ThreadId(1), TimeNs(t), TimeNs(1), StackId(0));
-        }
-        let ts = b.finish().unwrap();
-        let hits: Vec<u64> = ts
-            .events_starting_in(TimeNs(20), TimeNs(40))
-            .map(|(_, e)| e.t.0)
-            .collect();
-        assert_eq!(hits, [20, 30]);
-    }
-
-    #[test]
-    fn range_query_ids_are_stream_indices() {
-        let mut b = TraceStreamBuilder::new(0);
-        for t in [10u64, 20, 30] {
-            b.push_running(ThreadId(1), TimeNs(t), TimeNs(1), StackId(0));
-        }
-        let ts = b.finish().unwrap();
-        let ids: Vec<u32> = ts
-            .events_starting_in(TimeNs(20), TimeNs(31))
-            .map(|(id, _)| id.0)
-            .collect();
-        assert_eq!(ids, [1, 2]);
-        assert_eq!(ts.event(EventId(2)).unwrap().t, TimeNs(30));
-    }
-
-    #[test]
     fn thread_filter() {
         let mut b = TraceStreamBuilder::new(0);
         b.push_running(ThreadId(1), TimeNs(1), TimeNs(1), StackId(0));
@@ -435,21 +377,5 @@ mod tests {
         let ts = b.finish().unwrap();
         assert_eq!(ts.events_of_thread(ThreadId(1)).count(), 2);
         assert_eq!(ts.events_of_thread(ThreadId(9)).count(), 0);
-    }
-
-    #[test]
-    fn unwait_pairing_lookup() {
-        let mut b = TraceStreamBuilder::new(0);
-        b.push_wait(ThreadId(1), TimeNs(10), TimeNs::ZERO, StackId(0));
-        b.push_unwait(ThreadId(2), ThreadId(3), TimeNs(15), StackId(0));
-        b.push_unwait(ThreadId(2), ThreadId(1), TimeNs(20), StackId(0));
-        b.push_unwait(ThreadId(2), ThreadId(1), TimeNs(30), StackId(0));
-        let ts = b.finish().unwrap();
-        let (_, e) = ts.find_unwait_for(ThreadId(1), TimeNs(10)).unwrap();
-        assert_eq!(e.t, TimeNs(20));
-        // Searching after the first match finds the later one.
-        let (_, e2) = ts.find_unwait_for(ThreadId(1), TimeNs(21)).unwrap();
-        assert_eq!(e2.t, TimeNs(30));
-        assert!(ts.find_unwait_for(ThreadId(9), TimeNs(0)).is_none());
     }
 }

@@ -31,7 +31,6 @@
 //! it or names the error and its line. [`Dataset::read_text_bytes`] is
 //! the same parser over in-memory text.
 
-use crate::component::ComponentFilter;
 use crate::dataset::Dataset;
 use crate::event::EventKind;
 use crate::ids::{ProcessId, ThreadId};
@@ -223,22 +222,6 @@ impl Dataset {
     /// Same as [`Dataset::read_text`].
     pub fn read_text_bytes(bytes: &[u8]) -> Result<Dataset, ReadError> {
         Dataset::read_text(bytes)
-    }
-
-    /// [`Dataset::read_text`] behind a [`RetryingReader`]: transient
-    /// I/O errors (interrupted or timed-out reads, as NFS and flaky
-    /// storage produce at fleet scale) are retried with the policy's
-    /// bounded exponential backoff instead of aborting ingestion.
-    ///
-    /// Returns the data set together with the number of retried reads,
-    /// which callers surface in `SanitizeReport::io_retries`.
-    pub fn read_text_retrying<R: io::Read>(
-        input: R,
-        policy: RetryPolicy,
-    ) -> Result<(Dataset, usize), ReadError> {
-        let mut reader = io::BufReader::new(RetryingReader::new(input, policy));
-        let ds = Dataset::read_text(&mut reader)?;
-        Ok((ds, reader.into_inner().retries()))
     }
 }
 
@@ -796,16 +779,6 @@ fn check_text(s: &str) -> io::Result<()> {
     Ok(())
 }
 
-/// Convenience: whether any stream in the data set references the given
-/// components (a cheap pre-flight before a full analysis).
-pub fn mentions_component(ds: &Dataset, filter: &ComponentFilter) -> bool {
-    ds.streams.iter().any(|s| {
-        s.events()
-            .iter()
-            .any(|e| ds.stacks.contains_component(e.stack, filter))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1073,6 +1046,17 @@ mod tests {
         }
     }
 
+    /// [`Dataset::read_text`] behind a [`RetryingReader`], as the store
+    /// reads: the data set and the number of retried reads.
+    fn read_retrying(
+        input: impl io::Read,
+        policy: RetryPolicy,
+    ) -> Result<(Dataset, usize), ReadError> {
+        let mut reader = BufReader::new(RetryingReader::new(input, policy));
+        let ds = Dataset::read_text(&mut reader)?;
+        Ok((ds, reader.into_inner().retries()))
+    }
+
     #[test]
     fn retrying_reader_recovers_transient_faults() {
         let ds = tiny();
@@ -1086,7 +1070,7 @@ mod tests {
             base_backoff: Duration::ZERO,
             ..RetryPolicy::default()
         };
-        let (back, retries) = Dataset::read_text_retrying(flaky, policy).unwrap();
+        let (back, retries) = read_retrying(flaky, policy).unwrap();
         assert_eq!(back.instances, ds.instances);
         assert!(retries > 0, "every other read failed, so retries happened");
     }
@@ -1104,7 +1088,7 @@ mod tests {
             base_backoff: Duration::ZERO,
             ..RetryPolicy::default()
         };
-        let e = Dataset::read_text_retrying(AlwaysFail, policy).unwrap_err();
+        let e = read_retrying(AlwaysFail, policy).unwrap_err();
         match e {
             ReadError::Io(e) => assert_eq!(e.kind(), io::ErrorKind::TimedOut),
             other => panic!("expected io error, got {other}"),
@@ -1132,20 +1116,10 @@ mod tests {
                 Err(io::Error::new(io::ErrorKind::PermissionDenied, "no"))
             }
         }
-        let e = Dataset::read_text_retrying(Denied, RetryPolicy::default()).unwrap_err();
+        let e = read_retrying(Denied, RetryPolicy::default()).unwrap_err();
         match e {
             ReadError::Io(e) => assert_eq!(e.kind(), io::ErrorKind::PermissionDenied),
             other => panic!("expected io error, got {other}"),
         }
-    }
-
-    #[test]
-    fn mentions_component_prefilter() {
-        let ds = tiny();
-        assert!(mentions_component(&ds, &ComponentFilter::suffix(".sys")));
-        assert!(!mentions_component(
-            &ds,
-            &ComponentFilter::names(["net.sys"])
-        ));
     }
 }

@@ -101,10 +101,6 @@ impl TelemetrySink for CollectingSink {
         self.registry.counter_add(name, delta);
     }
 
-    fn gauge_set(&self, name: &'static str, value: i64) {
-        self.registry.gauge_set(name, value);
-    }
-
     fn histogram_record(&self, name: &'static str, value: u64) {
         self.registry.histogram_record(name, value);
     }
@@ -143,7 +139,7 @@ impl SpanReport {
 pub struct RunReport {
     /// Top-level spans, in open order.
     pub spans: Vec<SpanReport>,
-    /// Final counter/gauge/histogram values.
+    /// Final counter and histogram values.
     pub metrics: MetricsSnapshot,
 }
 
@@ -210,11 +206,6 @@ impl RunReport {
             w.u64(Some(name), *value);
         }
         w.end_obj();
-        w.begin_obj(Some("gauges"));
-        for (name, value) in &self.metrics.gauges {
-            w.i64(Some(name), *value);
-        }
-        w.end_obj();
         w.begin_obj(Some("histograms"));
         for (name, h) in &self.metrics.histograms {
             w.begin_obj(Some(name));
@@ -277,12 +268,6 @@ impl RunReport {
                 let _ = writeln!(out, "| {name} | {value} |");
             }
         }
-        if !self.metrics.gauges.is_empty() {
-            out.push_str("\n## Gauges\n\n| gauge | value |\n|---|---|\n");
-            for (name, value) in &self.metrics.gauges {
-                let _ = writeln!(out, "| {name} | {value} |");
-            }
-        }
         if !self.metrics.histograms.is_empty() {
             out.push_str(
                 "\n## Histograms\n\n| histogram | n | mean | p50 | p95 | p99 |\n\
@@ -329,7 +314,6 @@ mod tests {
             }
             let _mine = t.span("contrast");
             t.record("latency", 5_000);
-            t.gauge("depth", 3);
         }
         let report = sink.report();
         assert_eq!(report.span_names(), vec!["run", "sim", "contrast"]);
@@ -337,7 +321,6 @@ mod tests {
         assert_eq!(report.spans[0].children.len(), 2);
         assert!(report.spans[0].elapsed_ns.is_some());
         assert_eq!(report.metrics.counters["sim.events"], 42);
-        assert_eq!(report.metrics.gauges["depth"], 3);
         assert_eq!(report.metrics.histograms["latency"].n(), 1);
     }
 
@@ -400,7 +383,6 @@ mod tests {
         {
             let _a = t.span("analysis");
             t.count("paths", 7);
-            t.gauge("workers", 1);
             t.record("cost", 2_500_000);
         }
         let md = sink.report().to_markdown();
@@ -409,7 +391,6 @@ mod tests {
             "analysis",
             "## Counters",
             "paths | 7",
-            "## Gauges",
             "## Histograms",
             "cost",
         ] {

@@ -6,8 +6,7 @@
 //!
 //! * **spans** — hierarchical wall-time measurements opened with
 //!   [`Telemetry::span`] and closed by RAII guard drop;
-//! * **counters / gauges** — named atomics for "how many" and
-//!   "how much right now";
+//! * **counters** — named atomics for "how many";
 //! * **histograms** — fixed-bucket latency distributions
 //!   ([`Histogram`]);
 //! * **sinks** — where events go: the allocation-free disabled default
@@ -24,7 +23,6 @@
 //!   "tracelens_telemetry": 1,
 //!   "spans": [ {"name": "sim", "elapsed_ns": 12345, "children": [...]} ],
 //!   "counters": { "sim.events": 678 },
-//!   "gauges": { "aggregate.classes": 2 },
 //!   "histograms": { "waitgraph.build_ns": {"bounds": [...], "counts": [...], "sum": 9} }
 //! }
 //! ```
@@ -77,9 +75,9 @@ pub mod stage {
     /// Data-set sanitization (repair + quarantine) before analysis.
     /// Not part of [`PIPELINE`]: it only runs on corrupt input paths.
     pub const SANITIZE: &str = "sanitize";
-    /// Supervised (fail-operational) execution: panic isolation,
-    /// retries, per-unit deadlines and quarantine accounting. Not part
-    /// of [`PIPELINE`]: supervision wraps the other stages.
+    /// Supervised (fail-operational) execution: panic isolation and
+    /// quarantine accounting. Not part of [`PIPELINE`]: supervision
+    /// wraps the other stages.
     pub const SUPERVISE: &str = "supervise";
     /// Checkpoint save/restore of completed study units. Not part of
     /// [`PIPELINE`]: it only runs when `--checkpoint` is given.

@@ -2,10 +2,10 @@
 
 use crate::histogram::Histogram;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// Holds every counter, gauge and histogram created during a run.
+/// Holds every counter and histogram created during a run.
 ///
 /// Metric names are `&'static str`, which keeps the hot path free of
 /// allocation: recording against an existing metric takes a read lock
@@ -15,7 +15,6 @@ use std::sync::{Arc, RwLock};
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: RwLock<BTreeMap<&'static str, Arc<AtomicU64>>>,
-    gauges: RwLock<BTreeMap<&'static str, Arc<AtomicI64>>>,
     histograms: RwLock<BTreeMap<&'static str, Arc<Histogram>>>,
 }
 
@@ -24,8 +23,6 @@ pub struct Registry {
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, i64>,
     /// Histogram `(bounds, counts, sum)` by name; `counts` has one more
     /// entry than `bounds` (the overflow bucket).
     pub histograms: BTreeMap<String, HistogramSnapshot>,
@@ -75,20 +72,6 @@ impl Registry {
         self.counter(name).fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// The gauge registered under `name`, creating it at zero.
-    pub fn gauge(&self, name: &'static str) -> Arc<AtomicI64> {
-        if let Some(g) = self.gauges.read().expect("registry lock").get(name) {
-            return Arc::clone(g);
-        }
-        let mut map = self.gauges.write().expect("registry lock");
-        Arc::clone(map.entry(name).or_default())
-    }
-
-    /// Sets the gauge `name` to `value`.
-    pub fn gauge_set(&self, name: &'static str, value: i64) {
-        self.gauge(name).store(value, Ordering::Relaxed);
-    }
-
     /// The histogram registered under `name`, creating it with the
     /// default time buckets.
     pub fn histogram(&self, name: &'static str) -> Arc<Histogram> {
@@ -127,13 +110,6 @@ impl Registry {
             .iter()
             .map(|(&k, v)| (k.to_owned(), v.load(Ordering::Relaxed)))
             .collect();
-        let gauges = self
-            .gauges
-            .read()
-            .expect("registry lock")
-            .iter()
-            .map(|(&k, v)| (k.to_owned(), v.load(Ordering::Relaxed)))
-            .collect();
         let histograms = self
             .histograms
             .read()
@@ -152,7 +128,6 @@ impl Registry {
             .collect();
         MetricsSnapshot {
             counters,
-            gauges,
             histograms,
         }
     }
@@ -173,14 +148,6 @@ mod tests {
         assert_eq!(names, vec!["a.first", "b.second"], "sorted by name");
         assert_eq!(snap.counters["b.second"], 5);
         assert_eq!(r.snapshot(), snap, "snapshots are reproducible");
-    }
-
-    #[test]
-    fn gauges_overwrite() {
-        let r = Registry::new();
-        r.gauge_set("depth", 4);
-        r.gauge_set("depth", -2);
-        assert_eq!(r.snapshot().gauges["depth"], -2);
     }
 
     #[test]

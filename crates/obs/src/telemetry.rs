@@ -22,9 +22,6 @@ pub trait TelemetrySink: Send + Sync {
     /// Adds to a named counter.
     fn counter_add(&self, name: &'static str, delta: u64);
 
-    /// Sets a named gauge.
-    fn gauge_set(&self, name: &'static str, value: i64);
-
     /// Records one histogram observation.
     fn histogram_record(&self, name: &'static str, value: u64);
 }
@@ -43,7 +40,6 @@ impl TelemetrySink for NoopSink {
     }
     fn span_exit(&self, _id: SpanId, _elapsed_ns: u64) {}
     fn counter_add(&self, _name: &'static str, _delta: u64) {}
-    fn gauge_set(&self, _name: &'static str, _value: i64) {}
     fn histogram_record(&self, _name: &'static str, _value: u64) {}
 }
 
@@ -115,13 +111,6 @@ impl Telemetry {
     pub fn count(&self, name: &'static str, delta: u64) {
         if let Some(sink) = &self.sink {
             sink.counter_add(name, delta);
-        }
-    }
-
-    /// Sets the gauge `name` to `value`.
-    pub fn gauge(&self, name: &'static str, value: i64) {
-        if let Some(sink) = &self.sink {
-            sink.gauge_set(name, value);
         }
     }
 
@@ -212,12 +201,6 @@ mod tests {
                 .unwrap()
                 .push(format!("count {name} +{delta}"));
         }
-        fn gauge_set(&self, name: &'static str, value: i64) {
-            self.events
-                .lock()
-                .unwrap()
-                .push(format!("gauge {name} ={value}"));
-        }
         fn histogram_record(&self, name: &'static str, value: u64) {
             self.events
                 .lock()
@@ -232,7 +215,6 @@ mod tests {
         assert!(!t.enabled());
         let _span = t.span("outer");
         t.count("x", 1);
-        t.gauge("y", 2);
         t.record("z", 3);
         // Nothing to observe — the point is that none of this panics or
         // touches the span stack.
@@ -298,7 +280,6 @@ mod tests {
         let t = Telemetry::with_sink(Arc::new(NoopSink));
         let _span = t.span("s");
         t.count("c", 1);
-        t.gauge("g", 2);
         t.record("h", 3);
     }
 

@@ -282,11 +282,6 @@ impl Machine {
         ThreadId(self.threads.len() as u32)
     }
 
-    /// Number of registered program threads.
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
-    }
-
     /// Runs the simulation to completion.
     ///
     /// # Errors

@@ -323,6 +323,58 @@ fn report_and_pack_accept_only_one_job() {
 }
 
 #[test]
+fn report_quarantines_each_faulted_unit_once() {
+    let dir = std::env::temp_dir().join(format!("tracelens-cli-faults-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = dir.join("w.tlt");
+    let path = file.to_str().expect("utf-8 path");
+    let out = tracelens(&["simulate", "-o", path, "--traces", "40", "--seed", "9"]);
+    assert!(out.status.success(), "simulate failed: {out:?}");
+
+    let out = tracelens(&["report", path, "--exec-faults", "seed=5,panic=0.3"]);
+    assert!(out.status.success(), "faulted report failed: {out:?}");
+    let md = String::from_utf8_lossy(&out.stdout);
+    let table = md
+        .split("## Execution\n")
+        .nth(1)
+        .and_then(|rest| rest.split("\n\n").nth(1))
+        .expect("an Execution table");
+    let mut lines = table.lines();
+    assert_eq!(lines.next(), Some("| unit | stage | scenario | reason |"));
+    assert_eq!(lines.next(), Some("|---|---|---|---|"));
+    let rows: Vec<&str> = lines.collect();
+    assert!(!rows.is_empty(), "the plan must hit a unit");
+    for row in rows {
+        assert!(row.ends_with(" |"), "{row}");
+        let reason = row.trim_end_matches(" |").rsplit(" | ").next().unwrap();
+        assert!(reason.starts_with("panic: injected fault: "), "{row}");
+    }
+
+    // The report has no retry bound, soft deadline or slow faults.
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &["report", path, "--max-retries", "1"],
+            "unknown flag --max-retries",
+        ),
+        (
+            &["report", path, "--unit-deadline-ms", "5"],
+            "unknown flag --unit-deadline-ms",
+        ),
+        (
+            &["report", path, "--exec-faults", "seed=1,slow=0.5"],
+            "unknown key `slow`",
+        ),
+    ];
+    for (args, want) in cases {
+        let out = tracelens(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(want), "{args:?}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn every_command_rejects_undeclared_flags() {
     let commands = [
         "simulate",

@@ -201,10 +201,6 @@ fn supervisor_counters_match_the_execution_report() {
     // execution report.
     let faulted = StudyConfig {
         exec_faults: Some(ExecFaultPlan::new(5).with_panic_rate(0.4)),
-        supervise: SupervisePolicy {
-            max_retries: 1,
-            ..SupervisePolicy::default()
-        },
         ..StudyConfig::default()
     };
     let (study, counters) = observe(&faulted);
@@ -217,8 +213,8 @@ fn supervisor_counters_match_the_execution_report() {
         study.execution.quarantined() as u64
     );
     assert_eq!(
-        counters["supervisor.retries"],
-        study.execution.retries as u64
+        counters["supervisor.completed"],
+        study.execution.completed as u64
     );
 }
 

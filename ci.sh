@@ -26,6 +26,14 @@ cargo build --release
 echo "== cargo test =="
 cargo test -q
 
+echo "== graph-layer tests in release =="
+# The benchmark times the release build, where integer arithmetic wraps
+# on overflow instead of panicking as it does in the debug test pass.
+# Run the index and Wait Graph tests, and the two end-to-end identity
+# gates over them, as they are built there.
+cargo test -q --release -p tracelens-waitgraph
+cargo test -q --release -p tracelens --test impact_oracle --test report_identity
+
 echo "== exp_e2e (the end-to-end benchmark: build + unit tests) =="
 # The benchmark is a package outside the workspace that calls the
 # analysis crates' public functions, so the workspace build above does

@@ -108,7 +108,7 @@ impl<'a> Aggregator<'a> {
         if self.view.contains_component(node.stack) {
             out.push(id);
         } else {
-            for &c in &node.children {
+            for &c in graph.children_of(node) {
                 self.collect_relevant_roots(graph, c, out);
             }
         }
@@ -178,7 +178,7 @@ impl<'a> Aggregator<'a> {
             } else {
                 let awg_id = self.find_or_create(parent, key);
                 self.record(awg_id, node.duration);
-                self.insert_children(Some(awg_id), graph, &node.children);
+                self.insert_children(Some(awg_id), graph, graph.children_of(node));
                 i += 1;
             }
         }

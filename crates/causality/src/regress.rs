@@ -18,7 +18,7 @@ use crate::segments::enumerate_meta_patterns;
 use crate::tuple::SignatureSetTuple;
 use std::collections::BTreeSet;
 use std::collections::HashMap;
-use tracelens_model::{ComponentFilter, Dataset, ScenarioName, StackTable, TimeNs};
+use tracelens_model::{ComponentFilter, Dataset, ScenarioName, StackTable, TimeNs, TraceId};
 use tracelens_waitgraph::{StreamIndex, WaitGraph};
 
 /// One regressed behavior.
@@ -157,12 +157,17 @@ fn rendered_metas(
         split.slow
     };
     let mut agg = Aggregator::new(&dataset.stacks, &config.components);
+    // Consecutive instances on one stream share its index.
+    let mut indexed: Option<(TraceId, StreamIndex)> = None;
     for instance in instances {
         let Some(stream) = dataset.stream_of(instance) else {
             continue;
         };
-        let index = StreamIndex::new(stream);
-        agg.add_graph(&WaitGraph::build(stream, &index, instance));
+        if indexed.as_ref().is_none_or(|(t, _)| *t != instance.trace) {
+            indexed = Some((instance.trace, StreamIndex::new(stream)));
+        }
+        let (_, index) = indexed.as_ref().expect("indexed above");
+        agg.add_graph(&WaitGraph::build(stream, index, instance));
     }
     let awg = agg.finish();
     for (tuple, m) in enumerate_meta_patterns(&awg, config.segment_bound) {

@@ -232,7 +232,7 @@ impl ImpactAnalyzer {
                 }
                 NodeKind::Hardware => {}
             }
-            for &c in &node.children {
+            for &c in graph.children_of(node) {
                 todo.push((c, now_under));
             }
         }

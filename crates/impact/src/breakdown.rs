@@ -95,6 +95,7 @@ fn account(
 ) {
     // Roots: initiating-thread events. `covered` counts the root-level
     // durations that the breakdown attributes.
+    let graph = graph.view();
     let mut todo: Vec<(tracelens_waitgraph::NodeId, bool, bool)> =
         graph.roots().iter().map(|&r| (r, true, false)).collect();
     while let Some((id, is_root, under)) = todo.pop() {
@@ -131,7 +132,7 @@ fn account(
             }
             NodeKind::Hardware => {}
         }
-        for &c in &node.children {
+        for &c in graph.children_of(node) {
             todo.push((c, false, now_under));
         }
     }

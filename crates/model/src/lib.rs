@@ -40,6 +40,7 @@ pub mod binio;
 mod component;
 mod dataset;
 mod event;
+mod idhash;
 mod ids;
 mod intern;
 mod sanitize;
@@ -56,6 +57,7 @@ pub use binio::{fingerprint_bytes, header_fingerprint, BinReadError, BIN_FORMAT_
 pub use component::{ComponentFilter, DriverType};
 pub use dataset::Dataset;
 pub use event::{Event, EventKind};
+pub use idhash::IdHashing;
 pub use ids::{EventId, ProcessId, ThreadId, TraceId};
 pub use intern::{Interner, Symbol};
 pub use sanitize::{SanitizeReport, DUPLICATE_TRACE_ID};

@@ -33,17 +33,16 @@
 
 use crate::dataset::Dataset;
 use crate::event::EventKind;
+use crate::idhash::IdHashing;
 use crate::ids::{ProcessId, ThreadId};
 use crate::intern::Symbol;
 use crate::scenario::{Scenario, ScenarioInstance, ScenarioName, Thresholds};
 use crate::stack::StackId;
 use crate::stream::TraceStreamBuilder;
 use crate::time::TimeNs;
-use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::hash::{BuildHasher, Hasher};
 use std::io::{self, BufRead, Write};
 
 /// Current format version.
@@ -361,68 +360,7 @@ fn utf8(field: &[u8], lineno: usize) -> Result<&str, ReadError> {
 }
 
 /// Maps the stack ids a file declares to interned ids.
-type StackIds = HashMap<u32, StackId, StackIdHashing>;
-
-/// Multiply-shift hashing of `u32` stack ids (Dietzfelbinger et al.):
-/// one multiply and add per lookup instead of a SipHash round. The
-/// multiplier and addend are drawn from [`RandomState`] for each map,
-/// so ids in a crafted file cannot be aimed at one bucket.
-#[derive(Debug, Clone, Copy)]
-struct StackIdHashing {
-    mul: u64,
-    add: u64,
-}
-
-impl Default for StackIdHashing {
-    fn default() -> Self {
-        let seed = RandomState::new();
-        StackIdHashing {
-            mul: seed.hash_one(0u8) | 1,
-            add: seed.hash_one(1u8),
-        }
-    }
-}
-
-impl BuildHasher for StackIdHashing {
-    type Hasher = StackIdHasher;
-
-    fn build_hasher(&self) -> StackIdHasher {
-        StackIdHasher {
-            keys: *self,
-            hash: 0,
-        }
-    }
-}
-
-struct StackIdHasher {
-    keys: StackIdHashing,
-    hash: u64,
-}
-
-impl Hasher for StackIdHasher {
-    /// Only `u32` keys reach this map; other input is folded a byte at
-    /// a time through the same multiply-shift.
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u32(u32::from(b) ^ (self.hash as u32));
-        }
-    }
-
-    fn write_u32(&mut self, id: u32) {
-        let mixed = self
-            .keys
-            .mul
-            .wrapping_mul(u64::from(id))
-            .wrapping_add(self.keys.add);
-        // The high half is the well-mixed one; the map indexes buckets
-        // by the low bits.
-        self.hash = mixed.rotate_left(32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
+type StackIds = HashMap<u32, StackId, IdHashing>;
 
 /// The per-line state machine behind [`Dataset::read_text`].
 #[derive(Debug, Default)]

@@ -15,9 +15,8 @@
 //! deepest wait stays above the cap, building it afresh would give the
 //! same tree.
 
-use crate::graph::{Node, NodeId, NodeKind, StreamGraph, WaitGraph};
+use crate::graph::{Edges, Node, NodeId, NodeKind, StreamGraph, WaitGraph};
 use crate::index::StreamIndex;
-use std::collections::HashSet;
 use std::time::Instant;
 use tracelens_model::{EventId, EventKind, ScenarioInstance, TimeNs, TraceStream};
 use tracelens_obs::Telemetry;
@@ -44,7 +43,7 @@ impl WaitGraph {
     ) -> WaitGraph {
         let mut b = Builder::new(stream, index, false);
         b.add_instance(instance);
-        WaitGraph::from_parts(stream.id(), b.nodes, b.roots)
+        WaitGraph::from_parts(stream.id(), b.nodes, b.edges, b.roots)
     }
 
     /// [`WaitGraph::build`] with telemetry: reports graph/node counters
@@ -102,7 +101,7 @@ impl StreamGraph {
             telemetry.count("waitgraph.nodes", tree_nodes as u64);
             telemetry.count("waitgraph.arena_nodes", b.nodes.len() as u64);
         }
-        StreamGraph::from_parts(b.nodes, b.roots, ends)
+        StreamGraph::from_parts(b.nodes, b.edges, b.roots, ends)
     }
 }
 
@@ -133,9 +132,15 @@ struct Builder<'a> {
     stream: &'a TraceStream,
     index: &'a StreamIndex,
     nodes: Vec<Node>,
+    /// Every closed wait's children, one wait's after another.
+    edges: Vec<NodeId>,
     roots: Vec<NodeId>,
-    /// The wait events on the current recursion path (cycle guard).
-    path: HashSet<EventId>,
+    /// The children of the waits still open on the recursion path, the
+    /// innermost wait's last; they move to `edges` when it closes.
+    open: Vec<NodeId>,
+    /// The wait events on the current recursion path (cycle guard): at
+    /// most [`MAX_DEPTH`] of them.
+    path: Vec<EventId>,
     /// Per event id: the clean subtree already built for that paired
     /// wait. Empty when sharing is off.
     shared: Vec<Option<Subtree>>,
@@ -147,8 +152,10 @@ impl<'a> Builder<'a> {
             stream,
             index,
             nodes: Vec::new(),
+            edges: Vec::new(),
             roots: Vec::new(),
-            path: HashSet::new(),
+            open: Vec::new(),
+            path: Vec::with_capacity(MAX_DEPTH),
             shared: if share {
                 vec![None; stream.len()]
             } else {
@@ -162,12 +169,10 @@ impl<'a> Builder<'a> {
     fn add_instance(&mut self, instance: &ScenarioInstance) -> usize {
         debug_assert_eq!(self.stream.id(), instance.trace, "instance/stream mismatch");
         let mut size = 0;
-        for id in self.index.thread_events_overlapping(
-            self.stream,
-            instance.tid,
-            instance.t0,
-            instance.t1,
-        ) {
+        let index = self.index;
+        for &id in
+            index.thread_events_overlapping(self.stream, instance.tid, instance.t0, instance.t1)
+        {
             if let Some(root) = self.add_event(id, instance.t1, 0) {
                 self.roots.push(root.node);
                 size += root.size;
@@ -177,13 +182,25 @@ impl<'a> Builder<'a> {
     }
 
     fn leaf(&mut self, node: Node, clean: bool) -> Subtree {
-        let id = NodeId(self.nodes.len() as u32);
+        let id = NodeId(u32::try_from(self.nodes.len()).expect("node ids fit in u32"));
         self.nodes.push(node);
         Subtree {
             node: id,
             size: 1,
             reach: None,
             clean,
+        }
+    }
+
+    /// Moves the open children from `first` on, those of the wait now
+    /// closing, to the edge array; returns where they landed.
+    fn close(&mut self, first: usize) -> Edges {
+        let offset = |len: usize| u32::try_from(len).expect("edge offsets fit in u32");
+        let start = offset(self.edges.len());
+        self.edges.extend(self.open.drain(first..));
+        Edges {
+            start,
+            end: offset(self.edges.len()),
         }
     }
 
@@ -198,14 +215,14 @@ impl<'a> Builder<'a> {
             stack: e.stack,
             t: e.t,
             duration,
-            children: Vec::new(),
+            children: Edges::default(),
         };
         match e.kind {
             EventKind::Unwait => None,
             EventKind::Running => Some(self.leaf(node(NodeKind::Running, e.cost), true)),
             EventKind::HardwareService => Some(self.leaf(node(NodeKind::Hardware, e.cost), true)),
             EventKind::Wait => {
-                let pair = self.index.pair_unwait(self.stream, e.tid, e.t);
+                let pair = self.index.paired_unwait(id);
                 let cut = self.path.contains(&id) || depth >= MAX_DEPTH;
                 match pair {
                     Some(u_id) if !cut => {
@@ -224,14 +241,12 @@ impl<'a> Builder<'a> {
                         // Reserve the node slot so parents precede children.
                         let mut wait = self.leaf(node(kind, e.t.saturating_span_to(u.t)), true);
                         wait.reach = Some(0);
-                        self.path.insert(id);
-                        let mut children = Vec::new();
-                        for cid in
-                            self.index
-                                .thread_events_overlapping(self.stream, u.tid, e.t, u.t)
-                        {
+                        self.path.push(id);
+                        let first = self.open.len();
+                        let index = self.index;
+                        for &cid in index.thread_events_overlapping(self.stream, u.tid, e.t, u.t) {
                             if let Some(c) = self.add_event(cid, u.t, depth + 1) {
-                                children.push(c.node);
+                                self.open.push(c.node);
                                 wait.size += c.size;
                                 wait.clean &= c.clean;
                                 if let Some(r) = c.reach {
@@ -239,8 +254,8 @@ impl<'a> Builder<'a> {
                                 }
                             }
                         }
-                        self.path.remove(&id);
-                        self.nodes[wait.node.0 as usize].children = children;
+                        self.path.pop();
+                        self.nodes[wait.node.0 as usize].children = self.close(first);
                         if wait.clean {
                             if let Some(slot) = self.shared.get_mut(id.0 as usize) {
                                 *slot = Some(wait);
@@ -303,8 +318,9 @@ mod tests {
             .find(|n| n.kind.is_wait())
             .expect("wait root");
         assert_eq!(wait_root.duration, TimeNs(10));
-        assert_eq!(wait_root.children.len(), 1);
-        let child = wg.node(wait_root.children[0]);
+        let children = wg.view().children_of(wait_root);
+        assert_eq!(children.len(), 1);
+        let child = wg.node(children[0]);
         assert_eq!(child.kind, NodeKind::Running);
         assert_eq!(child.tid, ThreadId(2));
     }
@@ -329,15 +345,15 @@ mod tests {
         let root = wg.node(wg.roots()[0]);
         assert_eq!(root.duration, TimeNs(25)); // 10 → 35
                                                // Children: T2's wait (recursing to T3) and T2's running event.
-        assert_eq!(root.children.len(), 2);
-        let nested_wait = root
-            .children
+        let children = wg.view().children_of(root);
+        assert_eq!(children.len(), 2);
+        let nested_wait = children
             .iter()
             .map(|&c| wg.node(c))
             .find(|n| n.kind.is_wait())
             .expect("nested wait");
         assert_eq!(nested_wait.duration, TimeNs(20)); // 10 → 30
-        let leaf = wg.node(nested_wait.children[0]);
+        let leaf = wg.node(wg.view().children_of(nested_wait)[0]);
         assert_eq!(leaf.tid, ThreadId(3));
         assert_eq!(leaf.duration, TimeNs(20));
     }
@@ -418,8 +434,9 @@ mod tests {
         let idx = StreamIndex::new(&s);
         let wg = WaitGraph::build(&s, &idx, &instance(1, 0, 40));
         let root = wg.node(wg.roots()[0]);
-        assert_eq!(root.children.len(), 1);
-        let hw = wg.node(root.children[0]);
+        let children = wg.view().children_of(root);
+        assert_eq!(children.len(), 1);
+        let hw = wg.node(children[0]);
         assert_eq!(hw.kind, NodeKind::Hardware);
         assert_eq!(hw.duration, TimeNs(30));
     }

@@ -10,8 +10,9 @@ impl WaitGraph {
     pub fn to_dot(&self, stacks: &StackTable) -> String {
         let mut out =
             String::from("digraph waitgraph {\n  rankdir=TB;\n  node [shape=box,fontsize=10];\n");
-        for (_, id) in self.dfs() {
-            let n = self.node(id);
+        let view = self.view();
+        for (_, id) in view.dfs() {
+            let n = view.node(id);
             let frame = stacks
                 .frames(n.stack)
                 .last()
@@ -33,7 +34,7 @@ impl WaitGraph {
                 n.duration,
                 shape
             );
-            for &c in &n.children {
+            for &c in view.children_of(n) {
                 let _ = writeln!(out, "  n{} -> n{};", id.0, c.0);
             }
         }

@@ -43,7 +43,8 @@ impl NodeKind {
     }
 }
 
-/// One node: a tracing event plus its propagation children.
+/// One node: a tracing event. Its propagation children are read through
+/// the graph that holds it ([`GraphView::children_of`]).
 #[derive(Debug, Clone)]
 pub struct Node {
     /// The source event's id within its trace stream.
@@ -59,9 +60,25 @@ pub struct Node {
     /// Event duration; for wait nodes this is the *restored* duration
     /// (unwait timestamp minus wait timestamp).
     pub duration: TimeNs,
-    /// Children: nodes whose operations execute within this node's wait
-    /// interval (only wait nodes have children).
-    pub children: Vec<NodeId>,
+    /// Where the children sit in the arena's edge array.
+    pub(crate) children: Edges,
+}
+
+/// A node's children: `edges[start..end]` of the arena that holds it.
+/// Children are the nodes whose operations execute within the node's
+/// wait interval (only wait nodes have children).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Edges {
+    pub(crate) start: u32,
+    pub(crate) end: u32,
+}
+
+impl Edges {
+    /// This node's children in the arena edge array `edges`.
+    #[inline]
+    fn of(self, edges: &[NodeId]) -> &[NodeId] {
+        &edges[self.start as usize..self.end as usize]
+    }
 }
 
 /// A Wait Graph for a single scenario instance (Definition 1), built on
@@ -78,14 +95,22 @@ pub struct Node {
 pub struct WaitGraph {
     trace: TraceId,
     nodes: Vec<Node>,
+    /// Every node's children, one node's after another.
+    edges: Vec<NodeId>,
     roots: Vec<NodeId>,
 }
 
 impl WaitGraph {
-    pub(crate) fn from_parts(trace: TraceId, nodes: Vec<Node>, roots: Vec<NodeId>) -> Self {
+    pub(crate) fn from_parts(
+        trace: TraceId,
+        nodes: Vec<Node>,
+        edges: Vec<NodeId>,
+        roots: Vec<NodeId>,
+    ) -> Self {
         WaitGraph {
             trace,
             nodes,
+            edges,
             roots,
         }
     }
@@ -109,6 +134,16 @@ impl WaitGraph {
         &self.nodes[id.0 as usize]
     }
 
+    /// The children of node `id`: nodes whose operations execute within
+    /// its wait interval (only wait nodes have children).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this graph.
+    pub fn children(&self, id: NodeId) -> &[NodeId] {
+        self.node(id).children.of(&self.edges)
+    }
+
     /// All nodes in creation order (parents before their children).
     pub fn nodes(&self) -> &[Node] {
         &self.nodes
@@ -129,6 +164,7 @@ impl WaitGraph {
     pub fn view(&self) -> GraphView<'_> {
         GraphView {
             nodes: &self.nodes,
+            edges: &self.edges,
             roots: &self.roots,
         }
     }
@@ -158,8 +194,8 @@ impl WaitGraph {
         let mut path = vec![root];
         let mut cur = root;
         loop {
-            let node = self.node(cur);
-            let Some(&next) = node.children.iter().max_by_key(|&&c| self.node(c).duration) else {
+            let children = self.children(cur);
+            let Some(&next) = children.iter().max_by_key(|&&c| self.node(c).duration) else {
                 break;
             };
             path.push(next);
@@ -170,8 +206,8 @@ impl WaitGraph {
 }
 
 /// The Wait Graphs of a stream's scenario instances, built together by
-/// [`StreamGraph::build`]: one node arena plus each instance's root
-/// list.
+/// [`StreamGraph::build`]: one node arena, one edge array, plus each
+/// instance's root list.
 ///
 /// A paired wait's subtree is built once and shared by every later
 /// instance or parent that reaches the same wait event, so the arena is
@@ -180,14 +216,26 @@ impl WaitGraph {
 #[derive(Debug, Clone)]
 pub struct StreamGraph {
     nodes: Vec<Node>,
+    /// Every node's children, one node's after another.
+    edges: Vec<NodeId>,
     roots: Vec<NodeId>,
     /// Instance `k`'s roots are `roots[ends[k - 1]..ends[k]]`.
     ends: Vec<usize>,
 }
 
 impl StreamGraph {
-    pub(crate) fn from_parts(nodes: Vec<Node>, roots: Vec<NodeId>, ends: Vec<usize>) -> Self {
-        StreamGraph { nodes, roots, ends }
+    pub(crate) fn from_parts(
+        nodes: Vec<Node>,
+        edges: Vec<NodeId>,
+        roots: Vec<NodeId>,
+        ends: Vec<usize>,
+    ) -> Self {
+        StreamGraph {
+            nodes,
+            edges,
+            roots,
+            ends,
+        }
     }
 
     /// The Wait Graph of the `k`-th instance given to
@@ -200,6 +248,7 @@ impl StreamGraph {
         let start = if k == 0 { 0 } else { self.ends[k - 1] };
         GraphView {
             nodes: &self.nodes,
+            edges: &self.edges,
             roots: &self.roots[start..self.ends[k]],
         }
     }
@@ -210,12 +259,13 @@ impl StreamGraph {
     }
 }
 
-/// One instance's Wait Graph as borrowed nodes plus its roots: a whole
-/// [`WaitGraph`] ([`WaitGraph::view`]) or one instance of a
-/// [`StreamGraph`] ([`StreamGraph::instance`]).
+/// One instance's Wait Graph as borrowed nodes and edges plus its
+/// roots: a whole [`WaitGraph`] ([`WaitGraph::view`]) or one instance
+/// of a [`StreamGraph`] ([`StreamGraph::instance`]).
 #[derive(Debug, Clone, Copy)]
 pub struct GraphView<'a> {
     nodes: &'a [Node],
+    edges: &'a [NodeId],
     roots: &'a [NodeId],
 }
 
@@ -230,8 +280,33 @@ impl<'a> GraphView<'a> {
     /// # Panics
     ///
     /// Panics if `id` does not belong to the underlying graph.
+    #[inline]
     pub fn node(&self, id: NodeId) -> &'a Node {
         &self.nodes[id.0 as usize]
+    }
+
+    /// The children of node `id`: nodes whose operations execute within
+    /// its wait interval (only wait nodes have children). A reader that
+    /// already holds the node should call [`GraphView::children_of`],
+    /// which skips the second lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to the underlying graph.
+    #[inline]
+    pub fn children(&self, id: NodeId) -> &'a [NodeId] {
+        self.children_of(self.node(id))
+    }
+
+    /// The children of `node`, a node of this view's graph.
+    ///
+    /// # Panics
+    ///
+    /// May panic, or return another node's children, if `node` belongs
+    /// to another graph.
+    #[inline]
+    pub fn children_of(&self, node: &Node) -> &'a [NodeId] {
+        node.children.of(self.edges)
     }
 
     /// Iterates nodes in depth-first pre-order from the roots, yielding
@@ -256,8 +331,7 @@ impl Iterator for Dfs<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let (depth, id) = self.stack.pop()?;
-        let node = self.view.node(id);
-        for &c in node.children.iter().rev() {
+        for &c in self.view.children(id).iter().rev() {
             self.stack.push((depth + 1, c));
         }
         Some((depth, id))
@@ -269,22 +343,39 @@ mod tests {
     use super::*;
     use tracelens_model::StackId;
 
-    fn leaf(event: u32, t: u64, dur: u64) -> Node {
-        Node {
+    /// A graph over `nodes`, each given with its children.
+    fn graph(nodes: Vec<(Node, Vec<NodeId>)>, roots: Vec<NodeId>) -> WaitGraph {
+        let mut edges = Vec::new();
+        let nodes = nodes
+            .into_iter()
+            .map(|(mut node, children)| {
+                let start = u32::try_from(edges.len()).unwrap();
+                edges.extend(children);
+                let end = u32::try_from(edges.len()).unwrap();
+                node.children = Edges { start, end };
+                node
+            })
+            .collect();
+        WaitGraph::from_parts(TraceId(0), nodes, edges, roots)
+    }
+
+    fn leaf(event: u32, t: u64, dur: u64) -> (Node, Vec<NodeId>) {
+        let node = Node {
             event: EventId(event),
             kind: NodeKind::Running,
             tid: ThreadId(1),
             stack: StackId(0),
             t: TimeNs(t),
             duration: TimeNs(dur),
-            children: Vec::new(),
-        }
+            children: Edges::default(),
+        };
+        (node, Vec::new())
     }
 
     #[test]
     fn dfs_preorder() {
         // root wait -> [leaf a, leaf b]
-        let mut root = Node {
+        let root = Node {
             event: EventId(0),
             kind: NodeKind::Wait {
                 unwait: EventId(9),
@@ -295,12 +386,14 @@ mod tests {
             stack: StackId(0),
             t: TimeNs(0),
             duration: TimeNs(10),
-            children: vec![NodeId(1), NodeId(2)],
+            children: Edges::default(),
         };
-        root.children = vec![NodeId(1), NodeId(2)];
-        let g = WaitGraph::from_parts(
-            TraceId(0),
-            vec![root, leaf(1, 1, 2), leaf(2, 3, 2)],
+        let g = graph(
+            vec![
+                (root, vec![NodeId(1), NodeId(2)]),
+                leaf(1, 1, 2),
+                leaf(2, 3, 2),
+            ],
             vec![NodeId(0)],
         );
         let order: Vec<(usize, u32)> = g.dfs().map(|(d, n)| (d, n.0)).collect();
@@ -309,19 +402,21 @@ mod tests {
         assert!(!g.is_empty());
         assert!(g.node(NodeId(0)).kind.is_wait());
         assert!(!g.node(NodeId(1)).kind.is_wait());
+        assert_eq!(g.children(NodeId(0)), [NodeId(1), NodeId(2)]);
+        assert!(g.children(NodeId(1)).is_empty());
     }
 
     #[test]
     fn empty_graph() {
-        let g = WaitGraph::from_parts(TraceId(3), Vec::new(), Vec::new());
+        let g = WaitGraph::from_parts(TraceId(3), Vec::new(), Vec::new(), Vec::new());
         assert!(g.is_empty());
         assert_eq!(g.dfs().count(), 0);
         assert_eq!(g.trace(), TraceId(3));
         assert!(g.dominant_path().is_empty());
     }
 
-    fn wait(event: u32, t: u64, dur: u64, children: Vec<NodeId>) -> Node {
-        Node {
+    fn wait(event: u32, t: u64, dur: u64, children: Vec<NodeId>) -> (Node, Vec<NodeId>) {
+        let node = Node {
             event: EventId(event),
             kind: NodeKind::Wait {
                 unwait: EventId(99),
@@ -332,8 +427,9 @@ mod tests {
             stack: StackId(0),
             t: TimeNs(t),
             duration: TimeNs(dur),
-            children,
-        }
+            children: Edges::default(),
+        };
+        (node, children)
     }
 
     #[test]
@@ -346,7 +442,7 @@ mod tests {
             wait(2, 10, 85, vec![NodeId(3)]),            // n2 ends 95
             leaf(3, 30, 60),                             // n3 ends 90
         ];
-        let g = WaitGraph::from_parts(TraceId(0), nodes, vec![NodeId(0)]);
+        let g = graph(nodes, vec![NodeId(0)]);
         let path: Vec<u32> = g.dominant_path().iter().map(|n| n.0).collect();
         assert_eq!(path, [0, 2, 3]);
     }
@@ -358,7 +454,7 @@ mod tests {
             wait(1, 20, 50, vec![]),
             leaf(2, 80, 100), // running roots are not chain starts
         ];
-        let g = WaitGraph::from_parts(TraceId(0), nodes, vec![NodeId(0), NodeId(1), NodeId(2)]);
+        let g = graph(nodes, vec![NodeId(0), NodeId(1), NodeId(2)]);
         assert_eq!(g.dominant_path(), vec![NodeId(1)]);
     }
 }

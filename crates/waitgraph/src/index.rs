@@ -3,23 +3,34 @@
 //! A stream is shared by every scenario instance recorded in it, so the
 //! index is built once per stream and reused across instance graphs.
 
-use std::collections::{HashMap, HashSet};
-use tracelens_model::{EventId, EventKind, ThreadId, TimeNs, TraceStream};
+use std::collections::HashMap;
+use tracelens_model::{EventId, EventKind, IdHashing, ThreadId, TimeNs, TraceStream};
 
 /// Precomputed lookup structures over one [`TraceStream`]:
 ///
-/// * per-thread event lists (sorted by time) for wait-interval queries,
+/// * per-thread event lists (in event order, which is time order in a
+///   sorted stream) for wait-interval queries,
 /// * per-woken-thread unwait lists for wait/unwait pairing,
+/// * each wait's paired unwait, found once when the index is built,
 /// * per-event *effective ends*: for wait events the timestamp of the
 ///   paired unwait (their raw cost is zero until restored), for other
 ///   events `t + cost`.
+///
+/// Both kinds of list are CSR arrays: one flat array of event ids per
+/// kind, grouped by thread, with start offsets per thread. A thread's
+/// group is found through the dense slot the thread got in first-seen
+/// event order, so no layout depends on the hasher's seed.
 #[derive(Debug, Clone)]
 pub struct StreamIndex {
-    /// tid → events of that thread, in time order.
-    by_thread: HashMap<ThreadId, Vec<EventId>>,
-    /// woken tid → unwait events targeting it, in time order.
-    unwaits_for: HashMap<ThreadId, Vec<EventId>>,
-    /// event id → effective end timestamp.
+    /// tid → slot.
+    slots: HashMap<ThreadId, u32, IdHashing>,
+    /// Slot → events of that thread.
+    by_thread: Csr,
+    /// Woken slot → unwait events targeting that thread.
+    unwaits_for: Csr,
+    /// Event id → the unwait paired with that wait event.
+    pairs: Vec<Option<EventId>>,
+    /// Event id → effective end timestamp.
     effective_end: Vec<TimeNs>,
     /// Wait events with no pairable unwait (truncated or lossy traces).
     orphan_waits: usize,
@@ -28,52 +39,114 @@ pub struct StreamIndex {
     stray_unwaits: usize,
 }
 
+/// Lists of event ids grouped by thread slot, in one flat array.
+#[derive(Debug, Clone)]
+struct Csr {
+    /// Slot `s`'s list is `ids[starts[s]..starts[s + 1]]`.
+    starts: Vec<u32>,
+    ids: Vec<EventId>,
+}
+
+impl Csr {
+    /// Groups `items`, `(slot, event)` pairs in event order, into the
+    /// lists of `slots` slots; each list keeps event order.
+    fn group(slots: usize, items: &[(u32, EventId)]) -> Csr {
+        let mut starts = vec![0u32; slots + 1];
+        for &(slot, _) in items {
+            starts[slot as usize] += 1;
+        }
+        // Running totals: `starts[s]` becomes the end of slot `s`'s list
+        // and the last entry the total.
+        let mut total = 0;
+        for offset in &mut starts {
+            total += *offset;
+            *offset = total;
+        }
+        // Filling from the back moves each end down to its list's start.
+        let mut ids = vec![EventId(0); items.len()];
+        for &(slot, id) in items.iter().rev() {
+            let at = &mut starts[slot as usize];
+            *at -= 1;
+            ids[*at as usize] = id;
+        }
+        Csr { starts, ids }
+    }
+
+    /// Slot `slot`'s list.
+    fn list(&self, slot: usize) -> &[EventId] {
+        &self.ids[self.starts[slot] as usize..self.starts[slot + 1] as usize]
+    }
+}
+
+/// The position in `list` of the first event starting at or after
+/// `from`, by binary search.
+fn first_from(stream: &TraceStream, list: &[EventId], from: TimeNs) -> usize {
+    list.partition_point(|&id| stream.event(id).is_some_and(|e| e.t < from))
+}
+
 impl StreamIndex {
     /// Builds the index for `stream`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream has more events than [`EventId`] can number.
     pub fn new(stream: &TraceStream) -> Self {
-        let mut by_thread: HashMap<ThreadId, Vec<EventId>> = HashMap::new();
-        let mut unwaits_for: HashMap<ThreadId, Vec<EventId>> = HashMap::new();
-        for (i, e) in stream.events().iter().enumerate() {
-            let id = EventId(i as u32);
-            by_thread.entry(e.tid).or_default().push(id);
+        let events = stream.events();
+        let count = u32::try_from(events.len()).expect("event ids fit in u32");
+        let mut slots: HashMap<ThreadId, u32, IdHashing> = HashMap::default();
+        let mut slot_of = |tid| {
+            let next = u32::try_from(slots.len()).expect("thread slots fit in u32");
+            *slots.entry(tid).or_insert(next)
+        };
+        let mut by_thread = Vec::with_capacity(events.len());
+        let mut by_woken = Vec::new();
+        for (id, e) in (0..count).map(EventId).zip(events) {
+            by_thread.push((slot_of(e.tid), id));
             if e.kind == EventKind::Unwait {
                 if let Some(w) = e.wtid {
-                    unwaits_for.entry(w).or_default().push(id);
+                    by_woken.push((slot_of(w), id));
                 }
             }
         }
-        let mut index = StreamIndex {
-            by_thread,
-            unwaits_for,
-            effective_end: Vec::with_capacity(stream.len()),
-            orphan_waits: 0,
-            stray_unwaits: 0,
-        };
-        let mut paired: HashSet<EventId> = HashSet::new();
-        let mut total_unwaits = 0usize;
-        for (i, e) in stream.events().iter().enumerate() {
-            if e.kind == EventKind::Unwait {
-                total_unwaits += 1;
-            }
-            let end = if e.kind == EventKind::Wait {
-                match index.pair_unwait(stream, e.tid, e.t) {
-                    Some(u) => {
-                        paired.insert(u);
-                        stream.event(u).map(|u| u.t).unwrap_or(e.end())
-                    }
-                    None => {
-                        index.orphan_waits += 1;
-                        e.end()
-                    }
+        let unwaits_for = Csr::group(slots.len(), &by_woken);
+        let mut pairs = Vec::with_capacity(events.len());
+        let mut effective_end = Vec::with_capacity(events.len());
+        let mut paired = vec![false; events.len()];
+        let mut orphan_waits = 0;
+        let mut total_unwaits = 0;
+        for (&(slot, _), e) in by_thread.iter().zip(events) {
+            let pair = match e.kind {
+                EventKind::Wait => {
+                    let list = unwaits_for.list(slot as usize);
+                    let pair = list.get(first_from(stream, list, e.t)).copied();
+                    orphan_waits += usize::from(pair.is_none());
+                    pair
                 }
-            } else {
-                e.end()
+                EventKind::Unwait => {
+                    total_unwaits += 1;
+                    None
+                }
+                EventKind::Running | EventKind::HardwareService => None,
             };
-            debug_assert_eq!(index.effective_end.len(), i);
-            index.effective_end.push(end);
+            effective_end.push(match pair {
+                Some(u) => {
+                    paired[u.0 as usize] = true;
+                    events[u.0 as usize].t
+                }
+                None => e.end(),
+            });
+            pairs.push(pair);
         }
-        index.stray_unwaits = total_unwaits - paired.len();
-        index
+        let stray_unwaits = total_unwaits - paired.iter().filter(|&&p| p).count();
+        StreamIndex {
+            by_thread: Csr::group(slots.len(), &by_thread),
+            slots,
+            unwaits_for,
+            pairs,
+            effective_end,
+            orphan_waits,
+            stray_unwaits,
+        }
     }
 
     /// Wait events of this stream whose unwait is missing — the lossy
@@ -113,6 +186,11 @@ impl StreamIndex {
         index
     }
 
+    /// The dense slot of `tid`, if it emits or is woken by any event.
+    fn slot(&self, tid: ThreadId) -> Option<usize> {
+        self.slots.get(&tid).map(|&slot| slot as usize)
+    }
+
     /// The earliest unwait event waking `tid` at or after `from`.
     pub fn pair_unwait(
         &self,
@@ -120,9 +198,16 @@ impl StreamIndex {
         tid: ThreadId,
         from: TimeNs,
     ) -> Option<EventId> {
-        let list = self.unwaits_for.get(&tid)?;
-        let lo = list.partition_point(|&id| stream.event(id).map(|e| e.t < from).unwrap_or(false));
-        list.get(lo).copied()
+        let list = self.unwaits_for.list(self.slot(tid)?);
+        list.get(first_from(stream, list, from)).copied()
+    }
+
+    /// The unwait paired with wait event `wait`: what
+    /// [`StreamIndex::pair_unwait`] gives for the wait's thread and
+    /// start, looked up when the index was built. `None` for an orphan
+    /// wait, an event that is not a wait, or an unknown id.
+    pub fn paired_unwait(&self, wait: EventId) -> Option<EventId> {
+        self.pairs.get(wait.0 as usize).copied().flatten()
     }
 
     /// The effective end of an event: for wait events the paired unwait
@@ -147,27 +232,22 @@ impl StreamIndex {
         tid: ThreadId,
         from: TimeNs,
         to: TimeNs,
-    ) -> Vec<EventId> {
-        let Some(list) = self.by_thread.get(&tid) else {
-            return Vec::new();
+    ) -> &[EventId] {
+        let Some(slot) = self.slot(tid) else {
+            return &[];
         };
-        let mut lo =
-            list.partition_point(|&id| stream.event(id).map(|e| e.t < from).unwrap_or(false));
+        let list = self.by_thread.list(slot);
+        let mut lo = first_from(stream, list, from);
         // Step back over events that start before `from` but spill into
         // the interval (e.g. a wait that is still pending at `from`).
         while lo > 0 && self.effective_end(list[lo - 1]) > from {
             lo -= 1;
         }
-        list[lo..]
+        let len = list[lo..]
             .iter()
-            .copied()
-            .take_while(|&id| stream.event(id).map(|e| e.t < to).unwrap_or(false))
-            .collect()
-    }
-
-    /// Events of `tid` in time order (empty for unknown threads).
-    pub fn thread_events(&self, tid: ThreadId) -> &[EventId] {
-        self.by_thread.get(&tid).map(Vec::as_slice).unwrap_or(&[])
+            .take_while(|&&id| stream.event(id).is_some_and(|e| e.t < to))
+            .count();
+        &list[lo..lo + len]
     }
 }
 
@@ -211,6 +291,12 @@ mod tests {
         assert_eq!(idx.effective_end(EventId(wait_id as u32)), TimeNs(15));
         // Unknown ids are zero.
         assert_eq!(idx.effective_end(EventId(999)), TimeNs::ZERO);
+        // The stored pair is what pairing the wait afresh finds.
+        let pair = idx.paired_unwait(EventId(wait_id as u32));
+        assert_eq!(pair, idx.pair_unwait(&s, ThreadId(1), TimeNs(10)));
+        assert_eq!(s.event(pair.unwrap()).unwrap().t, TimeNs(15));
+        assert_eq!(idx.paired_unwait(EventId(0)), None, "not a wait");
+        assert_eq!(idx.paired_unwait(EventId(999)), None);
     }
 
     #[test]
@@ -274,16 +360,5 @@ mod tests {
         let idx = StreamIndex::new(&skewed);
         assert_eq!(idx.orphan_waits(), 1);
         assert_eq!(idx.stray_unwaits(), 1);
-    }
-
-    #[test]
-    fn thread_events_sorted() {
-        let s = stream();
-        let idx = StreamIndex::new(&s);
-        let evs = idx.thread_events(ThreadId(2));
-        let times: Vec<u64> = evs.iter().map(|&id| s.event(id).unwrap().t.0).collect();
-        let mut sorted = times.clone();
-        sorted.sort_unstable();
-        assert_eq!(times, sorted);
     }
 }

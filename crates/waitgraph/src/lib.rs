@@ -31,8 +31,6 @@ mod build;
 mod dot;
 mod graph;
 mod index;
-mod stats;
 
 pub use graph::{GraphView, Node, NodeId, NodeKind, StreamGraph, WaitGraph};
 pub use index::StreamIndex;
-pub use stats::GraphStats;

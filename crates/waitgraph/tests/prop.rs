@@ -37,7 +37,7 @@ proptest! {
             let node = graph.node(id);
             // Only wait nodes have children (edges start at wait events).
             if !node.kind.is_wait() {
-                prop_assert!(node.children.is_empty());
+                prop_assert!(graph.children(id).is_empty());
             }
             // Nodes reference real events of the right kind.
             let e = stream.event(node.event).expect("node references an event");
@@ -57,7 +57,7 @@ proptest! {
                 prop_assert_eq!(u.kind, EventKind::Unwait);
                 prop_assert_eq!(u.wtid, Some(node.tid));
                 prop_assert_eq!(node.duration, node.t.saturating_span_to(u.t));
-                for &c in &node.children {
+                for &c in graph.children(id) {
                     let child = graph.node(c);
                     prop_assert_eq!(child.tid, unwait_tid);
                     // Child starts before the wait resolves.
@@ -107,7 +107,7 @@ proptest! {
         // intersects [from, to) — modulo the contiguity assumption the
         // index exploits, the fast path must never return wrong events
         // and never miss events that *start* inside the window.
-        for &id in &got {
+        for &id in got {
             let e = stream.event(id).unwrap();
             prop_assert_eq!(e.tid, ThreadId(tid as u32));
             prop_assert!(e.t < to);

@@ -34,6 +34,13 @@ echo "== graph-layer tests in release =="
 cargo test -q --release -p tracelens-waitgraph
 cargo test -q --release -p tracelens --test impact_oracle --test report_identity
 
+echo "== ingest tests in release =="
+# The `.tlb` reader computes sizes from untrusted bytes, and release
+# arithmetic wraps on overflow where the debug test pass panics: run the
+# model crate's tests and the ingest and corruption gates as built there.
+cargo test -q --release -p tracelens-model
+cargo test -q --release -p tracelens --test ingest --test corruption
+
 echo "== exp_e2e (the end-to-end benchmark: build + unit tests) =="
 # The benchmark is a package outside the workspace that calls the
 # analysis crates' public functions, so the workspace build above does
@@ -46,7 +53,9 @@ echo "== telemetry overhead gate (attached no-op sink within 2% + 2 ms) =="
 cargo test -q --release -p tracelens --test telemetry -- --ignored --test-threads 1
 
 echo "== trace store (cache identity) =="
-# A cached study run must be byte-identical to the uncached one.
+# A cached study run must be byte-identical to the uncached one, with
+# and without sanitizing (on this clean corpus sanitize changes
+# nothing), and `pack -o` must write the very image the cold run wrote.
 TS_DIR="$(mktemp -d)"
 TL=target/release/tracelens
 "$TL" simulate -o "$TS_DIR/ds.tlt" --traces 40 --seed 9 > /dev/null
@@ -54,8 +63,14 @@ TL=target/release/tracelens
 "$TL" report "$TS_DIR/ds.tlt" --cache -o "$TS_DIR/cold.md" 2> /dev/null
 test -s "$TS_DIR/ds.tlb"
 "$TL" report "$TS_DIR/ds.tlt" --cache -o "$TS_DIR/warm.md" 2> /dev/null
+"$TL" report "$TS_DIR/ds.tlt" --sanitize -o "$TS_DIR/sanitized.md" 2> /dev/null
+"$TL" report "$TS_DIR/ds.tlt" --cache --sanitize -o "$TS_DIR/warm-sanitized.md" 2> /dev/null
+"$TL" pack "$TS_DIR/ds.tlt" -o "$TS_DIR/packed.tlb" 2> /dev/null
 cmp "$TS_DIR/uncached.md" "$TS_DIR/cold.md"
 cmp "$TS_DIR/uncached.md" "$TS_DIR/warm.md"
+cmp "$TS_DIR/uncached.md" "$TS_DIR/sanitized.md"
+cmp "$TS_DIR/sanitized.md" "$TS_DIR/warm-sanitized.md"
+cmp "$TS_DIR/ds.tlb" "$TS_DIR/packed.tlb"
 rm -rf "$TS_DIR"
 
 echo "== exp_ingest smoke (binary load must beat the text parse) =="

@@ -66,8 +66,8 @@ fn main() {
     let names = selected_names();
 
     eprintln!("running clean baseline study...");
-    let baseline =
-        Study::run(&clean, &StudyConfig::default(), &names, &telemetry).expect("clean study runs");
+    let (baseline, clean) =
+        Study::run(clean, &StudyConfig::default(), &names, &telemetry).expect("clean study runs");
     let baseline_ia = baseline.impact.ia_wait();
     let baseline_top = top_patterns(&baseline, &clean.stacks);
     eprintln!(
@@ -116,7 +116,7 @@ fn main() {
     for eps in RATES {
         let injector = FaultInjector::new(seed).with_all(eps);
         let (corrupt, log) = injector.inject(&clean);
-        let study = Study::run(&corrupt, &sanitize, &names, &telemetry)
+        let (study, analyzed) = Study::run(corrupt, &sanitize, &names, &telemetry)
             .expect("some instances survive sanitization");
         let report = study.sanitize.as_ref().expect("sanitized");
 
@@ -129,7 +129,7 @@ fn main() {
         let retained = if baseline_top.is_empty() {
             1.0
         } else {
-            let now = top_patterns(&study, &corrupt.stacks);
+            let now = top_patterns(&study, &analyzed.stacks);
             baseline_top.intersection(&now).count() as f64 / baseline_top.len() as f64
         };
         row(
@@ -188,7 +188,7 @@ fn main() {
             exec_faults: Some(ExecFaultPlan::new(seed ^ 0xE4EC).with_panic_rate(eps)),
             ..StudyConfig::default()
         };
-        let study = Study::run(&clean, &cfg, &names, &telemetry)
+        let (study, _) = Study::run(clean.clone(), &cfg, &names, &telemetry)
             .expect("supervised study completes under execution faults");
         let exec = &study.execution;
         if eps == 0.0 {

@@ -14,8 +14,8 @@ fn main() {
     let (telemetry, sink) = args.telemetry_handle();
     eprintln!("generating {traces} traces (seed {seed})...");
     let ds = selected_dataset(traces, seed, &telemetry);
-    let study = Study::run(&ds, &StudyConfig::default(), &selected_names(), &telemetry)
-        .expect("study runs");
+    let (study, _) =
+        Study::run(ds, &StudyConfig::default(), &selected_names(), &telemetry).expect("study runs");
 
     let widths = [22, 12, 10, 10];
     println!("== E3: Table 2 — Impactful-Time and Total-Time Coverages ==");

@@ -341,9 +341,9 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
 }
 
 /// Packs a text data set into its `.tlb` binary columnar cache — the
-/// same image `--cache` writes transparently, produced explicitly (for
-/// warming caches ahead of a batch run, or shipping a corpus in its
-/// fast-loading form).
+/// same image `--cache` writes transparently, written the same atomic
+/// way and produced explicitly (for warming caches ahead of a batch
+/// run, or shipping a corpus in its fast-loading form).
 fn cmd_pack(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(args, &["jobs"], &[])?;
     let path = opts.positional.first().ok_or("pack requires FILE")?;
@@ -359,16 +359,16 @@ fn cmd_pack(args: &[String]) -> Result<(), String> {
         Some(o) => PathBuf::from(o),
         None => tracelens::store::cache_path_for(Path::new(path)),
     };
-    let image = ds.to_binary(fingerprint);
-    std::fs::write(&out_path, &image)
-        .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
+    let cannot_write = |e: io::Error| format!("cannot write {}: {e}", out_path.display());
+    tracelens::store::write_cache(&out_path, &ds, fingerprint).map_err(cannot_write)?;
+    let bytes = std::fs::metadata(&out_path).map_err(cannot_write)?.len();
     eprintln!(
         "packed {} traces / {} events → {} ({} bytes, {:.1}% of text)",
         ds.streams.len(),
         ds.total_events(),
         out_path.display(),
-        image.len(),
-        100.0 * image.len() as f64 / ingest.bytes.max(1) as f64
+        bytes,
+        100.0 * bytes as f64 / ingest.bytes.max(1) as f64
     );
     Ok(())
 }
@@ -697,7 +697,8 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         load(path, &opts)?
     };
     let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
-    let study = Study::run(&ds, &config, &names, &Telemetry::noop()).map_err(|e| e.to_string())?;
+    let (study, ds) =
+        Study::run(ds, &config, &names, &Telemetry::noop()).map_err(|e| e.to_string())?;
     if let Some(report) = &study.sanitize {
         report_sanitize(report);
     }

@@ -178,8 +178,8 @@ fn execute(cfg: &ChaosConfig) -> RunArtifacts {
         ..StudyConfig::default()
     };
 
-    let study = match run_study(&study_input, &config, &names) {
-        Ok(study) => study,
+    let (study, markdown) = match run_study(&study_input, &config, &names) {
+        Ok(run) => run,
         Err(e) => {
             // A typed study error (e.g. every instance quarantined) is
             // an allowed degraded outcome, not a violation.
@@ -190,7 +190,6 @@ fn execute(cfg: &ChaosConfig) -> RunArtifacts {
             return art;
         }
     };
-    let markdown = render_markdown(&study, &study_input, &ReportOptions::default());
     art.coverage = Some(snapshot(&study));
 
     if let Some(dir) = &ckpt_dir {
@@ -213,13 +212,17 @@ fn execute(cfg: &ChaosConfig) -> RunArtifacts {
     art
 }
 
-/// Runs the study, a typed refusal rendered as its message.
+/// Runs the study on a clone of `input`, which the oracles run again,
+/// and renders its report; a typed refusal becomes its message.
 fn run_study(
     input: &Dataset,
     config: &StudyConfig,
     names: &[ScenarioName],
-) -> Result<Study, String> {
-    Study::run(input, config, names, &Telemetry::noop()).map_err(|e| e.to_string())
+) -> Result<(Study, String), String> {
+    let (study, analyzed) =
+        Study::run(input.clone(), config, names, &Telemetry::noop()).map_err(|e| e.to_string())?;
+    let markdown = render_markdown(&study, &analyzed, &ReportOptions::default());
+    Ok((study, markdown))
 }
 
 fn snapshot(study: &Study) -> CoverageNumbers {
@@ -337,9 +340,8 @@ fn check_torn_resume(
             .expect("open unit for tearing");
         handle.set_len(cut).expect("tear unit");
     }
-    let resumed = run_study(input, config, names)
+    let (_, markdown) = run_study(input, config, names)
         .map_err(|e| format!("resume over a torn checkpoint refused: {e}"))?;
-    let markdown = render_markdown(&resumed, input, &ReportOptions::default());
     if markdown != fresh_markdown {
         return Err("resumed report differs from the fresh report".to_owned());
     }
@@ -360,9 +362,8 @@ fn check_baseline(
         sanitize: config.sanitize,
         ..StudyConfig::default()
     };
-    let plain =
+    let (_, plain_markdown) =
         run_study(input, &plain_config, names).map_err(|e| format!("plain run refused: {e}"))?;
-    let plain_markdown = render_markdown(&plain, input, &ReportOptions::default());
     if primary_markdown != plain_markdown {
         return Err("supervised report differs from the plain report".to_owned());
     }

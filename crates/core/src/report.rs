@@ -26,18 +26,29 @@ impl Default for ReportOptions {
     }
 }
 
-/// Renders `study` (over `dataset`) as a Markdown document.
+/// Renders `study` as a Markdown document. `dataset` is the data set
+/// the study analyzed, as [`Study::run`] hands it back; its stack table
+/// renders the patterns.
+///
+/// The `Data set:` line states the size of the study's *input*: for a
+/// sanitized study that is the sanitize report's input counts, since
+/// the analyzed survivor may be smaller.
 pub fn render_markdown(study: &Study, dataset: &Dataset, opts: &ReportOptions) -> String {
     let mut out = String::new();
     let pct = |x: f64| format!("{:.1}%", x * 100.0);
 
+    let (traces, instances, events) = match &study.sanitize {
+        Some(r) => (r.input_traces, r.input_instances, r.input_events),
+        None => (
+            dataset.streams.len(),
+            dataset.instances.len(),
+            dataset.total_events(),
+        ),
+    };
     let _ = writeln!(out, "# tracelens performance report\n");
     let _ = writeln!(
         out,
-        "Data set: {} traces, {} scenario instances, {} events.\n",
-        dataset.streams.len(),
-        dataset.instances.len(),
-        dataset.total_events()
+        "Data set: {traces} traces, {instances} scenario instances, {events} events.\n"
     );
 
     let cov = &study.coverage;
@@ -188,9 +199,12 @@ mod tests {
     use tracelens_obs::Telemetry;
     use tracelens_sim::{DatasetBuilder, ScenarioMix};
 
+    /// A study of a clone of `ds`, which the tests render against.
     fn run(ds: &Dataset, cfg: &StudyConfig, names: &[ScenarioName]) -> Study {
         let _gate = crate::supervise::tests::batch_gate();
-        Study::run(ds, cfg, names, &Telemetry::noop()).expect("study runs")
+        Study::run(ds.clone(), cfg, names, &Telemetry::noop())
+            .expect("study runs")
+            .0
     }
 
     #[test]

@@ -7,11 +7,16 @@
 //!    fingerprint matches the current text bytes; anything else (torn,
 //!    corrupt, stale, version-skewed) falls back to the text parse and
 //!    is counted, never fatal. The check streams the text through the
-//!    incremental [`Fingerprinter`] without parsing or holding it.
+//!    incremental [`Fingerprinter`] without parsing or holding it. The
+//!    cache is opened once: its header is checked, and on a match the
+//!    payload streams from the same handle through a fixed-size buffer
+//!    into [`Dataset::read_binary_from`], so a hit holds the data set
+//!    and one stream block, never the image.
 //! 2. **Streamed text** — the file streams through a [`RetryingReader`]
 //!    and a fixed-size buffer into [`Dataset::read_text`], so ingest
 //!    memory is the data set, not the data set plus its text. A cache
-//!    miss fingerprints the text in the same pass and packs the result.
+//!    miss fingerprints the text in the same pass and packs the result
+//!    through [`write_cache`], which streams the image to disk.
 //!
 //! Every ingest is instrumented under the `ingest` telemetry stage
 //! (span `ingest`, counters `ingest.bytes` / `ingest.events` /
@@ -21,15 +26,16 @@
 
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, Read, Seek};
+use std::io::{self, BufReader, BufWriter, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use tracelens_model::binio::{self, Fingerprinter, HEADER_LEN};
 use tracelens_model::textio::{ReadError, RetryPolicy, RetryingReader};
 use tracelens_model::Dataset;
 use tracelens_obs::{stage, Telemetry};
 
-/// Bytes per read from a text source: large enough that refills cost
-/// little next to parsing, small enough to stay in cache.
+/// Bytes per read from a text or cache file, and per write to a cache:
+/// large enough that refills cost little next to decoding, small enough
+/// to stay in cache.
 const READ_BUF: usize = 64 * 1024;
 
 /// Which path produced the data set.
@@ -80,8 +86,8 @@ impl fmt::Display for CacheFallback {
 pub struct IngestReport {
     /// Which path produced the data set.
     pub source: IngestSource,
-    /// Bytes read from the source (text bytes, or `.tlb` bytes when the
-    /// cache was used).
+    /// Bytes read from the source: the text's length, or the cache
+    /// file's length when the cache was used.
     pub bytes: usize,
     /// Events in the resulting data set.
     pub events: usize,
@@ -230,14 +236,14 @@ pub fn ingest_path(
 
     let cache_path = cache_path_for(path);
     let mut check_retries = 0;
-    let fallback = match recorded_fingerprint(&cache_path) {
+    let fallback = match open_cache(&cache_path) {
         Err(fallback) => fallback,
-        Ok(recorded) => {
+        Ok(cache) => {
             let (fingerprint, retries) = fingerprint_text(&file).map_err(ReadError::Io)?;
             check_retries = retries;
-            if fingerprint != recorded {
+            if fingerprint != cache.fingerprint {
                 CacheFallback::Stale
-            } else if let Some((ds, cache_bytes)) = load_cache(&cache_path, recorded) {
+            } else if let Some((ds, cache_bytes)) = load_cache(cache) {
                 telemetry.count("ingest.cache_hits", 1);
                 telemetry.count("ingest.events", ds.total_events() as u64);
                 let report =
@@ -261,7 +267,7 @@ pub fn ingest_path(
             telemetry.count("ingest.cache_quarantined", 1);
         }
     }
-    report.cache_written = write_cache(&cache_path, &ds, fingerprint);
+    report.cache_written = write_cache(&cache_path, &ds, fingerprint).is_ok();
     Ok((ds, report))
 }
 
@@ -283,46 +289,69 @@ pub fn cache_path_for(path: &Path) -> PathBuf {
     path.with_extension("tlb")
 }
 
-/// The source fingerprint a cache records, read from its header alone:
-/// [`CacheFallback::Missing`] when there is no cache file,
+/// A cache file opened once, its header read and set aside.
+struct OpenCache {
+    file: File,
+    header: [u8; HEADER_LEN],
+    /// The source fingerprint the header records.
+    fingerprint: u64,
+}
+
+/// Opens the cache and reads the source fingerprint from its header
+/// alone: [`CacheFallback::Missing`] when there is no cache file,
 /// [`CacheFallback::Corrupt`] when its header is short, foreign or of
 /// another format version.
-fn recorded_fingerprint(cache_path: &Path) -> Result<u64, CacheFallback> {
+fn open_cache(cache_path: &Path) -> Result<OpenCache, CacheFallback> {
     let mut file = File::open(cache_path).map_err(|_| CacheFallback::Missing)?;
     let mut header = [0u8; HEADER_LEN];
     file.read_exact(&mut header)
         .map_err(|_| CacheFallback::Corrupt)?;
-    binio::header_fingerprint(&header).ok_or(CacheFallback::Corrupt)
+    let fingerprint = binio::header_fingerprint(&header).ok_or(CacheFallback::Corrupt)?;
+    Ok(OpenCache {
+        file,
+        header,
+        fingerprint,
+    })
 }
 
-/// Loads the whole cache; `None` if it no longer reads back as an
-/// image of the text with `fingerprint`. Returns the data set and the
-/// cache's byte size.
-fn load_cache(cache_path: &Path, fingerprint: u64) -> Option<(Dataset, usize)> {
-    let bytes = std::fs::read(cache_path).ok()?;
-    match Dataset::read_binary(&bytes) {
-        Ok((ds, recorded)) if recorded == fingerprint => Some((ds, bytes.len())),
+/// Streams the whole cache, header first, through a fixed-size buffer
+/// on the handle [`open_cache`] opened; `None` if it no longer reads
+/// back as an image of the text with the fingerprint its header
+/// recorded. Returns the data set and the cache file's length.
+fn load_cache(cache: OpenCache) -> Option<(Dataset, usize)> {
+    let len = cache.file.metadata().ok()?.len();
+    let input = BufReader::with_capacity(READ_BUF, (&cache.header[..]).chain(cache.file));
+    match Dataset::read_binary_from(input) {
+        Ok((ds, recorded)) if recorded == cache.fingerprint => Some((ds, len as usize)),
         _ => None,
     }
 }
 
-/// Writes the cache atomically (temp sibling + rename). Best-effort: a
-/// read-only directory or full disk just means no cache next time.
-fn write_cache(cache_path: &Path, ds: &Dataset, fingerprint: u64) -> bool {
+/// Writes `ds` as a `.tlb` image of the text with `fingerprint` to
+/// `cache_path`, atomically: the image streams through a fixed-size
+/// buffer into a temp sibling, which is synced and then renamed over
+/// `cache_path`, so a reader sees the old file or the whole new one.
+/// The `--cache` layer treats a failure as "no cache next time"; `pack`
+/// reports it.
+///
+/// # Errors
+///
+/// I/O errors creating, writing, syncing or renaming the file; the temp
+/// sibling is removed.
+pub fn write_cache(cache_path: &Path, ds: &Dataset, fingerprint: u64) -> io::Result<()> {
     let tmp = cache_path.with_extension("tlb.tmp");
-    let write = || -> std::io::Result<()> {
-        let mut f = File::create(&tmp)?;
-        ds.write_binary(fingerprint, &mut f)?;
-        f.sync_all()?;
+    let write = || -> io::Result<()> {
+        let mut out = BufWriter::with_capacity(READ_BUF, File::create(&tmp)?);
+        ds.write_binary(fingerprint, &mut out)?;
+        // Dropping a `BufWriter` discards the error of its last write,
+        // so flush explicitly before syncing.
+        out.flush()?;
+        out.get_ref().sync_all()?;
         std::fs::rename(&tmp, cache_path)
     };
-    match write() {
-        Ok(()) => true,
-        Err(_) => {
-            let _ = std::fs::remove_file(&tmp);
-            false
-        }
-    }
+    write().inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
 }
 
 #[cfg(test)]

@@ -219,12 +219,18 @@ pub struct Study {
 impl Study {
     /// Runs the paper's evaluation over `dataset` for the scenarios in
     /// `names` (typically the eight selected evaluation scenarios),
-    /// honouring every [`StudyConfig`] field.
+    /// honouring every [`StudyConfig`] field, and hands back the study
+    /// together with the data set it analyzed, which
+    /// [`render_markdown`](crate::render_markdown) renders against.
     ///
-    /// With [`StudyConfig::sanitize`] set, the input is sanitized first
-    /// (a `sanitize` span plus `sanitize.*` counters) and the study runs
-    /// on the clean survivor. The study then makes one pass over the
-    /// streams (see `stream_pass`): each stream's Wait Graphs are built
+    /// With [`StudyConfig::sanitize`] set, the input is sanitized first,
+    /// in place (a `sanitize` span plus `sanitize.*` counters), and the
+    /// study runs on the clean survivor; that survivor is the data set
+    /// handed back. Otherwise `dataset` comes back unchanged. A caller
+    /// that needs the raw input afterwards passes a clone.
+    ///
+    /// The study then makes one pass over the streams (see
+    /// `stream_pass`): each stream's Wait Graphs are built
     /// once, as one `StreamGraph`, and each instance is accounted once
     /// into an impact record and fed once to its scenario's fast or slow
     /// AWG. Global impact is the fold of all records; each scenario unit
@@ -245,12 +251,12 @@ impl Study {
     /// [`StudyError::Checkpoint`] if the checkpoint directory cannot be
     /// used. Unit failures are *not* errors.
     pub fn run(
-        dataset: &Dataset,
+        dataset: Dataset,
         config: &StudyConfig,
         names: &[ScenarioName],
         telemetry: &Telemetry,
-    ) -> Result<Study, StudyError> {
-        let sanitized = config.sanitize.then(|| {
+    ) -> Result<(Study, Dataset), StudyError> {
+        let (dataset, sanitize) = if config.sanitize {
             let (clean, report) = {
                 let _span = telemetry.span(stage::SANITIZE);
                 dataset.sanitize()
@@ -266,18 +272,30 @@ impl Study {
                     report.quarantined_instances as u64,
                 );
             }
-            (clean, report)
-        });
-        let dataset = match &sanitized {
-            Some((clean, report)) if clean.instances.is_empty() && report.input_instances > 0 => {
+            if clean.instances.is_empty() && report.input_instances > 0 {
                 return Err(StudyError::NoAnalyzableInstances {
                     input_instances: report.input_instances,
                     quarantined_instances: report.quarantined_instances,
                 });
             }
-            Some((clean, _)) => clean,
-            None => dataset,
+            (clean, Some(report))
+        } else {
+            (dataset, None)
         };
+        let study = Study::analyze(&dataset, config, names, telemetry, sanitize)?;
+        Ok((study, dataset))
+    }
+
+    /// The body of [`Study::run`] after sanitizing: the analyses over
+    /// `dataset`, with `sanitize` the report of the pass that produced
+    /// it, if any.
+    fn analyze(
+        dataset: &Dataset,
+        config: &StudyConfig,
+        names: &[ScenarioName],
+        telemetry: &Telemetry,
+        sanitize: Option<SanitizeReport>,
+    ) -> Result<Study, StudyError> {
         let _span = telemetry.span(stage::STUDY);
         let supervisor = Supervisor::new(telemetry);
         let faults = config.exec_faults.filter(|p| p.is_armed());
@@ -416,8 +434,8 @@ impl Study {
         execution.absorb(scenario_exec);
         let coverage = Coverage {
             failed_units: execution.quarantined(),
-            ..match &sanitized {
-                Some((_, report)) => Coverage::from_sanitize(report),
+            ..match &sanitize {
+                Some(report) => Coverage::from_sanitize(report),
                 None => Coverage::full(dataset),
             }
         };
@@ -426,7 +444,7 @@ impl Study {
             scenarios,
             coverage,
             execution,
-            sanitize: sanitized.map(|(_, report)| report),
+            sanitize,
         })
     }
 }
@@ -552,9 +570,12 @@ mod tests {
     use super::*;
     use tracelens_sim::{DatasetBuilder, ScenarioMix};
 
+    /// A study of a clone of `ds`, which the tests render against.
     fn run(ds: &Dataset, cfg: &StudyConfig, names: &[ScenarioName]) -> Study {
         let _gate = crate::supervise::tests::batch_gate();
-        Study::run(ds, cfg, names, &Telemetry::noop()).expect("study runs")
+        Study::run(ds.clone(), cfg, names, &Telemetry::noop())
+            .expect("study runs")
+            .0
     }
 
     #[test]
@@ -787,7 +808,7 @@ mod tests {
             ..StudyConfig::default()
         };
         let _gate = crate::supervise::tests::batch_gate();
-        let err = Study::run(&ds, &cfg, &names, &Telemetry::noop())
+        let err = Study::run(ds, &cfg, &names, &Telemetry::noop())
             .expect_err("all instances quarantined must be a typed error");
         match err {
             StudyError::NoAnalyzableInstances {
@@ -802,7 +823,7 @@ mod tests {
         // An empty input (no instances at all) is not an error: there
         // was nothing to lose.
         let empty = tracelens_model::Dataset::new();
-        assert!(Study::run(&empty, &cfg, &[], &Telemetry::noop()).is_ok());
+        assert!(Study::run(empty, &cfg, &[], &Telemetry::noop()).is_ok());
     }
 
     #[test]

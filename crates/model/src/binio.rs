@@ -2,14 +2,15 @@
 //!
 //! A packed data set holds the same information as the `.tlt` text
 //! format, laid out for load speed instead of readability: the symbol
-//! and stack tables are written once, events live in struct-of-arrays
-//! columns (one contiguous array per field), and loading is a bounded
-//! sequence of column reads instead of a per-line parse. The paper's
-//! corpus is re-analyzed far more often than it is collected, so the
-//! pack cost is paid once and every later run starts at column-read
-//! speed.
+//! and stack tables are written once, and each stream's events form one
+//! block of struct-of-arrays columns (one contiguous array per field).
+//! Loading is one sequential pass: each stream block is read into a
+//! reused buffer and decoded column by column into the stream's event
+//! vector, instead of a per-line parse. The paper's corpus is
+//! re-analyzed far more often than it is collected, so the pack cost is
+//! paid once and every later run starts at column-read speed.
 //!
-//! ## Layout
+//! ## Layout (format 2)
 //!
 //! ```text
 //! header (32 bytes)
@@ -23,19 +24,30 @@
 //!   stacks     count, frame-count column, flat frame-symbol column
 //!   names      scenario-name table (count, then len + bytes each)
 //!   scenarios  name-index, t_fast, t_slow columns
-//!   streams    ids + event-count columns, then the event columns:
-//!              kind u8 / tid u32 / pid u32 / t u64 / cost u64 /
-//!              stack u32, a wtid presence bitmap, packed wtid values
+//!   streams    count, then one block per stream:
+//!                id u32, event count u64, the event columns
+//!                kind u8 / tid u32 / pid u32 / t u64 / cost u64 /
+//!                stack u32, a wtid presence bitmap, the wtid count
+//!                u32, the packed wtid values
 //!   instances  trace, tid, t0, t1, name-index columns
 //! ```
+//!
+//! Both directions stream. [`Dataset::write_binary`] writes to any
+//! [`Write`], one stream block at a time; a first pass that writes
+//! nothing computes the header's payload length and checksum.
+//! [`Dataset::read_binary_from`] reads from any [`Read`] and checksums
+//! the payload as it arrives, so neither direction holds the whole
+//! image: memory is the data set plus one stream block.
 //!
 //! The fingerprint identifies *which text* a cache was packed from; the
 //! checksum proves the payload arrived intact. A reader rejects any
 //! torn, bit-flipped, or version-skewed file with a typed
 //! [`BinReadError`] — callers (the `--cache` layer) then fall back to
-//! the text parse. Reading is loss-free even for data sets that would
-//! fail validation (unsorted streams, dangling stack ids survive a
-//! round trip unchanged), so packing never launders corruption.
+//! the text parse. Every count is bounded by the payload bytes not yet
+//! read before anything is allocated for it. Reading is loss-free even
+//! for data sets that would fail validation (unsorted streams, dangling
+//! stack ids survive a round trip unchanged), so packing never launders
+//! corruption.
 
 use crate::dataset::Dataset;
 use crate::event::{Event, EventKind};
@@ -47,14 +59,14 @@ use crate::time::TimeNs;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 
 /// File magic of the binary store.
 pub const MAGIC: [u8; 4] = *b"TLB!";
 
 /// Current binary format version; bumped on any layout change, so a
 /// reader never mis-parses a cache written by a different build.
-pub const BIN_FORMAT_VERSION: u32 = 1;
+pub const BIN_FORMAT_VERSION: u32 = 2;
 
 /// Header length in bytes (magic + version + fingerprint + payload
 /// length + checksum).
@@ -172,14 +184,8 @@ fn fold_block(lanes: &mut [u64; 4], block: &[u8]) {
 /// touching the payload — the cheap staleness check the cache layer
 /// runs before committing to a full load. `None` if the bytes are not
 /// a complete header of the supported version.
-pub fn header_fingerprint(bytes: &[u8]) -> Option<u64> {
-    if bytes.len() < HEADER_LEN || bytes[0..4] != MAGIC {
-        return None;
-    }
-    if u32::from_le_bytes(bytes[4..8].try_into().ok()?) != BIN_FORMAT_VERSION {
-        return None;
-    }
-    Some(u64::from_le_bytes(bytes[8..16].try_into().ok()?))
+pub fn header_fingerprint(mut bytes: &[u8]) -> Option<u64> {
+    Header::read(&mut bytes).ok().map(|h| h.fingerprint)
 }
 
 /// Errors produced while reading the binary store. Every variant means
@@ -197,6 +203,8 @@ pub enum BinReadError {
     ChecksumMismatch,
     /// Structurally invalid payload.
     Malformed(&'static str),
+    /// The source failed with an I/O error other than a premature end.
+    Io(io::ErrorKind),
 }
 
 impl fmt::Display for BinReadError {
@@ -209,6 +217,7 @@ impl fmt::Display for BinReadError {
             BinReadError::Truncated => write!(f, "binary store is truncated"),
             BinReadError::ChecksumMismatch => write!(f, "binary store checksum mismatch"),
             BinReadError::Malformed(what) => write!(f, "malformed binary store: {what}"),
+            BinReadError::Io(kind) => write!(f, "binary store unreadable: {kind}"),
         }
     }
 }
@@ -224,6 +233,27 @@ fn kind_byte(kind: EventKind) -> u8 {
     }
 }
 
+/// Event kinds by their byte in the kind column.
+const KINDS: [EventKind; 4] = [
+    EventKind::Running,
+    EventKind::Wait,
+    EventKind::Unwait,
+    EventKind::HardwareService,
+];
+
+/// Encoded bytes of one event's fixed columns: kind, tid, pid, t, cost
+/// and stack. The wtid bitmap and values come on top.
+const EVENT_BYTES: u64 = 1 + 4 + 4 + 8 + 8 + 4;
+
+/// Smallest stream block: id, event count and wtid count.
+const MIN_BLOCK_BYTES: u64 = 4 + 8 + 4;
+
+/// Most bytes the read buffer grows by ahead of the bytes received.
+const GROW_STEP: u64 = 1 << 20;
+
+/// Encoded bytes of one instance: trace, tid, t0, t1 and name index.
+const INSTANCE_BYTES: u64 = 4 + 4 + 8 + 8 + 4;
+
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
@@ -237,71 +267,271 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-/// Bounds-checked cursor over the payload; every read is checked so a
-/// crafted or colliding payload produces an error, never a panic.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Appends one stream's block: id, event count, the six event columns,
+/// the wtid bitmap, the wtid count and the packed wtids.
+fn put_block(buf: &mut Vec<u8>, stream: &TraceStream) {
+    let events = stream.events();
+    put_u32(buf, stream.id().0);
+    put_u64(buf, events.len() as u64);
+    buf.extend(events.iter().map(|e| kind_byte(e.kind)));
+    for e in events {
+        put_u32(buf, e.tid.0);
+    }
+    for e in events {
+        put_u32(buf, e.pid.0);
+    }
+    for e in events {
+        put_u64(buf, e.t.as_nanos());
+    }
+    for e in events {
+        put_u64(buf, e.cost.as_nanos());
+    }
+    for e in events {
+        put_u32(buf, e.stack.0);
+    }
+    let bitmap = buf.len();
+    buf.resize(bitmap + events.len().div_ceil(8), 0);
+    let mut wtids = 0u32;
+    for (i, e) in events.iter().enumerate() {
+        if e.wtid.is_some() {
+            buf[bitmap + i / 8] |= 1 << (i % 8);
+            wtids += 1;
+        }
+    }
+    put_u32(buf, wtids);
+    for w in events.iter().filter_map(|e| e.wtid) {
+        put_u32(buf, w.0);
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], BinReadError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(BinReadError::Malformed("length overflow"))?;
-        if end > self.bytes.len() {
+/// A sink that keeps only the length and checksum of what is written:
+/// the writer's first pass, which fills in the header.
+struct Summary {
+    len: u64,
+    checksum: Fingerprinter,
+}
+
+impl Write for Summary {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        self.len += bytes.len() as u64;
+        self.checksum.update(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// What the header says about the payload that follows it.
+struct Header {
+    fingerprint: u64,
+    payload_len: u64,
+    checksum: u64,
+}
+
+impl Header {
+    fn encode(&self) -> [u8; HEADER_LEN] {
+        let mut bytes = [0u8; HEADER_LEN];
+        bytes[0..4].copy_from_slice(&MAGIC);
+        bytes[4..8].copy_from_slice(&BIN_FORMAT_VERSION.to_le_bytes());
+        bytes[8..16].copy_from_slice(&self.fingerprint.to_le_bytes());
+        bytes[16..24].copy_from_slice(&self.payload_len.to_le_bytes());
+        bytes[24..32].copy_from_slice(&self.checksum.to_le_bytes());
+        bytes
+    }
+
+    /// Reads and checks the header: [`BinReadError::BadMagic`] for a
+    /// foreign or under-four-byte file, [`BinReadError::Truncated`] for
+    /// a short header, [`BinReadError::UnsupportedVersion`] for another
+    /// format.
+    fn read(input: &mut impl Read) -> Result<Header, BinReadError> {
+        let mut bytes = [0u8; HEADER_LEN];
+        let mut got = 0;
+        while got < HEADER_LEN {
+            match input.read(&mut bytes[got..]) {
+                Ok(0) => break,
+                Ok(n) => got += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(BinReadError::Io(e.kind())),
+            }
+        }
+        if got < 4 || bytes[0..4] != MAGIC {
+            return Err(BinReadError::BadMagic);
+        }
+        if got < HEADER_LEN {
+            return Err(BinReadError::Truncated);
+        }
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+        if version != BIN_FORMAT_VERSION {
+            return Err(BinReadError::UnsupportedVersion(version));
+        }
+        Ok(Header {
+            fingerprint: word(8),
+            payload_len: word(16),
+            checksum: word(24),
+        })
+    }
+}
+
+/// The payload as it arrives: every read is bounded by the bytes the
+/// header says are left, lands in one reused buffer, and is checksummed
+/// on the way in, so a crafted or colliding payload produces an error,
+/// never a panic or a huge allocation.
+struct Payload<R> {
+    input: R,
+    /// Payload bytes not yet read.
+    left: u64,
+    checksum: Fingerprinter,
+    /// Holds the current read in `buf[..filled]`; it only grows, so a
+    /// refill writes over bytes that are already initialised.
+    buf: Vec<u8>,
+    filled: usize,
+}
+
+impl<R: Read> Payload<R> {
+    /// Reads the next `n` payload bytes in place of the buffer's
+    /// contents.
+    fn take(&mut self, n: u64) -> Result<&[u8], BinReadError> {
+        self.filled = 0;
+        self.append(n)?;
+        Ok(&self.buf[..self.filled])
+    }
+
+    /// Reads the next `n` payload bytes onto the end of the buffer.
+    ///
+    /// The buffer grows by at most [`GROW_STEP`] ahead of the bytes that
+    /// have arrived: `n` is bounded only by the header's payload length,
+    /// which the checksum vouches for only at the end, so a header that
+    /// claims more than the file holds must end in `Truncated`, not in
+    /// an allocation of the claimed size.
+    fn append(&mut self, n: u64) -> Result<(), BinReadError> {
+        if n > self.left {
             return Err(BinReadError::Malformed("section overruns payload"));
         }
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+        let mut want = n;
+        while want > 0 {
+            let step = want.min(GROW_STEP) as usize;
+            let end = self.filled + step;
+            if self.buf.len() < end {
+                self.buf.resize(end, 0);
+            }
+            let bytes = &mut self.buf[self.filled..end];
+            self.input.read_exact(bytes).map_err(|e| match e.kind() {
+                io::ErrorKind::UnexpectedEof => BinReadError::Truncated,
+                kind => BinReadError::Io(kind),
+            })?;
+            self.checksum.update(bytes);
+            self.filled = end;
+            want -= step as u64;
+        }
+        self.left -= n;
+        Ok(())
     }
 
     fn u32(&mut self) -> Result<u32, BinReadError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     fn u64(&mut self) -> Result<u64, BinReadError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
-    fn str(&mut self) -> Result<&'a str, BinReadError> {
-        let len = self.u32()? as usize;
-        std::str::from_utf8(self.take(len)?)
+    fn str(&mut self) -> Result<&str, BinReadError> {
+        let len = self.u32()?;
+        std::str::from_utf8(self.take(len.into())?)
             .map_err(|_| BinReadError::Malformed("invalid utf-8 in string table"))
     }
 
-    /// Validates an element count against the bytes actually left, so a
-    /// corrupt count cannot drive a huge allocation.
-    fn counted(&self, count: u32, min_elem_bytes: usize) -> Result<usize, BinReadError> {
-        let count = count as usize;
-        if count.saturating_mul(min_elem_bytes) > self.bytes.len() - self.pos {
+    /// Reads an element count and checks it against the bytes actually
+    /// left, so a corrupt count cannot drive a huge allocation.
+    fn count(&mut self, min_elem_bytes: u64) -> Result<usize, BinReadError> {
+        let count = self.u32()?;
+        if u64::from(count).saturating_mul(min_elem_bytes) > self.left {
             return Err(BinReadError::Malformed("count overruns payload"));
         }
-        Ok(count)
+        Ok(count as usize)
     }
 
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
+    /// Reads and checksums whatever the payload has left.
+    fn drain(&mut self) -> Result<(), BinReadError> {
+        while self.left > 0 {
+            self.take(self.left.min(64 * 1024))?;
+        }
+        Ok(())
+    }
+
+    /// Whether the input ends where the payload does.
+    fn at_end(&mut self) -> Result<bool, BinReadError> {
+        let mut byte = [0u8; 1];
+        loop {
+            match self.input.read(&mut byte) {
+                Ok(n) => return Ok(n == 0),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(BinReadError::Io(e.kind())),
+            }
+        }
     }
 }
 
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("4-byte chunk"))
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"))
+}
+
 impl Dataset {
-    /// Serializes the data set into a complete `.tlb` image.
+    /// Serializes the data set into a complete `.tlb` image: what
+    /// [`Dataset::write_binary`] writes, collected in memory.
     ///
     /// `fingerprint` identifies the source this image was packed from —
     /// conventionally [`fingerprint_bytes`] of the text serialization —
     /// and is what [`header_fingerprint`] reports for cache-staleness
     /// checks.
     pub fn to_binary(&self, fingerprint: u64) -> Vec<u8> {
-        let total_events: u64 = self.streams.iter().map(|s| s.len() as u64).sum();
-        let mut buf = Vec::with_capacity(HEADER_LEN + 64 + total_events as usize * 29);
-        buf.extend_from_slice(&MAGIC);
-        put_u32(&mut buf, BIN_FORMAT_VERSION);
-        put_u64(&mut buf, fingerprint);
-        put_u64(&mut buf, 0); // payload_len, patched below
-        put_u64(&mut buf, 0); // checksum, patched below
+        let events = self.total_events() as u64;
+        let mut image =
+            Vec::with_capacity((HEADER_LEN as u64 + 64 + events * EVENT_BYTES) as usize);
+        self.write_binary(fingerprint, &mut image)
+            .expect("writing to memory cannot fail");
+        image
+    }
+
+    /// Writes the data set as a `.tlb` binary store in two passes over
+    /// the data set: the first writes nothing and computes the payload
+    /// length and checksum for the header; the second writes the header
+    /// and then the payload, one section or stream block at a time.
+    /// Memory is one stream block, whatever the size of the image.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from `out`.
+    pub fn write_binary<W: Write>(&self, fingerprint: u64, mut out: W) -> io::Result<()> {
+        let mut summary = Summary {
+            len: 0,
+            checksum: Fingerprinter::new(),
+        };
+        self.write_payload(&mut summary)?;
+        let header = Header {
+            fingerprint,
+            payload_len: summary.len,
+            checksum: summary.checksum.finish(),
+        };
+        out.write_all(&header.encode())?;
+        self.write_payload(&mut out)
+    }
+
+    /// Writes the payload: the tables, then one block per stream, then
+    /// the instances.
+    fn write_payload(&self, out: &mut impl Write) -> io::Result<()> {
+        let mut buf = Vec::new();
 
         // Symbols, in id order.
         put_u32(&mut buf, self.stacks.symbols().len() as u32);
@@ -311,17 +541,13 @@ impl Dataset {
 
         // Stacks: frame-count column, then the flat frame column.
         put_u32(&mut buf, self.stacks.len() as u32);
-        let mut total_frames: u64 = 0;
-        for id in 0..self.stacks.len() {
-            let frames = self.stacks.frames(StackId(id as u32));
-            total_frames += frames.len() as u64;
+        let stacks = || (0..self.stacks.len()).map(|id| self.stacks.frames(StackId(id as u32)));
+        for frames in stacks() {
             put_u32(&mut buf, frames.len() as u32);
         }
-        put_u64(&mut buf, total_frames);
-        for id in 0..self.stacks.len() {
-            for sym in self.stacks.frames(StackId(id as u32)) {
-                put_u32(&mut buf, sym.0);
-            }
+        put_u64(&mut buf, stacks().map(|f| f.len() as u64).sum());
+        for sym in stacks().flatten() {
+            put_u32(&mut buf, sym.0);
         }
 
         // Scenario-name table, first-appearance order over scenarios
@@ -356,50 +582,17 @@ impl Dataset {
             put_u64(&mut buf, s.thresholds.slow().as_nanos());
         }
 
-        // Streams: id + length columns, then event columns over the
-        // concatenation of all streams' events.
+        // Streams, one block each.
         put_u32(&mut buf, self.streams.len() as u32);
-        for s in &self.streams {
-            put_u32(&mut buf, s.id().0);
-        }
-        for s in &self.streams {
-            put_u64(&mut buf, s.len() as u64);
-        }
-        put_u64(&mut buf, total_events);
-        let all = || self.streams.iter().flat_map(|s| s.events().iter());
-        for e in all() {
-            buf.push(kind_byte(e.kind));
-        }
-        for e in all() {
-            put_u32(&mut buf, e.tid.0);
-        }
-        for e in all() {
-            put_u32(&mut buf, e.pid.0);
-        }
-        for e in all() {
-            put_u64(&mut buf, e.t.as_nanos());
-        }
-        for e in all() {
-            put_u64(&mut buf, e.cost.as_nanos());
-        }
-        for e in all() {
-            put_u32(&mut buf, e.stack.0);
-        }
-        let mut bitmap = vec![0u8; (total_events as usize).div_ceil(8)];
-        let mut wtids: Vec<u32> = Vec::new();
-        for (i, e) in all().enumerate() {
-            if let Some(w) = e.wtid {
-                bitmap[i / 8] |= 1 << (i % 8);
-                wtids.push(w.0);
-            }
-        }
-        buf.extend_from_slice(&bitmap);
-        put_u32(&mut buf, wtids.len() as u32);
-        for w in &wtids {
-            put_u32(&mut buf, *w);
+        out.write_all(&buf)?;
+        for stream in &self.streams {
+            buf.clear();
+            put_block(&mut buf, stream);
+            out.write_all(&buf)?;
         }
 
         // Instances: trace, tid, t0, t1, name-index columns.
+        buf.clear();
         put_u32(&mut buf, self.instances.len() as u32);
         for i in &self.instances {
             put_u32(&mut buf, i.trace.0);
@@ -416,307 +609,261 @@ impl Dataset {
         for i in &self.instances {
             put_u32(&mut buf, name_idx[i.scenario.as_str()]);
         }
-
-        // Patch payload length and checksum into the header.
-        let payload_len = (buf.len() - HEADER_LEN) as u64;
-        let checksum = fingerprint_bytes(&buf[HEADER_LEN..]);
-        buf[16..24].copy_from_slice(&payload_len.to_le_bytes());
-        buf[24..32].copy_from_slice(&checksum.to_le_bytes());
-        buf
+        out.write_all(&buf)
     }
 
-    /// Writes the data set as a `.tlb` binary store (see [`Dataset::to_binary`]).
+    /// Reads a data set from a complete `.tlb` image in memory (see
+    /// [`Dataset::read_binary_from`]).
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from `out`.
-    pub fn write_binary<W: Write>(&self, fingerprint: u64, mut out: W) -> io::Result<()> {
-        out.write_all(&self.to_binary(fingerprint))
+    /// As [`Dataset::read_binary_from`].
+    pub fn read_binary(bytes: &[u8]) -> Result<(Dataset, u64), BinReadError> {
+        Dataset::read_binary_from(bytes)
     }
 
-    /// Reads a data set from a `.tlb` image, returning it together with
+    /// Reads a data set from a `.tlb` stream, returning it together with
     /// the source fingerprint recorded in the header.
     ///
-    /// The reconstruction is exact: symbol ids, stack ids, stream order
-    /// and event order all match the data set that was written, so
+    /// One sequential pass: each stream block is read into one reused
+    /// buffer and decoded into an event vector of exact capacity, and
+    /// the payload is checksummed as its bytes arrive. The
+    /// reconstruction is exact: symbol ids, stack ids, stream order and
+    /// event order all match the data set that was written, so
     /// `read_binary(to_binary(ds)).0` serializes byte-identically to
     /// `ds` via [`Dataset::write_text`].
     ///
     /// # Errors
     ///
     /// A [`BinReadError`] for any torn, corrupted, or version-skewed
-    /// image; the caller is expected to fall back to text ingestion.
-    pub fn read_binary(bytes: &[u8]) -> Result<(Dataset, u64), BinReadError> {
-        if bytes.len() < 4 || bytes[0..4] != MAGIC {
-            return Err(BinReadError::BadMagic);
+    /// image; the caller is expected to fall back to text ingestion. A
+    /// torn image is [`BinReadError::BadMagic`] or
+    /// [`BinReadError::Truncated`]. A payload that fails its checksum is
+    /// [`BinReadError::ChecksumMismatch`], even where a flipped byte
+    /// derailed the structure first: the rest of the payload is then
+    /// read so that the checksum decides. Bytes after the payload are
+    /// [`BinReadError::Malformed`].
+    pub fn read_binary_from<R: Read>(mut input: R) -> Result<(Dataset, u64), BinReadError> {
+        let header = Header::read(&mut input)?;
+        let mut payload = Payload {
+            input,
+            left: header.payload_len,
+            checksum: Fingerprinter::new(),
+            buf: Vec::new(),
+            filled: 0,
+        };
+        let decoded = match decode_payload(&mut payload) {
+            Err(e @ (BinReadError::Truncated | BinReadError::Io(_))) => return Err(e),
+            decoded => decoded,
+        };
+        if decoded.is_err() {
+            // A flipped byte can derail the structure before the
+            // checksum sees it: read the rest so that the checksum
+            // decides.
+            payload.drain()?;
         }
-        if bytes.len() < HEADER_LEN {
-            return Err(BinReadError::Truncated);
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version != BIN_FORMAT_VERSION {
-            return Err(BinReadError::UnsupportedVersion(version));
-        }
-        let fingerprint = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        let payload_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-        let checksum = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
-        let body = &bytes[HEADER_LEN..];
-        if (body.len() as u64) < payload_len {
-            return Err(BinReadError::Truncated);
-        }
-        if (body.len() as u64) > payload_len {
-            return Err(BinReadError::Malformed("trailing bytes after payload"));
-        }
-        if fingerprint_bytes(body) != checksum {
+        if payload.checksum.finish() != header.checksum {
             return Err(BinReadError::ChecksumMismatch);
         }
-
-        let mut r = Reader {
-            bytes: body,
-            pos: 0,
-        };
-        let mut ds = Dataset::new();
-
-        // Symbols.
-        let sym_count = {
-            let c = r.u32()?;
-            r.counted(c, 4)?
-        };
-        for i in 0..sym_count {
-            let text = r.str()?;
-            let sym = ds.stacks.intern_frame(text);
-            if sym.0 as usize != i {
-                return Err(BinReadError::Malformed("duplicate symbol in table"));
-            }
+        let ds = decoded?;
+        if !payload.at_end()? {
+            return Err(BinReadError::Malformed("trailing bytes after payload"));
         }
-
-        // Stacks.
-        let stack_count = {
-            let c = r.u32()?;
-            r.counted(c, 4)?
-        };
-        let mut frame_counts = Vec::with_capacity(stack_count);
-        for _ in 0..stack_count {
-            frame_counts.push(r.u32()?);
-        }
-        let total_frames = r.u64()?;
-        if total_frames != frame_counts.iter().map(|&c| c as u64).sum::<u64>() {
-            return Err(BinReadError::Malformed("frame total mismatch"));
-        }
-        r.counted(
-            u32::try_from(total_frames).map_err(|_| BinReadError::Malformed("frame overflow"))?,
-            4,
-        )?;
-        let mut frames = Vec::new();
-        for (i, &count) in frame_counts.iter().enumerate() {
-            frames.clear();
-            for _ in 0..count {
-                let sym = r.u32()?;
-                if sym as usize >= sym_count {
-                    return Err(BinReadError::Malformed("frame references unknown symbol"));
-                }
-                frames.push(crate::intern::Symbol(sym));
-            }
-            let id = ds.stacks.intern(&frames);
-            if id.0 as usize != i {
-                return Err(BinReadError::Malformed("duplicate stack in table"));
-            }
-        }
-
-        // Scenario-name table.
-        let name_count = {
-            let c = r.u32()?;
-            r.counted(c, 4)?
-        };
-        let mut names = Vec::with_capacity(name_count);
-        for _ in 0..name_count {
-            names.push(ScenarioName::new(r.str()?));
-        }
-        let name_at = |idx: u32| -> Result<ScenarioName, BinReadError> {
-            names
-                .get(idx as usize)
-                .copied()
-                .ok_or(BinReadError::Malformed("scenario name index out of range"))
-        };
-
-        // Scenarios.
-        let scen_count = {
-            let c = r.u32()?;
-            r.counted(c, 4)?
-        };
-        let mut scen_names = Vec::with_capacity(scen_count);
-        for _ in 0..scen_count {
-            scen_names.push(name_at(r.u32()?)?);
-        }
-        let mut fasts = Vec::with_capacity(scen_count);
-        for _ in 0..scen_count {
-            fasts.push(r.u64()?);
-        }
-        for (name, fast) in scen_names.into_iter().zip(fasts) {
-            let slow = r.u64()?;
-            if fast >= slow {
-                return Err(BinReadError::Malformed("scenario thresholds inverted"));
-            }
-            ds.scenarios.push(Scenario::new(
-                name,
-                Thresholds::new(TimeNs(fast), TimeNs(slow)),
-            ));
-        }
-
-        // Streams and their event columns.
-        let stream_count = {
-            let c = r.u32()?;
-            r.counted(c, 4)?
-        };
-        let mut ids = Vec::with_capacity(stream_count);
-        for _ in 0..stream_count {
-            ids.push(r.u32()?);
-        }
-        let mut lens = Vec::with_capacity(stream_count);
-        for _ in 0..stream_count {
-            lens.push(r.u64()?);
-        }
-        let total_events = r.u64()?;
-        if total_events != lens.iter().sum::<u64>() {
-            return Err(BinReadError::Malformed("event total mismatch"));
-        }
-        let total = usize::try_from(total_events)
-            .ok()
-            .filter(|&t| t <= r.remaining())
-            .ok_or(BinReadError::Malformed("event count overruns payload"))?;
-        let kinds = r.take(total)?;
-        let tids = r.take(total.checked_mul(4).ok_or(BinReadError::Truncated)?)?;
-        let pids = r.take(total * 4)?;
-        let ts = r.take(total.checked_mul(8).ok_or(BinReadError::Truncated)?)?;
-        let costs = r.take(total * 8)?;
-        let stacks = r.take(total * 4)?;
-        let bitmap = r.take(total.div_ceil(8))?;
-        let wtid_count = {
-            let c = r.u32()?;
-            r.counted(c, 4)?
-        };
-        let wtids = r.take(wtid_count * 4)?;
-
-        // Validate the kind column and the wtid bitmap up front so the
-        // assembly loop below is infallible — no error branches on the
-        // per-event hot path.
-        if kinds.iter().any(|&b| b > 3) {
-            return Err(BinReadError::Malformed("bad event kind"));
-        }
-        let set_bits: usize = bitmap.iter().map(|b| b.count_ones() as usize).sum();
-        if set_bits != wtid_count {
-            return Err(BinReadError::Malformed("wtid bitmap/column mismatch"));
-        }
-        if total % 8 != 0 {
-            if let Some(&last) = bitmap.last() {
-                if last >> (total % 8) != 0 {
-                    return Err(BinReadError::Malformed("wtid bitmap tail bits set"));
-                }
-            }
-        }
-
-        // Assemble events straight off the byte columns: lockstep chunk
-        // iterators instead of per-element bounds-checked indexing, and
-        // no intermediate decoded vectors.
-        fn next_u32(it: &mut std::slice::ChunksExact<'_, u8>) -> u32 {
-            u32::from_le_bytes(
-                it.next()
-                    .expect("sized column")
-                    .try_into()
-                    .expect("exact chunk"),
-            )
-        }
-        fn next_u64(it: &mut std::slice::ChunksExact<'_, u8>) -> u64 {
-            u64::from_le_bytes(
-                it.next()
-                    .expect("sized column")
-                    .try_into()
-                    .expect("exact chunk"),
-            )
-        }
-        const KINDS: [EventKind; 4] = [
-            EventKind::Running,
-            EventKind::Wait,
-            EventKind::Unwait,
-            EventKind::HardwareService,
-        ];
-        let mut kind_it = kinds.iter();
-        let mut tid_it = tids.chunks_exact(4);
-        let mut pid_it = pids.chunks_exact(4);
-        let mut t_it = ts.chunks_exact(8);
-        let mut cost_it = costs.chunks_exact(8);
-        let mut stack_it = stacks.chunks_exact(4);
-        let mut wtid_it = wtids.chunks_exact(4);
-
-        let mut i = 0usize; // global event index, for the wtid bitmap
-        for (raw_id, len) in ids.into_iter().zip(lens) {
-            let len = len as usize;
-            let mut events = Vec::with_capacity(len);
-            events.extend((0..len).map(|_| {
-                let kind = KINDS[(*kind_it.next().expect("sized column") & 3) as usize];
-                let wtid =
-                    (bitmap[i / 8] & (1 << (i % 8)) != 0).then(|| ThreadId(next_u32(&mut wtid_it)));
-                i += 1;
-                Event {
-                    kind,
-                    tid: ThreadId(next_u32(&mut tid_it)),
-                    pid: ProcessId(next_u32(&mut pid_it)),
-                    t: TimeNs(next_u64(&mut t_it)),
-                    cost: TimeNs(next_u64(&mut cost_it)),
-                    stack: StackId(next_u32(&mut stack_it)),
-                    wtid,
-                }
-            }));
-            // Order is preserved verbatim (no re-sort), so even streams
-            // that would fail validation round-trip unchanged.
-            ds.streams
-                .push(TraceStream::from_unchecked_parts(TraceId(raw_id), events));
-        }
-
-        // Instances.
-        let inst_count = {
-            let c = r.u32()?;
-            r.counted(c, 4)?
-        };
-        let mut traces = Vec::with_capacity(inst_count);
-        for _ in 0..inst_count {
-            traces.push(r.u32()?);
-        }
-        let mut tids_i = Vec::with_capacity(inst_count);
-        for _ in 0..inst_count {
-            tids_i.push(r.u32()?);
-        }
-        let mut t0s = Vec::with_capacity(inst_count);
-        for _ in 0..inst_count {
-            t0s.push(r.u64()?);
-        }
-        let mut t1s = Vec::with_capacity(inst_count);
-        for _ in 0..inst_count {
-            t1s.push(r.u64()?);
-        }
-        for ((trace, tid), (t0, t1)) in traces.into_iter().zip(tids_i).zip(t0s.into_iter().zip(t1s))
-        {
-            let scenario = name_at(r.u32()?)?;
-            ds.instances.push(ScenarioInstance {
-                trace: TraceId(trace),
-                scenario,
-                tid: ThreadId(tid),
-                t0: TimeNs(t0),
-                t1: TimeNs(t1),
-            });
-        }
-
-        if r.remaining() != 0 {
-            return Err(BinReadError::Malformed("trailing bytes in payload"));
-        }
-        Ok((ds, fingerprint))
+        Ok((ds, header.fingerprint))
     }
+}
+
+/// Decodes the payload section by section.
+fn decode_payload<R: Read>(p: &mut Payload<R>) -> Result<Dataset, BinReadError> {
+    let mut ds = Dataset::new();
+
+    // Symbols.
+    let sym_count = p.count(4)?;
+    for i in 0..sym_count {
+        let sym = ds.stacks.intern_frame(p.str()?);
+        if sym.0 as usize != i {
+            return Err(BinReadError::Malformed("duplicate symbol in table"));
+        }
+    }
+
+    // Stacks.
+    let stack_count = p.count(4)?;
+    let frame_counts: Vec<u32> = p
+        .take(4 * stack_count as u64)?
+        .chunks_exact(4)
+        .map(le_u32)
+        .collect();
+    let total_frames = p.u64()?;
+    if total_frames != frame_counts.iter().map(|&c| u64::from(c)).sum::<u64>() {
+        return Err(BinReadError::Malformed("frame total mismatch"));
+    }
+    let frame_bytes = total_frames
+        .checked_mul(4)
+        .ok_or(BinReadError::Malformed("count overruns payload"))?;
+    let mut syms = p.take(frame_bytes)?.chunks_exact(4).map(le_u32);
+    let mut frames = Vec::new();
+    for (i, &count) in frame_counts.iter().enumerate() {
+        frames.clear();
+        for sym in syms.by_ref().take(count as usize) {
+            if sym as usize >= sym_count {
+                return Err(BinReadError::Malformed("frame references unknown symbol"));
+            }
+            frames.push(crate::intern::Symbol(sym));
+        }
+        let id = ds.stacks.intern(&frames);
+        if id.0 as usize != i {
+            return Err(BinReadError::Malformed("duplicate stack in table"));
+        }
+    }
+
+    // Scenario-name table.
+    // Tables and streams grow as their entries arrive: a count is only
+    // bounded by the header's payload length, which may be a lie.
+    let name_count = p.count(4)?;
+    let mut names = Vec::new();
+    for _ in 0..name_count {
+        names.push(ScenarioName::new(p.str()?));
+    }
+    let name_at = |idx: u32| -> Result<ScenarioName, BinReadError> {
+        names
+            .get(idx as usize)
+            .copied()
+            .ok_or(BinReadError::Malformed("scenario name index out of range"))
+    };
+
+    // Scenarios.
+    let scen_count = p.count(4 + 8 + 8)? as u64;
+    let columns = p.take(20 * scen_count)?;
+    let (idx, bounds) = columns.split_at(4 * scen_count as usize);
+    let (fasts, slows) = bounds.split_at(8 * scen_count as usize);
+    for ((idx, fast), slow) in idx
+        .chunks_exact(4)
+        .zip(fasts.chunks_exact(8))
+        .zip(slows.chunks_exact(8))
+    {
+        let (fast, slow) = (le_u64(fast), le_u64(slow));
+        if fast >= slow {
+            return Err(BinReadError::Malformed("scenario thresholds inverted"));
+        }
+        ds.scenarios.push(Scenario::new(
+            name_at(le_u32(idx))?,
+            Thresholds::new(TimeNs(fast), TimeNs(slow)),
+        ));
+    }
+
+    // Streams, one block each.
+    let stream_count = p.count(MIN_BLOCK_BYTES)?;
+    for _ in 0..stream_count {
+        ds.streams.push(decode_block(p)?);
+    }
+
+    // Instances.
+    let inst_count = p.count(INSTANCE_BYTES)? as u64;
+    let columns = p.take(INSTANCE_BYTES * inst_count)?;
+    let n = inst_count as usize;
+    let (traces, rest) = columns.split_at(4 * n);
+    let (tids, rest) = rest.split_at(4 * n);
+    let (t0s, rest) = rest.split_at(8 * n);
+    let (t1s, name_idx) = rest.split_at(8 * n);
+    ds.instances.reserve_exact(n);
+    for ((((trace, tid), t0), t1), name) in traces
+        .chunks_exact(4)
+        .zip(tids.chunks_exact(4))
+        .zip(t0s.chunks_exact(8))
+        .zip(t1s.chunks_exact(8))
+        .zip(name_idx.chunks_exact(4))
+    {
+        ds.instances.push(ScenarioInstance {
+            trace: TraceId(le_u32(trace)),
+            scenario: name_at(le_u32(name))?,
+            tid: ThreadId(le_u32(tid)),
+            t0: TimeNs(le_u64(t0)),
+            t1: TimeNs(le_u64(t1)),
+        });
+    }
+
+    if p.left != 0 {
+        return Err(BinReadError::Malformed("trailing bytes in payload"));
+    }
+    Ok(ds)
+}
+
+/// Decodes one stream block into a stream whose event vector has
+/// exactly the block's event count as capacity.
+fn decode_block<R: Read>(p: &mut Payload<R>) -> Result<TraceStream, BinReadError> {
+    let id = p.u32()?;
+    let len = p.u64()?;
+    // Bound the event count by the bytes left before allocating for it:
+    // the columns, the bitmap and the wtid count must all fit.
+    let fixed = len
+        .checked_mul(EVENT_BYTES)
+        .and_then(|b| b.checked_add(len.div_ceil(8) + 4))
+        .filter(|&b| b <= p.left)
+        .ok_or(BinReadError::Malformed("event count overruns payload"))?;
+    let len = usize::try_from(len).map_err(|_| BinReadError::Malformed("length overflow"))?;
+    let bitmap_len = len.div_ceil(8);
+
+    // Validate the kind column and the wtid bitmap up front so the
+    // assembly loop below is infallible: no error branches on the
+    // per-event hot path.
+    let block = p.take(fixed)?;
+    let (columns, count) = block.split_at(block.len() - 4);
+    let wtid_count = le_u32(count) as usize;
+    if columns[..len].iter().any(|&b| b > 3) {
+        return Err(BinReadError::Malformed("bad event kind"));
+    }
+    let bitmap = &columns[columns.len() - bitmap_len..];
+    let set_bits: usize = bitmap.iter().map(|b| b.count_ones() as usize).sum();
+    if set_bits != wtid_count {
+        return Err(BinReadError::Malformed("wtid bitmap/column mismatch"));
+    }
+    if !len.is_multiple_of(8) && bitmap.last().is_some_and(|&last| last >> (len % 8) != 0) {
+        return Err(BinReadError::Malformed("wtid bitmap tail bits set"));
+    }
+    p.append(4 * wtid_count as u64)?;
+
+    // Assemble events straight off the byte columns, in lockstep.
+    let block = &p.buf[..p.filled];
+    let (kinds, rest) = block.split_at(len);
+    let (tids, rest) = rest.split_at(4 * len);
+    let (pids, rest) = rest.split_at(4 * len);
+    let (ts, rest) = rest.split_at(8 * len);
+    let (costs, rest) = rest.split_at(8 * len);
+    let (stacks, rest) = rest.split_at(4 * len);
+    let (bitmap, rest) = rest.split_at(bitmap_len);
+    let mut wtids = rest[4..].chunks_exact(4).map(le_u32);
+    let mut events = Vec::with_capacity(len);
+    events.extend(
+        kinds
+            .iter()
+            .zip(tids.chunks_exact(4))
+            .zip(pids.chunks_exact(4))
+            .zip(ts.chunks_exact(8))
+            .zip(costs.chunks_exact(8))
+            .zip(stacks.chunks_exact(4))
+            .enumerate()
+            .map(|(i, (((((&kind, tid), pid), t), cost), stack))| Event {
+                kind: KINDS[(kind & 3) as usize],
+                tid: ThreadId(le_u32(tid)),
+                pid: ProcessId(le_u32(pid)),
+                t: TimeNs(le_u64(t)),
+                cost: TimeNs(le_u64(cost)),
+                stack: StackId(le_u32(stack)),
+                wtid: (bitmap[i / 8] & (1 << (i % 8)) != 0)
+                    .then(|| ThreadId(wtids.next().expect("one wtid per set bit"))),
+            }),
+    );
+    // Order is preserved verbatim (no re-sort), so even streams that
+    // would fail validation round-trip unchanged.
+    Ok(TraceStream::from_unchecked_parts(TraceId(id), events))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stream::TraceStreamBuilder;
+    use std::io::BufReader;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn sample() -> Dataset {
         let mut ds = Dataset::new();
@@ -758,6 +905,61 @@ mod tests {
         out
     }
 
+    /// A reader that hands out at most `k` bytes per call.
+    struct Dribble<'a> {
+        bytes: &'a [u8],
+        k: usize,
+    }
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.k.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// A read outcome in comparable form: the data set as text.
+    type Outcome = Result<(Vec<u8>, u64), BinReadError>;
+
+    fn outcome(result: Result<(Dataset, u64), BinReadError>) -> Outcome {
+        result.map(|(ds, fp)| (text(&ds), fp))
+    }
+
+    /// `image` written to a file of its own and read back through a
+    /// buffered file handle, the way the `--cache` layer reads.
+    fn read_through_file(image: &[u8]) -> Outcome {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "tracelens-binio-{}-{}.tlb",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&path, image).unwrap();
+        let file = std::fs::File::open(&path).unwrap();
+        let got = outcome(Dataset::read_binary_from(BufReader::with_capacity(
+            64 * 1024,
+            file,
+        )));
+        std::fs::remove_file(&path).unwrap();
+        got
+    }
+
+    /// Reads `image` from memory, through readers that return at most
+    /// 1 to 7 bytes per call, and through a file; every reader must
+    /// agree on the data set or the error. Returns the in-memory read.
+    fn read_every_way(image: &[u8]) -> Result<(Dataset, u64), BinReadError> {
+        let read = Dataset::read_binary(image);
+        let want = outcome(read.clone());
+        for k in 1..=7 {
+            let got = outcome(Dataset::read_binary_from(Dribble { bytes: image, k }));
+            assert_eq!(got, want, "{k} bytes per read");
+        }
+        assert_eq!(read_through_file(image), want, "through a file");
+        read
+    }
+
     #[test]
     fn binary_round_trip_is_text_byte_identical() {
         let ds = sample();
@@ -788,7 +990,7 @@ mod tests {
         events[1].stack = StackId(999);
         ds.streams[0] = TraceStream::from_unchecked_parts(TraceId(0), events);
         let image = ds.to_binary(1);
-        let (back, _) = Dataset::read_binary(&image).unwrap();
+        let (back, _) = read_every_way(&image).unwrap();
         assert_eq!(back.streams[0].events(), ds.streams[0].events());
         assert_eq!(back.streams[0].events()[1].stack, StackId(999));
     }
@@ -806,13 +1008,13 @@ mod tests {
     fn torn_image_fails_at_every_offset() {
         let image = sample().to_binary(42);
         for cut in 0..image.len() {
-            let e = Dataset::read_binary(&image[..cut]).unwrap_err();
+            let e = read_every_way(&image[..cut]).unwrap_err();
             assert!(
                 matches!(e, BinReadError::BadMagic | BinReadError::Truncated),
                 "cut at {cut}: {e:?}"
             );
         }
-        assert!(Dataset::read_binary(&image).is_ok());
+        assert!(read_every_way(&image).is_ok());
     }
 
     #[test]
@@ -823,7 +1025,7 @@ mod tests {
             let mut bad = image.clone();
             bad[pos] ^= 0x40;
             assert_eq!(
-                Dataset::read_binary(&bad).unwrap_err(),
+                read_every_way(&bad).unwrap_err(),
                 BinReadError::ChecksumMismatch,
                 "flip at {pos}"
             );
@@ -835,7 +1037,7 @@ mod tests {
         let mut image = sample().to_binary(42);
         image.push(0);
         assert!(matches!(
-            Dataset::read_binary(&image).unwrap_err(),
+            read_every_way(&image).unwrap_err(),
             BinReadError::Malformed(_)
         ));
     }
@@ -845,9 +1047,63 @@ mod tests {
         let mut image = sample().to_binary(42);
         image[4..8].copy_from_slice(&99u32.to_le_bytes());
         assert_eq!(
-            Dataset::read_binary(&image).unwrap_err(),
+            read_every_way(&image).unwrap_err(),
             BinReadError::UnsupportedVersion(99)
         );
         assert_eq!(header_fingerprint(&image), None);
+    }
+
+    /// A checksummed image of no symbols, stacks or scenarios whose
+    /// stream count reads `streams`, followed by one stream block whose
+    /// event count reads `len` and no events.
+    fn image_claiming(streams: u32, len: u64) -> Vec<u8> {
+        let mut payload = Vec::new();
+        put_u32(&mut payload, 0); // symbols
+        put_u32(&mut payload, 0); // stacks
+        put_u64(&mut payload, 0); // frames
+        put_u32(&mut payload, 0); // scenario names
+        put_u32(&mut payload, 0); // scenarios
+        put_u32(&mut payload, streams);
+        put_u32(&mut payload, 0); // stream id
+        put_u64(&mut payload, len);
+        put_u32(&mut payload, 0); // wtids
+        put_u32(&mut payload, 0); // instances
+        let header = Header {
+            fingerprint: 5,
+            payload_len: payload.len() as u64,
+            checksum: fingerprint_bytes(&payload),
+        };
+        [&header.encode()[..], &payload].concat()
+    }
+
+    #[test]
+    fn stream_length_beyond_the_payload_is_malformed() {
+        assert!(read_every_way(&image_claiming(1, 0)).is_ok());
+        // Allocating for any of these lengths would abort the process;
+        // the largest also overflows the column arithmetic.
+        for len in [1, 1 << 40, u64::MAX / 29, u64::MAX] {
+            assert_eq!(
+                read_every_way(&image_claiming(1, len)).unwrap_err(),
+                BinReadError::Malformed("event count overruns payload"),
+                "stream length {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_header_claiming_more_than_the_file_holds_is_truncated() {
+        // Counts are bounded by the header's payload length, which the
+        // checksum vouches for only at the end. A header that lies about
+        // it must still end in `Truncated`, without allocating for the
+        // streams or the events it lets through.
+        for (streams, len) in [(u32::MAX, 0), (1, 1 << 40), (1, u64::MAX / 64)] {
+            let mut image = image_claiming(streams, len);
+            image[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert_eq!(
+                read_every_way(&image).unwrap_err(),
+                BinReadError::Truncated,
+                "{streams} streams, the first of {len} events"
+            );
+        }
     }
 }

@@ -23,9 +23,11 @@
 //!    output serializes byte-identically to the input).
 
 use crate::dataset::Dataset;
-use crate::event::{Event, EventKind};
+use crate::event::EventKind;
 use crate::ids::TraceId;
+use crate::stack::StackTable;
 use crate::stream::TraceStream;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -183,70 +185,77 @@ impl Dataset {
     /// Repair drops, strips, clamps or renumbers what has one unambiguous
     /// fix; quarantine removes instances with a missing trace or an
     /// undefined scenario, and streams with a duplicate trace id.
-    pub fn sanitize(&self) -> (Dataset, SanitizeReport) {
+    ///
+    /// The data set is taken by value and repaired in place: streams,
+    /// stacks and scenarios move into the output, and each surviving
+    /// stream's event vector is filtered where it lies, so the raw and
+    /// the clean events are never held at once. A caller that needs the
+    /// input afterwards sanitizes a clone.
+    pub fn sanitize(self) -> (Dataset, SanitizeReport) {
         let mut report = SanitizeReport {
             input_traces: self.streams.len(),
             input_instances: self.instances.len(),
             input_events: self.total_events(),
             ..SanitizeReport::default()
         };
+        let Dataset {
+            streams,
+            mut instances,
+            stacks,
+            scenarios,
+        } = self;
 
         // --- Streams: restore dense position-matching ids. -----------
         // Keep the first stream per raw id (later duplicates are
-        // quarantined) and renumber the survivors densely in raw-id
-        // order; instances are remapped through `id_map` below.
-        for (position, stream) in self.streams.iter().enumerate() {
+        // quarantined and dropped here) and renumber the survivors
+        // densely in raw-id order; instances are remapped through
+        // `id_map` below.
+        let mut by_raw_id: BTreeMap<u32, TraceStream> = BTreeMap::new();
+        for (position, stream) in streams.into_iter().enumerate() {
             if stream.id().0 as usize != position {
                 *report.violations.entry("stream_id_mismatch").or_insert(0) += 1;
             }
-        }
-        let mut by_raw_id: BTreeMap<u32, &TraceStream> = BTreeMap::new();
-        for stream in &self.streams {
-            if by_raw_id.insert(stream.id().0, stream).is_some() {
-                // Later duplicate wins the map slot; restore the first
-                // and quarantine this one.
-                *report.violations.entry(DUPLICATE_TRACE_ID).or_insert(0) += 1;
-                report.quarantined_traces += 1;
-                report.lost_events += stream.len();
+            match by_raw_id.entry(stream.id().0) {
+                Entry::Vacant(slot) => {
+                    slot.insert(stream);
+                }
+                Entry::Occupied(_) => {
+                    *report.violations.entry(DUPLICATE_TRACE_ID).or_insert(0) += 1;
+                    report.quarantined_traces += 1;
+                    report.lost_events += stream.len();
+                }
             }
-        }
-        // Re-walk so the *first* occurrence of each id is the survivor.
-        by_raw_id.clear();
-        for stream in &self.streams {
-            by_raw_id.entry(stream.id().0).or_insert(stream);
         }
 
         let mut id_map: BTreeMap<u32, TraceId> = BTreeMap::new();
         let mut streams = Vec::with_capacity(by_raw_id.len());
-        for (dense, (&raw, stream)) in by_raw_id.iter().enumerate() {
+        for (dense, (raw, stream)) in by_raw_id.into_iter().enumerate() {
             let new_id = TraceId(dense as u32);
             if raw as usize != dense {
                 report.remapped_traces += 1;
             }
             id_map.insert(raw, new_id);
-            streams.push(sanitize_stream(stream, new_id, &mut report, self));
+            streams.push(sanitize_stream(stream, new_id, &mut report, &stacks));
         }
 
         // --- Instances: remap, clamp, or quarantine. ------------------
-        let mut instances = Vec::with_capacity(self.instances.len());
-        for instance in &self.instances {
+        instances.retain_mut(|instance| {
             let Some(&trace) = id_map.get(&instance.trace.0) else {
                 *report
                     .violations
                     .entry("instance_without_stream")
                     .or_insert(0) += 1;
                 report.quarantined_instances += 1;
-                continue;
+                return false;
             };
-            if self.scenario(&instance.scenario).is_none() {
+            if !scenarios.iter().any(|s| s.name == instance.scenario) {
                 *report
                     .violations
                     .entry("instance_unknown_scenario")
                     .or_insert(0) += 1;
                 report.quarantined_instances += 1;
-                continue;
+                return false;
             }
-            let mut instance = instance.clone();
             instance.trace = trace;
             if instance.t1 < instance.t0 {
                 *report
@@ -256,38 +265,38 @@ impl Dataset {
                 report.clamped_instances += 1;
                 instance.t1 = instance.t0;
             }
-            instances.push(instance);
-        }
+            true
+        });
 
         let clean = Dataset {
             streams,
             instances,
-            stacks: self.stacks.clone(),
-            scenarios: self.scenarios.clone(),
+            stacks,
+            scenarios,
         };
         debug_assert!(clean.validate().is_ok(), "sanitize output must validate");
         (clean, report)
     }
 }
 
-/// Repairs one stream: drops events with dangling stacks or malformed
-/// unwait targeting, strips stray targets, and re-sorts if needed.
+/// Repairs one stream in place: drops events with dangling stacks or
+/// malformed unwait targeting, strips stray targets, and re-sorts if
+/// needed.
 fn sanitize_stream(
-    stream: &TraceStream,
+    stream: TraceStream,
     new_id: TraceId,
     report: &mut SanitizeReport,
-    ds: &Dataset,
+    stacks: &StackTable,
 ) -> TraceStream {
-    let mut events: Vec<Event> = Vec::with_capacity(stream.len());
-    for e in stream.events() {
-        let mut e = *e;
+    let mut events = stream.into_events();
+    events.retain_mut(|e| {
         let dangling_stack =
-            ds.stacks.frames(e.stack).is_empty() && ds.stacks.len() <= e.stack.0 as usize;
+            stacks.frames(e.stack).is_empty() && stacks.len() <= e.stack.0 as usize;
         if dangling_stack {
             *report.violations.entry("unknown_stack").or_insert(0) += 1;
             report.dropped_events += 1;
             report.lost_events += 1;
-            continue;
+            return false;
         }
         match e.kind {
             EventKind::Unwait => {
@@ -295,7 +304,7 @@ fn sanitize_stream(
                     *report.violations.entry("malformed_unwait").or_insert(0) += 1;
                     report.dropped_events += 1;
                     report.lost_events += 1;
-                    continue;
+                    return false;
                 }
             }
             _ => {
@@ -306,8 +315,8 @@ fn sanitize_stream(
                 }
             }
         }
-        events.push(e);
-    }
+        true
+    });
     if events.windows(2).any(|w| w[1].t < w[0].t) {
         *report.violations.entry("unsorted_events").or_insert(0) += 1;
         report.resorted_streams += 1;
@@ -321,6 +330,7 @@ fn sanitize_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Event;
     use crate::ids::ThreadId;
     use crate::scenario::{Scenario, ScenarioInstance, ScenarioName, Thresholds};
     use crate::stack::StackId;
@@ -358,7 +368,7 @@ mod tests {
     #[test]
     fn clean_input_is_byte_identical_noop() {
         let ds = valid();
-        let (clean, report) = ds.sanitize();
+        let (clean, report) = ds.clone().sanitize();
         assert!(report.is_clean(), "report: {report:?}");
         assert_eq!(report.repaired(), 0);
         assert_eq!(bytes(&ds), bytes(&clean));
@@ -373,7 +383,7 @@ mod tests {
         events.swap(0, 2);
         ds.streams[0] = TraceStream::from_unchecked_parts(TraceId(0), events);
         assert!(ds.validate().is_err());
-        let (clean, report) = ds.sanitize();
+        let (clean, report) = ds.clone().sanitize();
         assert_eq!(report.resorted_streams, 1);
         assert_eq!(report.violations["unsorted_events"], 1);
         assert!(clean.validate().is_ok());
@@ -501,7 +511,7 @@ mod tests {
         ds.instances[0].trace = TraceId(9);
         let (clean, first) = ds.sanitize();
         assert!(!first.is_clean());
-        let (again, second) = clean.sanitize();
+        let (again, second) = clean.clone().sanitize();
         assert!(second.is_clean(), "second pass: {second:?}");
         assert_eq!(bytes(&clean), bytes(&again));
     }

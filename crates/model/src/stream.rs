@@ -90,6 +90,11 @@ impl TraceStream {
     pub fn from_unchecked_parts(id: TraceId, events: Vec<Event>) -> TraceStream {
         TraceStream { id, events }
     }
+
+    /// The event vector, moved out: sanitize repairs it in place.
+    pub(crate) fn into_events(self) -> Vec<Event> {
+        self.events
+    }
 }
 
 /// Validation failures produced by [`TraceStreamBuilder::finish`].

@@ -276,7 +276,7 @@ proptest! {
             .with(FaultKind::ClockSkew, rate(per_mille.1))
             .with(FaultKind::DropUnwaits, rate(per_mille.2))
             .inject(&clean);
-        let (sanitized, _) = corrupt.sanitize();
+        let (sanitized, _) = corrupt.clone().sanitize();
         for stream in corrupt.streams.iter().chain(&sanitized.streams) {
             check(stream, &scaled(stream, &raw_windows))?;
         }

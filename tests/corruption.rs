@@ -68,7 +68,7 @@ proptest! {
         prop_assert!(report.quarantined_instances <= report.input_instances);
         prop_assert!(report.quarantined_traces <= report.input_traces);
 
-        let (again, second) = clean.sanitize();
+        let (again, second) = clean.clone().sanitize();
         prop_assert!(second.is_clean(), "sanitize must be idempotent: {second}");
         prop_assert_eq!(bytes(&again), bytes(&clean));
     }

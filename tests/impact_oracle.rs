@@ -225,8 +225,13 @@ fn check(ds: &Dataset, label: &str) {
         assert_eq!(got, *expected, "{label}: trace {}", trace.0);
     }
     let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
-    let study =
-        Study::run(ds, &StudyConfig::default(), &names, &Telemetry::noop()).expect("study runs");
+    let (study, _) = Study::run(
+        ds.clone(),
+        &StudyConfig::default(),
+        &names,
+        &Telemetry::noop(),
+    )
+    .expect("study runs");
     assert_eq!(study.impact, total, "{label}: Study::run global impact");
 }
 

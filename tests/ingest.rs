@@ -163,18 +163,34 @@ fn version_skewed_cache_is_stale_not_fatal() {
     let text = text_of(&ds);
     let tlt = dir.join("corpus.tlt");
     std::fs::write(&tlt, &text).expect("write text");
-    let mut image = ds.to_binary(fingerprint_bytes(&text));
-    image[4..8].copy_from_slice(&999u32.to_le_bytes());
-    std::fs::write(cache_path_for(&tlt), &image).expect("write skewed cache");
+    // What a cold `--cache` read of the text packs.
+    let current = Dataset::read_text_bytes(&text)
+        .expect("clean corpus")
+        .to_binary(fingerprint_bytes(&text));
+    // Format 1, which an older build left behind, and a future format.
+    for version in [1u32, 999] {
+        let mut image = current.clone();
+        image[4..8].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(cache_path_for(&tlt), &image).expect("write skewed cache");
 
-    assert_eq!(
-        Dataset::read_binary(&image).unwrap_err(),
-        BinReadError::UnsupportedVersion(999)
-    );
-    let (parsed, report) = ingest_path(&tlt, true, &Telemetry::noop()).expect("text fallback");
-    assert_eq!(text_of(&parsed), text);
-    assert!(report.cache_fallback.is_some());
-    assert!(report.cache_written, "skewed cache must be rewritten");
+        assert_eq!(
+            Dataset::read_binary(&image).unwrap_err(),
+            BinReadError::UnsupportedVersion(version)
+        );
+        let (parsed, report) = ingest_path(&tlt, true, &Telemetry::noop()).expect("text fallback");
+        assert_eq!(text_of(&parsed), text, "format {version}");
+        assert_eq!(report.cache_fallback, Some(CacheFallback::Corrupt));
+        assert!(
+            report.cache_written,
+            "a format-{version} cache must be repacked"
+        );
+        assert!(
+            std::fs::read(cache_path_for(&tlt)).expect("repacked cache") == current,
+            "format {version}: repacked in the current format"
+        );
+        let (_, report) = ingest_path(&tlt, true, &Telemetry::noop()).expect("warm read");
+        assert_eq!(report.source, IngestSource::BinaryCache, "format {version}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -23,7 +23,11 @@ fn names_of(ds: &Dataset) -> Vec<ScenarioName> {
     ds.scenarios.iter().map(|s| s.name).collect()
 }
 
-fn run(ds: &Dataset, config: &StudyConfig, names: &[ScenarioName]) -> Result<Study, StudyError> {
+fn run(
+    ds: Dataset,
+    config: &StudyConfig,
+    names: &[ScenarioName],
+) -> Result<(Study, Dataset), StudyError> {
     Study::run(ds, config, names, &Telemetry::noop())
 }
 
@@ -37,7 +41,8 @@ fn selected(seed: u64, traces: usize) -> Dataset {
 #[test]
 fn clean_selected_mix_report_is_pinned() {
     let ds = selected(9, 40);
-    let study = run(&ds, &StudyConfig::default(), &names_of(&ds)).expect("study runs");
+    let names = names_of(&ds);
+    let (study, ds) = run(ds, &StudyConfig::default(), &names).expect("study runs");
     assert_eq!(digest(&render(&study, &ds)), "61932613e04e978d");
 }
 
@@ -49,7 +54,8 @@ fn dense_corpus_report_is_pinned() {
         .instances_per_trace(8, 12)
         .start_window_ms(100)
         .build();
-    let study = run(&ds, &StudyConfig::default(), &names_of(&ds)).expect("study runs");
+    let names = names_of(&ds);
+    let (study, ds) = run(ds, &StudyConfig::default(), &names).expect("study runs");
     assert_eq!(digest(&render(&study, &ds)), "6d977665704fc722");
 }
 
@@ -61,8 +67,8 @@ fn sanitized_fault_injected_report_is_pinned() {
         sanitize: true,
         ..StudyConfig::default()
     };
-    let study = run(&corrupt, &cfg, &names_of(&clean)).expect("sanitized run completes");
-    assert_eq!(digest(&render(&study, &corrupt)), "99af0e6d4bf62ca7");
+    let (study, analyzed) = run(corrupt, &cfg, &names_of(&clean)).expect("sanitized run completes");
+    assert_eq!(digest(&render(&study, &analyzed)), "99af0e6d4bf62ca7");
 }
 
 #[test]
@@ -76,7 +82,7 @@ fn checkpoint_resumed_report_is_pinned() {
         checkpoint: Some(dir.clone()),
         ..StudyConfig::default()
     };
-    let first = run(&ds, &faulted, &names).expect("faulted run completes");
+    let (first, _) = run(ds.clone(), &faulted, &names).expect("faulted run completes");
     assert!(
         first.execution.quarantined() > 0,
         "the plan must hit a unit"
@@ -85,7 +91,7 @@ fn checkpoint_resumed_report_is_pinned() {
         checkpoint: Some(dir.clone()),
         ..StudyConfig::default()
     };
-    let resumed = run(&ds, &resume, &names).expect("resumed run completes");
+    let (resumed, ds) = run(ds, &resume, &names).expect("resumed run completes");
     let _ = std::fs::remove_dir_all(&dir);
     assert!(
         resumed.execution.restored > 0,

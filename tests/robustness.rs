@@ -20,8 +20,8 @@ fn scenario_names(ds: &Dataset) -> Vec<ScenarioName> {
     ds.scenarios.iter().map(|s| s.name).collect()
 }
 
-/// A study over the sanitized survivor of `ds`.
-fn sanitized_study(ds: &Dataset, names: &[ScenarioName], telemetry: &Telemetry) -> Study {
+/// A study over the sanitized survivor of `ds`, and that survivor.
+fn sanitized_study(ds: Dataset, names: &[ScenarioName], telemetry: &Telemetry) -> (Study, Dataset) {
     let config = StudyConfig {
         sanitize: true,
         ..StudyConfig::default()
@@ -66,7 +66,7 @@ fn every_fault_kind_survives_the_full_pipeline() {
             "{} at ε={EPS} must inject something",
             kind.label()
         );
-        let study = sanitized_study(&corrupt, &names, &Telemetry::noop());
+        let (study, clean) = sanitized_study(corrupt, &names, &Telemetry::noop());
         let report = study.sanitize.as_ref().expect("sanitized");
         assert!(
             study.impact.ia_wait().is_finite(),
@@ -80,7 +80,6 @@ fn every_fault_kind_survives_the_full_pipeline() {
             kind.label()
         );
         // Sanitize output is always fully valid.
-        let (clean, _) = corrupt.sanitize();
         assert!(
             clean.validate().is_ok(),
             "{}: sanitize output validates",
@@ -98,7 +97,7 @@ fn dangling_instance_refs_quarantine_exactly_the_injected_instances() {
     let injected = log.injected(FaultKind::DanglingInstanceRefs);
     assert!(injected > 0);
     let names = scenario_names(&ds);
-    let study = sanitized_study(&corrupt, &names, &Telemetry::noop());
+    let (study, _) = sanitized_study(corrupt, &names, &Telemetry::noop());
     let report = study.sanitize.as_ref().expect("sanitized");
     assert_eq!(
         report.quarantined_instances, injected,
@@ -182,7 +181,7 @@ fn sanitize_telemetry_counters_match_the_report() {
     let (corrupt, _) = FaultInjector::new(SEED).with_all(EPS).inject(&ds);
     let (telemetry, sink) = CollectingSink::telemetry();
     let names = scenario_names(&ds);
-    let study = sanitized_study(&corrupt, &names, &telemetry);
+    let (study, _) = sanitized_study(corrupt, &names, &telemetry);
     let report = study.sanitize.expect("sanitized");
     let counters = sink.report().metrics.counters;
     let get = |n: &str| counters.get(n).copied().unwrap_or(0);

@@ -21,8 +21,10 @@ fn names_of(ds: &Dataset) -> Vec<ScenarioName> {
     ds.scenarios.iter().map(|s| s.name).collect()
 }
 
+/// A study of a clone of `ds`: the tests run several studies of one
+/// input and render each against it.
 fn run(ds: &Dataset, config: &StudyConfig, names: &[ScenarioName]) -> Result<Study, StudyError> {
-    Study::run(ds, config, names, &Telemetry::noop())
+    Study::run(ds.clone(), config, names, &Telemetry::noop()).map(|(study, _)| study)
 }
 
 /// The markdown of a fault-free, checkpoint-free study.

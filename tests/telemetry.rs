@@ -19,7 +19,8 @@ fn observed_study() -> (Study, RunReport) {
         .iter()
         .map(|&s| ScenarioName::new(s))
         .collect();
-    let study = Study::run(&ds, &StudyConfig::default(), &names, &telemetry).expect("study runs");
+    let (study, _) =
+        Study::run(ds, &StudyConfig::default(), &names, &telemetry).expect("study runs");
     (study, sink.report())
 }
 
@@ -107,7 +108,8 @@ fn study_indexes_each_stream_and_builds_each_wait_graph_once() {
         .build();
     let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
     let (telemetry, sink) = CollectingSink::telemetry();
-    let study = Study::run(&ds, &StudyConfig::default(), &names, &telemetry).expect("study runs");
+    let (study, ds) =
+        Study::run(ds, &StudyConfig::default(), &names, &telemetry).expect("study runs");
     let counters = sink.report().metrics.counters;
     let get = |name: &str| counters.get(name).copied().unwrap_or(0);
 
@@ -147,7 +149,8 @@ fn arena_nodes_count_what_sharing_built() {
         .build();
     let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
     let (telemetry, sink) = CollectingSink::telemetry();
-    let study = Study::run(&ds, &StudyConfig::default(), &names, &telemetry).expect("study runs");
+    let (study, _) =
+        Study::run(ds, &StudyConfig::default(), &names, &telemetry).expect("study runs");
     let counters = sink.report().metrics.counters;
     let get = |name: &str| counters.get(name).copied().unwrap_or(0);
     assert_eq!(get("waitgraph.nodes"), study.impact.nodes_visited as u64);
@@ -173,7 +176,7 @@ fn supervisor_counters_match_the_execution_report() {
     let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
     let observe = |config: &StudyConfig| {
         let (telemetry, sink) = CollectingSink::telemetry();
-        let study = Study::run(&ds, config, &names, &telemetry).expect("study runs");
+        let (study, _) = Study::run(ds.clone(), config, &names, &telemetry).expect("study runs");
         (study, sink.report().metrics.counters)
     };
 
@@ -238,10 +241,11 @@ fn attached_noop_sink_stays_within_the_overhead_budget() {
     let fastest_ns = |telemetry: &Telemetry| {
         (0..RUNS)
             .map(|_| {
+                let input = ds.clone();
                 let start = std::time::Instant::now();
-                let study = Study::run(&ds, &StudyConfig::default(), &names, telemetry);
+                let study = Study::run(input, &StudyConfig::default(), &names, telemetry);
                 let elapsed = start.elapsed().as_nanos() as u64;
-                assert!(study.is_ok_and(|s| !s.scenarios.is_empty()));
+                assert!(study.is_ok_and(|(s, _)| !s.scenarios.is_empty()));
                 elapsed
             })
             .min()
@@ -326,9 +330,9 @@ fn disabled_telemetry_changes_nothing_and_collects_nothing() {
         .mix(ScenarioMix::Only(vec!["BrowserTabCreate".into()]))
         .build();
     let run = |telemetry: &Telemetry| {
-        let study =
-            Study::run(&ds, &StudyConfig::default(), &names, telemetry).expect("study runs");
-        tracelens::render_markdown(&study, &ds, &tracelens::ReportOptions::default())
+        let (study, analyzed) =
+            Study::run(ds.clone(), &StudyConfig::default(), &names, telemetry).expect("study runs");
+        tracelens::render_markdown(&study, &analyzed, &tracelens::ReportOptions::default())
     };
     let (telemetry, sink) = CollectingSink::telemetry();
     assert_eq!(

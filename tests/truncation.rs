@@ -112,12 +112,12 @@ fn mid_wait_truncation_orphans_waits_and_analyses_survive() {
         sanitize: true,
         ..StudyConfig::default()
     };
-    let study = Study::run(&cut, &config, &names, &Telemetry::noop()).expect("study runs");
+    let (study, clean) = Study::run(cut, &config, &names, &Telemetry::noop()).expect("study runs");
     assert!(study.impact.ia_wait().is_finite());
     assert_eq!(study.sanitize.as_ref().unwrap().quarantined_traces, 0);
     assert!(study.coverage.is_full());
-    // And the sanitizer's output passes full validation.
-    let (clean, _) = cut.sanitize();
+    // And the sanitizer's output, which the study analyzed and hands
+    // back, passes full validation.
     assert!(clean.validate().is_ok());
 }
 

@@ -37,9 +37,10 @@ cargo test -q --release -p tracelens --test impact_oracle --test report_identity
 echo "== ingest tests in release =="
 # The `.tlb` reader computes sizes from untrusted bytes, and release
 # arithmetic wraps on overflow where the debug test pass panics: run the
-# model crate's tests and the ingest and corruption gates as built there.
+# model crate's tests and the ingest, corruption and cached-report gates
+# as built there.
 cargo test -q --release -p tracelens-model
-cargo test -q --release -p tracelens --test ingest --test corruption
+cargo test -q --release -p tracelens --test ingest --test corruption --test cached_report
 
 echo "== exp_e2e (the end-to-end benchmark: build + unit tests) =="
 # The benchmark is a package outside the workspace that calls the
@@ -56,6 +57,8 @@ echo "== trace store (cache identity) =="
 # A cached study run must be byte-identical to the uncached one, with
 # and without sanitizing (on this clean corpus sanitize changes
 # nothing), and `pack -o` must write the very image the cold run wrote.
+# A cache found corrupt part way through a streamed study falls back to
+# the text without changing the report.
 TS_DIR="$(mktemp -d)"
 TL=target/release/tracelens
 "$TL" simulate -o "$TS_DIR/ds.tlt" --traces 40 --seed 9 > /dev/null
@@ -71,6 +74,24 @@ cmp "$TS_DIR/uncached.md" "$TS_DIR/warm.md"
 cmp "$TS_DIR/uncached.md" "$TS_DIR/sanitized.md"
 cmp "$TS_DIR/sanitized.md" "$TS_DIR/warm-sanitized.md"
 cmp "$TS_DIR/ds.tlb" "$TS_DIR/packed.tlb"
+# A warm `--cache` report streams the cache through the study, and the
+# checksum is known only after the last stream. Flip the last byte, which
+# lies in the last stream block: the fallback then fires after the study
+# has run over every other stream. The report must still equal the
+# uncached one, the cache must be repacked, and the next run must load it.
+python3 -c "
+import sys
+b = bytearray(open(sys.argv[1], 'rb').read())
+b[-1] ^= 0x40
+open(sys.argv[1], 'wb').write(b)
+" "$TS_DIR/ds.tlb"
+"$TL" report "$TS_DIR/ds.tlt" --cache -o "$TS_DIR/flipped.md" 2> "$TS_DIR/flipped.err"
+cmp "$TS_DIR/uncached.md" "$TS_DIR/flipped.md"
+grep -q 'binary cache corrupt; parsed text and repacked the cache' "$TS_DIR/flipped.err"
+cmp "$TS_DIR/ds.tlb" "$TS_DIR/packed.tlb"
+"$TL" report "$TS_DIR/ds.tlt" --cache -o "$TS_DIR/repacked.md" 2> "$TS_DIR/repacked.err"
+grep -q '^ingest: loaded binary cache' "$TS_DIR/repacked.err"
+cmp "$TS_DIR/uncached.md" "$TS_DIR/repacked.md"
 rm -rf "$TS_DIR"
 
 echo "== exp_ingest smoke (binary load must beat the text parse) =="

@@ -253,13 +253,24 @@ fn load(path: &str, opts: &Opts) -> Result<Dataset, String> {
         report_sanitize(&report);
         return Ok(clean);
     }
-    if let Err(e) = ds.validate() {
+    check_validation(path, ds.validate(), opts)?;
+    Ok(ds)
+}
+
+/// Acts on the input's validation verdict: under `--strict` a violation
+/// is an error, otherwise a warning on stderr.
+fn check_validation(
+    path: &str,
+    verdict: Result<(), tracelens::model::ValidationError>,
+    opts: &Opts,
+) -> Result<(), String> {
+    if let Err(e) = verdict {
         if opts.has("strict") {
             return Err(format!("{path}: {e} (rerun with --sanitize to repair)"));
         }
         eprintln!("warning: {e}");
     }
-    Ok(ds)
+    Ok(())
 }
 
 /// Summarizes what sanitization repaired and quarantined on stderr.
@@ -689,16 +700,34 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         sanitize,
         ..StudyConfig::default()
     };
-    let ds = if sanitize {
-        let (ds, ingest) = read_dataset(path, &opts)?;
-        report_ingest(path, &ingest);
-        ds
+    let (study, ds) = if opts.has("cache") && path != "-" && config.checkpoint.is_none() {
+        // A warm cache streams through the study, so the ingest line and
+        // the validation verdict are known only once the study is done.
+        // A checkpointed study writes as it goes, so it validates first,
+        // on the path below.
+        let run =
+            Study::run_cached(Path::new(path), &config, &Telemetry::noop()).map_err(
+                |e| match e {
+                    tracelens::CachedStudyError::Read(e) => ingest_error(path, e),
+                    tracelens::CachedStudyError::Study(e) => e.to_string(),
+                },
+            )?;
+        report_ingest(path, &run.ingest);
+        if !sanitize {
+            check_validation(path, run.validation, &opts)?;
+        }
+        (run.study, run.dataset)
     } else {
-        load(path, &opts)?
+        let ds = if sanitize {
+            let (ds, ingest) = read_dataset(path, &opts)?;
+            report_ingest(path, &ingest);
+            ds
+        } else {
+            load(path, &opts)?
+        };
+        let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
+        Study::run(ds, &config, &names, &Telemetry::noop()).map_err(|e| e.to_string())?
     };
-    let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
-    let (study, ds) =
-        Study::run(ds, &config, &names, &Telemetry::noop()).map_err(|e| e.to_string())?;
     if let Some(report) = &study.sanitize {
         report_sanitize(report);
     }

@@ -3,9 +3,9 @@
 //!
 //! One [`run_config`] call is one end-to-end exercise of a
 //! [`ChaosConfig`]: simulate a corpus, push it through every armed
-//! fault plane (flaky streamed ingest, torn caches, data corruption,
-//! exec faults under supervision, torn checkpoints),
-//! and record what happened as [`RunArtifacts`]. [`run_campaign`] runs
+//! fault plane (flaky streamed ingest, torn caches under a cached
+//! study, data corruption, exec faults under supervision, torn
+//! checkpoints), and record what happened as [`RunArtifacts`]. [`run_campaign`] runs
 //! a sampled batch of configs in order, so campaign output depends on
 //! the campaign seed alone.
 
@@ -239,9 +239,12 @@ fn snapshot(study: &Study) -> CoverageNumbers {
     }
 }
 
-/// Torn-cache plane: ingest through a `.tlb` cache, tear the cache,
-/// and verify the tear is detected, the evidence preserved, and the
-/// data never laundered.
+/// Torn-cache plane: study the corpus through a `.tlb` cache the way
+/// `tracelens report --cache` does, tear the cache, study it again, and
+/// verify the tear is detected, the evidence preserved, and neither the
+/// data nor the report laundered. Depending on where the tear falls, the
+/// second study finds it before it starts or part way through its pass
+/// over the streams.
 fn check_torn_cache(cfg: &ChaosConfig, text: &[u8]) -> Result<(), String> {
     let dir = scratch_dir(cfg, "cache");
     let result = check_torn_cache_in(cfg, text, &dir);
@@ -250,13 +253,18 @@ fn check_torn_cache(cfg: &ChaosConfig, text: &[u8]) -> Result<(), String> {
 }
 
 fn check_torn_cache_in(cfg: &ChaosConfig, text: &[u8], dir: &Path) -> Result<(), String> {
-    let noop = Telemetry::noop();
     let corpus = dir.join("corpus.tlt");
     fs::write(&corpus, text).expect("write corpus");
+    let study = |what: &str| {
+        let run = Study::run_cached(&corpus, &StudyConfig::default(), &Telemetry::noop())
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let markdown = render_markdown(&run.study, &run.dataset, &ReportOptions::default());
+        (run, markdown)
+    };
 
-    let (_warm, warm_report) =
-        store::ingest_path(&corpus, true, &noop).expect("clean first ingest");
-    if !warm_report.cache_written {
+    // Cold: no cache yet, so this is the text's report.
+    let (cold, want) = study("clean first study");
+    if !cold.ingest.cache_written {
         return Err("first ingest did not write a cache".to_owned());
     }
 
@@ -272,8 +280,8 @@ fn check_torn_cache_in(cfg: &ChaosConfig, text: &[u8], dir: &Path) -> Result<(),
     drop(handle);
     let torn_bytes = fs::read(&cache).expect("read torn cache");
 
-    let (recovered, report) =
-        store::ingest_path(&corpus, true, &noop).expect("ingest over torn cache");
+    let (recovered, markdown) = study("study over torn cache");
+    let report = &recovered.ingest;
     if report.cache_fallback != Some(CacheFallback::Corrupt) {
         return Err(format!(
             "torn cache was not detected as corrupt (fallback {:?})",
@@ -290,22 +298,27 @@ fn check_torn_cache_in(cfg: &ChaosConfig, text: &[u8], dir: &Path) -> Result<(),
         Err(e) => return Err(format!("quarantined cache unreadable: {e}")),
     }
     let mut round = Vec::new();
-    recovered.write_text(&mut round).expect("in-memory write");
+    recovered
+        .dataset
+        .write_text(&mut round)
+        .expect("in-memory write");
     if round != text {
         return Err("torn cache laundered corruption into the data set".to_owned());
     }
+    if markdown != want {
+        return Err("torn cache changed the report".to_owned());
+    }
 
-    let (reloaded, report) = store::ingest_path(&corpus, true, &noop).expect("ingest after repack");
+    let (reloaded, markdown) = study("study after repack");
+    let report = &reloaded.ingest;
     if report.source != IngestSource::BinaryCache || report.cache_fallback.is_some() {
         return Err(format!(
             "repacked cache did not serve the third load (source {}, fallback {:?})",
             report.source, report.cache_fallback
         ));
     }
-    let mut round = Vec::new();
-    reloaded.write_text(&mut round).expect("in-memory write");
-    if round != text {
-        return Err("repacked cache altered the data set".to_owned());
+    if markdown != want {
+        return Err("repacked cache altered the report".to_owned());
     }
     Ok(())
 }

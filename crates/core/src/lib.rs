@@ -47,7 +47,8 @@ pub use checkpoint::Checkpoint;
 pub use report::{render_markdown, ReportOptions};
 pub use store::{CacheFallback, IngestReport, IngestSource};
 pub use study::{
-    Coverage, ScenarioStudy, Study, StudyConfig, StudyError, CAUSALITY_STAGE, SCENARIO_STAGE,
+    CachedStudy, CachedStudyError, Coverage, ScenarioStudy, Study, StudyConfig, StudyError,
+    CAUSALITY_STAGE, SCENARIO_STAGE,
 };
 
 pub use tracelens_baselines as baselines;

@@ -27,31 +27,26 @@ impl Default for ReportOptions {
 }
 
 /// Renders `study` as a Markdown document. `dataset` is the data set
-/// the study analyzed, as [`Study::run`] hands it back; its stack table
-/// renders the patterns.
+/// the study analyzed, as [`Study::run`] hands it back, or its tables
+/// alone, as [`Study::run_cached`] hands them back after streaming a
+/// cache; its stack table renders the patterns, and its streams are not
+/// read.
 ///
-/// The `Data set:` line states the size of the study's *input*: for a
-/// sanitized study that is the sanitize report's input counts, since
-/// the analyzed survivor may be smaller.
+/// The `Data set:` line states the size of the study's *input*, from
+/// [`Study::coverage`]: for a sanitized study that is the sanitize
+/// report's input counts, since the analyzed survivor may be smaller.
 pub fn render_markdown(study: &Study, dataset: &Dataset, opts: &ReportOptions) -> String {
     let mut out = String::new();
     let pct = |x: f64| format!("{:.1}%", x * 100.0);
 
-    let (traces, instances, events) = match &study.sanitize {
-        Some(r) => (r.input_traces, r.input_instances, r.input_events),
-        None => (
-            dataset.streams.len(),
-            dataset.instances.len(),
-            dataset.total_events(),
-        ),
-    };
+    let cov = &study.coverage;
     let _ = writeln!(out, "# tracelens performance report\n");
     let _ = writeln!(
         out,
-        "Data set: {traces} traces, {instances} scenario instances, {events} events.\n"
+        "Data set: {} traces, {} scenario instances, {} events.\n",
+        cov.total_traces, cov.total_instances, cov.total_events
     );
 
-    let cov = &study.coverage;
     if !cov.is_full() {
         let _ = writeln!(out, "## Coverage\n");
         let _ = writeln!(

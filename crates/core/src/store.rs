@@ -2,16 +2,21 @@
 //!
 //! Two paths:
 //!
-//! 1. **Binary cache** — a `.tlb` columnar image next to the text file
-//!    (see [`tracelens_model::binio`]). Loaded only when its recorded
-//!    fingerprint matches the current text bytes; anything else (torn,
-//!    corrupt, stale, version-skewed) falls back to the text parse and
-//!    is counted, never fatal. The check streams the text through the
+//! 1. **Binary cache** — a `.tlb` columnar image (format 3) next to the
+//!    text file (see [`tracelens_model::binio`]). Used only when its
+//!    recorded fingerprint matches the current text bytes; anything
+//!    else (torn, corrupt, stale, version-skewed — a format-1 or
+//!    format-2 cache included) falls back to the text parse and is
+//!    counted, never fatal. The check streams the text through the
 //!    incremental [`Fingerprinter`] without parsing or holding it. The
 //!    cache is opened once: its header is checked, and on a match the
-//!    payload streams from the same handle through a fixed-size buffer
-//!    into [`Dataset::read_binary_from`], so a hit holds the data set
-//!    and one stream block, never the image.
+//!    payload streams from the same handle through a fixed-size buffer.
+//!    [`ingest_path`] collects it with [`Dataset::read_binary_from`], so
+//!    a hit holds the data set and one stream block, never the image;
+//!    [`Study::run_cached`](crate::Study::run_cached) hands the streams
+//!    to the study one at a time, so `report --cache` holds one stream
+//!    at a time, and falls back to the text if the cache proves corrupt
+//!    part way through.
 //! 2. **Streamed text** — the file streams through a [`RetryingReader`]
 //!    and a fixed-size buffer into [`Dataset::read_text`], so ingest
 //!    memory is the data set, not the data set plus its text. A cache
@@ -104,16 +109,29 @@ pub struct IngestReport {
 }
 
 impl IngestReport {
-    fn new(source: IngestSource, bytes: usize, io_retries: usize, ds: &Dataset) -> IngestReport {
+    fn new(source: IngestSource, bytes: usize, io_retries: usize, events: usize) -> IngestReport {
         IngestReport {
             source,
             bytes,
-            events: ds.total_events(),
+            events,
             io_retries,
             cache_fallback: None,
             cache_written: false,
             cache_quarantined: false,
         }
+    }
+
+    /// The report of a read served by a cache of `bytes` bytes that
+    /// held `events` events, counted as a hit in `telemetry`.
+    pub(crate) fn cache_hit(
+        bytes: usize,
+        events: usize,
+        io_retries: usize,
+        telemetry: &Telemetry,
+    ) -> IngestReport {
+        telemetry.count("ingest.cache_hits", 1);
+        telemetry.count("ingest.events", events as u64);
+        IngestReport::new(IngestSource::BinaryCache, bytes, io_retries, events)
     }
 }
 
@@ -159,7 +177,12 @@ fn stream_text<R: Read>(
     let tap = reader.into_inner();
     telemetry.count("ingest.bytes", tap.bytes as u64);
     telemetry.count("ingest.events", ds.total_events() as u64);
-    let report = IngestReport::new(IngestSource::Text, tap.bytes, tap.inner.retries(), &ds);
+    let report = IngestReport::new(
+        IngestSource::Text,
+        tap.bytes,
+        tap.inner.retries(),
+        ds.total_events(),
+    );
     Ok((ds, report, tap.fingerprint.map(|f| f.finish())))
 }
 
@@ -212,11 +235,15 @@ pub fn ingest_fingerprinted<R: Read>(
 ///
 /// With `cache` set, the sibling cache path ([`cache_path_for`]) is
 /// consulted first: when its header records a fingerprint, the text is
-/// streamed once to fingerprint it, and a match loads the cache
-/// directly. A missing, stale, or corrupt cache is counted in the
-/// report and the text is parsed instead — fingerprinted in the same
-/// pass — after which a fresh cache is written (atomically: temp file +
-/// rename, best-effort) so the next read hits.
+/// streamed once to fingerprint it, and a match loads the whole cache.
+/// A missing, stale, or corrupt cache is counted in the report and the
+/// text is parsed instead — fingerprinted in the same pass — after
+/// which a fresh cache is written (atomically: temp file + rename,
+/// best-effort) so the next read hits. [`Study::run_cached`] takes the
+/// same steps but streams a usable cache through the study instead of
+/// loading it.
+///
+/// [`Study::run_cached`]: crate::Study::run_cached
 ///
 /// # Errors
 ///
@@ -228,47 +255,94 @@ pub fn ingest_path(
     telemetry: &Telemetry,
 ) -> Result<(Dataset, IngestReport), ReadError> {
     let _span = telemetry.span(stage::INGEST);
-    let mut file = File::open(path).map_err(ReadError::Io)?;
     if !cache {
+        let file = File::open(path).map_err(ReadError::Io)?;
         let (ds, report, _) = stream_text(&file, false, telemetry)?;
         return Ok((ds, report));
     }
-
-    let cache_path = cache_path_for(path);
-    let mut check_retries = 0;
-    let fallback = match open_cache(&cache_path) {
+    let (text, cache) = open_cached(path)?;
+    let fallback = match cache {
+        Ok(cache) => match cache.load(text.retries, telemetry) {
+            Some(hit) => return Ok(hit),
+            None => CacheFallback::Corrupt,
+        },
         Err(fallback) => fallback,
+    };
+    text.parse(fallback, telemetry)
+}
+
+/// A text file opened for a cached read: what parsing it after a cache
+/// miss needs.
+pub(crate) struct CachedText {
+    file: File,
+    cache_path: PathBuf,
+    /// Reads retried while fingerprinting the text.
+    pub(crate) retries: usize,
+}
+
+/// Opens the text at `path` and its cache ([`cache_path_for`]). When the
+/// cache's header records a fingerprint, the text is streamed once to
+/// fingerprint it; the cache comes back open when the two match, and
+/// otherwise the reason it cannot be used.
+///
+/// # Errors
+///
+/// I/O errors opening or reading the text.
+pub(crate) fn open_cached(
+    path: &Path,
+) -> Result<(CachedText, Result<OpenCache, CacheFallback>), ReadError> {
+    let file = File::open(path).map_err(ReadError::Io)?;
+    let cache_path = cache_path_for(path);
+    let mut retries = 0;
+    let cache = match open_cache(&cache_path) {
+        Err(fallback) => Err(fallback),
         Ok(cache) => {
-            let (fingerprint, retries) = fingerprint_text(&file).map_err(ReadError::Io)?;
-            check_retries = retries;
-            if fingerprint != cache.fingerprint {
-                CacheFallback::Stale
-            } else if let Some((ds, cache_bytes)) = load_cache(cache) {
-                telemetry.count("ingest.cache_hits", 1);
-                telemetry.count("ingest.events", ds.total_events() as u64);
-                let report =
-                    IngestReport::new(IngestSource::BinaryCache, cache_bytes, check_retries, &ds);
-                return Ok((ds, report));
+            let (fingerprint, check_retries) = fingerprint_text(&file).map_err(ReadError::Io)?;
+            retries = check_retries;
+            if fingerprint == cache.fingerprint {
+                Ok(cache)
             } else {
-                CacheFallback::Corrupt
+                Err(CacheFallback::Stale)
             }
         }
     };
+    let text = CachedText {
+        file,
+        cache_path,
+        retries,
+    };
+    Ok((text, cache))
+}
 
-    file.rewind().map_err(ReadError::Io)?;
-    let (ds, mut report, fingerprint) = stream_text(&file, true, telemetry)?;
-    let fingerprint = fingerprint.expect("the tap was asked to fingerprint");
-    report.io_retries += check_retries;
-    report.cache_fallback = Some(fallback);
-    telemetry.count("ingest.cache_fallbacks", 1);
-    if fallback == CacheFallback::Corrupt {
-        report.cache_quarantined = quarantine_cache(&cache_path);
-        if report.cache_quarantined {
-            telemetry.count("ingest.cache_quarantined", 1);
+impl CachedText {
+    /// Parses the text because the cache could not be used, for
+    /// `fallback`: the text is fingerprinted in the same pass, a corrupt
+    /// cache is quarantined, and a fresh cache is written (atomically:
+    /// temp file + rename, best-effort) so the next read hits.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors reading the text and parse errors.
+    pub(crate) fn parse(
+        mut self,
+        fallback: CacheFallback,
+        telemetry: &Telemetry,
+    ) -> Result<(Dataset, IngestReport), ReadError> {
+        self.file.rewind().map_err(ReadError::Io)?;
+        let (ds, mut report, fingerprint) = stream_text(&self.file, true, telemetry)?;
+        let fingerprint = fingerprint.expect("the tap was asked to fingerprint");
+        report.io_retries += self.retries;
+        report.cache_fallback = Some(fallback);
+        telemetry.count("ingest.cache_fallbacks", 1);
+        if fallback == CacheFallback::Corrupt {
+            report.cache_quarantined = quarantine_cache(&self.cache_path);
+            if report.cache_quarantined {
+                telemetry.count("ingest.cache_quarantined", 1);
+            }
         }
+        report.cache_written = write_cache(&self.cache_path, &ds, fingerprint).is_ok();
+        Ok((ds, report))
     }
-    report.cache_written = write_cache(&cache_path, &ds, fingerprint).is_ok();
-    Ok((ds, report))
 }
 
 /// Where a corrupt cache is preserved: `corpus.tlb` →
@@ -290,12 +364,16 @@ pub fn cache_path_for(path: &Path) -> PathBuf {
 }
 
 /// A cache file opened once, its header read and set aside.
-struct OpenCache {
+pub(crate) struct OpenCache {
     file: File,
     header: [u8; HEADER_LEN],
     /// The source fingerprint the header records.
     fingerprint: u64,
 }
+
+/// The whole of a cache file, header first, as [`OpenCache::input`]
+/// reads it.
+pub(crate) type CacheInput = BufReader<io::Chain<io::Cursor<[u8; HEADER_LEN]>, File>>;
 
 /// Opens the cache and reads the source fingerprint from its header
 /// alone: [`CacheFallback::Missing`] when there is no cache file,
@@ -314,16 +392,27 @@ fn open_cache(cache_path: &Path) -> Result<OpenCache, CacheFallback> {
     })
 }
 
-/// Streams the whole cache, header first, through a fixed-size buffer
-/// on the handle [`open_cache`] opened; `None` if it no longer reads
-/// back as an image of the text with the fingerprint its header
-/// recorded. Returns the data set and the cache file's length.
-fn load_cache(cache: OpenCache) -> Option<(Dataset, usize)> {
-    let len = cache.file.metadata().ok()?.len();
-    let input = BufReader::with_capacity(READ_BUF, (&cache.header[..]).chain(cache.file));
-    match Dataset::read_binary_from(input) {
-        Ok((ds, recorded)) if recorded == cache.fingerprint => Some((ds, len as usize)),
-        _ => None,
+impl OpenCache {
+    /// The whole cache, header first, streaming through a fixed-size
+    /// buffer on the handle [`open_cache`] opened, and the cache file's
+    /// length.
+    pub(crate) fn input(self) -> io::Result<(CacheInput, usize)> {
+        let len = self.file.metadata()?.len();
+        let input = io::Cursor::new(self.header).chain(self.file);
+        Ok((BufReader::with_capacity(READ_BUF, input), len as usize))
+    }
+
+    /// Loads the whole data set, as [`ingest_path`] does on a hit; `None`
+    /// if the cache does not read back as an intact image.
+    pub(crate) fn load(
+        self,
+        io_retries: usize,
+        telemetry: &Telemetry,
+    ) -> Option<(Dataset, IngestReport)> {
+        let (input, bytes) = self.input().ok()?;
+        let (ds, _) = Dataset::read_binary_from(input).ok()?;
+        let report = IngestReport::cache_hit(bytes, ds.total_events(), io_retries, telemetry);
+        Some((ds, report))
     }
 }
 

@@ -1,17 +1,31 @@
 //! The full-evaluation driver: the paper's workflow over one data set.
+//!
+//! One driver serves two routes. [`Study::run`] feeds it a data set held
+//! in memory. [`Study::run_cached`] feeds it a warm `.tlb` cache one
+//! stream at a time, so the events of one stream are alive at once; a
+//! cache that turns out corrupt part way through is dropped with the
+//! partial study, and the text is parsed and studied in memory instead.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tracelens_causality::{
     CausalityAnalysis, CausalityConfig, CausalityError, CausalityReport, ClassAggregators,
 };
 use tracelens_faults::ExecFaultPlan;
-use tracelens_impact::{fold, instances_by_stream, ImpactAnalyzer, ImpactReport, InstanceRecord};
-use tracelens_model::{ComponentFilter, Dataset, SanitizeReport, ScenarioName};
+use tracelens_impact::{fold, instances_by_trace, ImpactAnalyzer, ImpactReport, InstanceRecord};
+use tracelens_model::binio::BinReader;
+use tracelens_model::textio::ReadError;
+use tracelens_model::{
+    BinReadError, ComponentFilter, Dataset, SanitizeReport, ScenarioName, TraceStream,
+    ValidationError, Validator,
+};
 use tracelens_obs::{stage, Telemetry};
 
+use crate::store::{self, CacheFallback, IngestReport, OpenCache};
 use crate::supervise::{ExecutionReport, Supervisor, UnitMeta};
 
 /// Stage label of per-scenario supervised work units.
@@ -109,6 +123,51 @@ impl std::error::Error for StudyError {
     }
 }
 
+/// Why [`Study::run_cached`] produced no study.
+#[derive(Debug)]
+pub enum CachedStudyError {
+    /// The text could not be opened, read or parsed.
+    Read(ReadError),
+    /// The study itself failed, as [`Study::run`] can.
+    Study(StudyError),
+}
+
+impl fmt::Display for CachedStudyError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CachedStudyError::Read(e) => e.fmt(f),
+            CachedStudyError::Study(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for CachedStudyError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CachedStudyError::Read(e) => Some(e),
+            CachedStudyError::Study(e) => Some(e),
+        }
+    }
+}
+
+/// A study of a `.tlt` file read through its `.tlb` cache: what
+/// [`Study::run_cached`] returns.
+#[derive(Debug)]
+pub struct CachedStudy {
+    /// The study of every scenario the data set defines.
+    pub study: Study,
+    /// What [`render_markdown`](crate::render_markdown) renders the
+    /// study against: the analyzed data set, or, when the study streamed
+    /// the cache, its tables alone (no streams).
+    pub dataset: Dataset,
+    /// How the input was read: from the cache, or from the text after a
+    /// cache fallback.
+    pub ingest: IngestReport,
+    /// The input's validation verdict, as [`Dataset::validate`] gives it
+    /// for the data set as read (before any sanitizing).
+    pub validation: Result<(), ValidationError>,
+}
+
 /// Per-scenario results of a study.
 #[derive(Debug, Clone)]
 pub struct ScenarioStudy {
@@ -139,6 +198,8 @@ pub struct Coverage {
     pub total_instances: usize,
     /// Scenario instances the analyses actually saw.
     pub analyzed_instances: usize,
+    /// Events in the input data set.
+    pub total_events: usize,
     /// Trace streams quarantined by sanitization.
     pub quarantined_traces: usize,
     /// Scenario instances quarantined by sanitization (directly — not
@@ -153,14 +214,16 @@ pub struct Coverage {
 }
 
 impl Coverage {
-    /// Full coverage over `dataset`: nothing quarantined, nothing
-    /// repaired.
-    pub fn full(dataset: &Dataset) -> Coverage {
+    /// Full coverage of an input of `traces` streams, `instances`
+    /// scenario instances and `events` events: nothing quarantined,
+    /// nothing repaired.
+    fn full(traces: usize, instances: usize, events: usize) -> Coverage {
         Coverage {
-            total_traces: dataset.streams.len(),
-            analyzed_traces: dataset.streams.len(),
-            total_instances: dataset.instances.len(),
-            analyzed_instances: dataset.instances.len(),
+            total_traces: traces,
+            analyzed_traces: traces,
+            total_instances: instances,
+            analyzed_instances: instances,
+            total_events: events,
             quarantined_traces: 0,
             quarantined_instances: 0,
             repaired: 0,
@@ -175,6 +238,7 @@ impl Coverage {
             analyzed_traces: report.input_traces - report.quarantined_traces,
             total_instances: report.input_instances,
             analyzed_instances: report.input_instances - report.quarantined_instances,
+            total_events: report.input_events,
             quarantined_traces: report.quarantined_traces,
             quarantined_instances: report.quarantined_instances,
             repaired: report.repaired(),
@@ -230,18 +294,20 @@ impl Study {
     /// that needs the raw input afterwards passes a clone.
     ///
     /// The study then makes one pass over the streams (see
-    /// `stream_pass`): each stream's Wait Graphs are built
-    /// once, as one `StreamGraph`, and each instance is accounted once
-    /// into an impact record and fed once to its scenario's fast or slow
-    /// AWG. Global impact is the fold of all records; each scenario unit
-    /// folds its own records and finishes and mines its fed aggregators.
+    /// `stream_pass`), the pass [`Study::run_cached`] makes over a
+    /// cache: each stream's Wait Graphs are built once, as one
+    /// `StreamGraph`, and each instance is accounted once into an impact
+    /// record and fed once to its scenario's fast or slow AWG. Global
+    /// impact is the fold of all records; each scenario unit folds its
+    /// own records and finishes and mines its fed aggregators.
     ///
     /// Every work unit (per-stream accounting, per-scenario analysis)
     /// runs once, supervised: a panicking unit is quarantined and
     /// recorded in [`Study::execution`] instead of aborting the study.
     /// With [`StudyConfig::checkpoint`] set, completed units are
-    /// persisted and re-runs over the same inputs resume. The run is wrapped in a `study` span and every
-    /// stage reports spans and counters through `telemetry`;
+    /// persisted and re-runs over the same inputs resume. The run is
+    /// wrapped in a `study` span and every stage reports spans and
+    /// counters through `telemetry`;
     /// `Telemetry::noop()` collects nothing.
     ///
     /// # Errors
@@ -282,27 +348,154 @@ impl Study {
         } else {
             (dataset, None)
         };
-        let study = Study::analyze(&dataset, config, names, telemetry, sanitize)?;
+        let study = Study::analyze(
+            &dataset,
+            dataset.streams.iter().map(Ok::<_, Infallible>),
+            config,
+            names,
+            telemetry,
+            sanitize,
+        )
+        .map_err(|halt| match halt {
+            Halt::Study(e) => e,
+            Halt::Source(never) => match never {},
+        })?;
         Ok((study, dataset))
     }
 
-    /// The body of [`Study::run`] after sanitizing: the analyses over
-    /// `dataset`, with `sanitize` the report of the pass that produced
-    /// it, if any.
-    fn analyze(
-        dataset: &Dataset,
+    /// Studies the `.tlt` file at `path` through its `.tlb` cache
+    /// ([`store::cache_path_for`]), for every scenario the data set
+    /// defines, in table order: what `tracelens report --cache` runs.
+    ///
+    /// The cache is used when its header records the text's
+    /// fingerprint. Then, unless `config` sanitizes or checkpoints, the
+    /// study streams it: the cache's tables are read first, and each
+    /// stream is decoded, validated, indexed, built, accounted and
+    /// aggregated, and dropped before the next one is read, so one
+    /// stream's events are in memory at a time. The payload checksum is
+    /// known only after the last stream; a cache that fails it, or any
+    /// other check, part way through is treated like one that failed
+    /// before the study began: the partial study is dropped, the cache
+    /// is quarantined, and the text is parsed, repacked and studied in
+    /// memory. A sanitizing or checkpointing study loads a usable cache
+    /// whole. Missing, stale and corrupt caches take the text path, as
+    /// in [`store::ingest_path`].
+    ///
+    /// # Errors
+    ///
+    /// [`CachedStudyError::Read`] when the text cannot be read or
+    /// parsed (cache problems are never errors);
+    /// [`CachedStudyError::Study`] as [`Study::run`].
+    pub fn run_cached(
+        path: &Path,
+        config: &StudyConfig,
+        telemetry: &Telemetry,
+    ) -> Result<CachedStudy, CachedStudyError> {
+        let (text, cache) = {
+            let _span = telemetry.span(stage::INGEST);
+            store::open_cached(path).map_err(CachedStudyError::Read)?
+        };
+        let streamed = !config.sanitize && config.checkpoint.is_none();
+        let fallback = match cache {
+            Ok(cache) if streamed => {
+                match Study::stream_cached(cache, text.retries, config, telemetry) {
+                    Ok(run) => return Ok(run),
+                    Err(Halt::Study(e)) => return Err(CachedStudyError::Study(e)),
+                    Err(Halt::Source(_)) => CacheFallback::Corrupt,
+                }
+            }
+            Ok(cache) => match cache.load(text.retries, telemetry) {
+                Some((ds, ingest)) => return Study::run_loaded(ds, ingest, config, telemetry),
+                None => CacheFallback::Corrupt,
+            },
+            Err(fallback) => fallback,
+        };
+        let (ds, ingest) = {
+            let _span = telemetry.span(stage::INGEST);
+            text.parse(fallback, telemetry)
+                .map_err(CachedStudyError::Read)?
+        };
+        Study::run_loaded(ds, ingest, config, telemetry)
+    }
+
+    /// [`Study::run_cached`] over a data set in memory: validated, then
+    /// studied by [`Study::run`].
+    fn run_loaded(
+        ds: Dataset,
+        ingest: IngestReport,
+        config: &StudyConfig,
+        telemetry: &Telemetry,
+    ) -> Result<CachedStudy, CachedStudyError> {
+        let validation = ds.validate();
+        let names = scenario_names(&ds);
+        let (study, dataset) =
+            Study::run(ds, config, &names, telemetry).map_err(CachedStudyError::Study)?;
+        Ok(CachedStudy {
+            study,
+            dataset,
+            ingest,
+            validation,
+        })
+    }
+
+    /// [`Study::run_cached`] streaming a fingerprint-matching cache, one
+    /// stream at a time; [`Halt::Source`] when the cache turns out not
+    /// to be an intact image.
+    fn stream_cached(
+        cache: OpenCache,
+        io_retries: usize,
+        config: &StudyConfig,
+        telemetry: &Telemetry,
+    ) -> Result<CachedStudy, Halt<BinReadError>> {
+        let (tables, streams, bytes) = {
+            let _span = telemetry.span(stage::INGEST);
+            let (input, bytes) = cache
+                .input()
+                .map_err(|e| Halt::Source(BinReadError::Io(e.kind())))?;
+            let (tables, streams) = BinReader::new(input).map_err(Halt::Source)?;
+            (tables, streams, bytes)
+        };
+        let names = scenario_names(&tables);
+        let mut validator = Validator::new(&tables);
+        let streams = streams.map(|stream| stream.inspect(|s| validator.stream(s)));
+        let study = Study::analyze(&tables, streams, config, &names, telemetry, None)?;
+        let validation = validator.finish();
+        let ingest =
+            IngestReport::cache_hit(bytes, study.coverage.total_events, io_retries, telemetry);
+        Ok(CachedStudy {
+            study,
+            dataset: tables,
+            ingest,
+            validation,
+        })
+    }
+
+    /// The driver both routes share: the analyses over the scenario,
+    /// stack and instance tables of `tables` and the streams `streams`
+    /// yields, in order, with `sanitize` the report of the pass that
+    /// produced them, if any. The streams of `tables` are not read, and
+    /// every item of `streams` is drawn, so a source that verifies
+    /// itself at its end (a [`BinReader`]) has been verified when the
+    /// study comes back. The first error the source yields stops the
+    /// study.
+    ///
+    /// A checkpoint fingerprints the whole data set, so a checkpointed
+    /// study must be given it whole: its streams in `tables` as well.
+    fn analyze<S: Borrow<TraceStream>, E>(
+        tables: &Dataset,
+        streams: impl Iterator<Item = Result<S, E>>,
         config: &StudyConfig,
         names: &[ScenarioName],
         telemetry: &Telemetry,
         sanitize: Option<SanitizeReport>,
-    ) -> Result<Study, StudyError> {
+    ) -> Result<Study, Halt<E>> {
         let _span = telemetry.span(stage::STUDY);
         let supervisor = Supervisor::new(telemetry);
         let faults = config.exec_faults.filter(|p| p.is_armed());
         let checkpoint = match &config.checkpoint {
             Some(dir) => {
                 let _span = telemetry.span(stage::CHECKPOINT);
-                let fp = crate::checkpoint::fingerprint(dataset, config, names);
+                let fp = crate::checkpoint::fingerprint(tables, config, names);
                 Some(
                     crate::checkpoint::Checkpoint::open(dir, fp).map_err(|source| {
                         StudyError::Checkpoint {
@@ -349,11 +542,20 @@ impl Study {
         let mut classes: Vec<Option<Result<ClassAggregators<'_>, CausalityError>>> = names
             .iter()
             .enumerate()
-            .map(|(i, name)| (!restored.contains_key(&i)).then(|| causality.prepare(dataset, name)))
+            .map(|(i, name)| (!restored.contains_key(&i)).then(|| causality.prepare(tables, name)))
             .collect();
+        // The input's size, counted as the streams go by.
+        let (mut traces, mut events) = (0, 0);
+        let mut streams = streams.inspect(|stream| {
+            if let Ok(stream) = stream {
+                traces += 1;
+                events += stream.borrow().len();
+            }
+        });
         let pass = if saved_impact.is_none() || classes.iter().any(Option::is_some) {
             stream_pass(
-                dataset,
+                tables,
+                &mut streams,
                 names,
                 &mut classes,
                 &analyzer,
@@ -361,9 +563,13 @@ impl Study {
                 faults,
                 telemetry,
             )
+            .map_err(Halt::Source)?
         } else {
             StreamPass::default()
         };
+        for stream in streams {
+            stream.map_err(Halt::Source)?;
+        }
 
         let mut execution = ExecutionReport::default();
         let impact = match saved_impact {
@@ -393,7 +599,7 @@ impl Study {
         };
         execution.absorb(pass.execution);
 
-        let per_scenario = dataset.instance_counts();
+        let per_scenario = tables.instance_counts();
         let mut scenario_exec = ExecutionReport::default();
         let mut scenarios: BTreeMap<ScenarioName, ScenarioStudy> = BTreeMap::new();
         for (idx, (name, classes)) in names.iter().zip(classes).enumerate() {
@@ -412,7 +618,7 @@ impl Study {
                         if let Some(p) = faults {
                             p.arm(SCENARIO_STAGE, &format!("scenario:{name}"));
                         }
-                        scenario_study(dataset, name, &pass.records, &causality, classes, telemetry)
+                        scenario_study(tables, name, &pass.records, &causality, classes, telemetry)
                     }
                 },
             );
@@ -436,7 +642,7 @@ impl Study {
             failed_units: execution.quarantined(),
             ..match &sanitize {
                 Some(report) => Coverage::from_sanitize(report),
-                None => Coverage::full(dataset),
+                None => Coverage::full(traces, tables.instances.len(), events),
             }
         };
         Ok(Study {
@@ -446,6 +652,26 @@ impl Study {
             execution,
             sanitize,
         })
+    }
+}
+
+/// Every scenario `dataset` defines, in table order: the scenarios a
+/// report studies.
+fn scenario_names(dataset: &Dataset) -> Vec<ScenarioName> {
+    dataset.scenarios.iter().map(|s| s.name).collect()
+}
+
+/// Why [`Study::analyze`] stopped short of a study.
+enum Halt<E> {
+    /// The stream source failed; `E` says how.
+    Source(E),
+    /// The study failed, as [`Study::run`] can.
+    Study(StudyError),
+}
+
+impl<E> From<StudyError> for Halt<E> {
+    fn from(e: StudyError) -> Halt<E> {
+        Halt::Study(e)
     }
 }
 
@@ -461,8 +687,10 @@ struct StreamPass<'a> {
     lost: BTreeSet<ScenarioName>,
 }
 
-/// The study's one pass over the streams, in stream order. Each stream
-/// is one supervised unit (`stream:N`, stage `impact`) that indexes the
+/// The study's one pass over the streams, in the order `streams` yields
+/// them; each stream is dropped before the next is drawn. Each stream
+/// with instances (those of `tables` whose trace is its id) is one
+/// supervised unit (`stream:N`, stage `impact`) that indexes the
 /// stream, builds its instances' Wait Graphs as one `StreamGraph`
 /// (sharing the wait subtrees several instances reach) and accounts each
 /// instance into an impact record. Only after the unit succeeded are its
@@ -474,15 +702,21 @@ struct StreamPass<'a> {
 /// A quarantined stream's instances are dropped from every consumer:
 /// they leave no record and feed no aggregator, and their classes
 /// forget them.
-fn stream_pass<'a>(
-    dataset: &'a Dataset,
+///
+/// # Errors
+///
+/// The first error `streams` yields, which ends the pass.
+#[allow(clippy::too_many_arguments)]
+fn stream_pass<'a, S: Borrow<TraceStream>, E>(
+    tables: &'a Dataset,
+    streams: impl Iterator<Item = Result<S, E>>,
     names: &[ScenarioName],
     classes: &mut [Option<Result<ClassAggregators<'a>, CausalityError>>],
     analyzer: &ImpactAnalyzer,
     supervisor: &Supervisor,
     faults: Option<ExecFaultPlan>,
     telemetry: &Telemetry,
-) -> StreamPass<'a> {
+) -> Result<StreamPass<'a>, E> {
     // The entries of `classes` each scenario's graphs feed.
     let mut feeds: BTreeMap<ScenarioName, Vec<usize>> = BTreeMap::new();
     for (slot, (name, fed)) in names.iter().zip(classes.iter()).enumerate() {
@@ -490,9 +724,15 @@ fn stream_pass<'a>(
             feeds.entry(*name).or_default().push(slot);
         }
     }
-    let view = dataset.stacks.filter_view(analyzer.filter());
+    let view = tables.stacks.filter_view(analyzer.filter());
+    let by_trace = instances_by_trace(&tables.instances, |_| true);
     let mut pass = StreamPass::default();
-    for (stream, instances) in instances_by_stream(dataset, |_| true) {
+    for stream in streams {
+        let stream = stream?;
+        let stream = stream.borrow();
+        let Some(instances) = by_trace.get(&stream.id()) else {
+            continue;
+        };
         let unit = format!("stream:{}", stream.id().0);
         let output = supervisor.run(
             &mut pass.execution,
@@ -506,12 +746,12 @@ fn stream_pass<'a>(
                 if let Some(p) = faults {
                     p.arm(stage::IMPACT, &unit);
                 }
-                analyzer.account_stream(stream, &instances, &view)
+                analyzer.account_stream(stream, instances, &view)
             },
         );
         let _span = telemetry.span(stage::AGGREGATE);
         let Some((records, graph)) = output else {
-            for &instance in &instances {
+            for &instance in instances {
                 pass.lost.insert(instance.scenario);
                 for &slot in feeds.get(&instance.scenario).into_iter().flatten() {
                     if let Some(Ok(c)) = &mut classes[slot] {
@@ -530,7 +770,7 @@ fn stream_pass<'a>(
         }
         pass.records.extend(records);
     }
-    pass
+    Ok(pass)
 }
 
 /// One scenario unit's results: its impact and its slow class's impact

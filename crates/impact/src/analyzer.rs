@@ -248,15 +248,26 @@ pub fn instances_by_stream(
     dataset: &Dataset,
     keep: impl Fn(&ScenarioInstance) -> bool,
 ) -> Vec<(&TraceStream, Vec<&ScenarioInstance>)> {
-    let mut by_trace: HashMap<TraceId, Vec<&ScenarioInstance>> = HashMap::new();
-    for i in dataset.instances.iter().filter(|i| keep(i)) {
-        by_trace.entry(i.trace).or_default().push(i);
-    }
+    let by_trace = instances_by_trace(&dataset.instances, keep);
     dataset
         .streams
         .iter()
         .filter_map(|s| by_trace.get(&s.id()).map(|group| (s, group.clone())))
         .collect()
+}
+
+/// The instances satisfying `keep`, grouped by trace id, each group in
+/// instance order: [`instances_by_stream`] for a reader that meets the
+/// streams one at a time and looks each one's group up by its id.
+pub fn instances_by_trace(
+    instances: &[ScenarioInstance],
+    keep: impl Fn(&ScenarioInstance) -> bool,
+) -> HashMap<TraceId, Vec<&ScenarioInstance>> {
+    let mut by_trace: HashMap<TraceId, Vec<&ScenarioInstance>> = HashMap::new();
+    for i in instances.iter().filter(|i| keep(i)) {
+        by_trace.entry(i.trace).or_default().push(i);
+    }
+    by_trace
 }
 
 #[cfg(test)]

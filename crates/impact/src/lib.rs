@@ -33,7 +33,7 @@ mod breakdown;
 mod record;
 mod report;
 
-pub use analyzer::{instances_by_stream, ImpactAnalyzer};
+pub use analyzer::{instances_by_stream, instances_by_trace, ImpactAnalyzer};
 pub use breakdown::{breakdown, Breakdown};
 pub use record::{fold, InstanceRecord};
 pub use report::ImpactReport;

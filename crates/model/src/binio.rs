@@ -10,44 +10,54 @@
 //! re-analyzed far more often than it is collected, so the pack cost is
 //! paid once and every later run starts at column-read speed.
 //!
-//! ## Layout (format 2)
+//! ## Layout (format 3)
 //!
 //! ```text
 //! header (32 bytes)
 //!   magic      "TLB!"          4 bytes
 //!   version    u32             bumped on any layout change
-//!   fingerprint u64            FNV-1a of the *source text* bytes
+//!   fingerprint u64            fingerprint_bytes of the *source text*
 //!   payload_len u64
-//!   checksum   u64             FNV-1a of the payload bytes
+//!   checksum   u64             fingerprint_bytes of the payload bytes
 //! payload (all integers little-endian)
 //!   symbols    count, then per symbol: len + UTF-8 bytes
 //!   stacks     count, frame-count column, flat frame-symbol column
 //!   names      scenario-name table (count, then len + bytes each)
 //!   scenarios  name-index, t_fast, t_slow columns
+//!   instances  count, then trace, tid, t0, t1, name-index columns
 //!   streams    count, then one block per stream:
 //!                id u32, event count u64, the event columns
 //!                kind u8 / tid u32 / pid u32 / t u64 / cost u64 /
 //!                stack u32, a wtid presence bitmap, the wtid count
 //!                u32, the packed wtid values
-//!   instances  trace, tid, t0, t1, name-index columns
 //! ```
+//!
+//! Both fingerprints are [`fingerprint_bytes`]: FNV-1a's multiply
+//! folded over 8-byte words in four interleaved lanes, not byte-wise
+//! FNV-1a.
 //!
 //! Both directions stream. [`Dataset::write_binary`] writes to any
 //! [`Write`], one stream block at a time; a first pass that writes
 //! nothing computes the header's payload length and checksum.
-//! [`Dataset::read_binary_from`] reads from any [`Read`] and checksums
-//! the payload as it arrives, so neither direction holds the whole
-//! image: memory is the data set plus one stream block.
+//! [`BinReader`] reads from any [`Read`] and checksums the payload as it
+//! arrives: it hands back every table first, the instances included,
+//! and then one decoded stream at a time, so a consumer that analyzes a
+//! stream and drops it holds one stream, never the events of the whole
+//! image. [`Dataset::read_binary_from`] is that reader, collected.
+//! Format 2, which put the instances after the streams, is read as a
+//! version skew: the cache layer repacks it once.
 //!
 //! The fingerprint identifies *which text* a cache was packed from; the
 //! checksum proves the payload arrived intact. A reader rejects any
 //! torn, bit-flipped, or version-skewed file with a typed
 //! [`BinReadError`] — callers (the `--cache` layer) then fall back to
-//! the text parse. Every count is bounded by the payload bytes not yet
-//! read before anything is allocated for it. Reading is loss-free even
-//! for data sets that would fail validation (unsorted streams, dangling
-//! stack ids survive a round trip unchanged), so packing never launders
-//! corruption.
+//! the text parse. The checksum is known only at the end of the
+//! payload, so a streamed consumer must not act on what it read until
+//! the reader is exhausted without an error. Every count is bounded by
+//! the payload bytes not yet read before anything is allocated for it.
+//! Reading is loss-free even for data sets that would fail validation
+//! (unsorted streams, dangling stack ids survive a round trip
+//! unchanged), so packing never launders corruption.
 
 use crate::dataset::Dataset;
 use crate::event::{Event, EventKind};
@@ -66,18 +76,20 @@ pub const MAGIC: [u8; 4] = *b"TLB!";
 
 /// Current binary format version; bumped on any layout change, so a
 /// reader never mis-parses a cache written by a different build.
-pub const BIN_FORMAT_VERSION: u32 = 2;
+pub const BIN_FORMAT_VERSION: u32 = 3;
 
 /// Header length in bytes (magic + version + fingerprint + payload
 /// length + checksum).
 pub const HEADER_LEN: usize = 32;
 
-/// FNV-1a 64 folded over 8-byte little-endian words (the final partial
-/// word zero-padded, the input length mixed in last) — used both as the
-/// source-content fingerprint and as the payload checksum. Word folding
-/// keeps the multiply chain an eighth as long as byte-wise FNV, which
-/// matters because every cached ingest fingerprints the full source
-/// text and every binary load checksums the full payload.
+/// FNV-1a's xor-and-multiply step folded over 8-byte little-endian
+/// words in four interleaved lanes (the lanes combined at the end, the
+/// final partial word zero-padded, the input length mixed in last) —
+/// used both as the source-content fingerprint and as the payload
+/// checksum. It is not byte-wise FNV-1a: word folding keeps the
+/// multiply chain an eighth as long, and the lanes let four chains run
+/// at once, which matters because every cached ingest fingerprints the
+/// full source text and every binary load checksums the full payload.
 ///
 /// The one-shot form of [`Fingerprinter`].
 pub fn fingerprint_bytes(bytes: &[u8]) -> u64 {
@@ -528,8 +540,8 @@ impl Dataset {
         self.write_payload(&mut out)
     }
 
-    /// Writes the payload: the tables, then one block per stream, then
-    /// the instances.
+    /// Writes the payload: the tables and the instances, then one block
+    /// per stream.
     fn write_payload(&self, out: &mut impl Write) -> io::Result<()> {
         let mut buf = Vec::new();
 
@@ -582,17 +594,7 @@ impl Dataset {
             put_u64(&mut buf, s.thresholds.slow().as_nanos());
         }
 
-        // Streams, one block each.
-        put_u32(&mut buf, self.streams.len() as u32);
-        out.write_all(&buf)?;
-        for stream in &self.streams {
-            buf.clear();
-            put_block(&mut buf, stream);
-            out.write_all(&buf)?;
-        }
-
         // Instances: trace, tid, t0, t1, name-index columns.
-        buf.clear();
         put_u32(&mut buf, self.instances.len() as u32);
         for i in &self.instances {
             put_u32(&mut buf, i.trace.0);
@@ -609,7 +611,16 @@ impl Dataset {
         for i in &self.instances {
             put_u32(&mut buf, name_idx[i.scenario.as_str()]);
         }
-        out.write_all(&buf)
+
+        // Streams, one block each.
+        put_u32(&mut buf, self.streams.len() as u32);
+        out.write_all(&buf)?;
+        for stream in &self.streams {
+            buf.clear();
+            put_block(&mut buf, stream);
+            out.write_all(&buf)?;
+        }
+        Ok(())
     }
 
     /// Reads a data set from a complete `.tlb` image in memory (see
@@ -623,7 +634,8 @@ impl Dataset {
     }
 
     /// Reads a data set from a `.tlb` stream, returning it together with
-    /// the source fingerprint recorded in the header.
+    /// the source fingerprint recorded in the header: a [`BinReader`]
+    /// with its streams collected.
     ///
     /// One sequential pass: each stream block is read into one reused
     /// buffer and decoded into an event vector of exact capacity, and
@@ -643,38 +655,123 @@ impl Dataset {
     /// derailed the structure first: the rest of the payload is then
     /// read so that the checksum decides. Bytes after the payload are
     /// [`BinReadError::Malformed`].
-    pub fn read_binary_from<R: Read>(mut input: R) -> Result<(Dataset, u64), BinReadError> {
-        let header = Header::read(&mut input)?;
-        let mut payload = Payload {
-            input,
-            left: header.payload_len,
-            checksum: Fingerprinter::new(),
-            buf: Vec::new(),
-            filled: 0,
-        };
-        let decoded = match decode_payload(&mut payload) {
-            Err(e @ (BinReadError::Truncated | BinReadError::Io(_))) => return Err(e),
-            decoded => decoded,
-        };
-        if decoded.is_err() {
-            // A flipped byte can derail the structure before the
-            // checksum sees it: read the rest so that the checksum
-            // decides.
-            payload.drain()?;
+    pub fn read_binary_from<R: Read>(input: R) -> Result<(Dataset, u64), BinReadError> {
+        let (mut ds, mut streams) = BinReader::new(input)?;
+        for stream in &mut streams {
+            ds.streams.push(stream?);
         }
-        if payload.checksum.finish() != header.checksum {
-            return Err(BinReadError::ChecksumMismatch);
-        }
-        let ds = decoded?;
-        if !payload.at_end()? {
-            return Err(BinReadError::Malformed("trailing bytes after payload"));
-        }
-        Ok((ds, header.fingerprint))
+        Ok((ds, streams.fingerprint()))
     }
 }
 
-/// Decodes the payload section by section.
-fn decode_payload<R: Read>(p: &mut Payload<R>) -> Result<Dataset, BinReadError> {
+/// A `.tlb` image read in one sequential pass, one stream at a time.
+///
+/// [`BinReader::new`] reads the header and every table — symbols,
+/// stacks, scenarios and instances — and hands the tables back as a
+/// data set without streams. The reader then yields one decoded stream
+/// per item, in file order. After the last stream it checks that the
+/// payload ends there, that its checksum matches the header's and that
+/// no byte follows it, and yields the error if one of these fails. So a
+/// consumer that drew every item without an error has read an intact
+/// image; until then, what it read may be corrupt. After an error the
+/// reader yields nothing more.
+pub struct BinReader<R> {
+    payload: Payload<R>,
+    header: Header,
+    /// Stream blocks not yet read.
+    streams_left: usize,
+    /// Set once the payload has been verified or an error returned.
+    done: bool,
+}
+
+impl<R: Read> BinReader<R> {
+    /// Reads the header and the tables, returning the tables as a data
+    /// set with no streams, and the reader positioned at the first
+    /// stream block.
+    ///
+    /// # Errors
+    ///
+    /// As [`Dataset::read_binary_from`], for the header and the tables.
+    pub fn new(mut input: R) -> Result<(Dataset, BinReader<R>), BinReadError> {
+        let header = Header::read(&mut input)?;
+        let mut reader = BinReader {
+            payload: Payload {
+                input,
+                left: header.payload_len,
+                checksum: Fingerprinter::new(),
+                buf: Vec::new(),
+                filled: 0,
+            },
+            header,
+            streams_left: 0,
+            done: false,
+        };
+        match decode_tables(&mut reader.payload) {
+            Ok((tables, streams)) => {
+                reader.streams_left = streams;
+                Ok((tables, reader))
+            }
+            Err(e) => Err(reader.fail(e)),
+        }
+    }
+
+    /// The source fingerprint the header records.
+    pub fn fingerprint(&self) -> u64 {
+        self.header.fingerprint
+    }
+
+    /// Stops the read at error `e`. A flipped byte can derail the
+    /// structure before the checksum sees it, so after a structural
+    /// error the rest of the payload is read and the checksum decides.
+    fn fail(&mut self, e: BinReadError) -> BinReadError {
+        self.done = true;
+        if matches!(e, BinReadError::Truncated | BinReadError::Io(_)) {
+            return e;
+        }
+        match self.payload.drain() {
+            Err(e) => e,
+            Ok(()) if self.payload.checksum.finish() != self.header.checksum => {
+                BinReadError::ChecksumMismatch
+            }
+            Ok(()) => e,
+        }
+    }
+
+    /// Checks the payload after its last stream block: it ends there,
+    /// its checksum matches, and the input ends with it.
+    fn verify(&mut self) -> Result<(), BinReadError> {
+        if self.payload.left != 0 {
+            return Err(self.fail(BinReadError::Malformed("trailing bytes in payload")));
+        }
+        self.done = true;
+        if self.payload.checksum.finish() != self.header.checksum {
+            return Err(BinReadError::ChecksumMismatch);
+        }
+        if !self.payload.at_end()? {
+            return Err(BinReadError::Malformed("trailing bytes after payload"));
+        }
+        Ok(())
+    }
+}
+
+impl<R: Read> Iterator for BinReader<R> {
+    type Item = Result<TraceStream, BinReadError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        if self.streams_left == 0 {
+            return self.verify().err().map(Err);
+        }
+        self.streams_left -= 1;
+        Some(decode_block(&mut self.payload).map_err(|e| self.fail(e)))
+    }
+}
+
+/// Decodes the tables, section by section, up to and including the
+/// stream count, which it returns with them.
+fn decode_tables<R: Read>(p: &mut Payload<R>) -> Result<(Dataset, usize), BinReadError> {
     let mut ds = Dataset::new();
 
     // Symbols.
@@ -751,12 +848,6 @@ fn decode_payload<R: Read>(p: &mut Payload<R>) -> Result<Dataset, BinReadError> 
         ));
     }
 
-    // Streams, one block each.
-    let stream_count = p.count(MIN_BLOCK_BYTES)?;
-    for _ in 0..stream_count {
-        ds.streams.push(decode_block(p)?);
-    }
-
     // Instances.
     let inst_count = p.count(INSTANCE_BYTES)? as u64;
     let columns = p.take(INSTANCE_BYTES * inst_count)?;
@@ -782,10 +873,8 @@ fn decode_payload<R: Read>(p: &mut Payload<R>) -> Result<Dataset, BinReadError> 
         });
     }
 
-    if p.left != 0 {
-        return Err(BinReadError::Malformed("trailing bytes in payload"));
-    }
-    Ok(ds)
+    let stream_count = p.count(MIN_BLOCK_BYTES)?;
+    Ok((ds, stream_count))
 }
 
 /// Decodes one stream block into a stream whose event vector has
@@ -996,6 +1085,42 @@ mod tests {
     }
 
     #[test]
+    fn the_reader_yields_the_tables_then_one_stream_at_a_time() {
+        let ds = sample();
+        let image = ds.to_binary(9);
+        let (tables, mut reader) = BinReader::new(&image[..]).unwrap();
+        assert!(tables.streams.is_empty());
+        assert_eq!(tables.instances, ds.instances);
+        assert_eq!(reader.fingerprint(), 9);
+        for want in &ds.streams {
+            let got = reader.next().unwrap().unwrap();
+            assert_eq!(got.id(), want.id());
+            assert_eq!(got.events(), want.events());
+        }
+        assert!(reader.next().is_none(), "an intact image ends cleanly");
+        assert!(reader.next().is_none());
+    }
+
+    #[test]
+    fn a_flip_in_the_last_stream_shows_after_the_last_stream() {
+        // The checksum covers the whole payload, so a flipped timestamp
+        // decodes into a plausible stream and only the end of the read
+        // reports it.
+        let ds = sample();
+        let mut image = ds.to_binary(9);
+        let last = image.len() - 4 * 2 - 1 - 8 * 2;
+        image[last] ^= 0x01;
+        let (_, reader) = BinReader::new(&image[..]).unwrap();
+        let items: Vec<_> = reader.collect();
+        assert_eq!(items.len(), ds.streams.len() + 1);
+        assert!(items[..ds.streams.len()].iter().all(Result::is_ok));
+        assert_eq!(
+            items.last().unwrap().as_ref().unwrap_err(),
+            &BinReadError::ChecksumMismatch
+        );
+    }
+
+    #[test]
     fn header_fingerprint_is_cheap_and_exact() {
         let ds = sample();
         let image = ds.to_binary(0xDEAD_BEEF);
@@ -1053,9 +1178,9 @@ mod tests {
         assert_eq!(header_fingerprint(&image), None);
     }
 
-    /// A checksummed image of no symbols, stacks or scenarios whose
-    /// stream count reads `streams`, followed by one stream block whose
-    /// event count reads `len` and no events.
+    /// A checksummed image of no symbols, stacks, scenarios or
+    /// instances whose stream count reads `streams`, followed by one
+    /// stream block whose event count reads `len` and no events.
     fn image_claiming(streams: u32, len: u64) -> Vec<u8> {
         let mut payload = Vec::new();
         put_u32(&mut payload, 0); // symbols
@@ -1063,11 +1188,11 @@ mod tests {
         put_u64(&mut payload, 0); // frames
         put_u32(&mut payload, 0); // scenario names
         put_u32(&mut payload, 0); // scenarios
+        put_u32(&mut payload, 0); // instances
         put_u32(&mut payload, streams);
         put_u32(&mut payload, 0); // stream id
         put_u64(&mut payload, len);
         put_u32(&mut payload, 0); // wtids
-        put_u32(&mut payload, 0); // instances
         let header = Header {
             fingerprint: 5,
             payload_len: payload.len() as u64,

@@ -53,7 +53,9 @@ pub mod textio;
 mod time;
 mod validate;
 
-pub use binio::{fingerprint_bytes, header_fingerprint, BinReadError, BIN_FORMAT_VERSION};
+pub use binio::{
+    fingerprint_bytes, header_fingerprint, BinReadError, BinReader, BIN_FORMAT_VERSION,
+};
 pub use component::{ComponentFilter, DriverType};
 pub use dataset::Dataset;
 pub use event::{Event, EventKind};
@@ -67,7 +69,7 @@ pub use stack::{FilterView, StackId, StackTable};
 pub use stream::{StreamError, TraceStream, TraceStreamBuilder};
 pub use summary::{DatasetSummary, DurationStats};
 pub use time::TimeNs;
-pub use validate::{ValidationError, Violation};
+pub use validate::{ValidationError, Validator, Violation};
 
 /// The CPU sampling interval used by the tracing infrastructure
 /// (1 millisecond, matching ETW and DTrace as described in the paper §2.1).

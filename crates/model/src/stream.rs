@@ -290,7 +290,11 @@ impl TraceStreamBuilder {
                 }
             }
         }
-        self.events.sort_by_key(|e| e.t);
+        // The text parser's streams arrive in time order; a stable sort
+        // of sorted input would change nothing.
+        if !self.events.is_sorted_by_key(|e| e.t) {
+            self.events.sort_by_key(|e| e.t);
+        }
         Ok(TraceStream {
             id: self.id,
             events: self.events,

@@ -2,11 +2,14 @@
 //!
 //! Analyses assume structural invariants that hold for simulator output
 //! and freshly parsed files but may not for hand-assembled data sets.
-//! [`Dataset::validate`] checks them all and reports every violation.
+//! [`Dataset::validate`] checks them all and reports every violation;
+//! [`Validator`] runs the same checks over streams that arrive one at a
+//! time.
 
 use crate::dataset::Dataset;
 use crate::event::EventKind;
 use crate::ids::TraceId;
+use crate::stream::TraceStream;
 use std::error::Error;
 use std::fmt;
 
@@ -143,70 +146,121 @@ impl ValidationError {
 }
 
 impl Dataset {
-    /// Checks all structural invariants, returning every violation.
+    /// Checks all structural invariants, returning every violation: a
+    /// [`Validator`] fed this data set's streams.
     ///
     /// # Errors
     ///
     /// Returns a [`ValidationError`] listing each problem found; `Ok` if
     /// the data set is internally consistent.
     pub fn validate(&self) -> Result<(), ValidationError> {
-        let mut violations = Vec::new();
-        for (index, stream) in self.streams.iter().enumerate() {
-            if stream.id().0 as usize != index {
-                violations.push(Violation::StreamIdMismatch {
-                    index,
-                    found: stream.id(),
+        let mut validator = Validator::new(self);
+        for stream in &self.streams {
+            validator.stream(stream);
+        }
+        validator.finish()
+    }
+}
+
+/// The checks of [`Dataset::validate`], one stream at a time, for a
+/// reader that holds the tables but not every stream at once (a `.tlb`
+/// read stream by stream). Violations come in the order `validate`
+/// reports them: each stream's as it is checked, then the instances'.
+#[derive(Debug)]
+pub struct Validator<'a> {
+    /// The stack table, scenarios and instances; its streams are not
+    /// read.
+    tables: &'a Dataset,
+    /// Streams checked so far.
+    streams: usize,
+    violations: Vec<Violation>,
+}
+
+impl<'a> Validator<'a> {
+    /// A validator against the stack table, scenarios and instances of
+    /// `tables`, with no stream checked yet.
+    pub fn new(tables: &'a Dataset) -> Validator<'a> {
+        Validator {
+            tables,
+            streams: 0,
+            violations: Vec::new(),
+        }
+    }
+
+    /// Checks the next stream of the data set: the first call checks
+    /// the stream at position 0, the next the one at position 1, and so
+    /// on.
+    pub fn stream(&mut self, stream: &TraceStream) {
+        let index = self.streams;
+        self.streams += 1;
+        let stacks = &self.tables.stacks;
+        let violations = &mut self.violations;
+        if stream.id().0 as usize != index {
+            violations.push(Violation::StreamIdMismatch {
+                index,
+                found: stream.id(),
+            });
+        }
+        let mut last = None;
+        for (ei, e) in stream.events().iter().enumerate() {
+            if let Some(prev) = last {
+                if e.t < prev {
+                    violations.push(Violation::UnsortedEvents { trace: stream.id() });
+                    break;
+                }
+            }
+            last = Some(e.t);
+            if stacks.frames(e.stack).is_empty() && stacks.len() <= e.stack.0 as usize {
+                violations.push(Violation::UnknownStack {
+                    trace: stream.id(),
+                    event: ei,
                 });
             }
-            let mut last = None;
-            for (ei, e) in stream.events().iter().enumerate() {
-                if let Some(prev) = last {
-                    if e.t < prev {
-                        violations.push(Violation::UnsortedEvents { trace: stream.id() });
-                        break;
-                    }
-                }
-                last = Some(e.t);
-                if self.stacks.frames(e.stack).is_empty() && self.stacks.len() <= e.stack.0 as usize
-                {
-                    violations.push(Violation::UnknownStack {
-                        trace: stream.id(),
-                        event: ei,
-                    });
-                }
-                let bad_unwait = match e.kind {
-                    EventKind::Unwait => e.wtid.is_none() || e.wtid == Some(e.tid),
-                    _ => e.wtid.is_some(),
-                };
-                if bad_unwait {
-                    violations.push(Violation::MalformedUnwait {
-                        trace: stream.id(),
-                        event: ei,
-                    });
-                }
+            let bad_unwait = match e.kind {
+                EventKind::Unwait => e.wtid.is_none() || e.wtid == Some(e.tid),
+                _ => e.wtid.is_some(),
+            };
+            if bad_unwait {
+                violations.push(Violation::MalformedUnwait {
+                    trace: stream.id(),
+                    event: ei,
+                });
             }
         }
-        for (index, i) in self.instances.iter().enumerate() {
-            if self.streams.get(i.trace.0 as usize).is_none() {
-                violations.push(Violation::InstanceWithoutStream {
+    }
+
+    /// Checks the instances against the streams checked so far, which
+    /// must be all of them, and returns every violation found.
+    ///
+    /// # Errors
+    ///
+    /// A [`ValidationError`] listing each problem, as
+    /// [`Dataset::validate`].
+    pub fn finish(mut self) -> Result<(), ValidationError> {
+        for (index, i) in self.tables.instances.iter().enumerate() {
+            if i.trace.0 as usize >= self.streams {
+                self.violations.push(Violation::InstanceWithoutStream {
                     index,
                     trace: i.trace,
                 });
             }
             if i.t1 < i.t0 {
-                violations.push(Violation::InstanceNegativeSpan { index });
+                self.violations
+                    .push(Violation::InstanceNegativeSpan { index });
             }
-            if self.scenario(&i.scenario).is_none() {
-                violations.push(Violation::InstanceUnknownScenario {
+            if self.tables.scenario(&i.scenario).is_none() {
+                self.violations.push(Violation::InstanceUnknownScenario {
                     index,
                     scenario: i.scenario.as_str().to_owned(),
                 });
             }
         }
-        if violations.is_empty() {
+        if self.violations.is_empty() {
             Ok(())
         } else {
-            Err(ValidationError { violations })
+            Err(ValidationError {
+                violations: self.violations,
+            })
         }
     }
 }

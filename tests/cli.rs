@@ -244,6 +244,73 @@ fn report_sanitize_quarantines_covers_and_refuses_empty_survivors() {
 }
 
 #[test]
+fn report_cache_validates_a_streamed_cache_like_the_text() {
+    use tracelens::model::{ScenarioInstance, ThreadId, TimeNs, TraceId};
+    use tracelens::prelude::*;
+
+    let dir = std::env::temp_dir().join(format!("tracelens-cli-cached-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut ds = DatasetBuilder::new(5)
+        .traces(10)
+        .mix(ScenarioMix::Selected)
+        .build();
+    for k in 0..3 {
+        ds.instances.push(ScenarioInstance {
+            trace: TraceId(ds.streams.len() as u32 + 4 - k),
+            scenario: ds.scenarios[k as usize].name,
+            tid: ThreadId(1),
+            t0: TimeNs(0),
+            t1: TimeNs(1),
+        });
+    }
+    let tlt = dir.join("violating.tlt");
+    let f = std::fs::File::create(&tlt).expect("create");
+    ds.write_text(std::io::BufWriter::new(f)).expect("write");
+    let path = tlt.to_str().expect("utf-8 path");
+    let out_md = |name: &str| dir.join(name).to_str().expect("utf-8 path").to_owned();
+    let stderr = |out: &Output| String::from_utf8_lossy(&out.stderr).into_owned();
+    // Stderr without the ingest narration, which names the path taken.
+    let verdict = |out: &Output| {
+        stderr(out)
+            .lines()
+            .filter(|l| !l.starts_with("ingest: ") && !l.starts_with("wrote "))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+
+    let plain = tracelens(&["report", path, "-o", &out_md("plain.md")]);
+    assert!(plain.status.success(), "{plain:?}");
+    assert!(stderr(&plain).contains("warning: data set failed validation (3 problems)"));
+    let cold = tracelens(&["report", path, "--cache", "-o", &out_md("cold.md")]);
+    assert!(stderr(&cold).contains("binary cache missing"), "{cold:?}");
+    // The warm run streams the cache and finds the same violations, in
+    // the same order, only after its pass.
+    let warm = tracelens(&["report", path, "--cache", "-o", &out_md("warm.md")]);
+    assert!(warm.status.success(), "{warm:?}");
+    assert!(
+        stderr(&warm).contains("ingest: loaded binary cache"),
+        "{warm:?}"
+    );
+    assert_eq!(verdict(&warm), verdict(&plain));
+    let plain_md = std::fs::read(out_md("plain.md")).expect("plain report");
+    assert!(std::fs::read(out_md("warm.md")).expect("warm report") == plain_md);
+
+    // --strict refuses with the text path's message and writes nothing.
+    let strict = tracelens(&["report", path, "--strict", "-o", &out_md("strict.md")]);
+    let cached = tracelens(&["report", path, "--cache", "--strict", "-o", &out_md("c.md")]);
+    assert!(!strict.status.success() && !cached.status.success());
+    assert!(
+        stderr(&cached).contains("ingest: loaded binary cache"),
+        "{cached:?}"
+    );
+    assert!(verdict(&cached).contains("(rerun with --sanitize to repair)"));
+    assert_eq!(verdict(&cached), verdict(&strict));
+    assert!(!dir.join("strict.md").exists() && !dir.join("c.md").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn errors_are_reported_with_nonzero_exit() {
     let out = tracelens(&["frobnicate"]);
     assert!(!out.status.success());

@@ -167,8 +167,9 @@ fn version_skewed_cache_is_stale_not_fatal() {
     let current = Dataset::read_text_bytes(&text)
         .expect("clean corpus")
         .to_binary(fingerprint_bytes(&text));
-    // Format 1, which an older build left behind, and a future format.
-    for version in [1u32, 999] {
+    // Formats 1 and 2, which older builds left behind, and a future
+    // format.
+    for version in [1u32, 2, 999] {
         let mut image = current.clone();
         image[4..8].copy_from_slice(&version.to_le_bytes());
         std::fs::write(cache_path_for(&tlt), &image).expect("write skewed cache");

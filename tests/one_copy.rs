@@ -10,81 +10,14 @@
 //! Byte counts, not times, so the gate is deterministic. The binary has
 //! one test, so no other test allocates while it measures.
 
-use std::alloc::{GlobalAlloc, Layout, System};
+#[path = "common/counting.rs"]
+mod counting;
+
+use counting::{mark, LIVE, MIB, PEAK};
 use std::io::{BufWriter, Write};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 use tracelens::prelude::*;
 use tracelens::store::ingest_path;
-
-/// [`System`], counting the bytes it holds and their high-water mark.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(by: usize) {
-    let now = LIVE.fetch_add(by, Relaxed) + by;
-    PEAK.fetch_max(now, Relaxed);
-}
-
-fn shrank(by: usize) {
-    LIVE.fetch_sub(by, Relaxed);
-}
-
-// SAFETY: every method forwards to `System` with the caller's pointer,
-// layout and size unchanged, so `System` upholds the `GlobalAlloc`
-// contract; the counters only record sizes and never touch the memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            grew(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller upholds `alloc_zeroed`'s contract for `layout`.
-        let ptr = unsafe { System.alloc_zeroed(layout) };
-        if !ptr.is_null() {
-            grew(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, so from `System`, with
-        // `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) };
-        shrank(layout.size());
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: as for `dealloc`, and the caller upholds `realloc`'s
-        // contract for `new_size`.
-        let new = unsafe { System.realloc(ptr, layout, new_size) };
-        if !new.is_null() {
-            // Counted as a move: the new block before the old one goes,
-            // which is the peak of a realloc that cannot grow in place.
-            grew(new_size);
-            shrank(layout.size());
-        }
-        new
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-const MIB: usize = 1 << 20;
-
-/// Resets the peak to the live bytes and returns them.
-fn mark() -> usize {
-    let live = LIVE.load(Relaxed);
-    PEAK.store(live, Relaxed);
-    live
-}
 
 /// `d` plus a fraction of it, in bytes.
 fn with_share(d: usize, percent: usize) -> usize {

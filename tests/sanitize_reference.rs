@@ -2,8 +2,10 @@
 //! copying implementation it replaced as a reference, and checks that
 //! both give the same data set, byte for byte as text, and the same
 //! report, field for field: on fault-injected corpora (every fault
-//! kind) and on hand-built ones with duplicate, sparse and unsorted
-//! trace ids, stray and missing unwait targets and dangling stacks.
+//! kind, plus a duplicate trace id and a stray woken-thread id, which
+//! no fault kind makes) and on hand-built ones with duplicate, sparse
+//! and unsorted trace ids, stray and missing unwait targets and
+//! dangling stacks.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -222,11 +224,40 @@ fn hand_built(
     ds
 }
 
+/// `ds` with the two corruptions no fault kind makes: its last stream
+/// takes the trace id of an earlier one (picked by `seed`), and one
+/// non-unwait event of its first stream (picked by `seed`) gets a
+/// woken-thread id.
+fn with_duplicate_and_stray(mut ds: Dataset, seed: u64) -> Dataset {
+    let pick = |n: usize| seed as usize % n;
+    if ds.streams.len() >= 2 {
+        let last = ds.streams.pop().expect("two streams");
+        let id = ds.streams[pick(ds.streams.len())].id();
+        ds.streams.push(TraceStream::from_unchecked_parts(
+            id,
+            last.events().to_vec(),
+        ));
+    }
+    if let Some(first) = ds.streams.first_mut() {
+        let mut events = first.events().to_vec();
+        let targets: Vec<usize> = (0..events.len())
+            .filter(|&i| events[i].kind != EventKind::Unwait)
+            .collect();
+        if !targets.is_empty() {
+            let e = &mut events[targets[pick(targets.len())]];
+            e.wtid = Some(ThreadId(e.tid.0 + 1));
+        }
+        *first = TraceStream::from_unchecked_parts(first.id(), events);
+    }
+    ds
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every fault kind on its own, and all of them together, at rates
-    /// from 0 to 0.3.
+    /// from 0 to 0.3, each with a duplicate trace id and a stray
+    /// woken-thread id on top.
     #[test]
     fn in_place_sanitize_matches_the_reference_on_injected_faults(
         seed in 0u64..10_000,
@@ -236,10 +267,10 @@ proptest! {
         let rate = f64::from(rate_milli) / 1000.0;
         for kind in ALL_FAULT_KINDS {
             let (corrupt, _) = FaultInjector::new(seed).with(kind, rate).inject(&clean);
-            agree(&corrupt)?;
+            agree(&with_duplicate_and_stray(corrupt, seed))?;
         }
         let (corrupt, _) = FaultInjector::new(seed).with_all(rate).inject(&clean);
-        agree(&corrupt)?;
+        agree(&with_duplicate_and_stray(corrupt, seed))?;
     }
 
     /// Duplicate, sparse and unsorted trace ids, unsorted events,

@@ -53,12 +53,13 @@ echo "== telemetry overhead gate (attached no-op sink within 2% + 2 ms) =="
 # A timing gate, so it runs alone, in release, on one test thread.
 cargo test -q --release -p tracelens --test telemetry -- --ignored --test-threads 1
 
-echo "== trace store (cache identity) =="
+echo "== trace store (cache and layout identity) =="
 # A cached study run must be byte-identical to the uncached one, with
 # and without sanitizing (on this clean corpus sanitize changes
 # nothing), and `pack -o` must write the very image the cold run wrote.
 # A cache found corrupt part way through a streamed study falls back to
-# the text without changing the report.
+# the text without changing the report, and so does text that does not
+# stream.
 TS_DIR="$(mktemp -d)"
 TL=target/release/tracelens
 "$TL" simulate -o "$TS_DIR/ds.tlt" --traces 40 --seed 9 > /dev/null
@@ -92,6 +93,33 @@ cmp "$TS_DIR/ds.tlb" "$TS_DIR/packed.tlb"
 "$TL" report "$TS_DIR/ds.tlt" --cache -o "$TS_DIR/repacked.md" 2> "$TS_DIR/repacked.err"
 grep -q '^ingest: loaded binary cache' "$TS_DIR/repacked.err"
 cmp "$TS_DIR/uncached.md" "$TS_DIR/repacked.md"
+# `report FILE` streams text in the layout `simulate` writes (instances
+# before traces) one trace at a time. Other layouts take the in-memory
+# route, which the benchmark never runs: text with its instances last
+# (the layout written before) is collected by the same reader, a table
+# record after the last trace sends the study back to a whole parse, and
+# stdin is always parsed whole. Each must give the canonical report,
+# with and without --sanitize.
+python3 -c "
+import sys
+lines = open(sys.argv[1]).read().splitlines(keepends=True)
+instances = [l for l in lines if l.startswith('!instance')]
+assert instances and lines.index(instances[-1]) < min(
+    i for i, l in enumerate(lines) if l.startswith('!trace\t'))
+rest = [l for l in lines if not l.startswith('!instance')]
+open(sys.argv[2], 'w').writelines(rest + instances)
+open(sys.argv[3], 'w').writelines(lines + ['!stack\t999999\tlate.sys!Late\n'])
+" "$TS_DIR/ds.tlt" "$TS_DIR/legacy.tlt" "$TS_DIR/late.tlt"
+for flag in "" --sanitize; do
+    want="$TS_DIR/uncached.md"
+    [ -n "$flag" ] && want="$TS_DIR/sanitized.md"
+    for input in legacy late; do
+        "$TL" report "$TS_DIR/$input.tlt" $flag -o "$TS_DIR/$input$flag.md" 2> /dev/null
+        cmp "$want" "$TS_DIR/$input$flag.md"
+    done
+    "$TL" report - $flag -o "$TS_DIR/stdin$flag.md" < "$TS_DIR/ds.tlt" 2> /dev/null
+    cmp "$want" "$TS_DIR/stdin$flag.md"
+done
 rm -rf "$TS_DIR"
 
 echo "== exp_ingest smoke (binary load must beat the text parse) =="

@@ -253,9 +253,10 @@ impl CausalityAnalysis {
         scenario: &ScenarioName,
     ) -> Result<CausalityReport, CausalityError> {
         self.probe(scenario);
-        let classes = self.prepare(dataset, scenario).map(|mut classes| {
+        let classes = self.prepare(dataset, scenario).and_then(|mut classes| {
+            check_nonempty(classes.scenario, classes.counts)?;
             self.feed(dataset, &mut classes);
-            classes
+            Ok(classes)
         });
         self.finish(classes)
     }
@@ -273,9 +274,15 @@ impl CausalityAnalysis {
     /// empty AWG aggregator per class, ready to be fed Wait Graphs in
     /// stream order (instance order within a stream).
     ///
+    /// A split with an empty class is no error yet, since a caller may
+    /// [`recount`](ClassAggregators::recount) it: feeding it does
+    /// nothing, and [`CausalityAnalysis::finish`] reports the empty
+    /// class.
+    ///
     /// # Errors
     ///
-    /// As [`CausalityAnalysis::analyze`]; nothing needs feeding then.
+    /// [`CausalityError::UnknownScenario`] if the data set does not
+    /// define `scenario`.
     pub fn prepare<'a>(
         &self,
         dataset: &'a Dataset,
@@ -297,10 +304,10 @@ impl CausalityAnalysis {
             scenario: *scenario,
             thresholds: split.thresholds,
             counts: [split.fast.len(), split.slow.len(), split.margin.len()],
+            lost: [0; 3],
             fast: Aggregator::new(&dataset.stacks, &self.config.components),
             slow: Aggregator::new(&dataset.stacks, &self.config.components),
         };
-        classes.check_nonempty()?;
         Ok(classes)
     }
 
@@ -311,19 +318,23 @@ impl CausalityAnalysis {
     /// # Errors
     ///
     /// The error `prepare` returned, or [`CausalityError::EmptyClass`]
-    /// if [`ClassAggregators::forget`] emptied a class.
+    /// if the split has an empty class, or else if
+    /// [`ClassAggregators::forget`] emptied one.
     pub fn finish(
         &self,
         classes: Result<ClassAggregators<'_>, CausalityError>,
     ) -> Result<CausalityReport, CausalityError> {
         let classes = classes?;
-        classes.check_nonempty()?;
+        let survivors = classes.survivors();
+        check_nonempty(classes.scenario, classes.counts)?;
+        check_nonempty(classes.scenario, survivors)?;
+        let [fast_instances, slow_instances, margin_instances] = survivors;
         let ClassAggregators {
             scenario,
             thresholds,
-            counts: [fast_instances, slow_instances, margin_instances],
             fast,
             slow,
+            ..
         } = classes;
         let (fast_awg, slow_awg) = {
             let _span = self.telemetry.span(stage::AGGREGATE);
@@ -392,8 +403,10 @@ impl CausalityAnalysis {
 pub struct ClassAggregators<'a> {
     scenario: ScenarioName,
     thresholds: Thresholds,
-    /// Fast, slow and margin instance counts.
+    /// Fast, slow and margin instance counts of the split.
     counts: [usize; 3],
+    /// Of those, the instances forgotten since.
+    lost: [usize; 3],
     fast: Aggregator<'a>,
     slow: Aggregator<'a>,
 }
@@ -406,9 +419,13 @@ impl ClassAggregators<'_> {
     }
 
     /// Adds `instance`'s Wait Graph to its class's aggregate, tagged with
-    /// the instance; a margin instance's graph is ignored. The instance
-    /// must belong to this scenario.
+    /// the instance; a margin instance's graph is ignored, and so is any
+    /// graph while the split has an empty class, which cannot be mined.
+    /// The instance must belong to this scenario.
     pub fn add(&mut self, instance: &ScenarioInstance, graph: GraphView<'_>) {
+        if self.counts[0] == 0 || self.counts[1] == 0 {
+            return;
+        }
         let tag = (instance.trace, instance.tid);
         match self.class_of(instance) {
             Some(true) => self.fast.add_view_tagged(graph, tag),
@@ -420,25 +437,45 @@ impl ClassAggregators<'_> {
     /// Removes a lost instance (say, one on a quarantined stream) from
     /// its class count; its graph must not have been added.
     pub fn forget(&mut self, instance: &ScenarioInstance) {
-        let slot = match self.class_of(instance) {
+        self.lost[self.slot_of(instance)] += 1;
+    }
+
+    /// Splits the classes again, over the instances of this scenario in
+    /// `instances`: for a caller that prepared them against an instance
+    /// table that was not yet final, such as a study that applies
+    /// sanitize's instance rules once it has met every stream. Forgotten
+    /// instances stay forgotten.
+    pub fn recount(&mut self, instances: &[ScenarioInstance]) {
+        self.counts = [0; 3];
+        for instance in instances.iter().filter(|i| i.scenario == self.scenario) {
+            self.counts[self.slot_of(instance)] += 1;
+        }
+    }
+
+    /// The count slot of `instance`'s class: fast, slow, margin.
+    fn slot_of(&self, instance: &ScenarioInstance) -> usize {
+        match self.class_of(instance) {
             Some(true) => 0,
             Some(false) => 1,
             None => 2,
-        };
-        self.counts[slot] = self.counts[slot].saturating_sub(1);
+        }
     }
 
-    fn check_nonempty(&self) -> Result<(), CausalityError> {
-        for (class, count) in [("fast", self.counts[0]), ("slow", self.counts[1])] {
-            if count == 0 {
-                return Err(CausalityError::EmptyClass {
-                    class,
-                    scenario: self.scenario,
-                });
-            }
-        }
-        Ok(())
+    /// The class counts less the forgotten instances.
+    fn survivors(&self) -> [usize; 3] {
+        std::array::from_fn(|k| self.counts[k].saturating_sub(self.lost[k]))
     }
+}
+
+/// [`CausalityError::EmptyClass`] for the first empty contrast class of
+/// `counts` (fast, slow, margin), fast before slow.
+fn check_nonempty(scenario: ScenarioName, counts: [usize; 3]) -> Result<(), CausalityError> {
+    for (class, count) in [("fast", counts[0]), ("slow", counts[1])] {
+        if count == 0 {
+            return Err(CausalityError::EmptyClass { class, scenario });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -700,18 +700,21 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         sanitize,
         ..StudyConfig::default()
     };
-    let (study, ds) = if opts.has("cache") && path != "-" && config.checkpoint.is_none() {
-        // A warm cache streams through the study, so the ingest line and
-        // the validation verdict are known only once the study is done.
-        // A checkpointed study writes as it goes, so it validates first,
+    let (study, ds) = if path != "-" && config.checkpoint.is_none() {
+        // The study streams the file where it can, so the ingest lines
+        // and the validation verdict are known only once it is done. A
+        // checkpointed study writes as it goes, so it validates first,
         // on the path below.
-        let run =
-            Study::run_cached(Path::new(path), &config, &Telemetry::noop()).map_err(
-                |e| match e {
-                    tracelens::CachedStudyError::Read(e) => ingest_error(path, e),
-                    tracelens::CachedStudyError::Study(e) => e.to_string(),
-                },
-            )?;
+        let run = Study::run_file(
+            Path::new(path),
+            opts.has("cache"),
+            &config,
+            &Telemetry::noop(),
+        )
+        .map_err(|e| match e {
+            tracelens::FileStudyError::Read(e) => ingest_error(path, e),
+            tracelens::FileStudyError::Study(e) => e.to_string(),
+        })?;
         report_ingest(path, &run.ingest);
         if !sanitize {
             check_validation(path, run.validation, &opts)?;

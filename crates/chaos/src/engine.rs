@@ -256,7 +256,7 @@ fn check_torn_cache_in(cfg: &ChaosConfig, text: &[u8], dir: &Path) -> Result<(),
     let corpus = dir.join("corpus.tlt");
     fs::write(&corpus, text).expect("write corpus");
     let study = |what: &str| {
-        let run = Study::run_cached(&corpus, &StudyConfig::default(), &Telemetry::noop())
+        let run = Study::run_file(&corpus, true, &StudyConfig::default(), &Telemetry::noop())
             .unwrap_or_else(|e| panic!("{what}: {e}"));
         let markdown = render_markdown(&run.study, &run.dataset, &ReportOptions::default());
         (run, markdown)

@@ -47,7 +47,7 @@ pub use checkpoint::Checkpoint;
 pub use report::{render_markdown, ReportOptions};
 pub use store::{CacheFallback, IngestReport, IngestSource};
 pub use study::{
-    CachedStudy, CachedStudyError, Coverage, ScenarioStudy, Study, StudyConfig, StudyError,
+    Coverage, FileStudy, FileStudyError, ScenarioStudy, Study, StudyConfig, StudyError,
     CAUSALITY_STAGE, SCENARIO_STAGE,
 };
 

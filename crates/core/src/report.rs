@@ -28,8 +28,8 @@ impl Default for ReportOptions {
 
 /// Renders `study` as a Markdown document. `dataset` is the data set
 /// the study analyzed, as [`Study::run`] hands it back, or its tables
-/// alone, as [`Study::run_cached`] hands them back after streaming a
-/// cache; its stack table renders the patterns, and its streams are not
+/// alone, as [`Study::run_file`] hands them back after streaming its
+/// input; its stack table renders the patterns, and its streams are not
 /// read.
 ///
 /// The `Data set:` line states the size of the study's *input*, from

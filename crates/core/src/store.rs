@@ -13,14 +13,21 @@
 //!    payload streams from the same handle through a fixed-size buffer.
 //!    [`ingest_path`] collects it with [`Dataset::read_binary_from`], so
 //!    a hit holds the data set and one stream block, never the image;
-//!    [`Study::run_cached`](crate::Study::run_cached) hands the streams
-//!    to the study one at a time, so `report --cache` holds one stream
-//!    at a time, and falls back to the text if the cache proves corrupt
-//!    part way through.
+//!    [`Study::run_file`](crate::Study::run_file) hands the streams to
+//!    the study one at a time, so `report --cache` holds one stream at a
+//!    time, and falls back to the text if the cache proves corrupt part
+//!    way through.
 //! 2. **Streamed text** — the file streams through a [`RetryingReader`]
-//!    and a fixed-size buffer into [`Dataset::read_text`], so ingest
-//!    memory is the data set, not the data set plus its text. A cache
-//!    miss fingerprints the text in the same pass and packs the result
+//!    and a fixed-size buffer into the parser, so ingest memory is at
+//!    most the data set, never its text. [`ingest_path`] collects it with
+//!    [`Dataset::read_text`]. [`Study::run_file`](crate::Study::run_file)
+//!    reads the same input with a
+//!    [`TextReader`](tracelens_model::textio::TextReader): text whose
+//!    instances come before its traces, the layout
+//!    [`Dataset::write_text`] writes, reaches the study one trace at a
+//!    time, so `report` holds one stream at a time; text in any other
+//!    layout is collected, or parsed again whole. A cache miss
+//!    fingerprints the text in the same pass and packs the result
 //!    through [`write_cache`], which streams the image to disk.
 //!
 //! Every ingest is instrumented under the `ingest` telemetry stage
@@ -137,7 +144,7 @@ impl IngestReport {
 
 /// A reader that counts the bytes it passes on and, when it holds a
 /// [`Fingerprinter`], fingerprints them.
-struct Tap<R> {
+pub(crate) struct Tap<R> {
     inner: RetryingReader<R>,
     bytes: usize,
     fingerprint: Option<Fingerprinter>,
@@ -152,6 +159,11 @@ impl<R: Read> Tap<R> {
             fingerprint: fingerprint.then(Fingerprinter::new),
         }
     }
+
+    /// Reads retried so far.
+    pub(crate) fn retries(&self) -> usize {
+        self.inner.retries()
+    }
 }
 
 impl<R: Read> Read for Tap<R> {
@@ -165,6 +177,30 @@ impl<R: Read> Read for Tap<R> {
     }
 }
 
+/// Text as the parser reads it: through a [`RetryingReader`] and a
+/// counting tap, in a fixed-size buffer.
+pub(crate) type TextInput<R> = BufReader<Tap<R>>;
+
+/// `input` as a [`TextInput`], fingerprinted when `fingerprint` is set.
+pub(crate) fn tapped<R: Read>(input: R, fingerprint: bool) -> TextInput<R> {
+    BufReader::with_capacity(READ_BUF, Tap::new(input, fingerprint))
+}
+
+/// The report of a text read through `input` that yielded `events`
+/// events, counted in `telemetry`, and the text's fingerprint if it was
+/// taken.
+pub(crate) fn text_read<R: Read>(
+    input: TextInput<R>,
+    events: usize,
+    telemetry: &Telemetry,
+) -> (IngestReport, Option<u64>) {
+    let tap = input.into_inner();
+    telemetry.count("ingest.bytes", tap.bytes as u64);
+    telemetry.count("ingest.events", events as u64);
+    let report = IngestReport::new(IngestSource::Text, tap.bytes, tap.retries(), events);
+    (report, tap.fingerprint.map(|f| f.finish()))
+}
+
 /// Streams `.tlt` text from `input` into the parser, fingerprinting it
 /// in the same pass when `fingerprint` is set.
 fn stream_text<R: Read>(
@@ -172,18 +208,10 @@ fn stream_text<R: Read>(
     fingerprint: bool,
     telemetry: &Telemetry,
 ) -> Result<(Dataset, IngestReport, Option<u64>), ReadError> {
-    let mut reader = BufReader::with_capacity(READ_BUF, Tap::new(input, fingerprint));
-    let ds = Dataset::read_text(&mut reader)?;
-    let tap = reader.into_inner();
-    telemetry.count("ingest.bytes", tap.bytes as u64);
-    telemetry.count("ingest.events", ds.total_events() as u64);
-    let report = IngestReport::new(
-        IngestSource::Text,
-        tap.bytes,
-        tap.inner.retries(),
-        ds.total_events(),
-    );
-    Ok((ds, report, tap.fingerprint.map(|f| f.finish())))
+    let mut input = tapped(input, fingerprint);
+    let ds = Dataset::read_text(&mut input)?;
+    let (report, fingerprint) = text_read(input, ds.total_events(), telemetry);
+    Ok((ds, report, fingerprint))
 }
 
 /// Streams text through the fingerprint without parsing it: the cache
@@ -239,11 +267,12 @@ pub fn ingest_fingerprinted<R: Read>(
 /// A missing, stale, or corrupt cache is counted in the report and the
 /// text is parsed instead — fingerprinted in the same pass — after
 /// which a fresh cache is written (atomically: temp file + rename,
-/// best-effort) so the next read hits. [`Study::run_cached`] takes the
-/// same steps but streams a usable cache through the study instead of
-/// loading it.
+/// best-effort) so the next read hits. [`Study::run_file`] takes the
+/// same steps but streams a usable cache, and text in the layout
+/// [`Dataset::write_text`] writes, through the study instead of loading
+/// it.
 ///
-/// [`Study::run_cached`]: crate::Study::run_cached
+/// [`Study::run_file`]: crate::Study::run_file
 ///
 /// # Errors
 ///

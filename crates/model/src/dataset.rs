@@ -54,15 +54,6 @@ impl Dataset {
         self.instances.iter().map(ScenarioInstance::duration).sum()
     }
 
-    /// Instance counts per scenario, sorted by name.
-    pub fn instance_counts(&self) -> BTreeMap<ScenarioName, usize> {
-        let mut counts = BTreeMap::new();
-        for i in &self.instances {
-            *counts.entry(i.scenario).or_insert(0) += 1;
-        }
-        counts
-    }
-
     /// Total number of events across all streams.
     pub fn total_events(&self) -> usize {
         self.streams.iter().map(TraceStream::len).sum()
@@ -88,6 +79,15 @@ impl Dataset {
             scenarios: self.scenarios.clone(),
         }
     }
+}
+
+/// Counts of `instances` per scenario, sorted by name.
+pub fn instance_counts(instances: &[ScenarioInstance]) -> BTreeMap<ScenarioName, usize> {
+    let mut counts = BTreeMap::new();
+    for i in instances {
+        *counts.entry(i.scenario).or_insert(0) += 1;
+    }
+    counts
 }
 
 #[cfg(test)]
@@ -136,7 +136,7 @@ mod tests {
     #[test]
     fn counts_group_by_scenario() {
         let ds = tiny();
-        let counts = ds.instance_counts();
+        let counts = instance_counts(&ds.instances);
         assert_eq!(counts[&ScenarioName::new("A")], 1);
         assert_eq!(counts[&ScenarioName::new("B")], 1);
     }

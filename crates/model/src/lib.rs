@@ -57,12 +57,12 @@ pub use binio::{
     fingerprint_bytes, header_fingerprint, BinReadError, BinReader, BIN_FORMAT_VERSION,
 };
 pub use component::{ComponentFilter, DriverType};
-pub use dataset::Dataset;
+pub use dataset::{instance_counts, Dataset};
 pub use event::{Event, EventKind};
 pub use idhash::IdHashing;
 pub use ids::{EventId, ProcessId, ThreadId, TraceId};
 pub use intern::{Interner, Symbol};
-pub use sanitize::{SanitizeReport, DUPLICATE_TRACE_ID};
+pub use sanitize::{sanitize_instances, SanitizeReport, DUPLICATE_TRACE_ID};
 pub use scenario::{Scenario, ScenarioInstance, ScenarioName, Thresholds};
 pub use signature::{ParseSignatureError, Signature};
 pub use stack::{FilterView, StackId, StackTable};

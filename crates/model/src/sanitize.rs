@@ -25,6 +25,7 @@
 use crate::dataset::Dataset;
 use crate::event::EventKind;
 use crate::ids::TraceId;
+use crate::scenario::{Scenario, ScenarioInstance};
 use crate::stack::StackTable;
 use crate::stream::TraceStream;
 use std::collections::btree_map::Entry;
@@ -239,34 +240,12 @@ impl Dataset {
         }
 
         // --- Instances: remap, clamp, or quarantine. ------------------
-        instances.retain_mut(|instance| {
-            let Some(&trace) = id_map.get(&instance.trace.0) else {
-                *report
-                    .violations
-                    .entry("instance_without_stream")
-                    .or_insert(0) += 1;
-                report.quarantined_instances += 1;
-                return false;
-            };
-            if !scenarios.iter().any(|s| s.name == instance.scenario) {
-                *report
-                    .violations
-                    .entry("instance_unknown_scenario")
-                    .or_insert(0) += 1;
-                report.quarantined_instances += 1;
-                return false;
-            }
-            instance.trace = trace;
-            if instance.t1 < instance.t0 {
-                *report
-                    .violations
-                    .entry("instance_negative_span")
-                    .or_insert(0) += 1;
-                report.clamped_instances += 1;
-                instance.t1 = instance.t0;
-            }
-            true
-        });
+        sanitize_instances(
+            &mut instances,
+            &scenarios,
+            |trace| id_map.get(&trace.0).copied(),
+            &mut report,
+        );
 
         let clean = Dataset {
             streams,
@@ -277,6 +256,51 @@ impl Dataset {
         debug_assert!(clean.validate().is_ok(), "sanitize output must validate");
         (clean, report)
     }
+}
+
+/// Sanitize's instance rules, the one implementation shared by
+/// [`Dataset::sanitize`] and a study that meets the streams one at a
+/// time and so learns their number only at the end. `trace_of` maps an
+/// instance's trace id to the id its stream now has, or to `None` when
+/// there is no such stream. Each instance is, in order of precedence:
+///
+/// * quarantined as `instance_without_stream` when its stream is
+///   missing, whatever its scenario;
+/// * quarantined as `instance_unknown_scenario` when `scenarios` does
+///   not define its scenario;
+/// * otherwise kept, moved to its stream's id, and clamped to an empty
+///   span (`instance_negative_span`) if it ends before it starts.
+///
+/// Kept instances stay in order. Counts go to `report`.
+pub fn sanitize_instances(
+    instances: &mut Vec<ScenarioInstance>,
+    scenarios: &[Scenario],
+    trace_of: impl Fn(TraceId) -> Option<TraceId>,
+    report: &mut SanitizeReport,
+) {
+    instances.retain_mut(|instance| {
+        let kind = match trace_of(instance.trace) {
+            None => "instance_without_stream",
+            Some(_) if !scenarios.iter().any(|s| s.name == instance.scenario) => {
+                "instance_unknown_scenario"
+            }
+            Some(trace) => {
+                instance.trace = trace;
+                if instance.t1 < instance.t0 {
+                    *report
+                        .violations
+                        .entry("instance_negative_span")
+                        .or_insert(0) += 1;
+                    report.clamped_instances += 1;
+                    instance.t1 = instance.t0;
+                }
+                return true;
+            }
+        };
+        *report.violations.entry(kind).or_insert(0) += 1;
+        report.quarantined_instances += 1;
+        false
+    });
 }
 
 /// Repairs one stream in place: drops events with dangling stacks or
@@ -455,6 +479,16 @@ mod tests {
         assert_eq!(report.quarantined_instances, 1);
         assert!(clean.instances.is_empty());
         assert!(clean.validate().is_ok());
+    }
+
+    #[test]
+    fn a_missing_stream_outranks_an_unknown_scenario() {
+        let mut ds = valid();
+        ds.instances[0].trace = TraceId(42);
+        ds.instances[0].scenario = ScenarioName::new("Nope");
+        let (_, report) = ds.sanitize();
+        assert_eq!(report.violations["instance_without_stream"], 1);
+        assert!(!report.violations.contains_key("instance_unknown_scenario"));
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! !tracelens  1                                  format version
 //! !scenario   <name> <t_fast_ns> <t_slow_ns>     scenario definition
 //! !stack      <id>   <frame>[TAB<frame>...]      callstack (outermost first)
+//! !instance   <trace> <tid> <t0_ns> <t1_ns> <scenario>
 //! !trace      <id>                               starts a trace stream
 //! e  <kind> <tid> <pid> <t_ns> <cost_ns> <stack> [<wtid>]
-//! !instance   <trace> <tid> <t0_ns> <t1_ns> <scenario>
 //! ```
 //!
 //! Event kinds are `r` (running), `w` (wait), `u` (unwait, requires
@@ -19,17 +19,31 @@
 //! use; stacks and scenarios are data-set-global. Blank lines and lines
 //! starting with `#` are ignored.
 //!
+//! ## Record order
+//!
+//! Records may come in any order, as long as each stack is declared
+//! before an event uses it. [`Dataset::write_text`] writes them in the
+//! order above: the header, the scenarios, the stacks and the instances
+//! (the tables), then one `!trace` section per stream, with ids 0, 1,
+//! 2, … in order. That layout *streams*: a [`TextReader`] hands back the
+//! tables and then one sealed stream per section, so a consumer that
+//! analyzes each stream and drops it never holds the events of the whole
+//! file. Text written before the instances moved ahead of the traces
+//! keeps them last; it is still valid text, and a reader collects it
+//! whole, as it does any other layout.
+//!
 //! ## Parsing
 //!
-//! [`Dataset::read_text`] is the one parser. It scans the reader's
-//! buffer in place, finding line ends eight bytes at a time; only a line
-//! split across two buffer refills is copied, into a small carry. An
-//! event line in the form [`Dataset::write_text`] produces is parsed in
-//! one left-to-right pass that reads each integer as it walks the
-//! fields. Every other line, and any event line that pass does not
-//! fully accept, goes through the general line handler, which accepts
-//! it or names the error and its line. [`Dataset::read_text_bytes`] is
-//! the same parser over in-memory text.
+//! [`TextReader`] is the one parser, and [`Dataset::read_text`] is it
+//! collected. It scans the reader's buffer in place, finding line ends
+//! eight bytes at a time; only a line split across two buffer refills is
+//! copied, into a small carry. An event line in the form
+//! [`Dataset::write_text`] produces is parsed in one left-to-right pass
+//! that reads each integer as it walks the fields. Every other line, and
+//! any event line that pass does not fully accept, goes through the
+//! general line handler, which accepts it or names the error and its
+//! line. [`Dataset::read_text_bytes`] is the same parser over in-memory
+//! text.
 
 use crate::dataset::Dataset;
 use crate::event::EventKind;
@@ -38,7 +52,7 @@ use crate::ids::{ProcessId, ThreadId};
 use crate::intern::Symbol;
 use crate::scenario::{Scenario, ScenarioInstance, ScenarioName, Thresholds};
 use crate::stack::StackId;
-use crate::stream::TraceStreamBuilder;
+use crate::stream::{TraceStream, TraceStreamBuilder};
 use crate::time::TimeNs;
 use std::collections::HashMap;
 use std::error::Error;
@@ -96,7 +110,9 @@ fn err(line: usize, message: &str) -> ReadError {
 }
 
 impl Dataset {
-    /// Writes the data set in the text format.
+    /// Writes the data set in the text format: the header, the
+    /// scenarios, the stacks and the instances, then one section per
+    /// trace, the layout a [`TextReader`] streams.
     ///
     /// # Errors
     ///
@@ -124,6 +140,17 @@ impl Dataset {
             }
             writeln!(out)?;
         }
+        for i in &self.instances {
+            writeln!(
+                out,
+                "!instance\t{}\t{}\t{}\t{}\t{}",
+                i.trace.0,
+                i.tid.0,
+                i.t0.as_nanos(),
+                i.t1.as_nanos(),
+                i.scenario.as_str()
+            )?;
+        }
         for stream in &self.streams {
             writeln!(out, "!trace\t{}", stream.id().0)?;
             for e in stream.events() {
@@ -148,23 +175,13 @@ impl Dataset {
                 }
             }
         }
-        for i in &self.instances {
-            writeln!(
-                out,
-                "!instance\t{}\t{}\t{}\t{}\t{}",
-                i.trace.0,
-                i.tid.0,
-                i.t0.as_nanos(),
-                i.t1.as_nanos(),
-                i.scenario.as_str()
-            )?;
-        }
         Ok(())
     }
 
     /// Reads a data set from the text format, streaming it from `input`:
     /// memory holds the data set being built, the reader's buffer and at
-    /// most one line split across two refills, never the whole text.
+    /// most one line split across two refills, never the whole text. This
+    /// is a [`TextReader`] collected, so it accepts records in any order.
     ///
     /// # Errors
     ///
@@ -172,45 +189,9 @@ impl Dataset {
     /// any malformed record, unknown stack id, or missing header, and
     /// [`ReadError::Io`] for a failed read (interrupted reads are
     /// retried).
-    pub fn read_text<R: BufRead>(mut input: R) -> Result<Dataset, ReadError> {
-        let mut parser = LineParser::default();
-        let mut carry: Vec<u8> = Vec::new();
-        let mut lineno = 0usize;
-        loop {
-            let buf = match input.fill_buf() {
-                Ok(buf) => buf,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            };
-            if buf.is_empty() {
-                break;
-            }
-            let len = buf.len();
-            let mut rest = buf;
-            if !carry.is_empty() {
-                let Some(end) = find_newline(rest) else {
-                    carry.extend_from_slice(rest);
-                    input.consume(len);
-                    continue;
-                };
-                carry.extend_from_slice(&rest[..end]);
-                lineno += 1;
-                parser.line(&carry, lineno)?;
-                carry.clear();
-                rest = &rest[end + 1..];
-            }
-            while let Some(end) = find_newline(rest) {
-                lineno += 1;
-                parser.line(&rest[..end], lineno)?;
-                rest = &rest[end + 1..];
-            }
-            carry.extend_from_slice(rest);
-            input.consume(len);
-        }
-        if !carry.is_empty() {
-            parser.line(&carry, lineno + 1)?;
-        }
-        parser.finish()
+    pub fn read_text<R: BufRead>(input: R) -> Result<Dataset, ReadError> {
+        let (tables, reader) = TextReader::new(input)?;
+        reader.collect_into(tables)
     }
 
     /// Reads a data set from in-memory text: [`Dataset::read_text`]
@@ -362,9 +343,214 @@ fn utf8(field: &[u8], lineno: usize) -> Result<&str, ReadError> {
 /// Maps the stack ids a file declares to interned ids.
 type StackIds = HashMap<u32, StackId, IdHashing>;
 
-/// The per-line state machine behind [`Dataset::read_text`].
+/// Why a [`TextReader`] yielded no stream.
+#[derive(Debug)]
+pub enum TextStreamError {
+    /// The text is malformed or could not be read: the error
+    /// [`Dataset::read_text`] reports for it, at the same line.
+    Read(ReadError),
+    /// The record at this 1-based line does not fit the streamed
+    /// layout: a `!stack`, `!scenario` or `!instance` after the first
+    /// `!trace`, or a `!trace` whose id is not the next of 0, 1, 2, ….
+    /// The text may well be valid; [`Dataset::read_text`] reads it
+    /// whole.
+    OutOfOrder {
+        /// 1-based line number.
+        line: usize,
+    },
+}
+
+impl fmt::Display for TextStreamError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TextStreamError::Read(e) => e.fmt(f),
+            TextStreamError::OutOfOrder { line } => {
+                write!(f, "line {line} is out of the streamed record order")
+            }
+        }
+    }
+}
+
+impl Error for TextStreamError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            TextStreamError::Read(e) => Some(e),
+            TextStreamError::OutOfOrder { .. } => None,
+        }
+    }
+}
+
+/// A `.tlt` text read in one pass, one trace at a time: the text
+/// counterpart of [`BinReader`](crate::binio::BinReader).
+///
+/// [`TextReader::new`] reads the records before the first `!trace` —
+/// header, scenarios, stacks and instances — and hands them back as a
+/// data set without streams (the tables). The reader then yields one
+/// sealed stream per `!trace` section, in file order, and checks the
+/// header at the end of the text as [`Dataset::read_text`] does.
+///
+/// Text in the layout [`Dataset::write_text`] produces streams: every
+/// record other than an event comes before the first `!trace`, and
+/// trace ids run 0, 1, 2, …. Any other record order is valid text, but
+/// the reader stops at the first record out of that order with
+/// [`TextStreamError::OutOfOrder`]. An error it yields is final.
+///
+/// [`TextReader::collect_into`] instead accepts records in any order
+/// and returns the whole data set: [`Dataset::read_text`] is the reader
+/// collected, so there is one parser.
+pub struct TextReader<R> {
+    input: R,
+    /// A line split across two buffer refills, kept until its end.
+    carry: Vec<u8>,
+    /// Lines read so far.
+    lineno: usize,
+    parser: LineParser,
+    /// Set once an error was yielded or the text ended.
+    done: bool,
+}
+
+impl<R: BufRead> TextReader<R> {
+    /// Reads the records before the first `!trace` and returns them as
+    /// a data set with no streams, and the reader positioned in the
+    /// first trace section.
+    ///
+    /// # Errors
+    ///
+    /// As [`Dataset::read_text`], for the lines before the first
+    /// `!trace`.
+    pub fn new(input: R) -> Result<(Dataset, TextReader<R>), ReadError> {
+        let mut reader = TextReader {
+            input,
+            carry: Vec::new(),
+            lineno: 0,
+            parser: LineParser::default(),
+            done: false,
+        };
+        reader.read_lines()?;
+        reader.parser.phase = Phase::Streaming;
+        let tables = std::mem::take(&mut reader.parser.ds);
+        Ok((tables, reader))
+    }
+
+    /// Reads the rest of the text into `tables`, which must be the
+    /// tables [`TextReader::new`] returned, before any stream was drawn,
+    /// and returns the whole data set. Records may come in any order.
+    ///
+    /// # Errors
+    ///
+    /// As [`Dataset::read_text`].
+    pub fn collect_into(mut self, tables: Dataset) -> Result<Dataset, ReadError> {
+        self.parser.ds = tables;
+        self.parser.phase = Phase::Collecting;
+        self.read_lines()?;
+        self.parser.finish()
+    }
+
+    /// Feeds lines to the parser until one asks to pause (`true`) or
+    /// the input ends (`false`). Bytes after the pausing line stay in
+    /// the input for the next call.
+    fn read_lines(&mut self) -> Result<bool, ReadError> {
+        let parser = &mut self.parser;
+        loop {
+            let buf = match self.input.fill_buf() {
+                Ok(buf) => buf,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            };
+            if buf.is_empty() {
+                if self.carry.is_empty() {
+                    return Ok(false);
+                }
+                // The last line has no newline.
+                self.lineno += 1;
+                let pause = parser.line(&self.carry, self.lineno)?;
+                self.carry.clear();
+                return Ok(pause);
+            }
+            let len = buf.len();
+            let mut rest = buf;
+            let mut pause = false;
+            if !self.carry.is_empty() {
+                let Some(end) = find_newline(rest) else {
+                    self.carry.extend_from_slice(rest);
+                    self.input.consume(len);
+                    continue;
+                };
+                self.carry.extend_from_slice(&rest[..end]);
+                self.lineno += 1;
+                pause = parser.line(&self.carry, self.lineno)?;
+                self.carry.clear();
+                rest = &rest[end + 1..];
+            }
+            while !pause {
+                let Some(end) = find_newline(rest) else {
+                    break;
+                };
+                self.lineno += 1;
+                pause = parser.line(&rest[..end], self.lineno)?;
+                rest = &rest[end + 1..];
+            }
+            if !pause {
+                self.carry.extend_from_slice(rest);
+                rest = &[];
+            }
+            let consumed = len - rest.len();
+            self.input.consume(consumed);
+            if pause {
+                return Ok(true);
+            }
+        }
+    }
+
+    /// The next item, before the fuse in [`Iterator::next`].
+    fn advance(&mut self) -> Option<Result<TraceStream, TextStreamError>> {
+        let out_of_order = |line| Some(Err(TextStreamError::OutOfOrder { line }));
+        if let Some(line) = self.parser.out_of_order {
+            return out_of_order(line);
+        }
+        match self.read_lines() {
+            Err(e) => Some(Err(TextStreamError::Read(e))),
+            Ok(true) => match self.parser.out_of_order {
+                Some(line) => out_of_order(line),
+                None => self.parser.sealed.take().map(Ok),
+            },
+            Ok(false) => self.parser.end().map_err(TextStreamError::Read).transpose(),
+        }
+    }
+}
+
+impl<R: BufRead> Iterator for TextReader<R> {
+    type Item = Result<TraceStream, TextStreamError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        let item = self.advance();
+        self.done = !matches!(item, Some(Ok(_)));
+        item
+    }
+}
+
+/// What the line parser is reading.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// The records before the first `!trace`, which pauses the scan.
+    #[default]
+    Tables,
+    /// Trace sections one at a time: each `!trace` seals the previous
+    /// stream and pauses, and a record that belongs before the first
+    /// `!trace` stops the read.
+    Streaming,
+    /// Everything, in any order, into one data set.
+    Collecting,
+}
+
+/// The per-line state machine behind [`TextReader`].
 #[derive(Debug, Default)]
 struct LineParser {
+    /// The tables, and while collecting the streams too; empty while
+    /// streaming, when the consumer holds the tables.
     ds: Dataset,
     /// Maps declared stack ids to interned ids (they may differ if the
     /// file's ids are sparse).
@@ -373,15 +559,23 @@ struct LineParser {
     saw_header: bool,
     /// Reusable scratch for the frame symbols of a `!stack` line.
     frames: Vec<Symbol>,
+    phase: Phase,
+    /// The stream the last `!trace` sealed while streaming, until taken.
+    sealed: Option<TraceStream>,
+    /// `!trace` lines seen: the id the next one streams under.
+    traces: u32,
+    /// The first line out of the streamed order, once one is seen.
+    out_of_order: Option<usize>,
 }
 
 impl LineParser {
-    /// Handles one line, without its `\n`.
+    /// Handles one line, without its `\n`; `true` asks the scan to
+    /// pause after it.
     #[inline]
-    fn line(&mut self, raw: &[u8], lineno: usize) -> Result<(), ReadError> {
+    fn line(&mut self, raw: &[u8], lineno: usize) -> Result<bool, ReadError> {
         if let [b'e', b'\t', fields @ ..] = raw {
             if self.event(fields).is_some() {
-                return Ok(());
+                return Ok(false);
             }
         }
         self.general_line(raw, lineno)
@@ -427,13 +621,27 @@ impl LineParser {
         Some(())
     }
 
-    fn general_line(&mut self, raw: &[u8], lineno: usize) -> Result<(), ReadError> {
+    /// While streaming, a table record after the first `!trace` stops
+    /// the read instead of being parsed: `true` when it did.
+    fn out_of_order(&mut self, lineno: usize) -> bool {
+        if self.phase != Phase::Streaming {
+            return false;
+        }
+        self.out_of_order = Some(lineno);
+        true
+    }
+
+    fn general_line(&mut self, raw: &[u8], lineno: usize) -> Result<bool, ReadError> {
         let line = trim_line(raw);
         if line.is_empty() || line[0] == b'#' {
-            return Ok(());
+            return Ok(false);
         }
         if tag_of(line) == b"!stack" {
-            return self.stack_line(line, lineno);
+            if self.out_of_order(lineno) {
+                return Ok(true);
+            }
+            self.stack_line(line, lineno)?;
+            return Ok(false);
         }
         let mut f: [&[u8]; MAX_FIELDS] = [b""; MAX_FIELDS];
         let n = split_fields(line, &mut f);
@@ -449,6 +657,9 @@ impl LineParser {
                 self.saw_header = true;
             }
             b"!scenario" => {
+                if self.out_of_order(lineno) {
+                    return Ok(true);
+                }
                 if n != 4 {
                     return Err(err(lineno, "!scenario needs name, t_fast, t_slow"));
                 }
@@ -464,16 +675,24 @@ impl LineParser {
             }
             b"!trace" => {
                 if let Some(b) = self.current.take() {
-                    self.ds.streams.push(
-                        b.finish()
-                            .map_err(|e| err(lineno, &format!("previous trace invalid: {e}")))?,
-                    );
+                    let stream = b
+                        .finish()
+                        .map_err(|e| err(lineno, &format!("previous trace invalid: {e}")))?;
+                    match self.phase {
+                        Phase::Collecting => self.ds.streams.push(stream),
+                        _ => self.sealed = Some(stream),
+                    }
                 }
                 let id = (n > 1)
                     .then(|| parse_u32(f[1]))
                     .flatten()
                     .ok_or_else(|| err(lineno, "bad trace id"))?;
+                if id != self.traces {
+                    self.out_of_order.get_or_insert(lineno);
+                }
+                self.traces = self.traces.saturating_add(1);
                 self.current = Some(TraceStreamBuilder::new(id));
+                return Ok(self.phase != Phase::Collecting);
             }
             b"e" => {
                 if !self.saw_header {
@@ -485,6 +704,9 @@ impl LineParser {
                 parse_event(&f, n, lineno, &self.stack_ids, builder)?;
             }
             b"!instance" => {
+                if self.out_of_order(lineno) {
+                    return Ok(true);
+                }
                 self.ds.instances.push(parse_instance(&f, n, lineno)?);
             }
             other => {
@@ -494,7 +716,7 @@ impl LineParser {
                 ))
             }
         }
-        Ok(())
+        Ok(false)
     }
 
     /// `!stack` lines carry one field per frame, so they stream their
@@ -516,17 +738,27 @@ impl LineParser {
         Ok(())
     }
 
-    /// End-of-input validation: the last trace must seal, a header must
-    /// have been seen, and streams must sort into dense ids.
-    fn finish(mut self) -> Result<Dataset, ReadError> {
-        if let Some(b) = self.current.take() {
-            self.ds.streams.push(
+    /// End-of-input checks: the last trace must seal and a header must
+    /// have been seen. Returns the last stream, if any.
+    fn end(&mut self) -> Result<Option<TraceStream>, ReadError> {
+        let last = match self.current.take() {
+            Some(b) => Some(
                 b.finish()
                     .map_err(|e| err(0, &format!("final trace invalid: {e}")))?,
-            );
-        }
+            ),
+            None => None,
+        };
         if !self.saw_header {
             return Err(err(0, "missing !tracelens header"));
+        }
+        Ok(last)
+    }
+
+    /// The collected data set, after [`LineParser::end`]'s checks: its
+    /// streams must sort into dense ids.
+    fn finish(mut self) -> Result<Dataset, ReadError> {
+        if let Some(last) = self.end()? {
+            self.ds.streams.push(last);
         }
         let mut ds = self.ds;
         ds.streams.sort_by_key(|s| s.id().0);

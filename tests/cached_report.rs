@@ -1,5 +1,6 @@
-//! `Study::run_cached`, the route `tracelens report --cache` takes,
-//! streams a warm `.tlb` through the study one stream at a time and
+//! `Study::run_file` with its cache, the route `tracelens report
+//! --cache` takes, streams a warm `.tlb` through the study one stream at
+//! a time and
 //! falls back to the text when the cache proves corrupt, whether before
 //! the study starts or part way through it (the checksum is known only
 //! after the last stream). Whatever the damage, the report equals the
@@ -11,7 +12,7 @@ use tracelens::model::binio::HEADER_LEN;
 use tracelens::model::{fingerprint_bytes, BinReadError, ScenarioInstance, ThreadId, TraceId};
 use tracelens::prelude::*;
 use tracelens::store::{cache_path_for, quarantined_cache_path};
-use tracelens::{render_markdown, CachedStudy, ReportOptions};
+use tracelens::{render_markdown, FileStudy, ReportOptions};
 
 fn text_of(ds: &Dataset) -> Vec<u8> {
     let mut out = Vec::new();
@@ -38,9 +39,9 @@ fn text_report(text: &[u8]) -> String {
 }
 
 /// The cached study of `tlt` and its rendered report.
-fn cached_report(tlt: &Path) -> (CachedStudy, String) {
-    let run =
-        Study::run_cached(tlt, &StudyConfig::default(), &Telemetry::noop()).expect("cached study");
+fn cached_report(tlt: &Path) -> (FileStudy, String) {
+    let run = Study::run_file(tlt, true, &StudyConfig::default(), &Telemetry::noop())
+        .expect("cached study");
     let md = render_markdown(&run.study, &run.dataset, &ReportOptions::default());
     (run, md)
 }

@@ -6,10 +6,16 @@
 //! no fault kind makes) and on hand-built ones with duplicate, sparse
 //! and unsorted trace ids, stray and missing unwait targets and
 //! dangling stacks.
+//!
+//! It also pins what a streamed `report --sanitize` of text relies on:
+//! on any data set the text parser accepts, sanitize repairs and
+//! quarantines no stream, and only two instance rules can fire.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use tracelens::model::{Event, EventKind, StackId, ThreadId, TraceId, DUPLICATE_TRACE_ID};
+use tracelens::model::{
+    Event, EventKind, ScenarioInstance, StackId, ThreadId, TraceId, DUPLICATE_TRACE_ID,
+};
 use tracelens::prelude::*;
 
 /// The copying sanitize `Dataset::sanitize` replaced: it reads the
@@ -149,6 +155,59 @@ fn agree(ds: &Dataset) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The instance rules text can trigger: the parser refuses a negative
+/// span, so only a missing stream and an undefined scenario remain.
+const TEXT_INSTANCE_RULES: [&str; 2] = ["instance_without_stream", "instance_unknown_scenario"];
+
+/// `ds` written as text and read back, when the parser accepts it, and
+/// then sanitized: the parser sealed every stream sorted, with
+/// well-targeted unwaits and declared stacks, under dense ids, so
+/// sanitize re-sorts, renumbers, drops, strips, clamps and quarantines
+/// nothing of a stream, and only the text instance rules fire.
+fn parsed_text_needs_only_the_instance_rules(ds: &Dataset) -> Result<(), TestCaseError> {
+    let Ok(parsed) = Dataset::read_text_bytes(&text(ds)) else {
+        return Ok(());
+    };
+    let (clean, report) = parsed.clone().sanitize();
+    let stream_repairs = [
+        report.resorted_streams,
+        report.remapped_traces,
+        report.dropped_events,
+        report.stripped_targets,
+        report.clamped_instances,
+        report.quarantined_traces,
+        report.lost_events,
+    ];
+    prop_assert_eq!(stream_repairs, [0; 7], "{:?}", report);
+    for kind in report.violations.keys() {
+        prop_assert!(TEXT_INSTANCE_RULES.contains(kind), "{:?}", report);
+    }
+    let mut kept = parsed;
+    kept.instances = clean.instances.clone();
+    prop_assert!(
+        text(&clean) == text(&kept),
+        "sanitize changed more than the instances"
+    );
+    Ok(())
+}
+
+/// `ds` with two instances of an undefined scenario: one on its first
+/// trace and one on a trace with no stream.
+fn with_undefined_scenarios(mut ds: Dataset) -> Dataset {
+    let missing = TraceId(ds.streams.len() as u32 + 2);
+    for (k, trace) in [TraceId(0), missing].into_iter().enumerate() {
+        if let Some(instance) = ds.instances.get(k) {
+            let stray = ScenarioInstance {
+                trace,
+                scenario: ScenarioName::new("Undefined"),
+                ..instance.clone()
+            };
+            ds.instances.push(stray);
+        }
+    }
+    ds
+}
+
 /// How one event of a hand-built corpus is damaged.
 #[derive(Debug, Clone, Copy)]
 enum Damage {
@@ -273,6 +332,24 @@ proptest! {
         agree(&with_duplicate_and_stray(corrupt, seed))?;
     }
 
+    /// Every fault kind on its own, and all of them together, at rates
+    /// from 0 to 0.3, with instances of an undefined scenario on top,
+    /// written as text and read back.
+    #[test]
+    fn parsed_text_leaves_sanitize_only_the_instance_rules(
+        seed in 0u64..10_000,
+        rate_milli in 0u32..=300,
+    ) {
+        let clean = DatasetBuilder::new(seed).traces(3).build();
+        let rate = f64::from(rate_milli) / 1000.0;
+        for kind in ALL_FAULT_KINDS {
+            let (corrupt, _) = FaultInjector::new(seed).with(kind, rate).inject(&clean);
+            parsed_text_needs_only_the_instance_rules(&with_undefined_scenarios(corrupt))?;
+        }
+        let (corrupt, _) = FaultInjector::new(seed).with_all(rate).inject(&clean);
+        parsed_text_needs_only_the_instance_rules(&with_undefined_scenarios(corrupt))?;
+    }
+
     /// Duplicate, sparse and unsorted trace ids, unsorted events,
     /// dangling instance references and damaged events.
     #[test]
@@ -319,4 +396,29 @@ fn hand_built_corpora_reach_every_repair() {
     assert_ne!(base.streams[0].len(), base.streams[1].len());
     assert_eq!(clean.streams[0].len(), base.streams[0].len());
     agree(&ds).unwrap();
+}
+
+#[test]
+fn parsed_text_reaches_both_instance_rules() {
+    // The inputs the text property draws from do fire both rules, and
+    // carry unsorted streams for the parser to seal.
+    let clean = DatasetBuilder::new(5).traces(3).build();
+    let (corrupt, log) = FaultInjector::new(5)
+        .with(FaultKind::DanglingInstanceRefs, 0.3)
+        .with(FaultKind::ClockSkew, 0.3)
+        .inject(&clean);
+    assert!(log.injected(FaultKind::DanglingInstanceRefs) > 0);
+    assert!(corrupt
+        .streams
+        .iter()
+        .any(|s| s.events().windows(2).any(|w| w[1].t < w[0].t)));
+    let parsed = Dataset::read_text_bytes(&text(&with_undefined_scenarios(corrupt)))
+        .expect("text without dangling stacks parses");
+    let (_, report) = parsed.sanitize();
+    for kind in TEXT_INSTANCE_RULES {
+        assert!(
+            report.violations.get(kind).is_some_and(|&n| n > 0),
+            "{report:?}"
+        );
+    }
 }

@@ -1,10 +1,14 @@
 //! The `.tlt` parser contract, pinned as a table: for each input, the
 //! exact `ReadError` text (message and line) or the `write_text` bytes
 //! of the parsed data set. Every case must come out the same from the
-//! in-memory entry point and from the streaming reader at any buffer
+//! in-memory entry point and from the streaming parse at any buffer
 //! size, so a line split across buffer refills parses like any other.
+//! A `TextReader` that yields the tables and then one stream at a time
+//! must give the same outcome too, except on the cases whose records
+//! are out of the streamed order, where it must stop at the pinned line.
 
 use std::io::BufReader;
+use tracelens::model::textio::{ReadError, TextReader, TextStreamError};
 use tracelens::prelude::*;
 
 /// Header, one stack and an open trace: an event line appended after
@@ -551,8 +555,8 @@ fn cases() -> Vec<(&'static str, Vec<u8>, Expect)> {
                  !trace\t0\n!instance\t0\t2\t0\t0\tS\n!trace\t1\n!instance\t0\t3\t0\t0\tS\n",
             ),
             Text(
-                "!tracelens\t1\n!scenario\tS\t1\t2\n!trace\t0\n!trace\t1\n\
-                 !instance\t0\t1\t0\t0\tS\n!instance\t0\t2\t0\t0\tS\n!instance\t0\t3\t0\t0\tS\n",
+                "!tracelens\t1\n!scenario\tS\t1\t2\n!instance\t0\t1\t0\t0\tS\n\
+                 !instance\t0\t2\t0\t0\tS\n!instance\t0\t3\t0\t0\tS\n!trace\t0\n!trace\t1\n",
             ),
         ),
         (
@@ -578,9 +582,22 @@ fn cases() -> Vec<(&'static str, Vec<u8>, Expect)> {
     ]
 }
 
+/// The cases a `TextReader` does not stream, and the line of the first
+/// record out of the streamed order: a table record after the first
+/// `!trace`, or a trace id that is not the next of 0, 1, 2, ….
+const OUT_OF_ORDER: [(&str, usize); 7] = [
+    ("instance line with a trailing tab", 3),
+    ("traces out of order are sorted", 3),
+    ("sparse trace ids", 2),
+    ("repeated trace id", 3),
+    ("stack between traces", 3),
+    ("scenario and header between traces", 3),
+    ("instances keep file order around traces", 5),
+];
+
 /// The parse outcome in comparable form: the error's `Display`, or the
 /// data set's `write_text` bytes.
-fn outcome(result: Result<Dataset, tracelens::model::textio::ReadError>) -> Result<String, String> {
+fn outcome(result: Result<Dataset, ReadError>) -> Result<String, String> {
     match result {
         Ok(ds) => {
             let mut out = Vec::new();
@@ -591,10 +608,32 @@ fn outcome(result: Result<Dataset, tracelens::model::textio::ReadError>) -> Resu
     }
 }
 
+/// `input` read by a `TextReader` over a `k`-byte buffer, its tables
+/// and every stream it yields assembled into one data set: the outcome,
+/// or the line of the record out of the streamed order it stopped at.
+fn streamed(input: &[u8], k: usize) -> Result<Result<String, String>, usize> {
+    let (mut ds, streams) = match TextReader::new(BufReader::with_capacity(k, input)) {
+        Ok(read) => read,
+        Err(e) => return Ok(outcome(Err(e))),
+    };
+    for stream in streams {
+        match stream {
+            Ok(stream) => ds.streams.push(stream),
+            Err(TextStreamError::Read(e)) => return Ok(outcome(Err(e))),
+            Err(TextStreamError::OutOfOrder { line }) => return Err(line),
+        }
+    }
+    Ok(outcome(Ok(ds)))
+}
+
 #[test]
 fn every_input_parses_as_pinned() {
+    let cases = cases();
+    for (name, _) in OUT_OF_ORDER {
+        assert!(cases.iter().any(|c| c.0 == name), "no case named {name:?}");
+    }
     let mut mismatches = Vec::new();
-    for (name, input, expect) in cases() {
+    for (name, input, expect) in cases {
         let want = match expect {
             Error(e) => Err(e.to_owned()),
             Text(t) => Ok(t.to_owned()),
@@ -603,11 +642,22 @@ fn every_input_parses_as_pinned() {
         if got != want {
             mismatches.push(format!("{name}: got {got:?}, want {want:?}"));
         }
+        let stops = OUT_OF_ORDER.iter().find(|(case, _)| *case == name);
         for k in CAPACITIES {
-            let streamed = outcome(Dataset::read_text(BufReader::with_capacity(k, &input[..])));
-            if streamed != got {
+            let buffered = outcome(Dataset::read_text(BufReader::with_capacity(k, &input[..])));
+            if buffered != got {
                 mismatches.push(format!(
-                    "{name}: buffer {k} gave {streamed:?}, in-memory {got:?}"
+                    "{name}: buffer {k} gave {buffered:?}, in-memory {got:?}"
+                ));
+            }
+            let by_stream = streamed(&input, k);
+            let want = match stops {
+                Some(&(_, line)) => Err(line),
+                None => Ok(got.clone()),
+            };
+            if by_stream != want {
+                mismatches.push(format!(
+                    "{name}: the reader over buffer {k} gave {by_stream:?}, want {want:?}"
                 ));
             }
         }

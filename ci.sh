@@ -38,7 +38,10 @@ echo "== ingest tests in release =="
 # The `.tlb` reader computes sizes from untrusted bytes, and release
 # arithmetic wraps on overflow where the debug test pass panics: run the
 # model crate's tests and the ingest, corruption and cached-report gates
-# as built there.
+# as built there. The model crate's tests include the seal property
+# (crates/model/tests/seal.rs): the stream builder's insertion sort and
+# push-time checks against a stable sort and a check after the last
+# push, as the benchmark builds them.
 cargo test -q --release -p tracelens-model
 cargo test -q --release -p tracelens --test ingest --test corruption --test cached_report
 
@@ -80,12 +83,15 @@ cmp "$TS_DIR/ds.tlb" "$TS_DIR/packed.tlb"
 # lies in the last stream block: the fallback then fires after the study
 # has run over every other stream. The report must still equal the
 # uncached one, the cache must be repacked, and the next run must load it.
-python3 -c "
+flip_last_byte() {
+    python3 -c "
 import sys
 b = bytearray(open(sys.argv[1], 'rb').read())
 b[-1] ^= 0x40
 open(sys.argv[1], 'wb').write(b)
-" "$TS_DIR/ds.tlb"
+" "$1"
+}
+flip_last_byte "$TS_DIR/ds.tlb"
 "$TL" report "$TS_DIR/ds.tlt" --cache -o "$TS_DIR/flipped.md" 2> "$TS_DIR/flipped.err"
 cmp "$TS_DIR/uncached.md" "$TS_DIR/flipped.md"
 grep -q 'binary cache corrupt; parsed text and repacked the cache' "$TS_DIR/flipped.err"
@@ -93,6 +99,16 @@ cmp "$TS_DIR/ds.tlb" "$TS_DIR/packed.tlb"
 "$TL" report "$TS_DIR/ds.tlt" --cache -o "$TS_DIR/repacked.md" 2> "$TS_DIR/repacked.err"
 grep -q '^ingest: loaded binary cache' "$TS_DIR/repacked.err"
 cmp "$TS_DIR/uncached.md" "$TS_DIR/repacked.md"
+# A warm `--cache --sanitize` report streams the cache as well, while
+# each stream is one sanitize leaves as it is. Flip the last byte of the
+# repacked cache: the fallback again fires after the last stream, and
+# the report must equal the --sanitize text report.
+flip_last_byte "$TS_DIR/ds.tlb"
+"$TL" report "$TS_DIR/ds.tlt" --cache --sanitize -o "$TS_DIR/flipped-sanitized.md" \
+    2> "$TS_DIR/flipped-sanitized.err"
+grep -q 'binary cache corrupt; parsed text and repacked the cache' \
+    "$TS_DIR/flipped-sanitized.err"
+cmp "$TS_DIR/sanitized.md" "$TS_DIR/flipped-sanitized.md"
 # `report FILE` streams text in the layout `simulate` writes (instances
 # before traces) one trace at a time. Other layouts take the in-memory
 # route, which the benchmark never runs: text with its instances last

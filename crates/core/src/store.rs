@@ -402,7 +402,7 @@ pub(crate) struct OpenCache {
 
 /// The whole of a cache file, header first, as [`OpenCache::input`]
 /// reads it.
-pub(crate) type CacheInput = BufReader<io::Chain<io::Cursor<[u8; HEADER_LEN]>, File>>;
+pub(crate) type CacheInput<'a> = BufReader<io::Chain<io::Cursor<[u8; HEADER_LEN]>, &'a File>>;
 
 /// Opens the cache and reads the source fingerprint from its header
 /// alone: [`CacheFallback::Missing`] when there is no cache file,
@@ -424,17 +424,19 @@ fn open_cache(cache_path: &Path) -> Result<OpenCache, CacheFallback> {
 impl OpenCache {
     /// The whole cache, header first, streaming through a fixed-size
     /// buffer on the handle [`open_cache`] opened, and the cache file's
-    /// length.
-    pub(crate) fn input(self) -> io::Result<(CacheInput, usize)> {
-        let len = self.file.metadata()?.len();
-        let input = io::Cursor::new(self.header).chain(self.file);
+    /// length. Each call reads the cache from its start.
+    pub(crate) fn input(&self) -> io::Result<(CacheInput<'_>, usize)> {
+        let mut file = &self.file;
+        file.seek(io::SeekFrom::Start(HEADER_LEN as u64))?;
+        let len = file.metadata()?.len();
+        let input = io::Cursor::new(self.header).chain(file);
         Ok((BufReader::with_capacity(READ_BUF, input), len as usize))
     }
 
     /// Loads the whole data set, as [`ingest_path`] does on a hit; `None`
     /// if the cache does not read back as an intact image.
     pub(crate) fn load(
-        self,
+        &self,
         io_retries: usize,
         telemetry: &Telemetry,
     ) -> Option<(Dataset, IngestReport)> {

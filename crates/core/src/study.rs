@@ -5,15 +5,18 @@
 //! feeds it one stream at a time when it can, so the events of one
 //! stream are alive at once: from a warm `.tlb` cache, or from text in
 //! the layout [`Dataset::write_text`] writes (instances before traces),
-//! read by a [`TextReader`]. A plain study checks each stream as it
-//! passes; a sanitizing study of text applies sanitize's instance rules
-//! once it has counted the streams, which is all sanitize can change in
-//! text the parser accepts. A source that proves unusable part way
-//! through (a corrupt cache, or text with a record out of the streamed
-//! order) is dropped with the partial study, and the text is parsed
-//! whole and studied in memory instead. Text with no instance before
-//! its first trace, the layout written before instances moved ahead,
-//! is collected by the same reader and studied in memory.
+//! read by a [`TextReader`]. Every stream is checked as it passes. A
+//! sanitizing study applies sanitize's instance rules once it has
+//! counted the streams, which is all sanitize can change in text the
+//! parser accepts, or in a cache whose every stream passed the check.
+//! A source that proves unusable part way through (a corrupt cache, or
+//! text with a record out of the streamed order) is dropped with the
+//! partial study, and the text is parsed whole and studied in memory
+//! instead; a cache with a stream sanitize would change is dropped the
+//! same way under a sanitizing study, then loaded whole and sanitized
+//! in memory. Text with no instance before its first trace, the layout
+//! written before instances moved ahead, is collected by the same
+//! reader and studied in memory.
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -31,7 +34,7 @@ use tracelens_impact::{fold, instances_by_trace, ImpactAnalyzer, ImpactReport, I
 use tracelens_model::binio::BinReader;
 use tracelens_model::textio::{ReadError, TextReader, TextStreamError};
 use tracelens_model::{
-    instance_counts, sanitize_instances, BinReadError, ComponentFilter, Dataset, SanitizeReport,
+    instance_counts, sanitize_instances, ComponentFilter, Dataset, SanitizeReport,
     ScenarioInstance, ScenarioName, TraceId, TraceStream, ValidationError, Validator,
 };
 use tracelens_obs::{stage, Telemetry};
@@ -176,6 +179,28 @@ pub struct FileStudy {
     /// The input's validation verdict, as [`Dataset::validate`] gives it
     /// for the data set as read (before any sanitizing).
     pub validation: Result<(), ValidationError>,
+}
+
+impl FileStudy {
+    /// The study of a streamed input: the tables stand for the data set,
+    /// with the instances sanitize kept when it sanitized.
+    fn streamed(
+        study: Study,
+        mut tables: Dataset,
+        clean: Option<Vec<ScenarioInstance>>,
+        ingest: IngestReport,
+        validation: Result<(), ValidationError>,
+    ) -> FileStudy {
+        if let Some(clean) = clean {
+            tables.instances = clean;
+        }
+        FileStudy {
+            study,
+            dataset: tables,
+            ingest,
+            validation,
+        }
+    }
 }
 
 /// Per-scenario results of a study.
@@ -379,15 +404,19 @@ impl Study {
     ///   ids out of order) is dropped with the partial study, rewound,
     ///   parsed whole and studied in memory.
     /// * A cache is used when its header records the text's
-    ///   fingerprint. Unless `config` sanitizes, the study streams it.
-    ///   The payload checksum is known only after the last stream; a
-    ///   cache that fails it, or any other check, part way through is
-    ///   treated like one that failed before the study began: the
-    ///   partial study is dropped, the cache is quarantined, and the
-    ///   text is parsed, repacked and studied in memory. A sanitizing
-    ///   study loads a usable cache whole. Missing, stale and corrupt
-    ///   caches take the text path, in memory, since packing needs the
-    ///   whole data set.
+    ///   fingerprint, and the study streams it. The payload checksum is
+    ///   known only after the last stream; a cache that fails it, or any
+    ///   other check, part way through is treated like one that failed
+    ///   before the study began: the partial study is dropped, the cache
+    ///   is quarantined, and the text is parsed, repacked and studied in
+    ///   memory. A sanitizing study streams the cache while
+    ///   [`Validator`] passes each stream, since sanitize leaves such a
+    ///   stream as it is, and runs only sanitize's instance rules after
+    ///   the pass. At the first stream it flags, the partial study is
+    ///   dropped and the cache is loaded whole and sanitized in memory;
+    ///   it is not quarantined. Missing, stale and corrupt caches take
+    ///   the text path, in memory, since packing needs the whole data
+    ///   set.
     ///
     /// # Errors
     ///
@@ -433,26 +462,19 @@ impl Study {
         }
         let names = scenario_names(&tables);
         let mut validator = Validator::new(&tables);
-        let streams = reader.map(|stream| stream.inspect(|s| validator.stream(s)));
-        let sanitizing = if config.sanitize {
-            Sanitizing::Instances
-        } else {
-            Sanitizing::Off
-        };
+        let streams = reader.map(|stream| {
+            stream.inspect(|s| {
+                validator.stream(s);
+            })
+        });
+        let sanitizing = Sanitizing::streamed(config);
         match Study::analyze(&tables, streams, config, &names, telemetry, sanitizing) {
             Ok((study, clean)) => {
                 let validation = validator.finish();
                 let (ingest, _) = store::text_read(input, study.coverage.total_events, telemetry);
-                let mut dataset = tables;
-                if let Some(clean) = clean {
-                    dataset.instances = clean;
-                }
-                Ok(FileStudy {
-                    study,
-                    dataset,
-                    ingest,
-                    validation,
-                })
+                Ok(FileStudy::streamed(
+                    study, tables, clean, ingest, validation,
+                ))
             }
             Err(Halt::Study(e)) => Err(FileStudyError::Study(e)),
             Err(Halt::Source(TextStreamError::Read(e))) => Err(FileStudyError::Read(e)),
@@ -480,19 +502,27 @@ impl Study {
             let _span = telemetry.span(stage::INGEST);
             store::open_cached(path).map_err(FileStudyError::Read)?
         };
-        let streamed = !config.sanitize && config.checkpoint.is_none();
         let fallback = match cache {
-            Ok(cache) if streamed => {
-                match Study::stream_cached(cache, text.retries, config, telemetry) {
-                    Ok(run) => return Ok(run),
-                    Err(Halt::Study(e)) => return Err(FileStudyError::Study(e)),
-                    Err(Halt::Source(_)) => CacheFallback::Corrupt,
+            Ok(cache) => {
+                // A checkpoint fingerprints the whole data set.
+                let streamed = config
+                    .checkpoint
+                    .is_none()
+                    .then(|| Study::stream_cached(&cache, text.retries, config, telemetry));
+                match streamed {
+                    Some(Ok(run)) => return Ok(run),
+                    Some(Err(Halt::Study(e))) => return Err(FileStudyError::Study(e)),
+                    Some(Err(Halt::Source(CacheHalt::Corrupt))) => CacheFallback::Corrupt,
+                    None | Some(Err(Halt::Source(CacheHalt::Unclean))) => {
+                        match cache.load(text.retries, telemetry) {
+                            Some((ds, ingest)) => {
+                                return Study::run_loaded(ds, ingest, config, telemetry)
+                            }
+                            None => CacheFallback::Corrupt,
+                        }
+                    }
                 }
             }
-            Ok(cache) => match cache.load(text.retries, telemetry) {
-                Some((ds, ingest)) => return Study::run_loaded(ds, ingest, config, telemetry),
-                None => CacheFallback::Corrupt,
-            },
             Err(fallback) => fallback,
         };
         let (ds, ingest) = {
@@ -524,36 +554,43 @@ impl Study {
     }
 
     /// [`Study::run_file`] streaming a fingerprint-matching cache, one
-    /// stream at a time; [`Halt::Source`] when the cache turns out not
-    /// to be an intact image.
+    /// stream at a time. A sanitizing study streams only while each
+    /// stream is one sanitize leaves as it is ([`Validator::stream`]
+    /// passes it), so that sanitize's instance rules are all that is
+    /// left to run once the streams are counted.
     fn stream_cached(
-        cache: OpenCache,
+        cache: &OpenCache,
         io_retries: usize,
         config: &StudyConfig,
         telemetry: &Telemetry,
-    ) -> Result<FileStudy, Halt<BinReadError>> {
+    ) -> Result<FileStudy, Halt<CacheHalt>> {
         let (tables, streams, bytes) = {
             let _span = telemetry.span(stage::INGEST);
             let (input, bytes) = cache
                 .input()
-                .map_err(|e| Halt::Source(BinReadError::Io(e.kind())))?;
-            let (tables, streams) = BinReader::new(input).map_err(Halt::Source)?;
+                .map_err(|_| Halt::Source(CacheHalt::Corrupt))?;
+            let (tables, streams) =
+                BinReader::new(input).map_err(|_| Halt::Source(CacheHalt::Corrupt))?;
             (tables, streams, bytes)
         };
         let names = scenario_names(&tables);
         let mut validator = Validator::new(&tables);
-        let streams = streams.map(|stream| stream.inspect(|s| validator.stream(s)));
-        let (study, _) =
-            Study::analyze(&tables, streams, config, &names, telemetry, Sanitizing::Off)?;
+        let streams = streams.map(|stream| {
+            let stream = stream.map_err(|_| CacheHalt::Corrupt)?;
+            if !validator.stream(&stream) && config.sanitize {
+                return Err(CacheHalt::Unclean);
+            }
+            Ok(stream)
+        });
+        let sanitizing = Sanitizing::streamed(config);
+        let (study, clean) =
+            Study::analyze(&tables, streams, config, &names, telemetry, sanitizing)?;
         let validation = validator.finish();
         let ingest =
             IngestReport::cache_hit(bytes, study.coverage.total_events, io_retries, telemetry);
-        Ok(FileStudy {
-            study,
-            dataset: tables,
-            ingest,
-            validation,
-        })
+        Ok(FileStudy::streamed(
+            study, tables, clean, ingest, validation,
+        ))
     }
 
     /// The driver every route shares: the analyses over the scenario,
@@ -773,6 +810,15 @@ impl Study {
     }
 }
 
+/// Why a warm cache stopped streaming into the study.
+enum CacheHalt {
+    /// It is not an intact image: quarantine it and study the text.
+    Corrupt,
+    /// A sanitizing study met a stream sanitize would change: load the
+    /// cache whole and sanitize it in memory.
+    Unclean,
+}
+
 /// How a study's input is sanitized.
 enum Sanitizing {
     /// Not at all: the tables' instances are studied as they are.
@@ -781,8 +827,19 @@ enum Sanitizing {
     Done(SanitizeReport),
     /// By sanitize's instance rules alone, once the pass has counted the
     /// streams: for streams sanitize keeps as they are (text the parser
-    /// accepted).
+    /// accepted, or a cache whose every stream `Validator` passed).
     Instances,
+}
+
+impl Sanitizing {
+    /// How a study that streams its input sanitizes under `config`.
+    fn streamed(config: &StudyConfig) -> Sanitizing {
+        if config.sanitize {
+            Sanitizing::Instances
+        } else {
+            Sanitizing::Off
+        }
+    }
 }
 
 /// Counts what sanitize did in `telemetry`, and refuses a study whose

@@ -27,7 +27,7 @@ use crate::event::EventKind;
 use crate::ids::TraceId;
 use crate::scenario::{Scenario, ScenarioInstance};
 use crate::stack::StackTable;
-use crate::stream::TraceStream;
+use crate::stream::{sort_by_time, TraceStream};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -341,12 +341,12 @@ fn sanitize_stream(
         }
         true
     });
-    if events.windows(2).any(|w| w[1].t < w[0].t) {
+    // The sort `TraceStreamBuilder::finish` seals with: stable, so
+    // simultaneous events keep their relative order, and a single pass
+    // over a stream already in order.
+    if sort_by_time(&mut events) {
         *report.violations.entry("unsorted_events").or_insert(0) += 1;
         report.resorted_streams += 1;
-        // Stable, matching TraceStreamBuilder::finish: simultaneous
-        // events keep their relative order.
-        events.sort_by_key(|e| e.t);
     }
     TraceStream::from_unchecked_parts(new_id, events)
 }

@@ -144,6 +144,16 @@ impl Error for StreamError {}
 /// (stable, so simultaneous events keep insertion order) and validates
 /// unwait targeting.
 ///
+/// Both checks run as events are pushed: each push compares the event's
+/// timestamp with the last one and checks its targeting, keeping the
+/// first violation. Sealing an in-order stream therefore reads none of
+/// its events again. An out-of-order stream is sealed by one insertion
+/// pass whose cost is the number of events plus the number of
+/// inversions, which is small for a stream whose clocks skew by a
+/// sample or so; past a budget linear in the stream's length the pass
+/// hands over to a merge sort, so no stream costs more than
+/// O(n log n).
+///
 /// ```
 /// use tracelens_model::{ProcessId, StackId, ThreadId, TimeNs, TraceStreamBuilder};
 /// let mut b = TraceStreamBuilder::new(7);
@@ -158,6 +168,10 @@ pub struct TraceStreamBuilder {
     id: TraceId,
     events: Vec<Event>,
     default_pid: ProcessId,
+    /// Whether the events pushed so far are in time order.
+    sorted: bool,
+    /// The first targeting violation pushed, in insertion order.
+    invalid: Option<StreamError>,
 }
 
 impl TraceStreamBuilder {
@@ -167,6 +181,8 @@ impl TraceStreamBuilder {
             id: TraceId(id),
             events: Vec::new(),
             default_pid: ProcessId(0),
+            sorted: true,
+            invalid: None,
         }
     }
 
@@ -177,7 +193,14 @@ impl TraceStreamBuilder {
     }
 
     /// Pushes a raw event.
+    #[inline]
     pub fn push(&mut self, event: Event) -> &mut Self {
+        if self.invalid.is_none() {
+            self.invalid = targeting_error(&event, self.events.len());
+        }
+        if let Some(last) = self.events.last() {
+            self.sorted &= last.t <= event.t;
+        }
         self.events.push(event);
         self
     }
@@ -269,37 +292,75 @@ impl TraceStreamBuilder {
         self.events.is_empty()
     }
 
-    /// Validates and seals the stream.
+    /// Validates and seals the stream: reports the first targeting
+    /// violation pushed, or sorts the events by timestamp (see the type's
+    /// docs for the cost).
     ///
     /// # Errors
     ///
     /// Returns a [`StreamError`] if an unwait event lacks a target thread,
     /// targets its own thread, or a non-unwait event carries a target.
     pub fn finish(mut self) -> Result<TraceStream, StreamError> {
-        for (index, e) in self.events.iter().enumerate() {
-            match e.kind {
-                EventKind::Unwait => match e.wtid {
-                    None => return Err(StreamError::UnwaitWithoutTarget { index }),
-                    Some(w) if w == e.tid => return Err(StreamError::SelfUnwait { index }),
-                    Some(_) => {}
-                },
-                _ => {
-                    if e.wtid.is_some() {
-                        return Err(StreamError::UnexpectedTarget { index });
-                    }
-                }
-            }
+        if let Some(e) = self.invalid {
+            return Err(e);
         }
-        // The text parser's streams arrive in time order; a stable sort
-        // of sorted input would change nothing.
-        if !self.events.is_sorted_by_key(|e| e.t) {
-            self.events.sort_by_key(|e| e.t);
+        if !self.sorted {
+            sort_by_time(&mut self.events);
         }
         Ok(TraceStream {
             id: self.id,
             events: self.events,
         })
     }
+}
+
+/// What is wrong with the targeting of `event`, pushed at `index`.
+#[inline]
+fn targeting_error(event: &Event, index: usize) -> Option<StreamError> {
+    match (event.kind, event.wtid) {
+        (EventKind::Unwait, None) => Some(StreamError::UnwaitWithoutTarget { index }),
+        (EventKind::Unwait, Some(w)) if w == event.tid => Some(StreamError::SelfUnwait { index }),
+        (EventKind::Unwait, Some(_)) | (_, None) => None,
+        (_, Some(_)) => Some(StreamError::UnexpectedTarget { index }),
+    }
+}
+
+/// Sorts `events` by timestamp, stably, and says whether any moved: the
+/// one event sort of the crate, shared by [`TraceStreamBuilder::finish`]
+/// and sanitize.
+///
+/// An insertion pass moves each event left past the later-stamped ones
+/// before it, never past an equal stamp, so ties keep their order. Its
+/// cost is the number of events plus the number of inversions. Once it
+/// has moved more than `n + 64` events, it hands the rest to the
+/// standard library's stable sort: insertion keeps the order of equal
+/// stamps, so the result is the same. Clock skew leaves well under one
+/// inversion per event, while the simulator pushes each thread's
+/// samples ahead of the others' and leaves most streams with more than
+/// eight, so a budget of one move per event keeps what such a stream
+/// wastes before the hand-over small.
+pub(crate) fn sort_by_time(events: &mut [Event]) -> bool {
+    let mut budget = events.len() + 64;
+    let mut moved = false;
+    for i in 1..events.len() {
+        let event = events[i];
+        if events[i - 1].t <= event.t {
+            continue;
+        }
+        let mut to = i - 1;
+        while to > 0 && events[to - 1].t > event.t {
+            to -= 1;
+        }
+        let Some(left) = budget.checked_sub(i - to) else {
+            events.sort_by_key(|e| e.t);
+            return true;
+        };
+        budget = left;
+        events.copy_within(to..i, to + 1);
+        events[to] = event;
+        moved = true;
+    }
+    moved
 }
 
 #[cfg(test)]

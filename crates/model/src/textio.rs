@@ -35,18 +35,23 @@
 //! ## Parsing
 //!
 //! [`TextReader`] is the one parser, and [`Dataset::read_text`] is it
-//! collected. It scans the reader's buffer in place, finding line ends
-//! eight bytes at a time; only a line split across two buffer refills is
-//! copied, into a small carry. An event line in the form
-//! [`Dataset::write_text`] produces is parsed in one left-to-right pass
-//! that reads each integer as it walks the fields. Every other line, and
-//! any event line that pass does not fully accept, goes through the
-//! general line handler, which accepts it or names the error and its
-//! line. [`Dataset::read_text_bytes`] is the same parser over in-memory
-//! text.
+//! collected. It scans the reader's buffer in place; only a line split
+//! across two buffer refills is copied, into a small carry. An event
+//! line in the form [`Dataset::write_text`] produces is not cut at its
+//! `\n` first: it is parsed where it lies, in one left-to-right pass that
+//! reads each integer as it walks the fields and stops after the last
+//! one, and it is taken when a `\n` follows there (for a line in the
+//! carry, when nothing follows). Every other line is cut at its `\n`,
+//! found eight bytes at a time, and goes to the general line handler,
+//! as does any event line that pass does not fully accept; the handler
+//! accepts it or names the error and its line. The stream builder checks
+//! each event as it is pushed, so sealing a trace section reads its
+//! events again only to sort a stream that arrived out of order
+//! ([`TraceStreamBuilder`] says what that costs).
+//! [`Dataset::read_text_bytes`] is the same parser over in-memory text.
 
 use crate::dataset::Dataset;
-use crate::event::EventKind;
+use crate::event::{Event, EventKind};
 use crate::idhash::IdHashing;
 use crate::ids::{ProcessId, ThreadId};
 use crate::intern::Symbol;
@@ -483,11 +488,22 @@ impl<R: BufRead> TextReader<R> {
                 rest = &rest[end + 1..];
             }
             while !pause {
+                // A canonical event line is parsed where it lies: the
+                // fused pass stops at its last number, which a `\n` must
+                // end. A line it declines is cut at its `\n` as any other.
+                if let [b'e', b'\t', fields @ ..] = rest {
+                    if let Some((event, [b'\n', after @ ..])) = parser.event(fields) {
+                        parser.push(event);
+                        self.lineno += 1;
+                        rest = after;
+                        continue;
+                    }
+                }
                 let Some(end) = find_newline(rest) else {
                     break;
                 };
                 self.lineno += 1;
-                pause = parser.line(&rest[..end], self.lineno)?;
+                pause = parser.general_line(&rest[..end], self.lineno)?;
                 rest = &rest[end + 1..];
             }
             if !pause {
@@ -569,12 +585,12 @@ struct LineParser {
 }
 
 impl LineParser {
-    /// Handles one line, without its `\n`; `true` asks the scan to
-    /// pause after it.
-    #[inline]
+    /// Handles one whole line, without its `\n`; `true` asks the scan
+    /// to pause after it.
     fn line(&mut self, raw: &[u8], lineno: usize) -> Result<bool, ReadError> {
         if let [b'e', b'\t', fields @ ..] = raw {
-            if self.event(fields).is_some() {
+            if let Some((event, [])) = self.event(fields) {
+                self.push(event);
                 return Ok(false);
             }
         }
@@ -582,17 +598,19 @@ impl LineParser {
     }
 
     /// The fused pass over an `e` line in the canonical form: `fields`
-    /// is everything after `e\t`, exactly six fields for `r`/`w`/`h`
+    /// starts after `e\t` and holds exactly six fields for `r`/`w`/`h`
     /// and seven for `u`, each number short enough that it cannot
-    /// overflow, no trailing `\r`. Pushes the event and returns `Some`,
-    /// or returns `None` having changed nothing; the general handler
-    /// then accepts the line or reports its error.
+    /// overflow, then whatever follows the line. Returns the event and
+    /// the bytes after its last number, which the caller checks end the
+    /// line; `None` when the line is not canonical, or the event needs
+    /// a trace section or a declared stack it does not have. Changes
+    /// nothing: the caller pushes an event it accepts, and the general
+    /// handler accepts a declined line or reports its error.
     #[inline]
-    fn event(&mut self, fields: &[u8]) -> Option<()> {
-        if !self.saw_header {
+    fn event<'a>(&self, fields: &'a [u8]) -> Option<(Event, &'a [u8])> {
+        if !self.saw_header || self.current.is_none() {
             return None;
         }
-        let builder = self.current.as_mut()?;
         let &[kind, b'\t', ref rest @ ..] = fields else {
             return None;
         };
@@ -601,24 +619,37 @@ impl LineParser {
         let (t, rest) = u64_then_tab(rest)?;
         let (cost, rest) = u64_then_tab(rest)?;
         let (raw_stack, rest) = leading_u32(rest)?;
-        let wtid = match (kind, rest) {
-            (b'r' | b'w' | b'h', []) => None,
-            (b'u', [b'\t', rest @ ..]) => match leading_u32(rest)? {
-                (wtid, []) => Some(ThreadId(wtid)),
-                _ => return None,
-            },
+        let cost = TimeNs(cost);
+        let (kind, cost, wtid, rest) = match (kind, rest) {
+            (b'r', _) => (EventKind::Running, cost, None, rest),
+            (b'w', _) => (EventKind::Wait, cost, None, rest),
+            (b'h', _) => (EventKind::HardwareService, cost, None, rest),
+            (b'u', [b'\t', rest @ ..]) => {
+                let (wtid, rest) = leading_u32(rest)?;
+                // Instantaneous, as `push_unwait` records an unwait.
+                (EventKind::Unwait, TimeNs::ZERO, Some(ThreadId(wtid)), rest)
+            }
             _ => return None,
         };
-        let stack = *self.stack_ids.get(&raw_stack)?;
-        let (tid, t, cost) = (ThreadId(tid), TimeNs(t), TimeNs(cost));
-        builder.set_process(ProcessId(pid));
-        match wtid {
-            Some(woken) => builder.push_unwait(tid, woken, t, stack),
-            None if kind == b'r' => builder.push_running(tid, t, cost, stack),
-            None if kind == b'w' => builder.push_wait(tid, t, cost, stack),
-            None => builder.push_hardware(tid, t, cost, stack),
+        let event = Event {
+            kind,
+            tid: ThreadId(tid),
+            pid: ProcessId(pid),
+            t: TimeNs(t),
+            cost,
+            stack: *self.stack_ids.get(&raw_stack)?,
+            wtid,
         };
-        Some(())
+        Some((event, rest))
+    }
+
+    /// Pushes an event [`LineParser::event`] returned.
+    #[inline]
+    fn push(&mut self, event: Event) {
+        self.current
+            .as_mut()
+            .expect("the fused pass checked for a trace section")
+            .push(event);
     }
 
     /// While streaming, a table record after the first `!trace` stops

@@ -189,8 +189,12 @@ impl<'a> Validator<'a> {
 
     /// Checks the next stream of the data set: the first call checks
     /// the stream at position 0, the next the one at position 1, and so
-    /// on.
-    pub fn stream(&mut self, stream: &TraceStream) {
+    /// on. Returns whether the stream passed. A stream that passes, with
+    /// every stream before it, is one [`Dataset::sanitize`] leaves as it
+    /// is: its id is its position, its events are in time order, every
+    /// stack is known and every unwait is well targeted.
+    pub fn stream(&mut self, stream: &TraceStream) -> bool {
+        let found = self.violations.len();
         let index = self.streams;
         self.streams += 1;
         let stacks = &self.tables.stacks;
@@ -227,6 +231,7 @@ impl<'a> Validator<'a> {
                 });
             }
         }
+        violations.len() == found
     }
 
     /// Checks the instances against the streams checked so far, which

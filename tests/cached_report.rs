@@ -6,12 +6,20 @@
 //! after the last stream). Whatever the damage, the report equals the
 //! text report, the damaged cache is kept for post-mortem, and the next
 //! run is served by the cache packed in its place.
+//!
+//! Under `--sanitize` the cache streams too, while every stream is one
+//! sanitize leaves as it is. A cache holding a stream sanitize would
+//! change (a `.tlb` can hold unsorted or dangling data the text parser
+//! would refuse) is loaded whole and sanitized instead, and is not
+//! quarantined. Either way the study equals the whole-load route's.
 
 use std::path::{Path, PathBuf};
 use tracelens::model::binio::HEADER_LEN;
-use tracelens::model::{fingerprint_bytes, BinReadError, ScenarioInstance, ThreadId, TraceId};
+use tracelens::model::{
+    fingerprint_bytes, BinReadError, ScenarioInstance, ThreadId, TraceId, ValidationError,
+};
 use tracelens::prelude::*;
-use tracelens::store::{cache_path_for, quarantined_cache_path};
+use tracelens::store::{cache_path_for, ingest_path, quarantined_cache_path, write_cache};
 use tracelens::{render_markdown, FileStudy, ReportOptions};
 
 fn text_of(ds: &Dataset) -> Vec<u8> {
@@ -276,5 +284,139 @@ fn a_streamed_cache_reports_the_violations_validate_finds() {
         expected,
         "same violations, same order"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn sanitizing() -> StudyConfig {
+    StudyConfig {
+        sanitize: true,
+        ..StudyConfig::default()
+    }
+}
+
+/// The sanitized study of the cache of `tlt` loaded whole, the route a
+/// sanitizing cached study took before it streamed: the report, the
+/// sanitize report, the coverage and the validation verdict.
+fn whole_load(
+    tlt: &Path,
+) -> (
+    String,
+    SanitizeReport,
+    Coverage,
+    Result<(), ValidationError>,
+) {
+    let noop = Telemetry::noop();
+    let (ds, ingest) = ingest_path(tlt, true, &noop).expect("cache load");
+    assert_eq!(ingest.source, IngestSource::BinaryCache);
+    let validation = ds.validate();
+    let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
+    let (study, ds) = Study::run(ds, &sanitizing(), &names, &noop).expect("study");
+    let md = render_markdown(&study, &ds, &ReportOptions::default());
+    (
+        md,
+        study.sanitize.expect("sanitized"),
+        study.coverage,
+        validation,
+    )
+}
+
+/// The sanitizing cached study of `tlt` equals the whole-load route's,
+/// read from the cache; whether it streamed is returned.
+fn sanitized_like_the_whole_load(tlt: &Path, what: &str) -> bool {
+    let cache = cache_path_for(tlt);
+    let image = std::fs::read(&cache).expect("cache");
+    let (want_md, want_report, want_coverage, want_validation) = whole_load(tlt);
+    let run = Study::run_file(tlt, true, &sanitizing(), &Telemetry::noop()).expect("study");
+    let md = render_markdown(&run.study, &run.dataset, &ReportOptions::default());
+    assert!(md == want_md, "{what}: the report differs");
+    assert_eq!(run.study.sanitize, Some(want_report), "{what}");
+    assert_eq!(run.study.coverage, want_coverage, "{what}");
+    assert_eq!(run.validation, want_validation, "{what}");
+    assert_eq!(run.ingest.source, IngestSource::BinaryCache, "{what}");
+    assert_eq!(run.ingest.cache_fallback, None, "{what}");
+    assert!(!run.ingest.cache_quarantined, "{what}");
+    assert!(
+        !quarantined_cache_path(&cache).exists(),
+        "{what}: the cache is not quarantined"
+    );
+    assert!(
+        std::fs::read(&cache).expect("cache") == image,
+        "{what}: the cache is kept as it was"
+    );
+    run.dataset.streams.is_empty()
+}
+
+#[test]
+fn a_clean_warm_cache_streams_under_sanitize() {
+    let dir = scratch("sanitize-warm");
+    let mut ds = DatasetBuilder::new(29)
+        .traces(10)
+        .mix(ScenarioMix::Selected)
+        .build();
+    // Both instance rules a parsed text can reach: a missing trace and
+    // an undefined scenario.
+    let defined = ds.scenarios[0].name;
+    for (trace, scenario) in [(40u32, defined), (1, ScenarioName::new("Undefined"))] {
+        ds.instances.push(ScenarioInstance {
+            trace: TraceId(trace),
+            scenario,
+            tid: ThreadId(1),
+            t0: TimeNs(0),
+            t1: TimeNs(1),
+        });
+    }
+    let (tlt, _, _) = corpus(&dir, &text_of(&ds));
+    assert!(
+        sanitized_like_the_whole_load(&tlt, "clean cache"),
+        "a clean cache streams"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unclean_cache_is_loaded_whole_under_sanitize() {
+    let dir = scratch("sanitize-unclean");
+    let clean = DatasetBuilder::new(31)
+        .traces(8)
+        .mix(ScenarioMix::Selected)
+        .build();
+    let text = text_of(&clean);
+    let tlt = dir.join("corpus.tlt");
+    std::fs::write(&tlt, &text).expect("write text");
+    // Only the last stream is out of order, so the study drops a pass
+    // that had nearly finished.
+    let mut late = clean.clone();
+    let last = late.streams.pop().expect("streams");
+    let mut events = last.events().to_vec();
+    events.rotate_right(1);
+    assert!(events[0].t > events[1].t, "the last event moved first");
+    late.streams
+        .push(TraceStream::from_unchecked_parts(last.id(), events));
+    let shapes = [
+        (
+            "clock skew",
+            FaultInjector::new(31)
+                .with(FaultKind::ClockSkew, 0.1)
+                .inject(&clean)
+                .0,
+        ),
+        (
+            "dangling stacks",
+            FaultInjector::new(31)
+                .with(FaultKind::DanglingStacks, 0.05)
+                .inject(&clean)
+                .0,
+        ),
+        ("last stream unsorted", late),
+    ];
+    for (what, unclean) in shapes {
+        assert!(unclean.validate().is_err(), "{what}: the data is unclean");
+        let cache = cache_path_for(&tlt);
+        write_cache(&cache, &unclean, fingerprint_bytes(&text)).expect("write cache");
+        assert!(
+            !sanitized_like_the_whole_load(&tlt, what),
+            "{what}: the study loaded the cache whole"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,12 +2,12 @@
 //! allocator measures the peak of `Study::run_file` against the live
 //! size D of the data set the file holds: on a warm cache (the route
 //! `tracelens report --cache` takes) and on text in the layout
-//! `write_text` writes, plain and sanitized (the route `tracelens report`
-//! takes). The study streams its input, so it holds the tables, one
-//! stream and the study's own records and aggregates, and may peak at
-//! 0.25·D + 1 MiB. Loading the data set whole, as the in-memory route
-//! does, holds all of D, and the text test checks that this route fails
-//! the bound.
+//! `write_text` writes (the route `tracelens report` takes), each plain
+//! and sanitized. The study streams its input, so it holds the tables,
+//! one stream and the study's own records and aggregates, and may peak
+//! at 0.25·D + 1 MiB. Loading the data set whole, as the in-memory route
+//! does, holds all of D, and each test checks that this route fails the
+//! bound.
 //!
 //! Byte counts, not times, so the gate is deterministic. The tests take
 //! one lock, so no other test allocates while one measures.
@@ -47,8 +47,7 @@ fn a_warm_cached_study_holds_one_stream_at_a_time() {
         &tlt,
     );
     let noop = Telemetry::noop();
-    let config = StudyConfig::default();
-    let cold = Study::run_file(&tlt, true, &config, &noop).expect("cold study");
+    let cold = Study::run_file(&tlt, true, &StudyConfig::default(), &noop).expect("cold study");
     assert!(cold.ingest.cache_written, "the cold study packs the cache");
     drop(cold);
 
@@ -63,17 +62,45 @@ fn a_warm_cached_study_holds_one_stream_at_a_time() {
         "the corpus must dwarf the slack: D = {d} bytes"
     );
 
+    let bound = d / 4 + MIB;
+
+    for sanitize in [false, true] {
+        let config = StudyConfig {
+            sanitize,
+            ..StudyConfig::default()
+        };
+        let base = mark();
+        let warm = Study::run_file(&tlt, true, &config, &noop).expect("warm study");
+        let peak = PEAK.load(Relaxed) - base;
+        assert_eq!(warm.ingest.source, IngestSource::BinaryCache);
+        assert!(
+            warm.dataset.streams.is_empty(),
+            "the study streamed the cache"
+        );
+        assert_eq!(warm.study.sanitize.is_some(), sanitize);
+        assert!(
+            peak <= bound,
+            "a warm cached study (sanitize {sanitize}) peaked at {peak} bytes over a \
+             {d}-byte data set"
+        );
+    }
+
+    // The route a sanitizing study took before: the cache loaded whole,
+    // then sanitized and studied.
     let base = mark();
-    let warm = Study::run_file(&tlt, true, &config, &noop).expect("warm study");
+    let (whole, _) = ingest_path(&tlt, true, &noop).expect("warm ingest");
+    let validation = whole.validate();
+    let names: Vec<ScenarioName> = whole.scenarios.iter().map(|s| s.name).collect();
+    let config = StudyConfig {
+        sanitize: true,
+        ..StudyConfig::default()
+    };
+    let studied = Study::run(whole, &config, &names, &noop).expect("study");
     let peak = PEAK.load(Relaxed) - base;
-    assert_eq!(warm.ingest.source, IngestSource::BinaryCache);
+    drop((validation, studied));
     assert!(
-        warm.dataset.streams.is_empty(),
-        "the study streamed the cache"
-    );
-    assert!(
-        peak <= d / 4 + MIB,
-        "a warm cached study peaked at {peak} bytes over a {d}-byte data set"
+        peak > bound,
+        "the whole load peaked at {peak} bytes, within the {bound}-byte bound"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

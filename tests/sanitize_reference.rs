@@ -9,12 +9,15 @@
 //!
 //! It also pins what a streamed `report --sanitize` of text relies on:
 //! on any data set the text parser accepts, sanitize repairs and
-//! quarantines no stream, and only two instance rules can fire.
+//! quarantines no stream, and only two instance rules can fire. And what
+//! a streamed `report --cache --sanitize` relies on: up to the first
+//! stream `Validator` flags, a stream passes exactly when sanitize
+//! leaves it, at its position and with its id, as it is.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use tracelens::model::{
-    Event, EventKind, ScenarioInstance, StackId, ThreadId, TraceId, DUPLICATE_TRACE_ID,
+    Event, EventKind, ScenarioInstance, StackId, ThreadId, TraceId, Validator, DUPLICATE_TRACE_ID,
 };
 use tracelens::prelude::*;
 
@@ -191,6 +194,30 @@ fn parsed_text_needs_only_the_instance_rules(ds: &Dataset) -> Result<(), TestCas
     Ok(())
 }
 
+/// `Validator` passes the stream at a position exactly when sanitize
+/// keeps it there, with its id and its events: at every position when
+/// `every_position` (no fault kind changes a trace id), else up to and
+/// including the first stream it flags (after that, ids may shift).
+fn validator_passes_the_kept_streams(
+    ds: &Dataset,
+    every_position: bool,
+) -> Result<(), TestCaseError> {
+    let (clean, _) = ds.clone().sanitize();
+    let mut validator = Validator::new(ds);
+    for (position, stream) in ds.streams.iter().enumerate() {
+        let passed = validator.stream(stream);
+        let kept = clean
+            .streams
+            .get(position)
+            .is_some_and(|s| s.id() == stream.id() && s.events() == stream.events());
+        prop_assert_eq!(passed, kept, "stream at position {}", position);
+        if !passed && !every_position {
+            break;
+        }
+    }
+    Ok(())
+}
+
 /// `ds` with two instances of an undefined scenario: one on its first
 /// trace and one on a trace with no stream.
 fn with_undefined_scenarios(mut ds: Dataset) -> Dataset {
@@ -348,6 +375,36 @@ proptest! {
         }
         let (corrupt, _) = FaultInjector::new(seed).with_all(rate).inject(&clean);
         parsed_text_needs_only_the_instance_rules(&with_undefined_scenarios(corrupt))?;
+    }
+
+    /// Every fault kind on its own, and all of them together, at rates
+    /// from 0 to 0.3.
+    #[test]
+    fn validator_passes_exactly_the_streams_sanitize_keeps(
+        seed in 0u64..10_000,
+        rate_milli in 0u32..=300,
+    ) {
+        let clean = DatasetBuilder::new(seed).traces(4).build();
+        let rate = f64::from(rate_milli) / 1000.0;
+        for kind in ALL_FAULT_KINDS {
+            let (corrupt, _) = FaultInjector::new(seed).with(kind, rate).inject(&clean);
+            validator_passes_the_kept_streams(&corrupt, true)?;
+        }
+        let (corrupt, _) = FaultInjector::new(seed).with_all(rate).inject(&clean);
+        validator_passes_the_kept_streams(&corrupt, true)?;
+    }
+
+    /// Duplicate, sparse and unsorted trace ids, unsorted events,
+    /// dangling instance references and damaged events.
+    #[test]
+    fn validator_passes_the_streams_sanitize_keeps_up_to_the_first_it_flags(
+        seed in 0u64..10_000,
+        streams in prop::collection::vec((0usize..4, 0u32..8, any::<bool>()), 1..8),
+        refs in prop::collection::vec(0u32..10, 1..6),
+        damages in prop::collection::vec((0usize..8, 0usize..1000, damage()), 0..8),
+    ) {
+        let base = DatasetBuilder::new(seed).traces(4).build();
+        validator_passes_the_kept_streams(&hand_built(&base, &streams, &refs, &damages), false)?;
     }
 
     /// Duplicate, sparse and unsorted trace ids, unsorted events,

@@ -29,10 +29,13 @@ cargo test -q
 echo "== graph-layer tests in release =="
 # The benchmark times the release build, where integer arithmetic wraps
 # on overflow instead of panicking as it does in the debug test pass.
-# Run the index and Wait Graph tests, and the two end-to-end identity
-# gates over them, as they are built there.
+# Run the index and Wait Graph tests, the two end-to-end identity gates
+# over them, and the check that the study's stream graphs (shared
+# subtrees, coalesced samples) give what per-instance graphs give, as
+# they are built there.
 cargo test -q --release -p tracelens-waitgraph
-cargo test -q --release -p tracelens --test impact_oracle --test report_identity
+cargo test -q --release -p tracelens --test impact_oracle --test report_identity \
+    --test stream_form
 
 echo "== ingest tests in release =="
 # The `.tlb` reader computes sizes from untrusted bytes, and release

@@ -143,11 +143,20 @@ impl<'a> Aggregator<'a> {
     }
 
     /// Inserts a sibling list under `parent`, coalescing runs of
-    /// consecutive running (or hardware) nodes with the same signature
-    /// into a single aggregated execution — the "aggregated running in
-    /// the same signature function" of the paper's Figure 2. Without
-    /// this, every 1 ms CPU sample would count as one occurrence,
-    /// flooding `v.N` and flattening the ranking's average costs.
+    /// consecutive running nodes with the same signature into a single
+    /// aggregated execution — the "aggregated running in the same
+    /// signature function" of the paper's Figure 2. Without this, every
+    /// 1 ms CPU sample would count as one occurrence, flooding `v.N` and
+    /// flattening the ranking's average costs.
+    ///
+    /// A [`tracelens_waitgraph::StreamGraph`] already merges each run of
+    /// consecutive running siblings with one stack into one node with
+    /// the summed duration. Such a run always lies inside one maximal
+    /// run of equal keys here: one stack gives one key, and whether a
+    /// root is relevant depends only on its stack, so the run's nodes
+    /// stay adjacent in the relevant-root list too. Each maximal run
+    /// therefore has the same sum, and records once, in either graph
+    /// form, and the AWG comes out the same node for node.
     fn insert_children(&mut self, parent: Option<AwgId>, graph: GraphView<'_>, ids: &[NodeId]) {
         let mut i = 0;
         while i < ids.len() {

@@ -10,7 +10,8 @@
 use crate::aggregate::Aggregator;
 use crate::tuple::SignatureSetTuple;
 use tracelens_model::{ComponentFilter, Dataset, ScenarioInstance, ScenarioName, TimeNs};
-use tracelens_waitgraph::{StreamIndex, WaitGraph};
+use tracelens_obs::Telemetry;
+use tracelens_waitgraph::{StreamGraph, StreamIndex};
 
 /// One concrete occurrence of a pattern in a scenario instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,11 +50,11 @@ pub fn locate_pattern(
             continue;
         }
         let index = StreamIndex::new(stream);
-        for instance in instances {
-            let graph = WaitGraph::build(stream, &index, instance);
+        let graph = StreamGraph::build(stream, &index, &instances, &Telemetry::noop());
+        for (k, instance) in instances.into_iter().enumerate() {
             // Aggregate this single graph to reuse the path/tuple logic.
             let mut agg = Aggregator::new(&dataset.stacks, filter);
-            agg.add_graph(&graph);
+            agg.add_view(graph.instance(k));
             let awg = agg.finish_unreduced();
             let mut best: Option<(TimeNs, SignatureSetTuple)> = None;
             for id in awg.preorder() {

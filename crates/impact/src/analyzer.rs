@@ -192,7 +192,9 @@ impl ImpactAnalyzer {
     /// Accounts one instance's Wait Graph into a partial report
     /// (everything but `d_wait_dist`), appending the counted top-level
     /// wait intervals to `intervals` for later cross-graph union. A
-    /// shared node counts once per use, as in the instance's own tree.
+    /// shared node counts once per use, as in the instance's own tree,
+    /// and `nodes_visited` counts a run of samples once per sample, so
+    /// either graph form gives the same report.
     ///
     /// `view` must be built from the dataset's stack table with this
     /// analyzer's filter ([`tracelens_model::StackTable::filter_view`]);
@@ -215,7 +217,7 @@ impl ImpactAnalyzer {
             graph.roots().iter().map(|&r| (r, false)).collect();
         while let Some((id, under)) = todo.pop() {
             let node = graph.node(id);
-            report.nodes_visited += 1;
+            report.nodes_visited += node.samples as usize;
             let mut now_under = under;
             match node.kind {
                 NodeKind::Wait { .. } | NodeKind::UnpairedWait => {

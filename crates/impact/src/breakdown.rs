@@ -8,7 +8,8 @@
 
 use std::collections::BTreeMap;
 use tracelens_model::{ComponentFilter, Dataset, ScenarioInstance, Signature, StackTable, TimeNs};
-use tracelens_waitgraph::{NodeKind, StreamIndex, WaitGraph};
+use tracelens_obs::Telemetry;
+use tracelens_waitgraph::{GraphView, NodeKind, StreamGraph, StreamIndex};
 
 /// Aggregated attribution over a set of instances.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -71,12 +72,18 @@ where
             continue;
         }
         let index = StreamIndex::new(stream);
-        for instance in instances {
-            let graph = WaitGraph::build(stream, &index, instance);
+        let graph = StreamGraph::build(stream, &index, &instances, &Telemetry::noop());
+        for (k, instance) in instances.into_iter().enumerate() {
             out.total += instance.duration();
             out.instances += 1;
             let mut covered = TimeNs::ZERO;
-            account(&graph, &dataset.stacks, filter, &mut out, &mut covered);
+            account(
+                graph.instance(k),
+                &dataset.stacks,
+                filter,
+                &mut out,
+                &mut covered,
+            );
             out.unattributed += instance
                 .duration()
                 .checked_sub(covered)
@@ -87,7 +94,7 @@ where
 }
 
 fn account(
-    graph: &WaitGraph,
+    graph: GraphView<'_>,
     stacks: &StackTable,
     filter: &ComponentFilter,
     out: &mut Breakdown,
@@ -95,7 +102,6 @@ fn account(
 ) {
     // Roots: initiating-thread events. `covered` counts the root-level
     // durations that the breakdown attributes.
-    let graph = graph.view();
     let mut todo: Vec<(tracelens_waitgraph::NodeId, bool, bool)> =
         graph.roots().iter().map(|&r| (r, true, false)).collect();
     while let Some((id, is_root, under)) = todo.pop() {

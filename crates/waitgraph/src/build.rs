@@ -3,8 +3,18 @@
 //!
 //! One builder serves both graph forms. [`StreamGraph::build`] shares
 //! subtrees: a paired wait's subtree is built once per stream and reused
-//! wherever the same wait event is reached again. [`WaitGraph::build`]
-//! is the same builder with sharing off.
+//! wherever the same wait event is reached again. It also coalesces
+//! samples: a running event extends the previous node of its sibling
+//! list (one instance's roots, or one wait's children) when that node is
+//! a running node with the same stack, so a run of 1 ms CPU samples is
+//! one node that counts them in [`Node::samples`]. [`WaitGraph::build`]
+//! is the same builder with both off: one node per event.
+//!
+//! A run never reaches past its sibling list: the list of an instance's
+//! roots starts empty, and a wait's children are a list of their own.
+//! Unwaits never become nodes, so they do not break a run; a wait, an
+//! unpaired wait or a hardware node does. Only wait nodes are shared, so
+//! the previous node a sample extends is always one this list built.
 //!
 //! Only *clean* subtrees are shared: those whose building hit no cycle
 //! cut and no depth cap. A clean subtree holds no wait that lies on a
@@ -18,7 +28,7 @@
 use crate::graph::{Edges, Node, NodeId, NodeKind, StreamGraph, WaitGraph};
 use crate::index::StreamIndex;
 use std::time::Instant;
-use tracelens_model::{EventId, EventKind, ScenarioInstance, TimeNs, TraceStream};
+use tracelens_model::{Event, EventId, EventKind, ScenarioInstance, ThreadId, TimeNs, TraceStream};
 use tracelens_obs::Telemetry;
 
 /// Hard cap on wait-chain recursion depth; real propagation chains are
@@ -70,14 +80,19 @@ impl WaitGraph {
 
 impl StreamGraph {
     /// Builds the Wait Graphs of `instances`, all on `stream`, sharing
-    /// clean wait subtrees across them. Instance `k` of the result is
-    /// `instances[k]`, and its tree equals
-    /// [`WaitGraph::build`]`(stream, index, instances[k])`.
+    /// clean wait subtrees across them and coalescing each run of
+    /// consecutive same-stack running siblings into one node. Instance
+    /// `k` of the result is `instances[k]`, and its tree equals
+    /// [`WaitGraph::build`]`(stream, index, instances[k])` with each such
+    /// run merged: the first sample's event and start, the summed
+    /// duration, and the run's length in [`Node::samples`].
     ///
     /// With an enabled `telemetry`, counts `waitgraph.graphs` (one per
-    /// instance), `waitgraph.nodes` (the instances' tree nodes, a shared
-    /// node once per use), `waitgraph.arena_nodes` (nodes actually
-    /// built) and records one `waitgraph.build_ns` sample per instance.
+    /// instance), `waitgraph.nodes` (the events the instances' trees
+    /// stand for: a shared node once per use, a run once per sample, so
+    /// the per-instance graphs' node count), `waitgraph.arena_nodes`
+    /// (nodes actually built) and records one `waitgraph.build_ns` sample
+    /// per instance.
     pub fn build(
         stream: &TraceStream,
         index: &StreamIndex,
@@ -119,7 +134,8 @@ fn nanos_since(start: Instant) -> u64 {
 #[derive(Debug, Clone, Copy)]
 struct Subtree {
     node: NodeId,
-    /// Nodes of the subtree as a tree: a shared node once per use.
+    /// Events the subtree stands for as a tree: a shared node once per
+    /// use, a run of samples once per sample.
     size: usize,
     /// For an expanded paired wait, how many levels below it the deepest
     /// expanded wait of its subtree sits; `None` for a leaf.
@@ -142,12 +158,29 @@ struct Builder<'a> {
     /// most [`MAX_DEPTH`] of them.
     path: Vec<EventId>,
     /// Per event id: the clean subtree already built for that paired
-    /// wait. Empty when sharing is off.
+    /// wait. Empty in the per-instance form.
     shared: Vec<Option<Subtree>>,
+    /// Whether a running event may extend the previous node of its
+    /// sibling list (the stream form).
+    coalesce: bool,
+}
+
+/// A built sibling list, as its parent sees it.
+#[derive(Debug, Clone, Copy)]
+struct Siblings {
+    /// Events the list stands for, as [`Subtree::size`] counts them.
+    size: usize,
+    /// How many levels below the list the deepest expanded wait sits;
+    /// `None` if the list expands no wait.
+    reach: Option<usize>,
+    /// Whether building the list hit no cycle cut and no depth cap.
+    clean: bool,
 }
 
 impl<'a> Builder<'a> {
-    fn new(stream: &'a TraceStream, index: &'a StreamIndex, share: bool) -> Self {
+    /// A builder of the stream form (`stream_form`: shared wait subtrees,
+    /// coalesced samples) or of the per-instance form.
+    fn new(stream: &'a TraceStream, index: &'a StreamIndex, stream_form: bool) -> Self {
         Builder {
             stream,
             index,
@@ -156,11 +189,12 @@ impl<'a> Builder<'a> {
             roots: Vec::new(),
             open: Vec::new(),
             path: Vec::with_capacity(MAX_DEPTH),
-            shared: if share {
+            shared: if stream_form {
                 vec![None; stream.len()]
             } else {
                 Vec::new()
             },
+            coalesce: stream_form,
         }
     }
 
@@ -168,17 +202,56 @@ impl<'a> Builder<'a> {
     /// instance's tree size.
     fn add_instance(&mut self, instance: &ScenarioInstance) -> usize {
         debug_assert_eq!(self.stream.id(), instance.trace, "instance/stream mismatch");
-        let mut size = 0;
+        let first = self.open.len();
+        let roots = self.add_siblings(instance.tid, instance.t0, instance.t1, 0);
+        self.roots.extend(self.open.drain(first..));
+        roots.size
+    }
+
+    /// Builds the events of `tid` overlapping `[from, to)` as one sibling
+    /// list at `depth`, pushed on `open`. Unpaired waits are clipped to
+    /// `to`.
+    fn add_siblings(&mut self, tid: ThreadId, from: TimeNs, to: TimeNs, depth: usize) -> Siblings {
+        let first = self.open.len();
+        let mut list = Siblings {
+            size: 0,
+            reach: None,
+            clean: true,
+        };
         let index = self.index;
-        for &id in
-            index.thread_events_overlapping(self.stream, instance.tid, instance.t0, instance.t1)
-        {
-            if let Some(root) = self.add_event(id, instance.t1, 0) {
-                self.roots.push(root.node);
-                size += root.size;
+        for &id in index.thread_events_overlapping(self.stream, tid, from, to) {
+            let Some(&e) = self.stream.event(id) else {
+                continue;
+            };
+            if self.extend_run(first, &e) {
+                list.size += 1;
+            } else if let Some(c) = self.add_event(id, &e, to, depth) {
+                self.open.push(c.node);
+                list.size += c.size;
+                list.clean &= c.clean;
+                list.reach = list.reach.max(c.reach);
             }
         }
-        size
+        list
+    }
+
+    /// In the stream form, adds `e` to the last node of the sibling list
+    /// `open[first..]` when both are running samples of one stack;
+    /// returns whether it did. That node is never shared: only waits are.
+    fn extend_run(&mut self, first: usize, e: &Event) -> bool {
+        if !self.coalesce || e.kind != EventKind::Running {
+            return false;
+        }
+        let Some(&last) = self.open[first..].last() else {
+            return false;
+        };
+        let node = &mut self.nodes[last.0 as usize];
+        if node.kind != NodeKind::Running || node.stack != e.stack {
+            return false;
+        }
+        node.duration += e.cost;
+        node.samples += 1;
+        true
     }
 
     fn leaf(&mut self, node: Node, clean: bool) -> Subtree {
@@ -204,10 +277,15 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// Adds the node for event `id`, recursing into wait chains.
-    /// `clip_end` bounds unpaired-wait durations.
-    fn add_event(&mut self, id: EventId, clip_end: TimeNs, depth: usize) -> Option<Subtree> {
-        let e = *self.stream.event(id)?;
+    /// Adds the node for event `e`, whose id is `id`, recursing into wait
+    /// chains. `clip_end` bounds unpaired-wait durations.
+    fn add_event(
+        &mut self,
+        id: EventId,
+        e: &Event,
+        clip_end: TimeNs,
+        depth: usize,
+    ) -> Option<Subtree> {
         let node = |kind, duration| Node {
             event: id,
             kind,
@@ -215,6 +293,7 @@ impl<'a> Builder<'a> {
             stack: e.stack,
             t: e.t,
             duration,
+            samples: 1,
             children: Edges::default(),
         };
         match e.kind {
@@ -240,21 +319,13 @@ impl<'a> Builder<'a> {
                         };
                         // Reserve the node slot so parents precede children.
                         let mut wait = self.leaf(node(kind, e.t.saturating_span_to(u.t)), true);
-                        wait.reach = Some(0);
                         self.path.push(id);
                         let first = self.open.len();
-                        let index = self.index;
-                        for &cid in index.thread_events_overlapping(self.stream, u.tid, e.t, u.t) {
-                            if let Some(c) = self.add_event(cid, u.t, depth + 1) {
-                                self.open.push(c.node);
-                                wait.size += c.size;
-                                wait.clean &= c.clean;
-                                if let Some(r) = c.reach {
-                                    wait.reach = wait.reach.max(Some(r + 1));
-                                }
-                            }
-                        }
+                        let children = self.add_siblings(u.tid, e.t, u.t, depth + 1);
                         self.path.pop();
+                        wait.size += children.size;
+                        wait.clean = children.clean;
+                        wait.reach = Some(children.reach.map_or(0, |r| r + 1));
                         self.nodes[wait.node.0 as usize].children = self.close(first);
                         if wait.clean {
                             if let Some(slot) = self.shared.get_mut(id.0 as usize) {
@@ -420,6 +491,60 @@ mod tests {
         // Must terminate; the inner re-entry of T1's wait becomes a leaf.
         assert!(wg.node_count() >= 2);
         assert!(wg.nodes().iter().any(|n| n.kind == NodeKind::UnpairedWait));
+    }
+
+    #[test]
+    fn stream_form_makes_one_node_per_run_of_samples() {
+        // T1: samples a a, an unwait, a, then b, a, a wait on T2 (which
+        // runs a a inside it), then a a. T2 unwaits T1 at 40.
+        let mut stacks = StackTable::new();
+        let a = stacks.intern_symbols(&["m.sys!A"]);
+        let b_stack = stacks.intern_symbols(&["m.sys!B"]);
+        let mut b = TraceStreamBuilder::new(0);
+        b.push_running(ThreadId(1), TimeNs(0), TimeNs(1), a);
+        b.push_running(ThreadId(1), TimeNs(1), TimeNs(1), a);
+        b.push_unwait(ThreadId(1), ThreadId(3), TimeNs(2), a);
+        b.push_running(ThreadId(1), TimeNs(2), TimeNs(1), a);
+        b.push_running(ThreadId(1), TimeNs(3), TimeNs(1), b_stack);
+        b.push_running(ThreadId(1), TimeNs(4), TimeNs(1), a);
+        b.push_wait(ThreadId(1), TimeNs(5), TimeNs::ZERO, a);
+        b.push_running(ThreadId(2), TimeNs(5), TimeNs(10), a);
+        b.push_running(ThreadId(2), TimeNs(15), TimeNs(10), a);
+        b.push_unwait(ThreadId(2), ThreadId(1), TimeNs(40), a);
+        b.push_running(ThreadId(1), TimeNs(40), TimeNs(1), a);
+        b.push_running(ThreadId(1), TimeNs(41), TimeNs(1), a);
+        let s = b.finish().unwrap();
+        let idx = StreamIndex::new(&s);
+        let (first, second) = (instance(1, 0, 41), instance(1, 41, 50));
+        let g = StreamGraph::build(&s, &idx, &[&first, &second], &Telemetry::noop());
+        let rows = |k: usize| -> Vec<(usize, u64, u32)> {
+            let view = g.instance(k);
+            view.dfs()
+                .map(|(depth, id)| {
+                    let n = view.node(id);
+                    (depth, n.duration.0, n.samples)
+                })
+                .collect()
+        };
+        // The unwait does not break the first run; b and the wait do,
+        // and the wait's children are a list of their own.
+        assert_eq!(
+            rows(0),
+            [
+                (0, 3, 3),
+                (0, 1, 1),
+                (0, 1, 1),
+                (0, 35, 1),
+                (1, 20, 2),
+                (0, 1, 1)
+            ]
+        );
+        // The second instance's root does not extend the first's.
+        assert_eq!(rows(1), [(0, 1, 1)]);
+        assert_eq!(g.node_count(), 7);
+        let own = WaitGraph::build(&s, &idx, &first);
+        assert_eq!(own.node_count(), 9);
+        assert!(own.nodes().iter().all(|n| n.samples == 1));
     }
 
     #[test]

@@ -43,11 +43,13 @@ impl NodeKind {
     }
 }
 
-/// One node: a tracing event. Its propagation children are read through
-/// the graph that holds it ([`GraphView::children_of`]).
+/// One node: a tracing event, or in a [`StreamGraph`] a run of
+/// consecutive running siblings with one stack. Its propagation children
+/// are read through the graph that holds it ([`GraphView::children_of`]).
 #[derive(Debug, Clone)]
 pub struct Node {
-    /// The source event's id within its trace stream.
+    /// The source event's id within its trace stream (a run's first
+    /// sample).
     pub event: EventId,
     /// Kind and pairing information.
     pub kind: NodeKind,
@@ -55,11 +57,16 @@ pub struct Node {
     pub tid: ThreadId,
     /// Event callstack.
     pub stack: StackId,
-    /// Event start time.
+    /// Event start time (a run's first sample's).
     pub t: TimeNs,
     /// Event duration; for wait nodes this is the *restored* duration
-    /// (unwait timestamp minus wait timestamp).
+    /// (unwait timestamp minus wait timestamp), for a run of samples the
+    /// sum of their costs.
     pub duration: TimeNs,
+    /// The events the node stands for: a run's samples in a
+    /// [`StreamGraph`]; 1 on every other node, and on every node of a
+    /// [`WaitGraph`].
+    pub samples: u32,
     /// Where the children sit in the arena's edge array.
     pub(crate) children: Edges,
 }
@@ -211,8 +218,11 @@ impl WaitGraph {
 ///
 /// A paired wait's subtree is built once and shared by every later
 /// instance or parent that reaches the same wait event, so the arena is
-/// a DAG. Read through [`StreamGraph::instance`], each instance is the
-/// tree [`WaitGraph::build`] gives it, node for node.
+/// a DAG. Each run of consecutive running siblings with one stack is one
+/// node whose [`Node::samples`] counts the run (the paper's "aggregated
+/// running", applied at build time). Read through
+/// [`StreamGraph::instance`], each instance is the tree
+/// [`WaitGraph::build`] gives it with those runs merged.
 #[derive(Debug, Clone)]
 pub struct StreamGraph {
     nodes: Vec<Node>,
@@ -253,7 +263,8 @@ impl StreamGraph {
         }
     }
 
-    /// Number of nodes in the arena: each shared subtree counts once.
+    /// Number of nodes in the arena: each shared subtree counts once,
+    /// each run of samples once.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
@@ -367,6 +378,7 @@ mod tests {
             stack: StackId(0),
             t: TimeNs(t),
             duration: TimeNs(dur),
+            samples: 1,
             children: Edges::default(),
         };
         (node, Vec::new())
@@ -386,6 +398,7 @@ mod tests {
             stack: StackId(0),
             t: TimeNs(0),
             duration: TimeNs(10),
+            samples: 1,
             children: Edges::default(),
         };
         let g = graph(
@@ -427,6 +440,7 @@ mod tests {
             stack: StackId(0),
             t: TimeNs(t),
             duration: TimeNs(dur),
+            samples: 1,
             children: Edges::default(),
         };
         (node, children)

@@ -1,7 +1,8 @@
-//! A `StreamGraph` shares wait subtrees across a stream's instances, yet
-//! each instance must read as exactly the tree `WaitGraph::build` gives
-//! it: walked in pre-order, node for node — depth, event, kind, thread,
-//! stack, start and duration.
+//! A `StreamGraph` shares wait subtrees across a stream's instances and
+//! stands each run of consecutive same-stack running siblings in one
+//! node, yet each instance must read as the tree `WaitGraph::build` gives
+//! it once those runs are merged: walked in pre-order, node for node —
+//! depth, event, kind, thread, stack, start, duration and sample count.
 
 mod common;
 
@@ -16,15 +17,46 @@ use tracelens_obs::Telemetry;
 use tracelens_sim::{DatasetBuilder, ScenarioMix};
 use tracelens_waitgraph::{GraphView, NodeKind, StreamGraph, StreamIndex, WaitGraph};
 
-type Row = (usize, EventId, NodeKind, ThreadId, StackId, TimeNs, TimeNs);
+type Row = (
+    usize,
+    EventId,
+    NodeKind,
+    ThreadId,
+    StackId,
+    TimeNs,
+    TimeNs,
+    u32,
+);
 
 fn preorder(view: GraphView<'_>) -> Vec<Row> {
     view.dfs()
         .map(|(depth, id)| {
             let n = view.node(id);
-            (depth, n.event, n.kind, n.tid, n.stack, n.t, n.duration)
+            (
+                depth, n.event, n.kind, n.tid, n.stack, n.t, n.duration, n.samples,
+            )
         })
         .collect()
+}
+
+/// `rows`, a pre-order, with each run of adjacent running rows of one
+/// depth and one stack merged into its first row: the summed duration
+/// and sample count. A running node is a leaf, so the row after it at
+/// its own depth is its next sibling.
+fn merge_runs(rows: Vec<Row>) -> Vec<Row> {
+    let mut merged: Vec<Row> = Vec::with_capacity(rows.len());
+    for row in rows {
+        if let Some(last) = merged.last_mut() {
+            let run = |r: &Row| (r.0, r.2, r.4);
+            if row.2 == NodeKind::Running && run(last) == run(&row) {
+                last.6 += row.6;
+                last.7 += row.7;
+                continue;
+            }
+        }
+        merged.push(row);
+    }
+    merged
 }
 
 /// Checks every instance of one stream graph against its own Wait
@@ -35,12 +67,25 @@ fn check(stream: &TraceStream, instances: &[&ScenarioInstance]) -> (usize, usize
     let mut tree_nodes = 0;
     for (k, instance) in instances.iter().enumerate() {
         let own = WaitGraph::build(stream, &index, instance);
+        let own_rows = preorder(own.view());
+        assert!(
+            own_rows.iter().all(|r| r.7 == 1),
+            "WaitGraph::build makes one node per event"
+        );
+        let rows = preorder(shared.instance(k));
         assert_eq!(
-            preorder(shared.instance(k)),
-            preorder(own.view()),
+            rows,
+            merge_runs(own_rows),
             "instance {k} of trace {} ({:?})",
             stream.id().0,
             instance
+        );
+        let samples: usize = rows.iter().map(|r| r.7 as usize).sum();
+        assert_eq!(
+            samples,
+            own.node_count(),
+            "instance {k} of trace {}: samples against per-instance nodes",
+            stream.id().0
         );
         tree_nodes += own.node_count();
     }

@@ -69,6 +69,10 @@ echo "== trace store (cache and layout identity) =="
 TS_DIR="$(mktemp -d)"
 TL=target/release/tracelens
 "$TL" simulate -o "$TS_DIR/ds.tlt" --traces 40 --seed 9 > /dev/null
+# The corpus's bytes are pinned: a drift in `write_text` or in the CLI's
+# write path changes this digest.
+echo "08191a00e5264f982cc736492ba617f2c73145a7809417d5bdf49e15c2627f48  $TS_DIR/ds.tlt" \
+    | sha256sum -c --quiet
 "$TL" report "$TS_DIR/ds.tlt" -o "$TS_DIR/uncached.md" 2> /dev/null
 "$TL" report "$TS_DIR/ds.tlt" --cache -o "$TS_DIR/cold.md" 2> /dev/null
 test -s "$TS_DIR/ds.tlb"

@@ -1,12 +1,14 @@
 //! I1 — trace-store ingest throughput: the text parse in memory, the
 //! same parse streamed from a file through the store, and the `.tlb`
 //! binary-cache load, over the selected-scenario corpus (600 traces by
-//! default, the Table 1–4 workload).
+//! default, the Table 1–4 workload); and the other direction, the
+//! `write_text` that saves a simulated corpus as `.tlt`.
 //!
 //! The paper's evaluation ingests ~19,500 real ETW traces, so ingest is
-//! what a user of the study waits on first. Every mode's result is
-//! verified byte-identical (via `write_text`) to the corpus before its
-//! throughput counts, and two gates are enforced in-process:
+//! what a user of the study waits on first; this repository stands in
+//! for them with simulated corpora, which it writes first. Every mode's
+//! result is verified byte-identical (via `write_text`) to the corpus
+//! before its throughput counts, and two gates are enforced in-process:
 //!
 //! * the binary load must beat the in-memory text parse outright, and
 //! * stack/symbol interning must not dominate the text parse (the
@@ -96,6 +98,18 @@ fn main() {
     let (binary_wall, (parsed, _)) = best_of(|| Dataset::read_binary(&image).expect("fresh image"));
     verify(&parsed, "binary");
 
+    // Mode 4 — the writer: `write_text` into one reused buffer, as a
+    // simulated corpus is saved.
+    let mut written = Vec::with_capacity(text.len());
+    let (write_wall, ()) = best_of(|| {
+        written.clear();
+        ds.write_text(&mut written).expect("serialize");
+    });
+    assert!(
+        written == text,
+        "text-write: output diverged from the corpus"
+    );
+
     // Satellite micro-assertion: replay exactly the interning the text
     // parse performs (every frame string and stack of the corpus, once)
     // and bound it below half the text parse wall — interning must
@@ -137,6 +151,7 @@ fn main() {
         sample("text-serial", text_wall, text.len()),
         sample("text-stream", stream_wall, text.len()),
         sample("binary", binary_wall, image.len()),
+        sample("text-write", write_wall, text.len()),
     ];
 
     println!("== I1: ingest throughput — {traces} traces, {events} events ==\n");

@@ -5,10 +5,12 @@
 //! feeds it one stream at a time when it can, so the events of one
 //! stream are alive at once: from a warm `.tlb` cache, or from text in
 //! the layout [`Dataset::write_text`] writes (instances before traces),
-//! read by a [`TextReader`]. Every stream is checked as it passes. A
-//! sanitizing study applies sanitize's instance rules once it has
-//! counted the streams, which is all sanitize can change in text the
-//! parser accepts, or in a cache whose every stream passed the check.
+//! read by a [`TextReader`]. Every stream is checked as it passes: a
+//! cached one event by event, a sealed text one by its id alone, since
+//! the parser has checked its events. A sanitizing study applies
+//! sanitize's instance rules once it has counted the streams, which is
+//! all sanitize can change in text the parser accepts, or in a cache
+//! whose every stream passed the check.
 //! A source that proves unusable part way through (a corrupt cache, or
 //! text with a record out of the streamed order) is dropped with the
 //! partial study, and the text is parsed whole and studied in memory
@@ -393,30 +395,33 @@ impl Study {
     /// next one is read, so one stream's events are in memory at a time.
     ///
     /// * Text streams through a [`TextReader`] when its instances come
-    ///   before its traces. A plain study checks each stream with
-    ///   [`Validator`]. A sanitizing study needs no stream repaired:
-    ///   text the parser accepts has sorted, well-targeted streams with
-    ///   known stacks and dense ids, so only sanitize's instance rules
-    ///   can fire, and they run once the streams are counted. Text with
-    ///   no instance before its first trace is collected by the same
-    ///   reader and studied in memory. Text with a record out of the
-    ///   streamed order (a table record after the first trace, or trace
-    ///   ids out of order) is dropped with the partial study, rewound,
-    ///   parsed whole and studied in memory.
+    ///   before its traces. Text the parser accepts has sorted,
+    ///   well-targeted streams with known stacks and dense ids, so
+    ///   [`Validator::sealed`] only counts each stream and checks its id,
+    ///   and the verdict still equals [`Dataset::validate`] of the
+    ///   collected data set. A sanitizing study needs no stream repaired
+    ///   for the same reason: only sanitize's instance rules can fire,
+    ///   and they run once the streams are counted. Text with no
+    ///   instance before its first trace is collected by the same reader
+    ///   and studied in memory. Text with a record out of the streamed
+    ///   order (a table record after the first trace, or trace ids out of
+    ///   order) is dropped with the partial study, rewound, parsed whole
+    ///   and studied in memory.
     /// * A cache is used when its header records the text's
     ///   fingerprint, and the study streams it. The payload checksum is
     ///   known only after the last stream; a cache that fails it, or any
     ///   other check, part way through is treated like one that failed
     ///   before the study began: the partial study is dropped, the cache
     ///   is quarantined, and the text is parsed, repacked and studied in
-    ///   memory. A sanitizing study streams the cache while
-    ///   [`Validator`] passes each stream, since sanitize leaves such a
-    ///   stream as it is, and runs only sanitize's instance rules after
-    ///   the pass. At the first stream it flags, the partial study is
-    ///   dropped and the cache is loaded whole and sanitized in memory;
-    ///   it is not quarantined. Missing, stale and corrupt caches take
-    ///   the text path, in memory, since packing needs the whole data
-    ///   set.
+    ///   memory. A cache may hold what no parse would give, so
+    ///   [`Validator::stream`] walks every stream it yields. A
+    ///   sanitizing study streams the cache while the walk passes each
+    ///   stream, since sanitize leaves such a stream as it is, and runs
+    ///   only sanitize's instance rules after the pass. At the first
+    ///   stream it flags, the partial study is dropped and the cache is
+    ///   loaded whole and sanitized in memory; it is not quarantined.
+    ///   Missing, stale and corrupt caches take the text path, in
+    ///   memory, since packing needs the whole data set.
     ///
     /// # Errors
     ///
@@ -464,7 +469,7 @@ impl Study {
         let mut validator = Validator::new(&tables);
         let streams = reader.map(|stream| {
             stream.inspect(|s| {
-                validator.stream(s);
+                validator.sealed(s);
             })
         });
         let sanitizing = Sanitizing::streamed(config);

@@ -32,6 +32,18 @@
 //! keeps them last; it is still valid text, and a reader collects it
 //! whole, as it does any other layout.
 //!
+//! ## Writing
+//!
+//! [`Dataset::write_text`] gathers its lines into one buffer and passes
+//! its writer a chunk each time the buffer holds 64 KiB or more, then
+//! the rest; it flushes the writer before it returns, so a writer that
+//! fails only at its last flush fails the call. An event line is
+//! formatted into a small array on the stack, each number two digits at
+//! a time from a table of the pairs `00` to `99`, and joins the buffer
+//! in one copy; no field goes through `core::fmt`. The bytes are those
+//! of `write!` with `{}` for every field, which
+//! `tests/textio_writer.rs` keeps as its reference.
+//!
 //! ## Parsing
 //!
 //! [`TextReader`] is the one parser, and [`Dataset::read_text`] is it
@@ -44,10 +56,14 @@
 //! carry, when nothing follows). Every other line is cut at its `\n`,
 //! found eight bytes at a time, and goes to the general line handler,
 //! as does any event line that pass does not fully accept; the handler
-//! accepts it or names the error and its line. The stream builder checks
-//! each event as it is pushed, so sealing a trace section reads its
-//! events again only to sort a stream that arrived out of order
-//! ([`TraceStreamBuilder`] says what that costs).
+//! accepts it or names the error and its line. The pass's number
+//! readers are inlined into it, and a stack id below 65,536 resolves
+//! through a flat table indexed by the id the file declared; larger ids
+//! go through a map, so no declared id sizes an allocation past that
+//! bound. The stream builder checks each event as it is pushed, so
+//! sealing a trace section reads its events again only to sort a stream
+//! that arrived out of order ([`TraceStreamBuilder`] says what that
+//! costs).
 //! [`Dataset::read_text_bytes`] is the same parser over in-memory text.
 
 use crate::dataset::Dataset;
@@ -117,70 +133,66 @@ fn err(line: usize, message: &str) -> ReadError {
 impl Dataset {
     /// Writes the data set in the text format: the header, the
     /// scenarios, the stacks and the instances, then one section per
-    /// trace, the layout a [`TextReader`] streams.
+    /// trace, the layout a [`TextReader`] streams. The text is gathered
+    /// into chunks of about 64 KiB before `out` sees it, and `out` is
+    /// flushed before this returns, so an error of its last write is
+    /// this call's error.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from `out`. Returns
     /// [`io::ErrorKind::InvalidData`] if a frame or scenario name
-    /// contains a tab or newline (unrepresentable).
-    pub fn write_text<W: Write>(&self, mut out: W) -> io::Result<()> {
-        writeln!(out, "!tracelens\t{FORMAT_VERSION}")?;
+    /// contains a tab or newline (unrepresentable); the lines before it
+    /// have then been passed to `out`.
+    pub fn write_text<W: Write>(&self, out: W) -> io::Result<()> {
+        let mut w = TextWriter::new(out);
+        w.bytes(b"!tracelens\t");
+        w.number(u64::from(FORMAT_VERSION));
+        w.end_line()?;
         for s in &self.scenarios {
-            check_text(s.name.as_str())?;
-            writeln!(
-                out,
-                "!scenario\t{}\t{}\t{}",
-                s.name.as_str(),
-                s.thresholds.fast().as_nanos(),
-                s.thresholds.slow().as_nanos()
-            )?;
+            let name = s.name.as_str();
+            w.check(name)?;
+            w.bytes(b"!scenario\t");
+            w.bytes(name.as_bytes());
+            w.bytes(b"\t");
+            w.number(s.thresholds.fast().as_nanos());
+            w.bytes(b"\t");
+            w.number(s.thresholds.slow().as_nanos());
+            w.end_line()?;
         }
         for id in 0..self.stacks.len() {
-            let sid = StackId(id as u32);
-            write!(out, "!stack\t{id}")?;
-            for frame in self.stacks.resolve_frames(sid) {
-                check_text(frame)?;
-                write!(out, "\t{frame}")?;
+            w.bytes(b"!stack\t");
+            w.number(id as u64);
+            for frame in self.stacks.resolve_frames(StackId(id as u32)) {
+                w.check(frame)?;
+                w.bytes(b"\t");
+                w.bytes(frame.as_bytes());
             }
-            writeln!(out)?;
+            w.end_line()?;
         }
         for i in &self.instances {
-            writeln!(
-                out,
-                "!instance\t{}\t{}\t{}\t{}\t{}",
-                i.trace.0,
-                i.tid.0,
+            w.bytes(b"!instance\t");
+            for n in [
+                u64::from(i.trace.0),
+                u64::from(i.tid.0),
                 i.t0.as_nanos(),
                 i.t1.as_nanos(),
-                i.scenario.as_str()
-            )?;
+            ] {
+                w.number(n);
+                w.bytes(b"\t");
+            }
+            w.bytes(i.scenario.as_str().as_bytes());
+            w.end_line()?;
         }
         for stream in &self.streams {
-            writeln!(out, "!trace\t{}", stream.id().0)?;
+            w.bytes(b"!trace\t");
+            w.number(u64::from(stream.id().0));
+            w.end_line()?;
             for e in stream.events() {
-                let kind = match e.kind {
-                    EventKind::Running => 'r',
-                    EventKind::Wait => 'w',
-                    EventKind::Unwait => 'u',
-                    EventKind::HardwareService => 'h',
-                };
-                write!(
-                    out,
-                    "e\t{kind}\t{}\t{}\t{}\t{}\t{}",
-                    e.tid.0,
-                    e.pid.0,
-                    e.t.as_nanos(),
-                    e.cost.as_nanos(),
-                    e.stack.0
-                )?;
-                match e.wtid {
-                    Some(w) => writeln!(out, "\t{}", w.0)?,
-                    None => writeln!(out)?,
-                }
+                w.event(e)?;
             }
         }
-        Ok(())
+        w.finish()
     }
 
     /// Reads a data set from the text format, streaming it from `input`:
@@ -207,6 +219,139 @@ impl Dataset {
     /// Same as [`Dataset::read_text`].
     pub fn read_text_bytes(bytes: &[u8]) -> Result<Dataset, ReadError> {
         Dataset::read_text(bytes)
+    }
+}
+
+// ---------------------------------------------------------------------
+// The writer
+// ---------------------------------------------------------------------
+
+/// Bytes [`Dataset::write_text`] gathers before it passes them on.
+const WRITE_CHUNK: usize = 64 * 1024;
+
+/// The longest event line: `e`, the kind, six numbers of at most twenty
+/// digits, their tabs and the newline.
+const MAX_EVENT_LINE: usize = 4 + 6 * 21;
+
+/// The two ASCII digits of every value below 100, in order.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Writes `v` in decimal at the front of `out` and returns the number
+/// of digits, two at a time from the last: the text `{v}` formats,
+/// without going through `core::fmt`.
+#[inline]
+fn put_decimal(out: &mut [u8], mut v: u64) -> usize {
+    let len = v.checked_ilog10().map_or(1, |l| l as usize + 1);
+    let mut end = len;
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        end -= 2;
+        out[end..end + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        out[..2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        out[0] = b'0' + v as u8;
+    }
+    len
+}
+
+/// Writes one event line, newline included, at the front of `line` and
+/// returns its length.
+#[inline]
+fn put_event(line: &mut [u8; MAX_EVENT_LINE], e: &Event) -> usize {
+    line[..4].copy_from_slice(match e.kind {
+        EventKind::Running => b"e\tr\t",
+        EventKind::Wait => b"e\tw\t",
+        EventKind::Unwait => b"e\tu\t",
+        EventKind::HardwareService => b"e\th\t",
+    });
+    let mut at = 4;
+    for n in [
+        u64::from(e.tid.0),
+        u64::from(e.pid.0),
+        e.t.as_nanos(),
+        e.cost.as_nanos(),
+        u64::from(e.stack.0),
+    ] {
+        at += put_decimal(&mut line[at..], n);
+        line[at] = b'\t';
+        at += 1;
+    }
+    if let Some(w) = e.wtid {
+        at += put_decimal(&mut line[at..], u64::from(w.0)) + 1;
+    }
+    // The separator after the last number ends the line.
+    line[at - 1] = b'\n';
+    at
+}
+
+/// The text of one data set, gathered line by line into one buffer that
+/// goes to `out` each time it holds [`WRITE_CHUNK`] bytes or more.
+struct TextWriter<W> {
+    out: W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> TextWriter<W> {
+    fn new(out: W) -> TextWriter<W> {
+        TextWriter {
+            out,
+            buf: Vec::with_capacity(WRITE_CHUNK + MAX_EVENT_LINE),
+        }
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    fn number(&mut self, v: u64) {
+        let mut digits = [0; 20];
+        let len = put_decimal(&mut digits, v);
+        self.bytes(&digits[..len]);
+    }
+
+    /// Fails when `s`, a frame or scenario name, holds a tab or
+    /// newline; what came before it then goes to `out`.
+    fn check(&mut self, s: &str) -> io::Result<()> {
+        if let Err(e) = check_text(s) {
+            self.out.write_all(&self.buf)?;
+            return Err(e);
+        }
+        Ok(())
+    }
+
+    fn end_line(&mut self) -> io::Result<()> {
+        self.buf.push(b'\n');
+        self.drain_chunk()
+    }
+
+    fn event(&mut self, e: &Event) -> io::Result<()> {
+        let mut line = [0; MAX_EVENT_LINE];
+        let len = put_event(&mut line, e);
+        self.bytes(&line[..len]);
+        self.drain_chunk()
+    }
+
+    fn drain_chunk(&mut self) -> io::Result<()> {
+        if self.buf.len() >= WRITE_CHUNK {
+            self.out.write_all(&self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+
+    /// Passes on the rest and flushes `out`.
+    fn finish(mut self) -> io::Result<()> {
+        self.out.write_all(&self.buf)?;
+        self.out.flush()
     }
 }
 
@@ -297,7 +442,7 @@ fn parse_u32(field: &[u8]) -> Option<u32> {
 /// its value and the bytes after it. `None` for no digit or for more
 /// than `max_digits`, which keeps the unchecked arithmetic in range:
 /// nineteen digits always fit a `u64`.
-#[inline]
+#[inline(always)]
 fn leading_number(bytes: &[u8], max_digits: usize) -> Option<(u64, &[u8])> {
     let mut value = 0u64;
     let mut n = 0;
@@ -316,7 +461,7 @@ fn leading_number(bytes: &[u8], max_digits: usize) -> Option<(u64, &[u8])> {
 }
 
 /// A number of at most nineteen digits followed by a tab.
-#[inline]
+#[inline(always)]
 fn u64_then_tab(bytes: &[u8]) -> Option<(u64, &[u8])> {
     match leading_number(bytes, 19)? {
         (value, [b'\t', rest @ ..]) => Some((value, rest)),
@@ -325,14 +470,14 @@ fn u64_then_tab(bytes: &[u8]) -> Option<(u64, &[u8])> {
 }
 
 /// A `u32` (at most ten digits) at the front of `bytes`.
-#[inline]
+#[inline(always)]
 fn leading_u32(bytes: &[u8]) -> Option<(u32, &[u8])> {
     let (value, rest) = leading_number(bytes, 10)?;
     Some((u32::try_from(value).ok()?, rest))
 }
 
 /// A `u32` followed by a tab.
-#[inline]
+#[inline(always)]
 fn u32_then_tab(bytes: &[u8]) -> Option<(u32, &[u8])> {
     match leading_u32(bytes)? {
         (value, [b'\t', rest @ ..]) => Some((value, rest)),
@@ -345,8 +490,43 @@ fn utf8(field: &[u8], lineno: usize) -> Result<&str, ReadError> {
     std::str::from_utf8(field).map_err(|_| err(lineno, "invalid utf-8 in text field"))
 }
 
-/// Maps the stack ids a file declares to interned ids.
-type StackIds = HashMap<u32, StackId, IdHashing>;
+/// Raw stack ids below this resolve through [`StackIds`]'s flat table.
+const FLAT_STACK_IDS: u32 = 1 << 16;
+
+/// Maps the stack ids a file declares to interned ids. Ids below
+/// [`FLAT_STACK_IDS`], where [`Dataset::write_text`] numbers its stacks
+/// from 0, index a flat table; the rest go through a map, so no id a
+/// file declares sizes an allocation past the bound.
+#[derive(Debug, Default)]
+struct StackIds {
+    /// The interned id of each declared raw id below the bound.
+    flat: Vec<Option<StackId>>,
+    /// Declared raw ids at or past the bound.
+    sparse: HashMap<u32, StackId, IdHashing>,
+}
+
+impl StackIds {
+    #[inline(always)]
+    fn get(&self, raw: u32) -> Option<StackId> {
+        match self.flat.get(raw as usize) {
+            Some(&id) => id,
+            None if raw < FLAT_STACK_IDS => None,
+            None => self.sparse.get(&raw).copied(),
+        }
+    }
+
+    fn insert(&mut self, raw: u32, id: StackId) {
+        if raw < FLAT_STACK_IDS {
+            let slot = raw as usize;
+            if self.flat.len() <= slot {
+                self.flat.resize(slot + 1, None);
+            }
+            self.flat[slot] = Some(id);
+        } else {
+            self.sparse.insert(raw, id);
+        }
+    }
+}
 
 /// Why a [`TextReader`] yielded no stream.
 #[derive(Debug)]
@@ -606,7 +786,7 @@ impl LineParser {
     /// a trace section or a declared stack it does not have. Changes
     /// nothing: the caller pushes an event it accepts, and the general
     /// handler accepts a declined line or reports its error.
-    #[inline]
+    #[inline(always)]
     fn event<'a>(&self, fields: &'a [u8]) -> Option<(Event, &'a [u8])> {
         if !self.saw_header || self.current.is_none() {
             return None;
@@ -637,7 +817,7 @@ impl LineParser {
             pid: ProcessId(pid),
             t: TimeNs(t),
             cost,
-            stack: *self.stack_ids.get(&raw_stack)?,
+            stack: self.stack_ids.get(raw_stack)?,
             wtid,
         };
         Some((event, rest))
@@ -818,8 +998,8 @@ fn parse_event(
     let t = TimeNs(parse_u64(f[4]).ok_or_else(|| err(lineno, "bad t"))?);
     let cost = TimeNs(parse_u64(f[5]).ok_or_else(|| err(lineno, "bad cost"))?);
     let raw_stack = parse_u32(f[6]).ok_or_else(|| err(lineno, "bad stack id"))?;
-    let stack = *stack_ids
-        .get(&raw_stack)
+    let stack = stack_ids
+        .get(raw_stack)
         .ok_or_else(|| err(lineno, "undeclared stack id"))?;
     builder.set_process(pid);
     match f[1] {
@@ -1121,6 +1301,38 @@ mod tests {
             let text = format!("!tracelens\t1\n!stack\t0\ta!b\n!trace\t0\n{line}\n");
             let e = Dataset::read_text_bytes(text.as_bytes()).unwrap_err();
             assert!(e.to_string().contains(what), "{line}: {e}");
+        }
+    }
+
+    #[test]
+    fn stack_ids_past_the_flat_table_resolve_through_the_map() {
+        let big = FLAT_STACK_IDS;
+        let head = format!(
+            "!tracelens\t1\n!stack\t{big}\ta!b\n!stack\t4294967295\tc!d\n!stack\t3\te!f\n\
+             !trace\t0\n"
+        );
+        let text = format!(
+            "{head}e\tr\t1\t1\t0\t5\t4294967295\ne\tr\t1\t1\t1\t5\t{big}\n\
+             e\tr\t1\t1\t2\t5\t3\n"
+        );
+        let (tables, mut reader) = TextReader::new(text.as_bytes()).unwrap();
+        // Only the id below the bound has a slot in the flat table.
+        assert_eq!(reader.parser.stack_ids.flat.len(), 4);
+        let stream = reader.next().unwrap().unwrap();
+        let frames: Vec<Vec<&str>> = stream
+            .events()
+            .iter()
+            .map(|e| tables.stacks.resolve_frames(e.stack))
+            .collect();
+        assert_eq!(frames, [["c!d"], ["a!b"], ["e!f"]]);
+        for raw in [2, big - 1, big + 1] {
+            let text = format!("{head}e\tr\t1\t1\t0\t5\t{raw}\n");
+            let e = Dataset::read_text_bytes(text.as_bytes()).unwrap_err();
+            assert_eq!(
+                e.to_string(),
+                "parse error at line 6: undeclared stack id",
+                "raw id {raw}"
+            );
         }
     }
 

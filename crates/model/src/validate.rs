@@ -4,7 +4,8 @@
 //! and freshly parsed files but may not for hand-assembled data sets.
 //! [`Dataset::validate`] checks them all and reports every violation;
 //! [`Validator`] runs the same checks over streams that arrive one at a
-//! time.
+//! time, and counts a stream the text parser sealed without walking
+//! its events again ([`Validator::sealed`]).
 
 use crate::dataset::Dataset;
 use crate::event::EventKind;
@@ -195,16 +196,9 @@ impl<'a> Validator<'a> {
     /// stack is known and every unwait is well targeted.
     pub fn stream(&mut self, stream: &TraceStream) -> bool {
         let found = self.violations.len();
-        let index = self.streams;
-        self.streams += 1;
+        self.count(stream);
         let stacks = &self.tables.stacks;
         let violations = &mut self.violations;
-        if stream.id().0 as usize != index {
-            violations.push(Violation::StreamIdMismatch {
-                index,
-                found: stream.id(),
-            });
-        }
         let mut last = None;
         for (ei, e) in stream.events().iter().enumerate() {
             if let Some(prev) = last {
@@ -232,6 +226,43 @@ impl<'a> Validator<'a> {
             }
         }
         violations.len() == found
+    }
+
+    /// [`Validator::stream`] for a stream a
+    /// [`TextReader`](crate::textio::TextReader) sealed, checked against
+    /// the tables that reader returned: counts the stream and checks its
+    /// id, without walking its events, because parsing has checked what
+    /// the walk would. The reader resolves each stack through the stacks
+    /// declared before the first `!trace`, all of them in the tables;
+    /// [`TraceStreamBuilder::finish`](crate::TraceStreamBuilder::finish)
+    /// sorts the events by time and rejects a badly targeted unwait; and
+    /// the reader yields trace ids 0, 1, 2, … in order. Debug builds
+    /// still walk the events and panic on a violation.
+    pub fn sealed(&mut self, stream: &TraceStream) -> bool {
+        if cfg!(debug_assertions) {
+            assert!(
+                self.stream(stream),
+                "a sealed text stream failed validation: {:?}",
+                self.violations
+            );
+            return true;
+        }
+        let found = self.violations.len();
+        self.count(stream);
+        self.violations.len() == found
+    }
+
+    /// Counts `stream` as the next one and checks that its id is its
+    /// position.
+    fn count(&mut self, stream: &TraceStream) {
+        let index = self.streams;
+        self.streams += 1;
+        if stream.id().0 as usize != index {
+            self.violations.push(Violation::StreamIdMismatch {
+                index,
+                found: stream.id(),
+            });
+        }
     }
 
     /// Checks the instances against the streams checked so far, which
@@ -350,6 +381,39 @@ mod tests {
             .violations
             .iter()
             .any(|v| matches!(v, Violation::StreamIdMismatch { index: 1, .. })));
+    }
+
+    #[test]
+    fn sealed_streams_are_counted_for_the_instance_checks() {
+        let mut ds = valid();
+        ds.instances.push(ScenarioInstance {
+            trace: TraceId(1),
+            ..ds.instances[0].clone()
+        });
+        let mut validator = Validator::new(&ds);
+        assert!(validator.sealed(&ds.streams[0]));
+        let err = validator.finish().unwrap_err();
+        assert_eq!(
+            err.violations,
+            [Violation::InstanceWithoutStream {
+                index: 1,
+                trace: TraceId(1)
+            }]
+        );
+        assert_eq!(Err(err), ds.validate());
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a sealed text stream failed validation")]
+    fn debug_builds_walk_sealed_streams() {
+        let ds = valid();
+        let events = [TimeNs(5), TimeNs(1)].map(|t| crate::Event {
+            t,
+            ..ds.streams[0].events()[0]
+        });
+        let unsorted = TraceStream::from_unchecked_parts(TraceId(0), events.to_vec());
+        Validator::new(&ds).sealed(&unsorted);
     }
 
     #[test]

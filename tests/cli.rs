@@ -102,6 +102,26 @@ fn run_subcommand_executes_the_dsl() {
 }
 
 #[test]
+fn a_write_that_fails_at_the_final_flush_is_an_error() {
+    // Both outputs fit the write buffer, so nothing reaches the device
+    // before the last flush, which is where the disk turns out full.
+    let out = tracelens(&["simulate", "-o", "/dev/full", "--traces", "0"]);
+    assert!(!out.status.success(), "simulate to a full device: {out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("write failed"), "{err}");
+    assert!(!err.contains("wrote 0 traces"), "{err}");
+
+    let script = std::env::temp_dir().join("tracelens-cli-test-full.tsim");
+    let asset = concat!(env!("CARGO_MANIFEST_DIR"), "/../../assets/figure1.tsim");
+    std::fs::copy(asset, &script).expect("copy asset");
+    let out = tracelens(&["run", script.to_str().unwrap(), "-o", "/dev/full"]);
+    assert!(!out.status.success(), "run to a full device: {out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("write failed"), "{err}");
+    assert!(!err.contains("wrote /dev/full"), "{err}");
+}
+
+#[test]
 fn validate_reports_violations_and_sanitize_recovers() {
     use tracelens::model::{ScenarioInstance, ThreadId, TimeNs, TraceId};
     use tracelens::prelude::*;

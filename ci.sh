@@ -3,7 +3,7 @@
 # release build, and the complete test suite — including the robustness
 # proptests (tests/corruption.rs, tests/robustness.rs,
 # tests/supervision.rs), which run as part of the default test pass,
-# plus end-to-end fail-operational and checkpoint/resume gates on the
+# plus end-to-end trace-store, fail-operational and chaos gates on the
 # CLI. No network access needed.
 set -eu
 
@@ -174,23 +174,10 @@ TL=target/release/tracelens
 grep -q '^## Execution$' "$SUP_DIR/faulted.md"
 grep -q 'quarantined' "$SUP_DIR/faulted.md"
 grep -q 'panic: injected fault' "$SUP_DIR/faulted.md"
-
-echo "== checkpoint kill-and-resume =="
-# A faulted, checkpointed run followed by a fault-free resume must be
-# byte-identical to a run that was never interrupted — even after a
-# torn write corrupts one checkpointed unit.
-"$TL" report "$SUP_DIR/ds.tlt" -o "$SUP_DIR/clean.md" 2> /dev/null
-"$TL" report "$SUP_DIR/ds.tlt" --checkpoint "$SUP_DIR/ckpt" \
-    --exec-faults seed=5,panic=0.4 -o /dev/null 2> /dev/null
-unit="$(ls "$SUP_DIR"/ckpt/unit-*.tlc | head -n 1)"
-head -c 20 "$unit" > "$unit.torn" && mv "$unit.torn" "$unit"
-"$TL" report "$SUP_DIR/ds.tlt" --checkpoint "$SUP_DIR/ckpt" \
-    -o "$SUP_DIR/resumed.md" 2> /dev/null
-cmp "$SUP_DIR/clean.md" "$SUP_DIR/resumed.md"
 rm -rf "$SUP_DIR"
 
 echo "== chaos campaign (25 composite fault configs, every oracle) =="
-# A seeded campaign over composite fault configurations — all five
+# A seeded campaign over composite fault configurations — all four
 # planes armed in random combinations — must pass every cross-cutting
 # oracle with nothing for the minimizer to do.
 CHAOS_DIR="$(mktemp -d)"
@@ -223,7 +210,6 @@ active = sum([
     knobs['corruption_eps'] > 0,
     knobs['read_fault_rate'] > 0,
     knobs['exec_panic_rate'] > 0,
-    knobs['torn_checkpoint_per_mille'] > 0,
     knobs['torn_cache_per_mille'] > 0,
 ])
 assert active <= 2, f'minimized repro arms {active} planes, expected <= 2'

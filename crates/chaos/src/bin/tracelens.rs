@@ -11,8 +11,7 @@
 //! tracelens causality FILE --scenario NAME [--top N] [--k K] [--no-reduce]
 //! tracelens scenarios FILE
 //! tracelens locate    FILE --scenario NAME [--rank R] [--top N]
-//! tracelens report    FILE [-o REPORT.md] [--top N]
-//!                     [--checkpoint DIR] [--exec-faults SPEC]
+//! tracelens report    FILE [-o REPORT.md] [--top N] [--exec-faults SPEC]
 //! tracelens regress   BASELINE CANDIDATE --scenario NAME [--top N]
 //! tracelens baselines FILE [--top N]
 //! tracelens chaos     [--seed S] [--runs N] [--traces N] [--planes LIST]
@@ -96,8 +95,7 @@ fn print_usage() {
          \x20 tracelens causality FILE --scenario NAME [--top N] [--k K] [--no-reduce]\n\
          \x20 tracelens scenarios FILE\n\
          \x20 tracelens locate    FILE --scenario NAME [--rank R] [--top N]\n\
-         \x20 tracelens report    FILE [-o REPORT.md] [--top N]\n\
-         \x20                     [--checkpoint DIR] [--exec-faults SPEC]\n\
+         \x20 tracelens report    FILE [-o REPORT.md] [--top N] [--exec-faults SPEC]\n\
          \x20 tracelens regress   BASELINE CANDIDATE --scenario NAME [--top N]\n\
          \x20 tracelens baselines FILE [--top N]\n\
          \x20 tracelens chaos     [--seed S] [--runs N] [--traces N] [--planes LIST]\n\
@@ -113,13 +111,12 @@ fn print_usage() {
          A flag a command does not declare is an error.\n\
          `report` runs supervised: a panicking work unit is quarantined\n\
          and listed in the report instead of aborting the study.\n\
-         --checkpoint DIR persists per-unit results for resume;\n\
          --exec-faults `seed=S,panic=P` injects panics for testing.\n\
          File ingestion retries transient i/o errors with bounded\n\
          exponential backoff.\n\
          `chaos` runs a deterministic fault-injection campaign: --runs\n\
          composite fault configurations sampled from --seed over --planes\n\
-         (any of corruption,read,exec,checkpoint,cache — default all)\n\
+         (any of corruption,read,exec,cache — default all)\n\
          each run through the full pipeline and checked against the\n\
          cross-cutting invariant oracles. Violations are minimized to a\n\
          replayable repro written to --repro-out (default\n\
@@ -674,11 +671,7 @@ fn cmd_locate(args: &[String]) -> Result<(), String> {
 
 /// Renders the full Markdown study report.
 fn cmd_report(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(
-        args,
-        &["top", "jobs", "checkpoint", "exec-faults"],
-        FILE_SWITCHES,
-    )?;
+    let opts = Opts::parse(args, &["top", "jobs", "exec-faults"], FILE_SWITCHES)?;
     let path = opts.positional.first().ok_or("report requires FILE")?;
     let top: usize = opts.parsed("top", 3)?;
     accept_one_job("report", &opts)?;
@@ -696,15 +689,13 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     }
     let config = StudyConfig {
         exec_faults,
-        checkpoint: opts.value("checkpoint").map(std::path::PathBuf::from),
         sanitize,
         ..StudyConfig::default()
     };
-    let (study, ds) = if path != "-" && config.checkpoint.is_none() {
+    let (study, ds) = if path != "-" {
         // The study streams the file where it can, so the ingest lines
-        // and the validation verdict are known only once it is done. A
-        // checkpointed study writes as it goes, so it validates first,
-        // on the path below.
+        // and the validation verdict are known only once it is done.
+        // Stdin is read whole, on the path below.
         let run = Study::run_file(
             Path::new(path),
             opts.has("cache"),

@@ -3,7 +3,7 @@
 //!
 //! A [`ChaosConfig`] composes every fault plane the workspace ships —
 //! data corruption, transient read faults, execution faults, torn
-//! checkpoints, torn caches — into one run of the full pipeline.
+//! caches — into one run of the full pipeline.
 //! [`sample_campaign`] derives the whole campaign's configs up front
 //! from `(campaign seed, run index)`, so any run replays from the
 //! campaign seed alone.
@@ -23,19 +23,16 @@ pub enum FaultPlane {
     /// Execution faults inside supervised analyzer units
     /// (`ExecFaultPlan`: panics).
     Exec,
-    /// A checkpoint unit file torn (truncated) between runs.
-    TornCheckpoint,
     /// A `.tlb` binary cache torn (truncated) between loads.
     TornCache,
 }
 
 impl FaultPlane {
     /// All planes, in canonical order.
-    pub const ALL: [FaultPlane; 5] = [
+    pub const ALL: [FaultPlane; 4] = [
         FaultPlane::Corruption,
         FaultPlane::ReadFaults,
         FaultPlane::Exec,
-        FaultPlane::TornCheckpoint,
         FaultPlane::TornCache,
     ];
 
@@ -45,7 +42,6 @@ impl FaultPlane {
             FaultPlane::Corruption => "corruption",
             FaultPlane::ReadFaults => "read",
             FaultPlane::Exec => "exec",
-            FaultPlane::TornCheckpoint => "checkpoint",
             FaultPlane::TornCache => "cache",
         }
     }
@@ -105,9 +101,6 @@ pub struct ChaosConfig {
     pub read_fault_rate: f64,
     /// Exec plane: fraction of supervised units that panic (0 = off).
     pub exec_panic_rate: f64,
-    /// Torn-checkpoint plane: truncation offset of one checkpoint unit
-    /// file, in ‰ of its length (0 = off).
-    pub torn_checkpoint_per_mille: u32,
     /// Torn-cache plane: truncation offset of the `.tlb` cache, in ‰
     /// of its length (0 = off).
     pub torn_cache_per_mille: u32,
@@ -123,7 +116,6 @@ impl Default for ChaosConfig {
             corruption_eps: 0.0,
             read_fault_rate: 0.0,
             exec_panic_rate: 0.0,
-            torn_checkpoint_per_mille: 0,
             torn_cache_per_mille: 0,
         }
     }
@@ -145,11 +137,6 @@ impl ChaosConfig {
         self.exec_panic_rate > 0.0
     }
 
-    /// Whether the torn-checkpoint plane is armed.
-    pub fn torn_checkpoint_active(&self) -> bool {
-        self.torn_checkpoint_per_mille > 0
-    }
-
     /// Whether the torn-cache plane is armed.
     pub fn torn_cache_active(&self) -> bool {
         self.torn_cache_per_mille > 0
@@ -169,7 +156,6 @@ impl ChaosConfig {
             FaultPlane::Corruption => self.corruption_active(),
             FaultPlane::ReadFaults => self.read_faults_active(),
             FaultPlane::Exec => self.exec_active(),
-            FaultPlane::TornCheckpoint => self.torn_checkpoint_active(),
             FaultPlane::TornCache => self.torn_cache_active(),
         }
     }
@@ -182,7 +168,6 @@ impl ChaosConfig {
             FaultPlane::Corruption => c.corruption_eps = 0.0,
             FaultPlane::ReadFaults => c.read_fault_rate = 0.0,
             FaultPlane::Exec => c.exec_panic_rate = 0.0,
-            FaultPlane::TornCheckpoint => c.torn_checkpoint_per_mille = 0,
             FaultPlane::TornCache => c.torn_cache_per_mille = 0,
         }
         c
@@ -272,9 +257,6 @@ pub fn sample_campaign(
                     FaultPlane::Corruption => cfg.corruption_eps = 0.01 + u * 0.04,
                     FaultPlane::ReadFaults => cfg.read_fault_rate = 0.05 + u * 0.20,
                     FaultPlane::Exec => cfg.exec_panic_rate = 0.10 + u * 0.40,
-                    FaultPlane::TornCheckpoint => {
-                        cfg.torn_checkpoint_per_mille = 50 + (u * 900.0) as u32
-                    }
                     FaultPlane::TornCache => cfg.torn_cache_per_mille = 50 + (u * 900.0) as u32,
                 }
             }
@@ -303,7 +285,6 @@ mod tests {
             assert!(cfg.corruption_eps <= 0.05);
             assert!(cfg.read_fault_rate <= 0.25);
             assert!(cfg.exec_panic_rate <= 0.5);
-            assert!(cfg.torn_checkpoint_per_mille < 1000);
             assert!(cfg.torn_cache_per_mille < 1000);
         }
     }
@@ -337,7 +318,7 @@ mod tests {
             FaultPlane::parse_list("corruption, exec").unwrap(),
             vec![FaultPlane::Corruption, FaultPlane::Exec]
         );
-        assert_eq!(FaultPlane::parse_list("all").unwrap().len(), 5);
+        assert_eq!(FaultPlane::parse_list("all").unwrap().len(), 4);
         assert!(FaultPlane::parse_list("bogus").is_err());
         assert!(FaultPlane::parse_list("").is_err());
     }

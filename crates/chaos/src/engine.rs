@@ -4,10 +4,10 @@
 //! One [`run_config`] call is one end-to-end exercise of a
 //! [`ChaosConfig`]: simulate a corpus, push it through every armed
 //! fault plane (flaky streamed ingest, torn caches under a cached
-//! study, data corruption, exec faults under supervision, torn
-//! checkpoints), and record what happened as [`RunArtifacts`]. [`run_campaign`] runs
-//! a sampled batch of configs in order, so campaign output depends on
-//! the campaign seed alone.
+//! study, data corruption, exec faults under supervision), and record
+//! what happened as [`RunArtifacts`]. [`run_campaign`] runs a sampled
+//! batch of configs in order, so campaign output depends on the
+//! campaign seed alone.
 
 use crate::config::{sample_campaign, ChaosConfig, FaultPlane};
 use crate::minimize::{minimize, MinimizedRepro};
@@ -67,8 +67,6 @@ pub struct RunArtifacts {
     pub ingest: Option<Result<(), String>>,
     /// Torn `.tlb` cache: detected, quarantined, never laundered.
     pub cache: Option<Result<(), String>>,
-    /// Torn checkpoint: resumed report equals the fresh report.
-    pub resume: Option<Result<(), String>>,
     /// Supervised run equals the plain run.
     pub baseline: Option<Result<(), String>>,
 }
@@ -83,7 +81,6 @@ impl RunArtifacts {
             degraded: Vec::new(),
             ingest: None,
             cache: None,
-            resume: None,
             baseline: None,
         }
     }
@@ -168,12 +165,8 @@ fn execute(cfg: &ChaosConfig) -> RunArtifacts {
         ds
     };
 
-    let ckpt_dir = cfg
-        .torn_checkpoint_active()
-        .then(|| scratch_dir(cfg, "ckpt"));
     let config = StudyConfig {
         exec_faults: cfg.exec_plan(),
-        checkpoint: ckpt_dir.clone(),
         sanitize: cfg.corruption_active(),
         ..StudyConfig::default()
     };
@@ -184,25 +177,10 @@ fn execute(cfg: &ChaosConfig) -> RunArtifacts {
             // A typed study error (e.g. every instance quarantined) is
             // an allowed degraded outcome, not a violation.
             art.degraded.push(format!("study refused: {e}"));
-            if let Some(dir) = &ckpt_dir {
-                let _ = fs::remove_dir_all(dir);
-            }
             return art;
         }
     };
     art.coverage = Some(snapshot(&study));
-
-    if let Some(dir) = &ckpt_dir {
-        art.resume = Some(check_torn_resume(
-            cfg,
-            dir,
-            &study_input,
-            &config,
-            &names,
-            &markdown,
-        ));
-        let _ = fs::remove_dir_all(dir);
-    }
 
     if !cfg.exec_active() {
         art.baseline = Some(check_baseline(&study_input, &config, &names, &markdown));
@@ -246,7 +224,7 @@ fn snapshot(study: &Study) -> CoverageNumbers {
 /// second study finds it before it starts or part way through its pass
 /// over the streams.
 fn check_torn_cache(cfg: &ChaosConfig, text: &[u8]) -> Result<(), String> {
-    let dir = scratch_dir(cfg, "cache");
+    let dir = scratch_dir(cfg);
     let result = check_torn_cache_in(cfg, text, &dir);
     let _ = fs::remove_dir_all(&dir);
     result
@@ -323,44 +301,6 @@ fn check_torn_cache_in(cfg: &ChaosConfig, text: &[u8], dir: &Path) -> Result<(),
     Ok(())
 }
 
-/// Torn-checkpoint plane: tear one stored unit file, resume, and
-/// verify the resumed report is byte-identical to the fresh one.
-fn check_torn_resume(
-    cfg: &ChaosConfig,
-    dir: &Path,
-    input: &Dataset,
-    config: &StudyConfig,
-    names: &[ScenarioName],
-    fresh_markdown: &str,
-) -> Result<(), String> {
-    let mut units: Vec<PathBuf> = fs::read_dir(dir)
-        .expect("read checkpoint dir")
-        .map(|e| e.expect("checkpoint entry").path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("unit-") && n.ends_with(".tlc"))
-        })
-        .collect();
-    units.sort();
-    if let Some(victim) = units.get(cfg.seed as usize % units.len().max(1)) {
-        let len = fs::metadata(victim).expect("unit metadata").len();
-        let cut =
-            (len * u64::from(cfg.torn_checkpoint_per_mille) / 1000).min(len.saturating_sub(1));
-        let handle = fs::OpenOptions::new()
-            .write(true)
-            .open(victim)
-            .expect("open unit for tearing");
-        handle.set_len(cut).expect("tear unit");
-    }
-    let (_, markdown) = run_study(input, config, names)
-        .map_err(|e| format!("resume over a torn checkpoint refused: {e}"))?;
-    if markdown != fresh_markdown {
-        return Err("resumed report differs from the fresh report".to_owned());
-    }
-    Ok(())
-}
-
 /// Baseline oracle (exec plane inactive): supervision with no exec
 /// faults must be invisible in the report.
 fn check_baseline(
@@ -387,11 +327,11 @@ fn check_baseline(
 /// leftover is removed first. A process-wide sequence number keeps two
 /// campaigns that sample the same config in one process (concurrent
 /// tests, say) out of each other's directories.
-fn scratch_dir(cfg: &ChaosConfig, purpose: &str) -> PathBuf {
+fn scratch_dir(cfg: &ChaosConfig) -> PathBuf {
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let run = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!(
-        "tl-chaos-{}-{run}-{:016x}-{purpose}",
+        "tl-chaos-{}-{run}-{:016x}-cache",
         std::process::id(),
         cfg.seed
     ));

@@ -2,25 +2,23 @@
 //!
 //! The workspace hardens each fault plane in isolation: the faults
 //! crate corrupts data, the store retries flaky transports and falls
-//! back from torn caches, supervision quarantines panicking units,
-//! checkpoints survive crashes. This crate asks the question none of
-//! those answer alone: **do the guarantees still hold when the planes
-//! fire together?**
+//! back from torn caches, supervision quarantines panicking units.
+//! This crate asks the question none of those answer alone: **do the
+//! guarantees still hold when the planes fire together?**
 //!
 //! A campaign samples composite fault configurations — every plane
 //! independently armed with seeded knobs ([`sample_campaign`]) — and
 //! pushes each through the *full* pipeline: simulate, ingest through
 //! injected read faults and torn caches, corrupt, sanitize, run the
-//! supervised study, tear and resume checkpoints. After every run a
-//! registry of cross-cutting invariant [`oracles`] checks what fault
-//! tolerance is never allowed to trade away:
+//! supervised study. After every run a registry of cross-cutting
+//! invariant [`oracles`] checks what fault tolerance is never allowed
+//! to trade away:
 //!
 //! * no panic escapes the pipeline's own handling;
 //! * coverage accounting is conserved — every trace, instance and unit
 //!   is analyzed or quarantined, never silently dropped or invented;
 //! * transient read faults and torn caches never launder a different
 //!   data set into the analysis;
-//! * a resumed study reports byte-identically to a fresh one;
 //! * supervision is invisible in the report when no fault fires;
 //! * rendered reports stay structurally well-formed.
 //!

@@ -78,11 +78,6 @@ pub const ORACLES: &[Oracle] = &[
         check: |a| a.cache.clone().expect("applies checked"),
     },
     Oracle {
-        name: "resume_identical",
-        applies: |a| a.resume.is_some(),
-        check: |a| a.resume.clone().expect("applies checked"),
-    },
-    Oracle {
         name: "supervised_plain_identical",
         applies: |a| a.baseline.is_some(),
         check: |a| a.baseline.clone().expect("applies checked"),
@@ -154,7 +149,6 @@ mod tests {
             degraded: Vec::new(),
             ingest: Some(Ok(())),
             cache: Some(Ok(())),
-            resume: Some(Ok(())),
             baseline: Some(Ok(())),
         }
     }
@@ -205,7 +199,6 @@ mod tests {
             degraded: vec!["ingest failed after retries".to_owned()],
             ingest: None,
             cache: None,
-            resume: None,
             baseline: None,
         };
         assert!(check_all(0, &a).is_empty());

@@ -31,11 +31,6 @@ pub fn render_repro(repro: &MinimizedRepro) -> String {
     let _ = writeln!(out, "corruption_eps = {}", c.corruption_eps);
     let _ = writeln!(out, "read_fault_rate = {}", c.read_fault_rate);
     let _ = writeln!(out, "exec_panic_rate = {}", c.exec_panic_rate);
-    let _ = writeln!(
-        out,
-        "torn_checkpoint_per_mille = {}",
-        c.torn_checkpoint_per_mille
-    );
     let _ = writeln!(out, "torn_cache_per_mille = {}", c.torn_cache_per_mille);
     out
 }
@@ -66,9 +61,6 @@ pub fn parse_repro(text: &str) -> Result<ChaosConfig, String> {
             "corruption_eps" => cfg.corruption_eps = value.parse().map_err(|e| err(&e))?,
             "read_fault_rate" => cfg.read_fault_rate = value.parse().map_err(|e| err(&e))?,
             "exec_panic_rate" => cfg.exec_panic_rate = value.parse().map_err(|e| err(&e))?,
-            "torn_checkpoint_per_mille" => {
-                cfg.torn_checkpoint_per_mille = value.parse().map_err(|e| err(&e))?
-            }
             "torn_cache_per_mille" => {
                 cfg.torn_cache_per_mille = value.parse().map_err(|e| err(&e))?
             }

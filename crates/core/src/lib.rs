@@ -37,13 +37,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod report;
 pub mod store;
 mod study;
 pub mod supervise;
 
-pub use checkpoint::Checkpoint;
 pub use report::{render_markdown, ReportOptions};
 pub use store::{CacheFallback, IngestReport, IngestSource};
 pub use study::{

@@ -64,9 +64,8 @@ pub fn render_markdown(study: &Study, dataset: &Dataset, opts: &ReportOptions) -
     }
 
     // Rendered only when something was quarantined, so supervision
-    // stays an execution detail of a clean run. Counts that vary across
-    // checkpoint resume (restored units) are deliberately absent; the
-    // failure list is deterministic.
+    // stays an execution detail of a clean run. The failure list is
+    // deterministic.
     let exec = &study.execution;
     if !exec.failures.is_empty() {
         let _ = writeln!(out, "## Execution\n");

@@ -21,12 +21,12 @@
 //! reader and studied in memory.
 
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::fmt;
 use std::fs::File;
 use std::io::Seek;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use tracelens_causality::{
     CausalityAnalysis, CausalityConfig, CausalityError, CausalityReport, ClassAggregators,
@@ -62,10 +62,6 @@ pub struct StudyConfig {
     /// panics inside supervised work units. `None` — the default —
     /// injects nothing.
     pub exec_faults: Option<ExecFaultPlan>,
-    /// Checkpoint directory: completed units are stored there and
-    /// restored on re-runs over the same inputs. `None` disables
-    /// checkpointing.
-    pub checkpoint: Option<PathBuf>,
     /// Sanitize the input first: repair what is repairable, quarantine
     /// what is not, and analyze the clean survivor. The sanitize report
     /// lands in [`Study::sanitize`], and [`Study::coverage`] says how
@@ -80,7 +76,6 @@ impl Default for StudyConfig {
             components: ComponentFilter::suffix(".sys"),
             causality: CausalityConfig::default(),
             exec_faults: None,
-            checkpoint: None,
             sanitize: false,
         }
     }
@@ -103,13 +98,6 @@ pub enum StudyError {
         /// were lost with their quarantined traces).
         quarantined_instances: usize,
     },
-    /// The checkpoint directory could not be read or written.
-    Checkpoint {
-        /// The configured checkpoint directory.
-        dir: PathBuf,
-        /// The underlying I/O error.
-        source: std::io::Error,
-    },
 }
 
 impl fmt::Display for StudyError {
@@ -123,21 +111,11 @@ impl fmt::Display for StudyError {
                 "no analyzable instances: sanitization quarantined all {input_instances} \
                  input instances ({quarantined_instances} directly, the rest with their traces)"
             ),
-            StudyError::Checkpoint { dir, source } => {
-                write!(f, "checkpoint {} unusable: {source}", dir.display())
-            }
         }
     }
 }
 
-impl std::error::Error for StudyError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            StudyError::Checkpoint { source, .. } => Some(source),
-            StudyError::NoAnalyzableInstances { .. } => None,
-        }
-    }
-}
+impl std::error::Error for StudyError {}
 
 /// Why [`Study::run_file`] produced no study.
 #[derive(Debug)]
@@ -341,18 +319,15 @@ impl Study {
     /// Every work unit (per-stream accounting, per-scenario analysis)
     /// runs once, supervised: a panicking unit is quarantined and
     /// recorded in [`Study::execution`] instead of aborting the study.
-    /// With [`StudyConfig::checkpoint`] set, completed units are
-    /// persisted and re-runs over the same inputs resume. The run is
-    /// wrapped in a `study` span and every stage reports spans and
-    /// counters through `telemetry`;
-    /// `Telemetry::noop()` collects nothing.
+    /// The run is wrapped in a `study` span and every stage reports
+    /// spans and counters through `telemetry`; `Telemetry::noop()`
+    /// collects nothing.
     ///
     /// # Errors
     ///
     /// [`StudyError::NoAnalyzableInstances`] when sanitization
-    /// quarantines every instance of a non-empty input;
-    /// [`StudyError::Checkpoint`] if the checkpoint directory cannot be
-    /// used. Unit failures are *not* errors.
+    /// quarantines every instance of a non-empty input. Unit failures
+    /// are *not* errors.
     pub fn run(
         dataset: Dataset,
         config: &StudyConfig,
@@ -389,10 +364,10 @@ impl Study {
     /// With `cache` set the file is read through its `.tlb` cache
     /// ([`store::cache_path_for`]), as in [`store::ingest_path`].
     ///
-    /// Unless `config` checkpoints, the study streams its input where it
-    /// can: the tables are read first, and each stream is read, checked,
-    /// indexed, built, accounted and aggregated, and dropped before the
-    /// next one is read, so one stream's events are in memory at a time.
+    /// The study streams its input where it can: the tables are read
+    /// first, and each stream is read, checked, indexed, built, accounted
+    /// and aggregated, and dropped before the next one is read, so one
+    /// stream's events are in memory at a time.
     ///
     /// * Text streams through a [`TextReader`] when its instances come
     ///   before its traces. Text the parser accepts has sorted,
@@ -436,11 +411,6 @@ impl Study {
     ) -> Result<FileStudy, FileStudyError> {
         if cache {
             return Study::run_cached(path, config, telemetry);
-        }
-        if config.checkpoint.is_some() {
-            let (ds, ingest) =
-                store::ingest_path(path, false, telemetry).map_err(FileStudyError::Read)?;
-            return Study::run_loaded(ds, ingest, config, telemetry);
         }
         Study::stream_text(path, config, telemetry)
     }
@@ -508,26 +478,19 @@ impl Study {
             store::open_cached(path).map_err(FileStudyError::Read)?
         };
         let fallback = match cache {
-            Ok(cache) => {
-                // A checkpoint fingerprints the whole data set.
-                let streamed = config
-                    .checkpoint
-                    .is_none()
-                    .then(|| Study::stream_cached(&cache, text.retries, config, telemetry));
-                match streamed {
-                    Some(Ok(run)) => return Ok(run),
-                    Some(Err(Halt::Study(e))) => return Err(FileStudyError::Study(e)),
-                    Some(Err(Halt::Source(CacheHalt::Corrupt))) => CacheFallback::Corrupt,
-                    None | Some(Err(Halt::Source(CacheHalt::Unclean))) => {
-                        match cache.load(text.retries, telemetry) {
-                            Some((ds, ingest)) => {
-                                return Study::run_loaded(ds, ingest, config, telemetry)
-                            }
-                            None => CacheFallback::Corrupt,
+            Ok(cache) => match Study::stream_cached(&cache, text.retries, config, telemetry) {
+                Ok(run) => return Ok(run),
+                Err(Halt::Study(e)) => return Err(FileStudyError::Study(e)),
+                Err(Halt::Source(CacheHalt::Corrupt)) => CacheFallback::Corrupt,
+                Err(Halt::Source(CacheHalt::Unclean)) => {
+                    match cache.load(text.retries, telemetry) {
+                        Some((ds, ingest)) => {
+                            return Study::run_loaded(ds, ingest, config, telemetry)
                         }
+                        None => CacheFallback::Corrupt,
                     }
                 }
-            }
+            },
             Err(fallback) => fallback,
         };
         let (ds, ingest) = {
@@ -612,9 +575,6 @@ impl Study {
     /// trace never arrives meets no stream, and once the streams are
     /// counted sanitize's instance rules give the instance table the
     /// scenario units study, which comes back with the study.
-    ///
-    /// A checkpoint fingerprints the whole data set, so a checkpointed
-    /// study must be given it whole: its streams in `tables` as well.
     fn analyze<S: Borrow<TraceStream>, E>(
         tables: &Dataset,
         streams: impl Iterator<Item = Result<S, E>>,
@@ -626,36 +586,6 @@ impl Study {
         let _span = telemetry.span(stage::STUDY);
         let supervisor = Supervisor::new(telemetry);
         let faults = config.exec_faults.filter(|p| p.is_armed());
-        let checkpoint = match &config.checkpoint {
-            Some(dir) => {
-                let _span = telemetry.span(stage::CHECKPOINT);
-                let fp = crate::checkpoint::fingerprint(tables, config, names);
-                Some(
-                    crate::checkpoint::Checkpoint::open(dir, fp).map_err(|source| {
-                        StudyError::Checkpoint {
-                            dir: dir.clone(),
-                            source,
-                        }
-                    })?,
-                )
-            }
-            None => None,
-        };
-        let checkpoint_error = |c: &crate::checkpoint::Checkpoint, source| StudyError::Checkpoint {
-            dir: c.dir().to_path_buf(),
-            source,
-        };
-        let saved_impact = checkpoint.as_ref().and_then(|c| c.load_impact());
-        // Restored scenario units short-circuit inside their supervised
-        // unit so unit indices (and therefore failure accounts) are
-        // identical with and without a warm checkpoint.
-        let restored = match &checkpoint {
-            Some(c) => {
-                let _span = telemetry.span(stage::CHECKPOINT);
-                c.load_units(names)
-            }
-            None => BTreeMap::new(),
-        };
         if telemetry.enabled() {
             telemetry.count("study.scenarios", names.len() as u64);
         }
@@ -671,43 +601,33 @@ impl Study {
             })),
             None => causality,
         };
-        // Units the checkpoint cannot restore are the ones the pass
-        // feeds; the others get no aggregators.
-        let mut classes: Vec<Option<Result<ClassAggregators<'_>, CausalityError>>> = names
+        let mut classes: Vec<Result<ClassAggregators<'_>, CausalityError>> = names
             .iter()
-            .enumerate()
-            .map(|(i, name)| (!restored.contains_key(&i)).then(|| causality.prepare(tables, name)))
+            .map(|name| causality.prepare(tables, name))
             .collect();
         // The input's size, counted as the streams go by.
         let (mut traces, mut events) = (0, 0);
-        let mut streams = streams.inspect(|stream| {
+        let streams = streams.inspect(|stream| {
             if let Ok(stream) = stream {
                 traces += 1;
                 events += stream.borrow().len();
             }
         });
         let deferred = matches!(sanitizing, Sanitizing::Instances);
-        let pass = if saved_impact.is_none() || classes.iter().any(Option::is_some) {
-            stream_pass(
-                tables,
-                &mut streams,
-                // Instances the rules quarantine whatever the stream
-                // count stay out of the pass.
-                |i| !deferred || tables.scenario(&i.scenario).is_some(),
-                names,
-                &mut classes,
-                &analyzer,
-                &supervisor,
-                faults,
-                telemetry,
-            )
-            .map_err(Halt::Source)?
-        } else {
-            StreamPass::default()
-        };
-        for stream in streams {
-            stream.map_err(Halt::Source)?;
-        }
+        let pass = stream_pass(
+            tables,
+            streams,
+            // Instances the rules quarantine whatever the stream count
+            // stay out of the pass.
+            |i| !deferred || tables.scenario(&i.scenario).is_some(),
+            names,
+            &mut classes,
+            &analyzer,
+            &supervisor,
+            faults,
+            telemetry,
+        )
+        .map_err(Halt::Source)?;
         let (sanitize, clean) = match sanitizing {
             Sanitizing::Off => (None, None),
             Sanitizing::Done(report) => (Some(report), None),
@@ -723,45 +643,23 @@ impl Study {
                 let streamed = |trace: TraceId| ((trace.0 as usize) < traces).then_some(trace);
                 sanitize_instances(&mut clean, &tables.scenarios, streamed, &mut report);
                 survivors(&report, &clean, telemetry)?;
-                for classes in classes.iter_mut().flatten().flatten() {
+                for classes in classes.iter_mut().flatten() {
                     classes.recount(&clean);
                 }
                 (Some(report), Some(clean))
             }
         };
 
-        let mut execution = ExecutionReport::default();
-        let impact = match saved_impact {
-            Some(saved) => {
-                execution.units += 1;
-                execution.completed += 1;
-                execution.restored += 1;
-                saved
-            }
-            None => {
-                let impact = {
-                    let _span = telemetry.span(stage::IMPACT);
-                    fold(&pass.records)
-                };
-                // Only a pass with no quarantined stream is stored — a
-                // partial impact report must be recomputed (and
-                // re-quarantined) on resume, never resumed as if it
-                // were complete.
-                if let Some(c) = &checkpoint {
-                    if pass.execution.failures.is_empty() {
-                        c.store_impact(&impact)
-                            .map_err(|source| checkpoint_error(c, source))?;
-                    }
-                }
-                impact
-            }
+        let impact = {
+            let _span = telemetry.span(stage::IMPACT);
+            fold(&pass.records)
         };
-        execution.absorb(pass.execution);
+        let mut execution = pass.execution;
 
         let per_scenario = instance_counts(clean.as_deref().unwrap_or(&tables.instances));
         let mut scenario_exec = ExecutionReport::default();
         let mut scenarios: BTreeMap<ScenarioName, ScenarioStudy> = BTreeMap::new();
-        for (idx, (name, classes)) in names.iter().zip(classes).enumerate() {
+        for (name, classes) in names.iter().zip(classes) {
             let unit = supervisor.run(
                 &mut scenario_exec,
                 SCENARIO_STAGE,
@@ -770,32 +668,17 @@ impl Study {
                         .for_scenario(name.as_str())
                         .carrying(per_scenario.get(name).copied().unwrap_or(0))
                 },
-                // Only a restored unit has no classes.
-                || match classes {
-                    None => restored[&idx].clone(),
-                    Some(classes) => {
-                        if let Some(p) = faults {
-                            p.arm(SCENARIO_STAGE, &format!("scenario:{name}"));
-                        }
-                        scenario_study(tables, name, &pass.records, &causality, classes, telemetry)
+                || {
+                    if let Some(p) = faults {
+                        p.arm(SCENARIO_STAGE, &format!("scenario:{name}"));
                     }
+                    scenario_study(tables, name, &pass.records, &causality, classes, telemetry)
                 },
             );
-            let Some(unit) = unit else { continue };
-            // A unit that lost instances with a quarantined stream is
-            // partial, like the global impact report: recompute it on
-            // resume, never restore it.
-            let partial = pass.lost.contains(name);
-            if let Some(c) = &checkpoint {
-                if !restored.contains_key(&idx) && !partial {
-                    let _span = telemetry.span(stage::CHECKPOINT);
-                    c.store_unit(idx, name, &unit)
-                        .map_err(|source| checkpoint_error(c, source))?;
-                }
+            if let Some(unit) = unit {
+                scenarios.insert(*name, unit);
             }
-            scenarios.insert(*name, unit);
         }
-        scenario_exec.restored = restored.len();
         execution.absorb(scenario_exec);
         let coverage = Coverage {
             failed_units: execution.quarantined(),
@@ -902,8 +785,6 @@ struct StreamPass<'a> {
     records: Vec<InstanceRecord<'a>>,
     /// The per-stream units' supervision outcome.
     execution: ExecutionReport,
-    /// Scenarios that lost instances with a quarantined stream.
-    lost: BTreeSet<ScenarioName>,
 }
 
 /// The study's one pass over the streams, in the order `streams` yields
@@ -932,7 +813,7 @@ fn stream_pass<'a, S: Borrow<TraceStream>, E>(
     streams: impl Iterator<Item = Result<S, E>>,
     keep: impl Fn(&ScenarioInstance) -> bool,
     names: &[ScenarioName],
-    classes: &mut [Option<Result<ClassAggregators<'a>, CausalityError>>],
+    classes: &mut [Result<ClassAggregators<'a>, CausalityError>],
     analyzer: &ImpactAnalyzer,
     supervisor: &Supervisor,
     faults: Option<ExecFaultPlan>,
@@ -941,7 +822,7 @@ fn stream_pass<'a, S: Borrow<TraceStream>, E>(
     // The entries of `classes` each scenario's graphs feed.
     let mut feeds: BTreeMap<ScenarioName, Vec<usize>> = BTreeMap::new();
     for (slot, (name, fed)) in names.iter().zip(classes.iter()).enumerate() {
-        if matches!(fed, Some(Ok(_))) {
+        if fed.is_ok() {
             feeds.entry(*name).or_default().push(slot);
         }
     }
@@ -973,9 +854,8 @@ fn stream_pass<'a, S: Borrow<TraceStream>, E>(
         let _span = telemetry.span(stage::AGGREGATE);
         let Some((records, graph)) = output else {
             for &instance in instances {
-                pass.lost.insert(instance.scenario);
                 for &slot in feeds.get(&instance.scenario).into_iter().flatten() {
-                    if let Some(Ok(c)) = &mut classes[slot] {
+                    if let Ok(c) = &mut classes[slot] {
                         c.forget(instance);
                     }
                 }
@@ -984,7 +864,7 @@ fn stream_pass<'a, S: Borrow<TraceStream>, E>(
         };
         for (k, &instance) in instances.iter().enumerate() {
             for &slot in feeds.get(&instance.scenario).into_iter().flatten() {
-                if let Some(Ok(c)) = &mut classes[slot] {
+                if let Ok(c) = &mut classes[slot] {
                     c.add(instance, graph.instance(k));
                 }
             }
@@ -1182,72 +1062,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_resume_is_byte_identical() {
-        let ds = DatasetBuilder::new(13)
-            .traces(12)
-            .mix(ScenarioMix::Selected)
-            .build();
-        let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
-        let dir = std::env::temp_dir().join("tracelens-study-checkpoint-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        // First pass: faults quarantine some scenario units; their
-        // results are NOT checkpointed.
-        let faulted = StudyConfig {
-            exec_faults: Some(ExecFaultPlan::new(77).with_panic_rate(0.5)),
-            checkpoint: Some(dir.clone()),
-            ..StudyConfig::default()
-        };
-        let first = run(&ds, &faulted, &names);
-        assert!(first.execution.quarantined() > 0, "seed must hit something");
-        assert_eq!(first.execution.restored, 0);
-        // Second pass: same inputs, faults off — restores completed
-        // units, re-runs the quarantined ones, and must be
-        // byte-identical to a clean uninterrupted run.
-        let resumed_cfg = StudyConfig {
-            checkpoint: Some(dir.clone()),
-            ..StudyConfig::default()
-        };
-        let resumed = run(&ds, &resumed_cfg, &names);
-        assert!(resumed.execution.restored > 0, "nothing was restored");
-        assert!(resumed.execution.failures.is_empty());
-        let clean = run(&ds, &StudyConfig::default(), &names);
-        let opts = crate::ReportOptions::default();
-        assert_eq!(
-            crate::render_markdown(&resumed, &ds, &opts),
-            crate::render_markdown(&clean, &ds, &opts),
-            "resumed study must render byte-identical to a clean run"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpoint_fingerprint_is_pinned() {
-        // The corpus of `tracelens simulate --traces 40 --seed 9`, whose
-        // `report --checkpoint DIR` writes this fingerprint to meta.tlc.
-        let ds = DatasetBuilder::new(9).traces(40).build();
-        let names: Vec<ScenarioName> = ds.scenarios.iter().map(|s| s.name).collect();
-        let fingerprint = |cfg: &StudyConfig| crate::checkpoint::fingerprint(&ds, cfg, &names);
-        let pinned = fingerprint(&StudyConfig::default());
-        // Existing checkpoints resume only while this value holds. It
-        // hashes `write_text` output, so it moved when the instance lines
-        // moved ahead of the traces.
-        assert_eq!(format!("{pinned:016x}"), "26142a9c530f1fa8");
-        // Execution knobs change how units run, not what they compute.
-        for cfg in [
-            StudyConfig {
-                exec_faults: Some(ExecFaultPlan::new(5).with_panic_rate(0.4)),
-                ..StudyConfig::default()
-            },
-            StudyConfig {
-                sanitize: true,
-                ..StudyConfig::default()
-            },
-        ] {
-            assert_eq!(fingerprint(&cfg), pinned, "{cfg:?}");
-        }
-    }
-
-    #[test]
     fn sanitized_supervised_returns_typed_error_when_nothing_survives() {
         use tracelens_model::{ScenarioInstance, ThreadId, TimeNs, TraceId};
         // A dataset whose every instance dangles: sanitize quarantines
@@ -1273,16 +1087,12 @@ mod tests {
         let _gate = crate::supervise::tests::batch_gate();
         let err = Study::run(ds, &cfg, &names, &Telemetry::noop())
             .expect_err("all instances quarantined must be a typed error");
-        match err {
-            StudyError::NoAnalyzableInstances {
-                input_instances,
-                quarantined_instances,
-            } => {
-                assert_eq!(input_instances, 3);
-                assert_eq!(quarantined_instances, 3);
-            }
-            other => panic!("wrong error: {other}"),
-        }
+        let StudyError::NoAnalyzableInstances {
+            input_instances,
+            quarantined_instances,
+        } = err;
+        assert_eq!(input_instances, 3);
+        assert_eq!(quarantined_instances, 3);
         // An empty input (no instances at all) is not an error: there
         // was nothing to lose.
         let empty = tracelens_model::Dataset::new();

@@ -102,21 +102,13 @@ impl fmt::Display for UnitFailure {
 /// what it had to give up — the execution-layer `SanitizeReport`.
 ///
 /// Contains no wall-clock measurements, so two runs of the same
-/// deterministic workload produce equal reports regardless of timing
-/// or checkpoint resume.
+/// deterministic workload produce equal reports regardless of timing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecutionReport {
     /// Work units supervised.
     pub units: usize,
-    /// Units that produced a result, including [`restored`] ones.
-    ///
-    /// [`restored`]: ExecutionReport::restored
+    /// Units that produced a result.
     pub completed: usize,
-    /// Completed units whose result was loaded from a checkpoint
-    /// instead of executed (a subset of [`completed`]).
-    ///
-    /// [`completed`]: ExecutionReport::completed
-    pub restored: usize,
     /// The quarantined units, in batch order.
     pub failures: Vec<UnitFailure>,
 }
@@ -152,7 +144,6 @@ impl ExecutionReport {
     pub fn absorb(&mut self, other: ExecutionReport) {
         self.units += other.units;
         self.completed += other.completed;
-        self.restored += other.restored;
         self.failures.extend(other.failures);
     }
 }
@@ -161,10 +152,9 @@ impl fmt::Display for ExecutionReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "supervised: {}/{} units completed ({} restored), {} quarantined",
+            "supervised: {}/{} units completed, {} quarantined",
             self.completed,
             self.units,
-            self.restored,
             self.quarantined()
         )?;
         for failure in &self.failures {
@@ -540,9 +530,9 @@ pub(crate) mod tests {
     fn a_panic_unwinding_through_a_live_supervisor_unwinds() {
         let _gate = hook_gate();
         let hits = install_sentinel_hook();
-        // A panic outside any unit (as in the study's folds or
-        // checkpoint writes) drops the supervisor while unwinding; it
-        // must reach the caller, not abort the process.
+        // A panic outside any unit (as in the study's folds) drops the
+        // supervisor while unwinding; it must reach the caller, not
+        // abort the process.
         let unwound = std::panic::catch_unwind(|| {
             let _supervisor = Supervisor::new(&Telemetry::noop());
             panic!("outside any unit");
@@ -567,7 +557,6 @@ pub(crate) mod tests {
         let mut a = ExecutionReport {
             units: 3,
             completed: 2,
-            restored: 1,
             failures: vec![UnitFailure {
                 index: 2,
                 stage: "impact",

@@ -6,8 +6,8 @@
 //! panic mid-analysis — the failure the fail-operational supervisor in
 //! `tracelens::supervise` exists to contain. The plan is pure data:
 //! probing it never mutates state, so the same plan consulted on any
-//! run or across a checkpoint-resume boundary yields the same verdict
-//! for the same unit.
+//! run, or twice in one run, yields the same verdict for the same
+//! unit.
 //!
 //! ```
 //! use tracelens_faults::ExecFaultPlan;

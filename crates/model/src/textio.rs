@@ -171,6 +171,7 @@ impl Dataset {
             w.end_line()?;
         }
         for i in &self.instances {
+            w.check(i.scenario.as_str())?;
             w.bytes(b"!instance\t");
             for n in [
                 u64::from(i.trace.0),

@@ -79,9 +79,6 @@ pub mod stage {
     /// quarantine accounting. Not part of [`PIPELINE`]: supervision
     /// wraps the other stages.
     pub const SUPERVISE: &str = "supervise";
-    /// Checkpoint save/restore of completed study units. Not part of
-    /// [`PIPELINE`]: it only runs when `--checkpoint` is given.
-    pub const CHECKPOINT: &str = "checkpoint";
     /// Trace-store ingestion: streamed text parse or binary-cache load,
     /// plus cache writes. Not part of [`PIPELINE`]: it only runs when
     /// loading external data sets.
@@ -109,7 +106,6 @@ mod tests {
         names.push(stage::STUDY);
         names.push(stage::SANITIZE);
         names.push(stage::SUPERVISE);
-        names.push(stage::CHECKPOINT);
         names.push(stage::CHAOS);
         let n = names.len();
         names.sort_unstable();

@@ -437,8 +437,9 @@ fn report_quarantines_each_faulted_unit_once() {
         assert!(reason.starts_with("panic: injected fault: "), "{row}");
     }
 
-    // The report has no retry bound, soft deadline or slow faults.
-    let cases: [(&[&str], &str); 3] = [
+    // The report has no retry bound, soft deadline or slow faults, and
+    // chaos has no checkpoint plane.
+    let cases: [(&[&str], &str); 4] = [
         (
             &["report", path, "--max-retries", "1"],
             "unknown flag --max-retries",
@@ -450,6 +451,10 @@ fn report_quarantines_each_faulted_unit_once() {
         (
             &["report", path, "--exec-faults", "seed=1,slow=0.5"],
             "unknown key `slow`",
+        ),
+        (
+            &["chaos", "--planes", "checkpoint"],
+            "unknown fault plane `checkpoint`",
         ),
     ];
     for (args, want) in cases {
@@ -484,6 +489,7 @@ fn every_command_rejects_undeclared_flags() {
         "--shed",
         "--degrade",
         "--mem-faults",
+        "--checkpoint",
         "--bogus",
     ];
     for command in commands {

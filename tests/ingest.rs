@@ -5,7 +5,6 @@
 
 use std::io::BufReader;
 use std::path::PathBuf;
-use tracelens::checkpoint;
 use tracelens::model::binio::Fingerprinter;
 use tracelens::model::textio::ReadError;
 use tracelens::model::{fingerprint_bytes, BinReadError};
@@ -126,34 +125,6 @@ fn cache_fallbacks_surface_in_the_sanitize_report() {
         shown.contains("binary-cache fallback"),
         "fallbacks must be visible in the report: {shown}"
     );
-}
-
-#[test]
-fn checkpoint_fingerprint_is_ingest_path_independent() {
-    let dir = scratch("ckpt");
-    let ds = DatasetBuilder::new(314)
-        .traces(8)
-        .mix(ScenarioMix::Selected)
-        .build();
-    let text = text_of(&ds);
-    let tlt = dir.join("corpus.tlt");
-    std::fs::write(&tlt, &text).expect("write text");
-
-    let telemetry = Telemetry::noop();
-    let (from_text, r1) = ingest_path(&tlt, true, &telemetry).expect("first read");
-    assert_eq!(r1.source, IngestSource::Text);
-    assert!(r1.cache_written);
-    let (from_cache, r2) = ingest_path(&tlt, true, &telemetry).expect("cached read");
-    assert_eq!(r2.source, IngestSource::BinaryCache);
-
-    let config = StudyConfig::default();
-    let names: Vec<ScenarioName> = from_text.scenarios.iter().map(|s| s.name).collect();
-    assert_eq!(
-        checkpoint::fingerprint(&from_text, &config, &names),
-        checkpoint::fingerprint(&from_cache, &config, &names),
-        "old checkpoints must stay valid when ingest switches to the cache"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

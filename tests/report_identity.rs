@@ -1,7 +1,7 @@
 //! Golden report digests: the rendered Markdown of four study shapes is
 //! pinned by FNV-1a digest, so any change to how the study computes its
-//! numbers — supervision, checkpoint resume — that alters a
-//! single byte of a report fails here.
+//! numbers — sanitize, supervision — that alters a single byte of a
+//! report fails here.
 
 use tracelens::prelude::*;
 
@@ -72,30 +72,9 @@ fn sanitized_fault_injected_report_is_pinned() {
 }
 
 #[test]
-fn checkpoint_resumed_report_is_pinned() {
+fn clean_selected_mix_of_24_traces_report_is_pinned() {
     let ds = selected(64, 24);
     let names = names_of(&ds);
-    let dir = std::env::temp_dir().join("tracelens-report-identity-resume");
-    let _ = std::fs::remove_dir_all(&dir);
-    let faulted = StudyConfig {
-        exec_faults: Some(ExecFaultPlan::new(91).with_panic_rate(0.1)),
-        checkpoint: Some(dir.clone()),
-        ..StudyConfig::default()
-    };
-    let (first, _) = run(ds.clone(), &faulted, &names).expect("faulted run completes");
-    assert!(
-        first.execution.quarantined() > 0,
-        "the plan must hit a unit"
-    );
-    let resume = StudyConfig {
-        checkpoint: Some(dir.clone()),
-        ..StudyConfig::default()
-    };
-    let (resumed, ds) = run(ds, &resume, &names).expect("resumed run completes");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert!(
-        resumed.execution.restored > 0,
-        "the resume must restore a unit"
-    );
-    assert_eq!(digest(&render(&resumed, &ds)), "52f189489918ea32");
+    let (study, ds) = run(ds, &StudyConfig::default(), &names).expect("study runs");
+    assert_eq!(digest(&render(&study, &ds)), "52f189489918ea32");
 }

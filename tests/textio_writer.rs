@@ -36,6 +36,7 @@ fn reference_write_text<W: Write>(ds: &Dataset, mut out: W) -> io::Result<()> {
         writeln!(out)?;
     }
     for i in &ds.instances {
+        check_text(i.scenario.as_str())?;
         writeln!(
             out,
             "!instance\t{}\t{}\t{}\t{}\t{}",
@@ -215,6 +216,14 @@ fn an_unrepresentable_name_stops_both_writers_at_the_same_byte() {
         Thresholds::new(TimeNs(1), TimeNs(2)),
     ));
     assert_same_text(&ds, "a newline in a scenario name");
+    let mut ds = corpus(3, 4, ScenarioMix::Selected);
+    ds.instances.push(ScenarioInstance {
+        scenario: ScenarioName::new("Tab\tName"),
+        ..ds.instances[0]
+    });
+    assert_same_text(&ds, "a tab in an undefined instance's scenario name");
+    let e = ds.write_text(io::sink()).unwrap_err();
+    assert_eq!(e.kind(), io::ErrorKind::InvalidData);
 }
 
 /// A writer that takes at most `limit` bytes, then fails every write

@@ -30,12 +30,19 @@ echo "== graph-layer tests in release =="
 # The benchmark times the release build, where integer arithmetic wraps
 # on overflow instead of panicking as it does in the debug test pass.
 # Run the index and Wait Graph tests, the two end-to-end identity gates
-# over them, and the check that the study's stream graphs (shared
-# subtrees, coalesced samples) give what per-instance graphs give, as
-# they are built there.
+# over them, the check that the study's stream graphs (shared subtrees,
+# coalesced samples) give what per-instance graphs give, and the gate on
+# the bytes per event the graph layer holds, as they are built there.
 cargo test -q --release -p tracelens-waitgraph
 cargo test -q --release -p tracelens --test impact_oracle --test report_identity \
-    --test stream_form
+    --test stream_form --test graph_bytes
+
+echo "== fault-injector tests in release =="
+# The benchmark injects its dirty corpus with a release build, where the
+# injector's u32 additions wrap instead of panicking: run the injector's
+# tests as built there. Its reference check numbers ghost threads past
+# u32::MAX, which panics in the debug pass and wraps here.
+cargo test -q --release -p tracelens-faults
 
 echo "== ingest tests in release =="
 # The `.tlb` reader computes sizes from untrusted bytes, and release

@@ -166,95 +166,104 @@ impl FaultInjector {
 
     /// Applies the configured faults to a copy of `clean`, returning
     /// the corrupted data set and the per-kind injection counts.
+    ///
+    /// Each output stream is built once: a copy of the clean stream's
+    /// events, to which every configured stream-scoped kind is applied
+    /// in turn. Each kind reads only its own stream and RNG, and the
+    /// instance-scoped kind only the stream count, so this is the same
+    /// as applying each kind over all streams before the next.
     pub fn inject(&self, clean: &Dataset) -> (Dataset, FaultLog) {
-        let mut ds = clean.clone();
         let mut log = FaultLog::default();
-        for kind in ALL_FAULT_KINDS {
+        let configured = |kind: FaultKind| {
             let rate = self.rates.get(&kind).copied().unwrap_or(0.0);
-            if rate <= 0.0 {
-                continue;
+            (rate > 0.0).then_some((kind, rate))
+        };
+        let stream_kinds: Vec<(FaultKind, f64)> = ALL_FAULT_KINDS
+            .into_iter()
+            .filter(|&kind| kind != FaultKind::DanglingInstanceRefs)
+            .filter_map(configured)
+            .collect();
+        let stack_count = clean.stacks.len() as u32;
+        let mut scratch = Vec::new();
+        let streams = clean
+            .streams
+            .iter()
+            .map(|stream| {
+                let mut events = stream.events().to_vec();
+                for &(kind, rate) in &stream_kinds {
+                    let mut rng = Rng::for_item(self.seed, kind, stream.id().0);
+                    let n = corrupt_events(
+                        &mut events,
+                        kind,
+                        rate,
+                        stack_count,
+                        &mut rng,
+                        &mut scratch,
+                    );
+                    log.add(kind, n);
+                }
+                TraceStream::from_unchecked_parts(stream.id(), events)
+            })
+            .collect();
+        let mut ds = Dataset {
+            streams,
+            instances: clean.instances.clone(),
+            stacks: clean.stacks.clone(),
+            scenarios: clean.scenarios.clone(),
+        };
+        if let Some((kind, rate)) = configured(FaultKind::DanglingInstanceRefs) {
+            let bogus_base = ds.streams.len() as u32;
+            let mut rng = Rng::for_item(self.seed, kind, 0);
+            let mut n = 0;
+            for (offset, instance) in ds.instances.iter_mut().enumerate() {
+                if rng.chance(rate) {
+                    instance.trace = TraceId(bogus_base + 1 + offset as u32);
+                    n += 1;
+                }
             }
-            self.apply(&mut ds, kind, rate, &mut log);
+            log.add(kind, n);
         }
         (ds, log)
     }
-
-    fn apply(&self, ds: &mut Dataset, kind: FaultKind, rate: f64, log: &mut FaultLog) {
-        match kind {
-            FaultKind::DanglingInstanceRefs => {
-                let bogus_base = ds.streams.len() as u32;
-                let mut rng = Rng::for_item(self.seed, kind, 0);
-                let mut n = 0;
-                for (offset, instance) in ds.instances.iter_mut().enumerate() {
-                    if rng.chance(rate) {
-                        instance.trace = TraceId(bogus_base + 1 + offset as u32);
-                        n += 1;
-                    }
-                }
-                log.add(kind, n);
-            }
-            _ => {
-                let streams = std::mem::take(&mut ds.streams);
-                let stack_count = ds.stacks.len() as u32;
-                ds.streams = streams
-                    .into_iter()
-                    .map(|stream| {
-                        let mut rng = Rng::for_item(self.seed, kind, stream.id().0);
-                        let (stream, n) = corrupt_stream(stream, kind, rate, stack_count, &mut rng);
-                        log.add(kind, n);
-                        stream
-                    })
-                    .collect();
-            }
-        }
-    }
 }
 
-/// Applies one stream-scoped fault kind, returning the corrupted stream
-/// and how many faults were injected into it.
-fn corrupt_stream(
-    stream: TraceStream,
+/// Applies one stream-scoped fault kind to a stream's `events` in place,
+/// returning how many faults it injected. The kinds that insert events
+/// rebuild `events` from `scratch`, which keeps its buffer for the next.
+fn corrupt_events(
+    events: &mut Vec<Event>,
     kind: FaultKind,
     rate: f64,
     stack_count: u32,
     rng: &mut Rng,
-) -> (TraceStream, usize) {
-    let id = stream.id();
-    let events = stream.events().to_vec();
+    scratch: &mut Vec<Event>,
+) -> usize {
     let mut n = 0;
-    let out: Vec<Event> = match kind {
-        FaultKind::DropUnwaits => events
-            .into_iter()
-            .filter(|e| {
-                let drop = e.kind == EventKind::Unwait && rng.chance(rate);
-                n += drop as usize;
-                !drop
-            })
-            .collect(),
+    match kind {
+        FaultKind::DropUnwaits => events.retain(|e| {
+            let drop = e.kind == EventKind::Unwait && rng.chance(rate);
+            n += drop as usize;
+            !drop
+        }),
         FaultKind::TruncateStreams => {
-            let (start, end) = (stream_start(&events), stream_end(&events));
+            let (start, end) = (stream_start(events), stream_end(events));
             if !events.is_empty() && end > start && rng.chance(rate) {
                 n = 1;
                 let cut = TimeNs(rng.in_range(start.0 + 1, end.0));
-                events.into_iter().filter(|e| e.t < cut).collect()
-            } else {
-                events
+                events.retain(|e| e.t < cut);
             }
         }
         FaultKind::DuplicateEvents => {
-            let mut out = Vec::with_capacity(events.len());
-            for e in events {
-                out.push(e);
+            for &e in take_into(events, scratch) {
+                events.push(e);
                 if rng.chance(rate) {
-                    out.push(e);
+                    events.push(e);
                     n += 1;
                 }
             }
-            out
         }
-        FaultKind::ClockSkew => events
-            .into_iter()
-            .map(|mut e| {
+        FaultKind::ClockSkew => {
+            for e in events.iter_mut() {
                 if rng.chance(rate) {
                     let skew = rng.in_range(1, SAMPLE_INTERVAL.0);
                     e.t = if rng.chance(0.5) {
@@ -264,25 +273,21 @@ fn corrupt_stream(
                     };
                     n += 1;
                 }
-                e
-            })
-            .collect(),
-        FaultKind::DanglingStacks => events
-            .into_iter()
-            .map(|mut e| {
+            }
+        }
+        FaultKind::DanglingStacks => {
+            for e in events.iter_mut() {
                 if rng.chance(rate) {
                     e.stack = StackId(stack_count + 1 + rng.in_range(0, 1 << 16) as u32);
                     n += 1;
                 }
-                e
-            })
-            .collect(),
+            }
+        }
         FaultKind::OrphanWaits => {
             let ghost_base = events.iter().map(|e| e.tid.0).max().unwrap_or(0) + 1_000;
-            let mut out = Vec::with_capacity(events.len());
-            for e in events {
+            for &e in take_into(events, scratch) {
                 if rng.chance(rate) {
-                    out.push(Event {
+                    events.push(Event {
                         kind: EventKind::Wait,
                         tid: ThreadId(ghost_base + n as u32),
                         pid: e.pid,
@@ -293,13 +298,21 @@ fn corrupt_stream(
                     });
                     n += 1;
                 }
-                out.push(e);
+                events.push(e);
             }
-            out
         }
         FaultKind::DanglingInstanceRefs => unreachable!("instance-scoped"),
-    };
-    (TraceStream::from_unchecked_parts(id, out), n)
+    }
+    n
+}
+
+/// Moves `events` into `scratch` and returns them, leaving `events`
+/// empty with room for as many.
+fn take_into<'a>(events: &mut Vec<Event>, scratch: &'a mut Vec<Event>) -> &'a [Event] {
+    std::mem::swap(events, scratch);
+    events.clear();
+    events.reserve(scratch.len());
+    scratch
 }
 
 fn stream_start(events: &[Event]) -> TimeNs {

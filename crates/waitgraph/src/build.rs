@@ -28,7 +28,9 @@
 use crate::graph::{Edges, Node, NodeId, NodeKind, StreamGraph, WaitGraph};
 use crate::index::StreamIndex;
 use std::time::Instant;
-use tracelens_model::{Event, EventId, EventKind, ScenarioInstance, ThreadId, TimeNs, TraceStream};
+use tracelens_model::{
+    Event, EventId, EventKind, ScenarioInstance, StackId, ThreadId, TimeNs, TraceStream,
+};
 use tracelens_obs::Telemetry;
 
 /// Hard cap on wait-chain recursion depth; real propagation chains are
@@ -70,7 +72,7 @@ impl WaitGraph {
         }
         let start = Instant::now();
         let graph = WaitGraph::build(stream, index, instance);
-        telemetry.record("waitgraph.build_ns", nanos_since(start));
+        telemetry.record("waitgraph.build_ns", nanos_between(start, Instant::now()));
         telemetry.count("waitgraph.graphs", 1);
         telemetry.count("waitgraph.nodes", graph.node_count() as u64);
         telemetry.count("waitgraph.arena_nodes", graph.node_count() as u64);
@@ -92,7 +94,8 @@ impl StreamGraph {
     /// stand for: a shared node once per use, a run once per sample, so
     /// the per-instance graphs' node count), `waitgraph.arena_nodes`
     /// (nodes actually built) and records one `waitgraph.build_ns` sample
-    /// per instance.
+    /// per instance. The first sample also times the builder's setup, so
+    /// a stream's samples sum to its whole build.
     pub fn build(
         stream: &TraceStream,
         index: &StreamIndex,
@@ -100,15 +103,18 @@ impl StreamGraph {
         telemetry: &Telemetry,
     ) -> StreamGraph {
         let traced = telemetry.enabled();
+        // Each sample runs from where the previous one ended.
+        let mut since = traced.then(Instant::now);
         let mut b = Builder::new(stream, index, true);
         let mut ends = Vec::with_capacity(instances.len());
         let mut tree_nodes = 0;
         for instance in instances {
-            let start = traced.then(Instant::now);
             tree_nodes += b.add_instance(instance);
             ends.push(b.roots.len());
-            if let Some(start) = start {
-                telemetry.record("waitgraph.build_ns", nanos_since(start));
+            if let Some(start) = since {
+                let now = Instant::now();
+                telemetry.record("waitgraph.build_ns", nanos_between(start, now));
+                since = Some(now);
             }
         }
         if traced {
@@ -126,8 +132,8 @@ fn fits(depth: usize, subtree: &Subtree) -> bool {
     depth + subtree.reach.unwrap_or(0) < MAX_DEPTH
 }
 
-fn nanos_since(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+fn nanos_between(start: Instant, end: Instant) -> u64 {
+    u64::try_from(end.duration_since(start).as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// A built subtree, as its parent sees it.
@@ -157,8 +163,8 @@ struct Builder<'a> {
     /// The wait events on the current recursion path (cycle guard): at
     /// most [`MAX_DEPTH`] of them.
     path: Vec<EventId>,
-    /// Per event id: the clean subtree already built for that paired
-    /// wait. Empty in the per-instance form.
+    /// Per wait, by its ordinal in the index: the clean subtree already
+    /// built for it. Empty in the per-instance form.
     shared: Vec<Option<Subtree>>,
     /// Whether a running event may extend the previous node of its
     /// sibling list (the stream form).
@@ -190,7 +196,7 @@ impl<'a> Builder<'a> {
             open: Vec::new(),
             path: Vec::with_capacity(MAX_DEPTH),
             shared: if stream_form {
-                vec![None; stream.len()]
+                vec![None; index.wait_count()]
             } else {
                 Vec::new()
             },
@@ -211,47 +217,39 @@ impl<'a> Builder<'a> {
     /// Builds the events of `tid` overlapping `[from, to)` as one sibling
     /// list at `depth`, pushed on `open`. Unpaired waits are clipped to
     /// `to`.
+    ///
+    /// In the stream form a running event extends the list's last node
+    /// when that node is a running node of the same stack: `run` holds
+    /// it and its stack. It is never shared, since only waits are.
     fn add_siblings(&mut self, tid: ThreadId, from: TimeNs, to: TimeNs, depth: usize) -> Siblings {
-        let first = self.open.len();
         let mut list = Siblings {
             size: 0,
             reach: None,
             clean: true,
         };
+        let mut run: Option<(NodeId, StackId)> = None;
         let index = self.index;
         for &id in index.thread_events_overlapping(self.stream, tid, from, to) {
             let Some(&e) = self.stream.event(id) else {
                 continue;
             };
-            if self.extend_run(first, &e) {
+            let sample = self.coalesce && e.kind == EventKind::Running;
+            if let Some((node, _)) = run.filter(|&(_, stack)| sample && stack == e.stack) {
+                let node = &mut self.nodes[node.0 as usize];
+                node.duration += e.cost;
+                node.samples += 1;
                 list.size += 1;
-            } else if let Some(c) = self.add_event(id, &e, to, depth) {
+                continue;
+            }
+            if let Some(c) = self.add_event(id, &e, to, depth) {
                 self.open.push(c.node);
+                run = sample.then_some((c.node, e.stack));
                 list.size += c.size;
                 list.clean &= c.clean;
                 list.reach = list.reach.max(c.reach);
             }
         }
         list
-    }
-
-    /// In the stream form, adds `e` to the last node of the sibling list
-    /// `open[first..]` when both are running samples of one stack;
-    /// returns whether it did. That node is never shared: only waits are.
-    fn extend_run(&mut self, first: usize, e: &Event) -> bool {
-        if !self.coalesce || e.kind != EventKind::Running {
-            return false;
-        }
-        let Some(&last) = self.open[first..].last() else {
-            return false;
-        };
-        let node = &mut self.nodes[last.0 as usize];
-        if node.kind != NodeKind::Running || node.stack != e.stack {
-            return false;
-        }
-        node.duration += e.cost;
-        node.samples += 1;
-        true
     }
 
     fn leaf(&mut self, node: Node, clean: bool) -> Subtree {
@@ -301,13 +299,13 @@ impl<'a> Builder<'a> {
             EventKind::Running => Some(self.leaf(node(NodeKind::Running, e.cost), true)),
             EventKind::HardwareService => Some(self.leaf(node(NodeKind::Hardware, e.cost), true)),
             EventKind::Wait => {
-                let pair = self.index.paired_unwait(id);
+                let (ordinal, pair) = self.index.wait(id);
                 let cut = self.path.contains(&id) || depth >= MAX_DEPTH;
                 match pair {
                     Some(u_id) if !cut => {
                         // A shared subtree stays whole only while its
                         // deepest wait stays above the cap.
-                        let reusable = self.shared.get(id.0 as usize).copied().flatten();
+                        let reusable = ordinal.and_then(|k| self.shared.get(k).copied().flatten());
                         if let Some(s) = reusable.filter(|s| fits(depth, s)) {
                             return Some(s);
                         }
@@ -328,7 +326,7 @@ impl<'a> Builder<'a> {
                         wait.reach = Some(children.reach.map_or(0, |r| r + 1));
                         self.nodes[wait.node.0 as usize].children = self.close(first);
                         if wait.clean {
-                            if let Some(slot) = self.shared.get_mut(id.0 as usize) {
+                            if let Some(slot) = ordinal.and_then(|k| self.shared.get_mut(k)) {
                                 *slot = Some(wait);
                             }
                         }
@@ -545,6 +543,37 @@ mod tests {
         let own = WaitGraph::build(&s, &idx, &first);
         assert_eq!(own.node_count(), 9);
         assert!(own.nodes().iter().all(|n| n.samples == 1));
+    }
+
+    #[test]
+    fn entangled_instances_share_each_clean_wait_subtree() {
+        // Without sharing every arena node sits at one place in one
+        // instance's view, so the views walk as many nodes as the arena
+        // holds; dense streams' instances reach many of the same waits.
+        let ds = tracelens_sim::DatasetBuilder::new(1)
+            .traces(8)
+            .mix(tracelens_sim::ScenarioMix::Selected)
+            .instances_per_trace(8, 12)
+            .start_window_ms(100)
+            .build();
+        let (mut arena, mut walked) = (0, 0);
+        for stream in &ds.streams {
+            let instances: Vec<&ScenarioInstance> = ds
+                .instances
+                .iter()
+                .filter(|i| i.trace == stream.id())
+                .collect();
+            let idx = StreamIndex::new(stream);
+            let g = StreamGraph::build(stream, &idx, &instances, &Telemetry::noop());
+            arena += g.node_count();
+            walked += (0..instances.len())
+                .map(|k| g.instance(k).dfs().count())
+                .sum::<usize>();
+        }
+        assert!(
+            3 * arena < 2 * walked,
+            "the arena ({arena}) must share the nodes the views walk ({walked})"
+        );
     }
 
     #[test]

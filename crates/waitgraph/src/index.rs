@@ -11,7 +11,8 @@ use tracelens_model::{EventId, EventKind, IdHashing, ThreadId, TimeNs, TraceStre
 /// * per-thread event lists (in event order, which is time order in a
 ///   sorted stream) for wait-interval queries,
 /// * per-woken-thread unwait lists for wait/unwait pairing,
-/// * each wait's paired unwait, found once when the index is built,
+/// * the wait events and each one's paired unwait, found once when the
+///   index is built,
 /// * per-event *effective ends*: for wait events the timestamp of the
 ///   paired unwait (their raw cost is zero until restored), for other
 ///   events `t + cost`.
@@ -19,7 +20,9 @@ use tracelens_model::{EventId, EventKind, IdHashing, ThreadId, TimeNs, TraceStre
 /// Both kinds of list are CSR arrays: one flat array of event ids per
 /// kind, grouped by thread, with start offsets per thread. A thread's
 /// group is found through the dense slot the thread got in first-seen
-/// event order, so no layout depends on the hasher's seed.
+/// event order, so no layout depends on the hasher's seed. Waits are a
+/// few percent of a stream's events, so what pairing keeps is sized by
+/// them: their ids in order, and beside them their pairs.
 #[derive(Debug, Clone)]
 pub struct StreamIndex {
     /// tid → slot.
@@ -28,7 +31,9 @@ pub struct StreamIndex {
     by_thread: Csr,
     /// Woken slot → unwait events targeting that thread.
     unwaits_for: Csr,
-    /// Event id → the unwait paired with that wait event.
+    /// The wait events, in id order.
+    waits: Vec<EventId>,
+    /// `pairs[k]`: the unwait paired with `waits[k]`.
     pairs: Vec<Option<EventId>>,
     /// Event id → effective end timestamp.
     effective_end: Vec<TimeNs>,
@@ -48,28 +53,31 @@ struct Csr {
 }
 
 impl Csr {
-    /// Groups `items`, `(slot, event)` pairs in event order, into the
-    /// lists of `slots` slots; each list keeps event order.
-    fn group(slots: usize, items: &[(u32, EventId)]) -> Csr {
-        let mut starts = vec![0u32; slots + 1];
-        for &(slot, _) in items {
-            starts[slot as usize] += 1;
-        }
-        // Running totals: `starts[s]` becomes the end of slot `s`'s list
+    /// Lays out lists of `counts[s]` events for each slot `s` (`counts`
+    /// has one entry more than there are slots), filled from `items`,
+    /// `(slot, event)` pairs in event order; each list keeps event order.
+    fn scatter(
+        mut counts: Vec<u32>,
+        items: impl DoubleEndedIterator<Item = (u32, EventId)>,
+    ) -> Csr {
+        // Running totals: `counts[s]` becomes the end of slot `s`'s list
         // and the last entry the total.
         let mut total = 0;
-        for offset in &mut starts {
+        for offset in &mut counts {
             total += *offset;
             *offset = total;
         }
         // Filling from the back moves each end down to its list's start.
-        let mut ids = vec![EventId(0); items.len()];
-        for &(slot, id) in items.iter().rev() {
-            let at = &mut starts[slot as usize];
+        let mut ids = vec![EventId(0); total as usize];
+        for (slot, id) in items.rev() {
+            let at = &mut counts[slot as usize];
             *at -= 1;
             ids[*at as usize] = id;
         }
-        Csr { starts, ids }
+        Csr {
+            starts: counts,
+            ids,
+        }
     }
 
     /// Slot `slot`'s list.
@@ -84,6 +92,21 @@ fn first_from(stream: &TraceStream, list: &[EventId], from: TimeNs) -> usize {
     list.partition_point(|&id| stream.event(id).is_some_and(|e| e.t < from))
 }
 
+/// The dense slot of `tid`: the next free one if `tid` is new.
+fn slot_of(slots: &mut HashMap<ThreadId, u32, IdHashing>, tid: ThreadId) -> u32 {
+    let next = u32::try_from(slots.len()).expect("thread slots fit in u32");
+    *slots.entry(tid).or_insert(next)
+}
+
+/// Adds one to `counts[slot]`, growing `counts` to reach it.
+fn tally(counts: &mut Vec<u32>, slot: u32) {
+    let slot = slot as usize;
+    if counts.len() <= slot {
+        counts.resize(slot + 1, 0);
+    }
+    counts[slot] += 1;
+}
+
 impl StreamIndex {
     /// Builds the index for `stream`.
     ///
@@ -94,58 +117,68 @@ impl StreamIndex {
         let events = stream.events();
         let count = u32::try_from(events.len()).expect("event ids fit in u32");
         let mut slots: HashMap<ThreadId, u32, IdHashing> = HashMap::default();
-        let mut slot_of = |tid| {
-            let next = u32::try_from(slots.len()).expect("thread slots fit in u32");
-            *slots.entry(tid).or_insert(next)
-        };
-        let mut by_thread = Vec::with_capacity(events.len());
+        // One pass: each event's slot, the events and woken unwaits per
+        // slot, the effective ends before pairing, and the waits.
+        let mut slot_of_event = Vec::with_capacity(events.len());
+        let (mut emitted, mut woken) = (Vec::new(), Vec::new());
+        let mut effective_end = Vec::with_capacity(events.len());
+        let mut waits = Vec::new();
         let mut by_woken = Vec::new();
+        let mut unwaits = 0;
         for (id, e) in (0..count).map(EventId).zip(events) {
-            by_thread.push((slot_of(e.tid), id));
-            if e.kind == EventKind::Unwait {
-                if let Some(w) = e.wtid {
-                    by_woken.push((slot_of(w), id));
+            let slot = slot_of(&mut slots, e.tid);
+            slot_of_event.push(slot);
+            tally(&mut emitted, slot);
+            effective_end.push(e.end());
+            match e.kind {
+                EventKind::Wait => waits.push(id),
+                EventKind::Unwait => {
+                    unwaits += 1;
+                    if let Some(w) = e.wtid {
+                        let slot = slot_of(&mut slots, w);
+                        tally(&mut woken, slot);
+                        by_woken.push((slot, id));
+                    }
                 }
+                EventKind::Running | EventKind::HardwareService => {}
             }
         }
-        let unwaits_for = Csr::group(slots.len(), &by_woken);
-        let mut pairs = Vec::with_capacity(events.len());
-        let mut effective_end = Vec::with_capacity(events.len());
-        let mut paired = vec![false; events.len()];
-        let mut orphan_waits = 0;
-        let mut total_unwaits = 0;
-        for (&(slot, _), e) in by_thread.iter().zip(events) {
-            let pair = match e.kind {
-                EventKind::Wait => {
-                    let list = unwaits_for.list(slot as usize);
-                    let pair = list.get(first_from(stream, list, e.t)).copied();
-                    orphan_waits += usize::from(pair.is_none());
-                    pair
-                }
-                EventKind::Unwait => {
-                    total_unwaits += 1;
-                    None
-                }
-                EventKind::Running | EventKind::HardwareService => None,
-            };
-            effective_end.push(match pair {
-                Some(u) => {
-                    paired[u.0 as usize] = true;
-                    events[u.0 as usize].t
-                }
-                None => e.end(),
-            });
-            pairs.push(pair);
+        for counts in [&mut emitted, &mut woken] {
+            counts.resize(slots.len() + 1, 0);
         }
-        let stray_unwaits = total_unwaits - paired.iter().filter(|&&p| p).count();
+        let unwaits_for = Csr::scatter(woken, by_woken.into_iter());
+        let pairs: Vec<Option<EventId>> = waits
+            .iter()
+            .map(|&w| {
+                let list = unwaits_for.list(slot_of_event[w.0 as usize] as usize);
+                let pair = list.get(first_from(stream, list, events[w.0 as usize].t));
+                if let Some(&u) = pair {
+                    effective_end[w.0 as usize] = events[u.0 as usize].t;
+                }
+                pair.copied()
+            })
+            .collect();
+        let by_thread = Csr::scatter(
+            emitted,
+            slot_of_event
+                .iter()
+                .enumerate()
+                .map(|(id, &slot)| (slot, EventId(id as u32))),
+        );
+        let orphan_waits = pairs.iter().filter(|p| p.is_none()).count();
+        // Two waits of one thread may pair with the same unwait.
+        let mut paired: Vec<EventId> = pairs.iter().flatten().copied().collect();
+        paired.sort_unstable();
+        paired.dedup();
         StreamIndex {
-            by_thread: Csr::group(slots.len(), &by_thread),
             slots,
+            by_thread,
             unwaits_for,
+            waits,
             pairs,
             effective_end,
             orphan_waits,
-            stray_unwaits,
+            stray_unwaits: unwaits - paired.len(),
         }
     }
 
@@ -207,7 +240,23 @@ impl StreamIndex {
     /// start, looked up when the index was built. `None` for an orphan
     /// wait, an event that is not a wait, or an unknown id.
     pub fn paired_unwait(&self, wait: EventId) -> Option<EventId> {
-        self.pairs.get(wait.0 as usize).copied().flatten()
+        self.wait(wait).1
+    }
+
+    /// For event `wait`: its ordinal among the stream's waits (in id
+    /// order, below [`StreamIndex::wait_count`]; `None` if it is not a
+    /// wait of this stream) and its paired unwait, as
+    /// [`StreamIndex::paired_unwait`] gives it.
+    pub(crate) fn wait(&self, wait: EventId) -> (Option<usize>, Option<EventId>) {
+        match self.waits.binary_search(&wait) {
+            Ok(k) => (Some(k), self.pairs[k]),
+            Err(_) => (None, None),
+        }
+    }
+
+    /// How many wait events the stream holds.
+    pub(crate) fn wait_count(&self) -> usize {
+        self.waits.len()
     }
 
     /// The effective end of an event: for wait events the paired unwait
@@ -297,6 +346,10 @@ mod tests {
         assert_eq!(s.event(pair.unwrap()).unwrap().t, TimeNs(15));
         assert_eq!(idx.paired_unwait(EventId(0)), None, "not a wait");
         assert_eq!(idx.paired_unwait(EventId(999)), None);
+        // The stream's one wait has ordinal 0 of 1.
+        assert_eq!(idx.wait_count(), 1);
+        assert_eq!(idx.wait(EventId(wait_id as u32)), (Some(0), pair));
+        assert_eq!(idx.wait(EventId(0)), (None, None));
     }
 
     #[test]
